@@ -8,9 +8,10 @@ harness compares the two over exhaustive or seeded-sample parameter grids.
 from .admissible import (AdmissibilityReport, decrement_path, distinguished_point,
                          enumerate_admissible, enumerate_admissible_I,
                          is_admissible, is_admissible_I)
-from .errors import (CapacityExceeded, FpSelbergError, IndexOutOfCaps,
-                     InvalidExponent, NegativeExponent, NoPath, NotAllowable,
-                     OutOfRange, PreconditionViolation, ZeroFactor)
+from .errors import (AccumulatorOverflow, CapacityExceeded, FpSelbergError,
+                     IndexOutOfCaps, InvalidExponent, InvariantViolation,
+                     NegativeExponent, NoPath, NotAllowable, OutOfRange,
+                     PreconditionViolation, ZeroFactor)
 from .formulas import (FormulaResult, b_factors, beta_rhs, dyson_constant,
                        i000_rhs, induction_factor, r_a2, r_value, rhs_3_11,
                        rhs_4_111, shift_factor_b1, shift_factor_b2)

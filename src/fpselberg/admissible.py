@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoPath, PreconditionViolation
+from .errors import InvariantViolation, NoPath, PreconditionViolation
 from .gf import FpContext
 from .integrals import KComposition, ParamPoint
 
@@ -136,7 +136,8 @@ def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> Para
     b += tuple((k.part(i - 1) - k.part(i) + 1) * c - 1 for i in range(2, k.n + 1))
     pt = ParamPoint(a, b, c)
     report = is_admissible(k, pt, ctx)
-    assert report.admissible, f"distinguished point {pt} violates {report.violated}"
+    if not report.admissible:
+        raise InvariantViolation(f"distinguished point {pt} violates {report.violated}")
     return pt
 
 

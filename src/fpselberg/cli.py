@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness
@@ -29,6 +30,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _jobs(text: str) -> int:
+    """Worker count: at least 1, at most the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--samples", type=int, default=0,
                       help="draw this many seeded samples instead")
     ck.add_argument("--seed", type=int, default=0)
-    ck.add_argument("--jobs", type=int, default=1)
+    ck.add_argument("--jobs", type=_jobs, default=1,
+                    help="worker processes (clamped to the number of CPUs)")
     ck.add_argument("--json", nargs="?", const="-", default=None, metavar="PATH",
                     help="emit the JSON report to PATH (or stdout if omitted)")
 

@@ -50,3 +50,11 @@ class NoPath(FpSelbergError):
 
 class InvalidExponent(FpSelbergError):
     """A polynomial factor was given a negative exponent."""
+
+
+class InvariantViolation(FpSelbergError):
+    """An identity the code relies on failed: a bug, not bad input."""
+
+
+class AccumulatorOverflow(FpSelbergError):
+    """A sum of products of residues could overflow its int64 accumulator."""

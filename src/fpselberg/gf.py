@@ -10,7 +10,7 @@ that a parameter point has left the valid region.
 
 from __future__ import annotations
 
-from .errors import OutOfRange, PreconditionViolation
+from .errors import InvariantViolation, OutOfRange, PreconditionViolation
 
 MAX_PRIME = 2**15
 
@@ -74,7 +74,9 @@ class FpElement:
     """A residue mod p tied to its context.
 
     Arithmetic accepts plain ints (reduced mod p) on either side; mixing
-    elements of different contexts is an error.
+    elements of different contexts is an error.  Equality holds only between
+    elements: an int equal to an element mod p could not hash like it (3 and
+    10 both match 3 mod 7), so compare ``int(x)`` or ``ctx.element(n)``.
     """
 
     __slots__ = ("residue", "ctx")
@@ -144,8 +146,6 @@ class FpElement:
     def __eq__(self, other):
         if isinstance(other, FpElement):
             return self.ctx.p == other.ctx.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.ctx.p
         return NotImplemented
 
     def __hash__(self):
@@ -187,7 +187,8 @@ def wilson_cancel(ctx: FpContext, a: int, b: int) -> FpElement:
     if a < 0 or b < 0 or a + b != ctx.p - 1:
         raise PreconditionViolation(f"need a, b >= 0 with a + b = p - 1, got a={a}, b={b}")
     value = checked_factorial(ctx, a) * checked_factorial(ctx, b)
-    assert value == sign_pow(ctx, a + 1), "Wilson cancellation identity violated"
+    if value != sign_pow(ctx, a + 1):
+        raise InvariantViolation(f"Wilson cancellation violated: {a}! {b}! = {value}")
     return value
 
 

@@ -2,18 +2,22 @@
 by closed form (or recurrence factors), exact equality only.
 
 A campaign turns into a list of point-level tasks, each executed by a pure
-function keyed on (campaign, p, k, point).  Tasks run sequentially by
-default; with jobs > 1 they are mapped over a process pool and folded back
-in task order, so reports are deterministic either way.  Skips (non-
-admissible points, formula classifiers, capacity blowups) are counted
-separately from failures.
+function keyed on (campaign, p, k, point).  Tasks are evaluated grouped by
+the point's c (a stable sort on the c that `_point_json` reports), because
+`selberg_integral` caches the expanded pair blocks of one (p, c) at a time:
+in key order, campaigns whose keys vary c fastest would rebuild them at
+almost every point.  Tasks run sequentially by default; with jobs > 1 the
+pool maps them in the same grouped order, so each worker's cache sees runs
+of one c.  Outcomes are folded back into key order either way, so reports
+do not depend on the evaluation order.  Skips (non-admissible points,
+formula classifiers, capacity blowups) are counted separately from
+failures.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import admissible as adm
@@ -495,12 +499,19 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
     t0 = time.monotonic()
     total, pre_skipped, keys = _enumerate_tasks(spec, ctx)
     runner = _POINT_RUNNERS[spec.campaign]
+    order = sorted(range(len(keys)),
+                   key=lambda i: _point_json(spec.campaign, keys[i])["c"] or 0)
     if spec.jobs > 1:
-        tasks = [(spec.campaign, spec.p, spec.k, key) for key in keys]
+        # imported here: the pool machinery costs about a tenth of start-up
+        from concurrent.futures import ProcessPoolExecutor
+        tasks = [(spec.campaign, spec.p, spec.k, keys[i]) for i in order]
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_run_task, tasks, chunksize=8))
+            grouped = list(pool.map(_run_task, tasks, chunksize=8))
     else:
-        outcomes = [runner(ctx, spec.k, key) for key in keys]
+        grouped = [runner(ctx, spec.k, keys[i]) for i in order]
+    outcomes = [None] * len(keys)
+    for i, outcome in zip(order, grouped):
+        outcomes[i] = outcome
 
     checked = passed = 0
     skipped = pre_skipped

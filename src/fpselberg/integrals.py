@@ -10,6 +10,25 @@ Variables are flattened group-major: all of group 1 first, then group 2, etc.,
 with the j-th variable of group i at flat index k_1 + ... + k_{i-1} + j - 1.
 The cycle built by `cycle_from_composition` uses the same order, so exponent
 vectors and variable indices never need re-alignment.
+
+`selberg_integral` does not expand the whole integrand per point.  Only the
+one-variable factors depend on (a, b); the pair factors depend on (k, c, p)
+alone.  They are split along the group chain into blocks: block i spans
+groups i and i+1 and holds the cross factors (x_{i+1} - x_i)^{p-c} and the
+in-group factors (x - x')^{2c} of group i+1 (block 1 also those of group 1;
+group n+1 is empty).  Each block is expanded once by `mpoly.expand` to the
+target caps of its two groups, so it depends only on
+(k_{i-1}, k_i, k_{i+1}, c, p) and compositions share blocks: (3,2) and
+(3,2,1) share their first.  Per point, the value is carried along the chain
+as a polynomial in one group: multiply it on every axis by that group's
+weight row, x^a (1-x)^{b_1} for group 1 and (1-x)^{b_i} after it (Lucas
+binomials, so b_i >= p works), reverse it, and contract it with the block,
+which leaves the coefficient of x^T in group i as a polynomial in group
+i+1.  After block n only the number is left.  A module-level cache holds
+the blocks of one (p, c); asking for another (p, c) drops them, so callers
+that evaluate many points should visit them grouped by c, as
+`harness.run_campaign` does.  `fp_integral(master_polynomial(...))` is the
+independent per-point path that tests compare against.
 """
 
 from __future__ import annotations
@@ -18,10 +37,12 @@ import math
 from dataclasses import dataclass
 from itertools import permutations
 
+import numpy as np
+
 from . import mpoly
 from .errors import (CapacityExceeded, InvalidExponent, NegativeExponent,
                      NotAllowable, PreconditionViolation)
-from .gf import FpContext, FpElement
+from .gf import FpContext, FpElement, binom
 from .mpoly import FactorProduct, LinearForm, VarSpace
 
 
@@ -127,15 +148,39 @@ def _flat_index(k: KComposition, group: int, j: int) -> int:
     return sum(k.parts[: group - 1]) + j - 1
 
 
+def _pair_factors(sizes: tuple[int, ...], c: int, p: int,
+                  first_in_group: bool = True) -> list[tuple[LinearForm, int]]:
+    """In-group (t-t')^{2c} and adjacent cross (s-t)^{p-c} factors over
+    consecutive groups of the given sizes, flattened group-major.  With
+    first_in_group=False the first group's in-group factors are left out."""
+    starts = [sum(sizes[:g]) for g in range(len(sizes))]
+    factors: list[tuple[LinearForm, int]] = []
+    for g, size in enumerate(sizes):
+        if g or first_in_group:
+            for j in range(size):
+                for jp in range(j + 1, size):
+                    factors.append((LinearForm.diff(starts[g] + j, starts[g] + jp), 2 * c))
+    if p - c:
+        for g in range(len(sizes) - 1):
+            for j in range(sizes[g + 1]):
+                for jp in range(sizes[g]):
+                    factors.append((LinearForm.diff(starts[g + 1] + j, starts[g] + jp), p - c))
+    return factors
+
+
+def _check_point(k: KComposition, pt: ParamPoint, ctx: FpContext) -> None:
+    if pt.n != k.n:
+        raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
+    if pt.c > ctx.p:
+        raise InvalidExponent(f"c={pt.c} > p={ctx.p} makes the cross exponent negative")
+
+
 def master_polynomial(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FactorProduct:
     """Product of t^{a_i}, (1-t)^{b_i}, in-group (t-t')^{2c}, cross (t'-t)^{p-c}.
 
     a_1 = a and a_i = 0 for i >= 2.  Zero-exponent factors are omitted.
     """
-    if pt.n != k.n:
-        raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
-    if pt.c > ctx.p:
-        raise InvalidExponent(f"c={pt.c} > p={ctx.p} makes the cross exponent negative")
+    _check_point(k, pt, ctx)
     factors: list[tuple[LinearForm, int]] = []
     for i in range(1, k.n + 1):
         a_i = pt.a if i == 1 else 0
@@ -146,18 +191,15 @@ def master_polynomial(k: KComposition, pt: ParamPoint, ctx: FpContext) -> Factor
                 factors.append((LinearForm.var(v), a_i))
             if b_i:
                 factors.append((LinearForm.one_minus(v), b_i))
-        for j in range(1, k.part(i) + 1):
-            for jp in range(j + 1, k.part(i) + 1):
-                factors.append((LinearForm.diff(_flat_index(k, i, j), _flat_index(k, i, jp)),
-                                2 * pt.c))
-    for i in range(1, k.n):
-        if ctx.p - pt.c == 0:
-            continue
-        for j in range(1, k.part(i + 1) + 1):
-            for jp in range(1, k.part(i) + 1):
-                factors.append((LinearForm.diff(_flat_index(k, i + 1, j), _flat_index(k, i, jp)),
-                                ctx.p - pt.c))
+    factors += _pair_factors(k.parts, pt.c, ctx.p)
     return FactorProduct(ctx, variable_space(k), tuple(factors))
+
+
+def _check_target_box(targets: tuple[int, ...]) -> None:
+    box = math.prod(t + 1 for t in targets)
+    budget = mpoly.slot_budget()
+    if box > budget:
+        raise CapacityExceeded(f"target box of {box} slots exceeds budget {budget}")
 
 
 def fp_integral(fp: FactorProduct, cycle: PCycle, ctx: FpContext) -> FpElement:
@@ -168,15 +210,83 @@ def fp_integral(fp: FactorProduct, cycle: PCycle, ctx: FpContext) -> FpElement:
         raise PreconditionViolation(
             f"{fp.space.num_vars} variables vs cycle of length {len(cycle.lengths)}")
     targets = cycle.targets(ctx.p)
-    box = math.prod(t + 1 for t in targets)
-    budget = mpoly.slot_budget()
-    if box > budget:
-        raise CapacityExceeded(f"target box of {box} slots exceeds budget {budget}")
+    _check_target_box(targets)
     return FpElement(mpoly.extract_coefficient(fp, targets), ctx)
 
 
+def _group_cap(k: KComposition, i: int, p: int) -> int:
+    """Target exponent of every variable of group i (1-based; 0 past the end)."""
+    return max(k.part(i - 1), 1) * p - 1 if 1 <= i <= k.n else 0
+
+
+class _BlockCache:
+    """Expanded pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}).
+
+    Holding one (p, c) bounds memory: the blocks of another c are dropped
+    before any of the new ones is built.  A block is symmetric in the
+    variables of each of its groups, and so is the polynomial contracted
+    with it, so only the group-i rows with non-decreasing exponents are
+    kept, each times the number of exponent tuples it stands for
+    (`mpoly.symmetric_rows`): k_i! fewer rows for distinct exponents.
+    """
+
+    def __init__(self):
+        self._pc: tuple[int, int] | None = None
+        self._blocks: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+    def block(self, k: KComposition, i: int, c: int,
+              ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, matrix): the kept flat group-i indices and the block
+        reshaped to (len(rows), group-(i+1) slots), counts folded in."""
+        p = ctx.p
+        if self._pc != (p, c):
+            self._pc, self._blocks = (p, c), {}
+        key = (k.part(i - 1), k.part(i), k.part(i + 1))
+        if key not in self._blocks:
+            sizes = (k.part(i), k.part(i + 1))
+            cap = _group_cap(k, i, p)
+            caps = (cap,) * sizes[0] + (_group_cap(k, i + 1, p),) * sizes[1]
+            factors = _pair_factors(sizes, c, p, first_in_group=i == 1)
+            fp = FactorProduct(ctx, VarSpace(sum(sizes)), tuple(factors))
+            full = mpoly.expand(fp, caps).coeffs
+            rows, counts = mpoly.symmetric_rows(sizes[0], cap + 1)
+            matrix = full.reshape((cap + 1) ** sizes[0], -1)[rows] * counts[:, None] % p
+            self._blocks[key] = (rows, matrix)
+        return self._blocks[key]
+
+
+_BLOCKS = _BlockCache()
+
+
+def _weight_row(ctx: FpContext, a: int, b: int, cap: int) -> np.ndarray:
+    """Coefficients of x^a (1-x)^b up to x^cap; Lucas binomials allow b >= p."""
+    p = ctx.p
+    row = np.zeros(cap + 1, dtype=np.int64)
+    for d in range(a, min(a + b, cap) + 1):
+        coeff = binom(ctx, b, d - a)
+        row[d] = coeff if (d - a) % 2 == 0 else -coeff % p
+    return row
+
+
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
-    return fp_integral(master_polynomial(k, pt, ctx), cycle_from_composition(k), ctx)
+    """The integral of master_polynomial(k, pt) over cycle_from_composition(k),
+    evaluated along the group chain from cached pair blocks (module docstring).
+
+    Raises CapacityExceeded exactly when the target box exceeds the slot
+    budget; every block and every group polynomial is a sub-box of it.
+    """
+    _check_point(k, pt, ctx)
+    _check_target_box(cycle_from_composition(k).targets(ctx.p))
+    p = ctx.p
+    value = np.zeros((_group_cap(k, 1, p) + 1,) * k.part(1), dtype=np.int64)
+    value[(0,) * k.part(1)] = 1
+    for i in range(1, k.n + 1):
+        row = _weight_row(ctx, pt.a if i == 1 else 0, pt.b[i - 1], _group_cap(k, i, p))
+        value = mpoly.multiply_along_axes(value, row, p)
+        rows, matrix = _BLOCKS.block(k, i, pt.c, ctx)
+        value = mpoly.contract(np.flip(value).reshape(-1)[rows], matrix, p)
+        value = value.reshape((_group_cap(k, i + 1, p) + 1,) * k.part(i + 1))
+    return FpElement(int(value), ctx)
 
 
 # ---------------------------------------------------------------------------

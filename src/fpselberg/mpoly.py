@@ -21,6 +21,20 @@ Two engines are provided:
   expansion used as an independent cross-check and as the slow side of the
   benchmark comparison.
 
+Two dense tensor steps serve evaluations that expand a point-independent
+block once and reuse it (the Selberg group chain in `integrals`):
+`multiply_along_axes` multiplies a tensor by the same one-variable weight row
+on every axis, truncated to the axis length; `symmetric_rows` picks one
+entry per orbit of a tensor symmetric in its axes; and `contract` sums a
+vector of such entries against the rows of an expanded block.
+
+Every accumulation adds products of two residues, each below p^2, in int64
+before it reduces mod p.  A sum of N such products is safe while
+N * (p-1)^2 < 2^63; `check_int64_sum` enforces this before each step (N is
+the number of terms of a factor in the engine, the axis length for a row
+product, the contracted size for a contraction) and raises
+AccumulatorOverflow otherwise.
+
 The coefficient-slot budget (default 2^30 slots) can be overridden with the
 FP_SELBERG_MEM_BUDGET environment variable.
 """
@@ -30,16 +44,19 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import (CapacityExceeded, IndexOutOfCaps, InvalidExponent,
-                     PreconditionViolation)
+from .errors import (AccumulatorOverflow, CapacityExceeded, IndexOutOfCaps,
+                     InvalidExponent, PreconditionViolation)
 from .gf import FpContext, FpElement, binom
 
 DEFAULT_SLOT_BUDGET = 2**30
 _BUDGET_ENV = "FP_SELBERG_MEM_BUDGET"
+INT64_LIMIT = 2**63
 
 
 def slot_budget() -> int:
@@ -54,6 +71,14 @@ def slot_budget() -> int:
     if value <= 0:
         raise PreconditionViolation(f"{_BUDGET_ENV} must be positive, got {value}")
     return value
+
+
+def check_int64_sum(terms: int, p: int, what: str) -> None:
+    """Raise AccumulatorOverflow unless `terms` products of residues mod p
+    can be summed in int64 before reducing: terms * (p-1)^2 < 2^63."""
+    if terms * (p - 1) ** 2 >= INT64_LIMIT:
+        raise AccumulatorOverflow(
+            f"{what}: {terms} products of residues mod {p} can overflow int64")
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -228,6 +253,24 @@ def derivative(poly: TruncatedPoly, var: int) -> TruncatedPoly:
 # expansion engine
 # ---------------------------------------------------------------------------
 
+def _monomials(form: LinearForm, p: int) -> list[tuple[int | None, int]]:
+    """The nonzero monomials of a form mod p as (axis or None, residue)."""
+    monos = []
+    if form.constant % p:
+        monos.append((None, form.constant % p))
+    for v, c in form.terms:
+        if c % p:
+            monos.append((v, c % p))
+    return monos
+
+
+def _term_count(form: LinearForm, e: int, p: int) -> int:
+    """Upper bound on the terms of form**e: the monomials of degree e in its
+    m nonzero monomials (1, e+1 or (e+1)(e+2)/2), without expanding."""
+    m = max(len(_monomials(form, p)), 1)
+    return math.comb(e + m - 1, m - 1)
+
+
 def _factor_terms(ctx: FpContext, form: LinearForm, e: int,
                   caps: tuple[int, ...] | None):
     """Expand form**e into [(shifts, coeff)] with shifts = ((axis, d), ...).
@@ -238,13 +281,7 @@ def _factor_terms(ctx: FpContext, form: LinearForm, e: int,
     dropped -- they cannot contribute to any retained coefficient.
     """
     p = ctx.p
-    monos = []  # (axis or None, residue)
-    if form.constant % p:
-        monos.append((None, form.constant % p))
-    for v, c in form.terms:
-        if c % p:
-            monos.append((v, c % p))
-
+    monos = _monomials(form, p)
     if e == 0:
         return [((), 1)]
     if not monos:
@@ -370,6 +407,8 @@ def _run_engine(fp: FactorProduct, caps: tuple[int, ...], project_targets: bool)
         fresh = [v for v in form.variables() if not introduced[v]]
         if fresh:
             introduce(fresh)
+        # each slot receives at most one product (< p^2) per term
+        check_int64_sum(_term_count(form, e, p), p, f"factor {form} ** {e}")
         terms = _factor_terms(ctx, form, e, caps)
         new = np.zeros_like(arr)
         for shifts, coeff in terms:
@@ -419,6 +458,49 @@ def extract_coefficient(fp: FactorProduct, target: tuple[int, ...]) -> int:
         if not done and target[v] > 0:
             return 0
     return int(arr.reshape(-1)[0])
+
+
+def multiply_along_axes(poly: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
+    """Truncated product of a dense tensor with row(x_j) for every axis j.
+
+    `row` holds the coefficients of a one-variable polynomial, one per slot
+    of each axis (all axes share its length).  Each axis is one product
+    with the upper-triangular Toeplitz matrix of the row, taken over axis 0
+    with the new axis appended last, so the axes are back in their original
+    order after ndim steps.
+    """
+    n = len(row)
+    if any(length != n for length in poly.shape):
+        raise PreconditionViolation(f"row of length {n} for axes of {poly.shape}")
+    check_int64_sum(n, p, "row product")
+    padded = np.concatenate((np.zeros(n - 1, dtype=np.int64), row))
+    slots = np.arange(n)
+    toeplitz = padded[n - 1 + slots[None, :] - slots[:, None]]  # [i, j] = row[j - i]
+    for _ in range(poly.ndim):
+        poly = (poly.reshape(n, -1).T @ toeplitz % p).reshape(poly.shape[1:] + (n,))
+    return poly
+
+
+def symmetric_rows(n_axes: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the non-decreasing multi-indices of an n_axes cube
+    with the given side, and how many index tuples each one stands for.
+
+    A sum over the cube of a product of two tensors that are both symmetric
+    in these axes equals the sum over these rows weighted by the counts.
+    """
+    shape = (length,) * n_axes
+    sorted_idx = list(combinations_with_replacement(range(length), n_axes))
+    flat = np.ravel_multi_index(np.array(sorted_idx, dtype=np.int64).T, shape)
+    full = math.factorial(n_axes)
+    counts = [full // math.prod(math.factorial(r) for r in Counter(idx).values())
+              for idx in sorted_idx]
+    return flat, np.array(counts, dtype=np.int64)
+
+
+def contract(vector: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
+    """vector @ matrix mod p: a sum of len(vector) products per entry."""
+    check_int64_sum(len(vector), p, "contraction")
+    return vector @ matrix % p
 
 
 def sparse_expand_oracle(fp: FactorProduct, max_terms: int | None = None,

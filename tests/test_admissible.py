@@ -2,11 +2,12 @@ from itertools import product
 
 import pytest
 
+from fpselberg import admissible
 from fpselberg.admissible import (AdmissibilityReport, decrement_path,
                                   distinguished_point, enumerate_admissible,
                                   enumerate_admissible_I, is_admissible,
                                   is_admissible_I, lower_bounds)
-from fpselberg.errors import PreconditionViolation
+from fpselberg.errors import InvariantViolation, PreconditionViolation
 from fpselberg.formulas import r_value
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition, ParamPoint
@@ -87,6 +88,13 @@ def test_distinguished_point_values():
         == ParamPoint(2, (5, 5), 3)
     assert distinguished_point(KComposition((3, 2, 1)), 1, 1, FpContext(7)) \
         == ParamPoint(1, (3, 1, 1), 1)
+
+
+def test_distinguished_point_raises_when_not_admissible(monkeypatch):
+    monkeypatch.setattr(admissible, "is_admissible",
+                        lambda k, pt, ctx: AdmissibilityReport(False, ("forced",)))
+    with pytest.raises(InvariantViolation):
+        distinguished_point(KComposition((2, 1)), 2, 3, FpContext(11))
 
 
 def test_distinguished_point_preconditions():

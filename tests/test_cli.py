@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from fpselberg import cli
 from fpselberg.cli import main
 
 
@@ -87,3 +90,21 @@ def test_bad_campaign_k_exits_2(capsys):
     code, _, err = run(capsys, "check", "main", "--p", "7")
     assert code == 2
     assert "error:" in err
+
+
+def test_jobs_below_one_exits_2(capsys):
+    for bad in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "beta", "--p", "5", "--jobs", bad])
+        assert exc.value.code == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    # parsing only: no campaign runs and no worker starts
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    parser = cli._build_parser()
+    assert parser.parse_args(["check", "beta", "--p", "5", "--jobs", "3"]).jobs == 2
+    assert parser.parse_args(["check", "beta", "--p", "5", "--jobs", "1"]).jobs == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert parser.parse_args(["check", "beta", "--p", "5", "--jobs", "2"]).jobs == 1

@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fpselberg.errors import OutOfRange, PreconditionViolation
+from fpselberg import gf
+from fpselberg.errors import InvariantViolation, OutOfRange, PreconditionViolation
 from fpselberg.gf import (FpContext, binom, checked_factorial, is_prime,
                           sign_pow, wilson_cancel)
 
@@ -29,7 +30,7 @@ def test_element_arithmetic_mod_7():
     assert int(-x) == 4
     assert int(x ** 2) == 2
     assert int(2 - x) == 6
-    assert x == 3 and x == ctx.element(10)
+    assert int(x) == 3 and x == ctx.element(10)
 
 
 def test_division_by_zero_raises():
@@ -119,3 +120,18 @@ def test_element_hash_and_bool():
     assert not ctx.zero
     assert ctx.one
     assert ctx.element(3) != FpContext(7).element(3)
+
+
+def test_element_equality_is_hash_consistent():
+    ctx = FpContext(7)
+    x = ctx.element(3)
+    assert x == ctx.element(10) and hash(x) == hash(ctx.element(10))
+    assert x != 3 and x != 10
+    assert len({x, 3}) == 2 and len({x, ctx.element(10)}) == 1
+
+
+def test_wilson_cancel_raises_when_identity_fails(monkeypatch):
+    ctx = FpContext(7)
+    monkeypatch.setattr(gf, "sign_pow", lambda ctx, e: ctx.zero)
+    with pytest.raises(InvariantViolation):
+        wilson_cancel(ctx, 2, 4)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fpselberg import harness
 from fpselberg.errors import PreconditionViolation
 from fpselberg.gf import FpContext
 from fpselberg.harness import (CampaignSpec, VerificationReport, bench,
@@ -63,6 +64,38 @@ def test_parallel_matches_sequential():
     par = run_campaign(CampaignSpec("beta", 7, jobs=2)).as_dict()
     seq.pop("elapsed_ms"), par.pop("elapsed_ms")
     assert seq == par
+
+
+@pytest.mark.parametrize("spec", [
+    CampaignSpec("main", 7, (2, 1)),
+    CampaignSpec("induction", 7),
+    CampaignSpec("relations_S1S2", 7, (2, 1)),
+])
+def test_parallel_matches_sequential_on_selberg_campaigns(spec):
+    seq = run_campaign(spec).as_dict()
+    par = run_campaign(CampaignSpec(spec.campaign, spec.p, spec.k, jobs=2)).as_dict()
+    seq.pop("elapsed_ms"), par.pop("elapsed_ms")
+    assert seq == par
+
+
+def test_tasks_run_grouped_by_c(monkeypatch):
+    # thm_3_11 keys vary c fastest; evaluation visits them sorted by c
+    # (stably) and the report folds the outcomes back into key order
+    seen = []
+    runner = harness._POINT_RUNNERS["thm_3_11"]
+
+    def recording(ctx, k, key):
+        seen.append(key)
+        return runner(ctx, k, key)
+
+    expect = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
+    monkeypatch.setitem(harness._POINT_RUNNERS, "thm_3_11", recording)
+    got = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
+    _, _, keys = harness._enumerate_tasks(CampaignSpec("thm_3_11", 5), FpContext(5))
+    assert seen == sorted(keys, key=lambda key: key[3])
+    assert seen != keys
+    expect.pop("elapsed_ms"), got.pop("elapsed_ms")
+    assert got == expect
 
 
 def test_failures_populate_all_passed():

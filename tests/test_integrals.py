@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
+from fpselberg import mpoly
 from fpselberg.admissible import enumerate_admissible
-from fpselberg.errors import (CapacityExceeded, NegativeExponent, NotAllowable,
+from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
+                              NegativeExponent, NotAllowable,
                               PreconditionViolation)
 from fpselberg.gf import FpContext
+from fpselberg.harness import CampaignSpec, _enumerate_tasks
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
                                  PCycle, cycle_from_composition, fp_integral,
                                  master_polynomial, selberg_integral,
@@ -112,6 +117,61 @@ def test_beta_case_by_hand():
         got = fp_integral(fp, PCycle((1,)), ctx)
         expect = math.comb(6, 6 - a) * (-1) ** (6 - a) % 7
         assert int(got) == expect
+
+
+def _full_expansion(k, pt, ctx):
+    return fp_integral(master_polynomial(k, pt, ctx), cycle_from_composition(k), ctx)
+
+
+def _edge_points(n, p):
+    """a = 0, b_i in {0, p-1, p+1} and c in {1, p}, beside the admissible sets."""
+    return [ParamPoint(a, bs, c) for a in (0, 2) for c in (1, p)
+            for bs in itertools.product((0, p - 1, p + 1), repeat=n)]
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("parts", [(1,), (1, 1), (2, 1), (3, 1), (3, 2), (1, 1, 1), (3, 2, 1)])
+def test_selberg_chain_matches_full_expansion(parts, p):
+    # the chained block evaluation against one truncated expansion per point
+    ctx = FpContext(p)
+    k = KComposition(parts)
+    if k.is_strictly_decreasing():
+        points = enumerate_admissible(k, ctx)
+    else:
+        # the closed-form domains of the equal-part compositions reach
+        # c = p, a = 0 and b_i >= p
+        name = {2: "thm_3_11", 3: "thm_4_111"}[k.n]
+        _, _, keys = _enumerate_tasks(CampaignSpec(name, p), ctx)
+        points = [ParamPoint(key[0], key[1:-1], key[-1]) for key in keys]
+    points += _edge_points(k.n, p)
+    for pt in points:
+        assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx), pt
+
+
+@pytest.mark.parametrize("p, parts", [(7, (2, 1)), (5, (3, 2, 1))])
+def test_selberg_capacity_fires_exactly_above_target_box(monkeypatch, p, parts):
+    ctx = FpContext(p)
+    k = KComposition(parts)
+    pt = ParamPoint(1, (p,) * k.n, 1)
+    box = math.prod(t + 1 for t in cycle_from_composition(k).targets(p))
+    monkeypatch.setenv("FP_SELBERG_MEM_BUDGET", str(box - 1))
+    with pytest.raises(CapacityExceeded):
+        selberg_integral(k, pt, ctx)
+    monkeypatch.setenv("FP_SELBERG_MEM_BUDGET", str(box))
+    assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx)
+
+
+def test_selberg_chain_checks_int64_bounds(monkeypatch):
+    # at this limit a sum of five products of residues mod 5 no longer fits
+    monkeypatch.setattr(mpoly, "INT64_LIMIT", 5 * 4**2)
+    ones = np.ones(5, dtype=np.int64)
+    mpoly.contract(ones[:4], np.ones((4, 2), dtype=np.int64), 5)
+    with pytest.raises(AccumulatorOverflow):
+        mpoly.contract(ones, np.ones((5, 2), dtype=np.int64), 5)
+    with pytest.raises(AccumulatorOverflow):
+        mpoly.multiply_along_axes(ones, ones, 5)
+    with pytest.raises(AccumulatorOverflow):
+        selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
 
 
 def test_fp_integral_dimension_mismatch():

@@ -3,12 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fpselberg.errors import (CapacityExceeded, IndexOutOfCaps, InvalidExponent,
+from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
+                              IndexOutOfCaps, InvalidExponent,
                               PreconditionViolation)
 from fpselberg.gf import FpContext
 from fpselberg.mpoly import (FactorProduct, LinearForm, TruncatedPoly, VarSpace,
-                             derivative, expand, extract_coefficient, multiply,
-                             slot_budget, sparse_expand_oracle)
+                             check_int64_sum, derivative, expand,
+                             extract_coefficient, multiply, slot_budget,
+                             sparse_expand_oracle)
 
 
 def test_linear_form_constructors():
@@ -157,6 +159,23 @@ def test_budget_env_override(monkeypatch):
         slot_budget()
     monkeypatch.delenv("FP_SELBERG_MEM_BUDGET")
     assert slot_budget() == 2**30
+
+
+def test_int64_accumulation_bound():
+    # (p-1)^2 = 4 at p = 3: 2^61 products reach 2^63
+    check_int64_sum(2**61 - 1, 3, "edge")
+    with pytest.raises(AccumulatorOverflow):
+        check_int64_sum(2**61, 3, "edge")
+
+
+def test_huge_exponent_raises_before_expanding():
+    # 2^62 + 1 terms would overflow; the check runs before the row is built
+    ctx = FpContext(5)
+    fp = FactorProduct(ctx, VarSpace(2), ((LinearForm.diff(0, 1), 2**62),))
+    with pytest.raises(AccumulatorOverflow):
+        extract_coefficient(fp, (4, 4))
+    with pytest.raises(AccumulatorOverflow):
+        expand(fp, (4, 4))
 
 
 # --- randomized cross-checks against the sparse oracle ---------------------
