@@ -16,19 +16,30 @@ one-variable factors depend on (a, b); the pair factors depend on (k, c, p)
 alone.  They are split along the group chain into blocks: block i spans
 groups i and i+1 and holds the cross factors (x_{i+1} - x_i)^{p-c} and the
 in-group factors (x - x')^{2c} of group i+1 (block 1 also those of group 1;
-group n+1 is empty).  Each block is expanded once by `mpoly.expand` to the
-target caps of its two groups, so it depends only on
-(k_{i-1}, k_i, k_{i+1}, c, p) and compositions share blocks: (3,2) and
-(3,2,1) share their first.  Per point, the value is carried along the chain
-as a polynomial in one group: multiply it on every axis by that group's
-weight row, x^a (1-x)^{b_1} for group 1 and (1-x)^{b_i} after it (Lucas
-binomials, so b_i >= p works), reverse it, and contract it with the block,
-which leaves the coefficient of x^T in group i as a polynomial in group
-i+1.  After block n only the number is left.  A module-level cache holds
-the blocks of one (p, c); asking for another (p, c) drops them, so callers
-that evaluate many points should visit them grouped by c, as
-`harness.run_campaign` does.  `fp_integral(master_polynomial(...))` is the
-independent per-point path that tests compare against.
+group n+1 is empty).  Each block is built once to the target caps of its two
+groups, so it depends only on (k_{i-1}, k_i, k_{i+1}, c, p) and compositions
+share blocks: (3,2) and (3,2,1) share their first.  A block is a product of
+differences, hence homogeneous of degree D (the sum of its exponents), so it
+is expanded by `mpoly.expand` with its last variable set to 1, over the other
+axes only; the coefficient at exponents g of those axes belongs at exponent
+D - |g| of the last one and is dropped when that falls outside its cap (3.3 M
+slots become 85.7 k for block 1 of (3,2) at p=13).  Only the kept rows of the
+block are filled (see `_BlockCache`); the full block box is never allocated.
+Per point, the value is carried along the chain as a polynomial in one group:
+multiply it on every axis by that group's weight row, x^a (1-x)^{b_1} for
+group 1 and (1-x)^{b_i} after it (Lucas binomials, so b_i >= p works),
+reverse it, and contract it with the block, which leaves the coefficient of
+x^T in group i as a polynomial in group i+1.  After block n only the number
+is left.  A module-level cache holds the blocks of one (p, c); asking for
+another (p, c) drops them, so callers that evaluate many points should visit
+them grouped by c, as `harness.run_campaign` does.
+`fp_integral(master_polynomial(...))` is the independent per-point path that
+tests compare against.
+
+`weighted_integral` evaluates one summand, not k_1! k_2!: the integrand is
+symmetric within each group and the cycle's targets are equal within a
+group, so every (sigma, tau) summand has the same integral and the
+normalized sum equals the identity summand (argument in its docstring).
 """
 
 from __future__ import annotations
@@ -40,8 +51,8 @@ from itertools import permutations
 import numpy as np
 
 from . import mpoly
-from .errors import (CapacityExceeded, InvalidExponent, NegativeExponent,
-                     NotAllowable, PreconditionViolation)
+from .errors import (CapacityExceeded, InvalidExponent, InvariantViolation,
+                     NegativeExponent, NotAllowable, PreconditionViolation)
 from .gf import FpContext, FpElement, binom
 from .mpoly import FactorProduct, LinearForm, VarSpace
 
@@ -219,6 +230,28 @@ def _group_cap(k: KComposition, i: int, p: int) -> int:
     return max(k.part(i - 1), 1) * p - 1 if 1 <= i <= k.n else 0
 
 
+def _dehomogenized(factors: list[tuple[LinearForm, int]],
+                   last: int) -> tuple[list[tuple[LinearForm, int]], int]:
+    """The factors with x_last set to 1, and their total degree.
+
+    Every factor must be a difference x_u - x_v, so that the product is
+    homogeneous of that degree; anything else raises InvariantViolation.
+    """
+    out, degree = [], 0
+    for form, e in factors:
+        if len(form.terms) != 2 or form != LinearForm.diff(*form.variables()):
+            raise InvariantViolation(f"pair factor {form} is not a difference x_u - x_v")
+        constant = sum(coeff for v, coeff in form.terms if v == last)
+        out.append((LinearForm(constant, tuple(t for t in form.terms if t[0] != last)), e))
+        degree += e
+    return out, degree
+
+
+def _degrees(n_axes: int, length: int) -> np.ndarray:
+    """Total degree of every flat index of an n_axes cube with the given side."""
+    return np.indices((length,) * n_axes).sum(axis=0).reshape(-1)
+
+
 class _BlockCache:
     """Expanded pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}).
 
@@ -228,6 +261,14 @@ class _BlockCache:
     with it, so only the group-i rows with non-decreasing exponents are
     kept, each times the number of exponent tuples it stands for
     (`mpoly.symmetric_rows`): k_i! fewer rows for distinct exponents.
+
+    A block is a product of differences, so it is homogeneous of degree D,
+    the sum of its exponents.  It is expanded with its last variable set to
+    1, over the other axes only (one axis smaller than the block); the
+    coefficient of the block at a slot of total degree D is the expanded
+    one at the slot's other exponents, and every other slot is 0.  The
+    kept rows are filled from it directly; the full block box is never
+    allocated.
     """
 
     def __init__(self):
@@ -244,13 +285,22 @@ class _BlockCache:
         key = (k.part(i - 1), k.part(i), k.part(i + 1))
         if key not in self._blocks:
             sizes = (k.part(i), k.part(i + 1))
-            cap = _group_cap(k, i, p)
-            caps = (cap,) * sizes[0] + (_group_cap(k, i + 1, p),) * sizes[1]
-            factors = _pair_factors(sizes, c, p, first_in_group=i == 1)
-            fp = FactorProduct(ctx, VarSpace(sum(sizes)), tuple(factors))
-            full = mpoly.expand(fp, caps).coeffs
-            rows, counts = mpoly.symmetric_rows(sizes[0], cap + 1)
-            matrix = full.reshape((cap + 1) ** sizes[0], -1)[rows] * counts[:, None] % p
+            lengths = (_group_cap(k, i, p) + 1, _group_cap(k, i + 1, p) + 1)
+            caps = (lengths[0] - 1,) * sizes[0] + (lengths[1] - 1,) * sizes[1]
+            last = sum(sizes) - 1
+            factors, degree = _dehomogenized(
+                _pair_factors(sizes, c, p, first_in_group=i == 1), last)
+            dehom = mpoly.expand(FactorProduct(ctx, VarSpace(last), tuple(factors)),
+                                 caps[:-1]).coeffs.reshape(-1)
+            rows, counts = mpoly.symmetric_rows(sizes[0], lengths[0])
+            col_degrees = _degrees(sizes[1], lengths[1])
+            # the (kept row, column) slots of total degree D; a slot's flat
+            # index in the block box, less its last axis, indexes `dehom`
+            r, col = np.nonzero(np.add.outer(_degrees(sizes[0], lengths[0])[rows],
+                                             col_degrees) == degree)
+            matrix = np.zeros((len(rows), len(col_degrees)), dtype=np.int64)
+            slots = rows[r] * len(col_degrees) + col
+            matrix[r, col] = dehom[slots // (caps[-1] + 1)] * counts[r] % p
             self._blocks[key] = (rows, matrix)
         return self._blocks[key]
 
@@ -328,33 +378,50 @@ class WeightSummand:
     pairs: tuple[tuple[int, int], ...]
 
 
-def weight_summands(k1: int, k2: int, tr: AllowableTriple) -> list[WeightSummand]:
-    """All k_1! * k_2! permutation summands, enumerated explicitly.
+def _summand(k1: int, k2: int, tr: AllowableTriple, sigma: tuple[int, ...],
+             tau: tuple[int, ...]) -> WeightSummand:
+    pairs = [(tau[b], sigma[b]) for b in range(tr.m)]
+    pairs += [(tau[b], sigma[b + k1 - k2]) for b in range(tr.l2, k2)]
+    return WeightSummand(
+        t_num=sigma[:tr.l1],
+        t_one_minus=sigma[tr.l1:],
+        s_one_minus=tuple(tau[b] for b in range(k2) if b < tr.m or b >= tr.l2),
+        pairs=tuple(pairs),
+    )
 
-    The overall 1/(k_1! k_2!) normalization is applied by weighted_integral.
-    """
+
+def _check_summand_args(k1: int, k2: int, tr: AllowableTriple) -> None:
     if k1 < k2 or k2 < 0 or k1 < 1:
         raise PreconditionViolation(f"need k1 >= k2 >= 0, k1 >= 1, got ({k1}, {k2})")
     tr.check(k1, k2)
-    out = []
-    for sigma in permutations(range(k1)):
-        for tau in permutations(range(k2)):
-            pairs = [(tau[b], sigma[b]) for b in range(tr.m)]
-            pairs += [(tau[b], sigma[b + k1 - k2]) for b in range(tr.l2, k2)]
-            out.append(WeightSummand(
-                t_num=sigma[:tr.l1],
-                t_one_minus=sigma[tr.l1:],
-                s_one_minus=tuple(tau[b] for b in range(k2) if b < tr.m or b >= tr.l2),
-                pairs=tuple(pairs),
-            ))
-    return out
+
+
+def weight_summands(k1: int, k2: int, tr: AllowableTriple) -> list[WeightSummand]:
+    """All k_1! * k_2! permutation summands, enumerated explicitly, the
+    identity (sigma, tau) first.
+
+    weighted_integral needs only the identity summand (see there).
+    """
+    _check_summand_args(k1, k2, tr)
+    return [_summand(k1, k2, tr, sigma, tau)
+            for sigma in permutations(range(k1)) for tau in permutations(range(k2))]
 
 
 def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
                       ctx: FpContext) -> FpElement:
     """The integral I_{l1,l2,m}(a, b_1, b_2, c) for the two-group integrand.
 
-    Each summand divides the integrand by prod t_i (1-t_i) prod (1-s_j) and
+    I is 1/(k_1! k_2!) times the sum over the (sigma, tau) summands of
+    `weight_summands`, and equals the identity summand alone, which is all
+    that is evaluated.  The integrand without its weight is symmetric in
+    the t's and in the s's (the in-group exponent 2c is even), and the
+    (sigma, tau) summand is the identity summand with the t's relabelled
+    by sigma and the s's by tau.  The cycle's target exponent is the same
+    for every t and the same for every s, so relabelling inside a group
+    does not move the extracted coefficient: all k_1! k_2! summands have
+    the same integral, and the normalized sum is any one of them.
+
+    The summand divides the integrand by prod t_i (1-t_i) prod (1-s_j) and
     by its denominator pairs, which is done symbolically by decrementing
     exponents; the numerator factors increment them back selectively.
     Requires a, b_1, b_2 >= 1 so no exponent goes negative.
@@ -367,7 +434,8 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     a, (b1, b2), c = pt.a, pt.b, pt.c
     if c > p:
         raise InvalidExponent(f"c={c} > p={p}")
-    summands = weight_summands(k1, k2, tr)
+    _check_summand_args(k1, k2, tr)
+    sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
 
     labels = tuple(f"t{i+1}" for i in range(k1)) + tuple(f"s{j+1}" for j in range(k2))
     space = VarSpace(k1 + k2, labels)
@@ -382,28 +450,24 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
             raise NegativeExponent(f"{what} exponent {e} < 0")
         return e
 
-    total = 0
-    for sm in summands:
-        factors: list[tuple[LinearForm, int]] = []
+    factors: list[tuple[LinearForm, int]] = []
+    for i in range(k1):
+        factors.append((LinearForm.var(i),
+                        exponent(a - 1, 1 if i in sm.t_num else 0, f"t{i+1}")))
+        factors.append((LinearForm.one_minus(i),
+                        exponent(b1 - 1, 1 if i in sm.t_one_minus else 0, f"1-t{i+1}")))
+    for j in range(k2):
+        factors.append((LinearForm.one_minus(k1 + j),
+                        exponent(b2 - 1, 1 if j in sm.s_one_minus else 0, f"1-s{j+1}")))
+    for j in range(k2):
         for i in range(k1):
-            factors.append((LinearForm.var(i),
-                            exponent(a - 1, 1 if i in sm.t_num else 0, f"t{i+1}")))
-            factors.append((LinearForm.one_minus(i),
-                            exponent(b1 - 1, 1 if i in sm.t_one_minus else 0, f"1-t{i+1}")))
-        for j in range(k2):
-            factors.append((LinearForm.one_minus(k1 + j),
-                            exponent(b2 - 1, 1 if j in sm.s_one_minus else 0, f"1-s{j+1}")))
-        for j in range(k2):
-            for i in range(k1):
-                e = exponent(p - c, -1 if (j, i) in sm.pairs else 0, f"s{j+1}-t{i+1}")
-                factors.append((LinearForm.diff(k1 + j, i), e))
-        for i in range(k1):
-            for ip in range(i + 1, k1):
-                factors.append((LinearForm.diff(i, ip), 2 * c))
-        for j in range(k2):
-            for jp in range(j + 1, k2):
-                factors.append((LinearForm.diff(k1 + j, k1 + jp), 2 * c))
-        fp = FactorProduct(ctx, space, tuple((f, e) for f, e in factors if e > 0))
-        total = (total + fp_integral(fp, cycle, ctx).residue) % p
-
-    return ctx.element(total) / ctx.element(math.factorial(k1) * math.factorial(k2))
+            e = exponent(p - c, -1 if (j, i) in sm.pairs else 0, f"s{j+1}-t{i+1}")
+            factors.append((LinearForm.diff(k1 + j, i), e))
+    for i in range(k1):
+        for ip in range(i + 1, k1):
+            factors.append((LinearForm.diff(i, ip), 2 * c))
+    for j in range(k2):
+        for jp in range(j + 1, k2):
+            factors.append((LinearForm.diff(k1 + j, k1 + jp), 2 * c))
+    fp = FactorProduct(ctx, space, tuple((f, e) for f, e in factors if e > 0))
+    return fp_integral(fp, cycle, ctx)

@@ -19,7 +19,8 @@ Two engines are provided:
 
 * `sparse_expand_oracle`: a deliberately simple dict-of-monomials full
   expansion used as an independent cross-check and as the slow side of the
-  benchmark comparison.
+  benchmark comparison.  It shares no code with the engine: factor powers
+  come from the multinomial theorem over the integers, reduced mod p.
 
 Two dense tensor steps serve evaluations that expand a point-independent
 block once and reuse it (the Selberg group chain in `integrals`):
@@ -41,12 +42,13 @@ FP_SELBERG_MEM_BUDGET environment variable.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -481,12 +483,14 @@ def multiply_along_axes(poly: np.ndarray, row: np.ndarray, p: int) -> np.ndarray
     return poly
 
 
+@functools.lru_cache(maxsize=32)
 def symmetric_rows(n_axes: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the non-decreasing multi-indices of an n_axes cube
     with the given side, and how many index tuples each one stands for.
 
     A sum over the cube of a product of two tensors that are both symmetric
     in these axes equals the sum over these rows weighted by the counts.
+    Memoized; the returned arrays are read-only.
     """
     shape = (length,) * n_axes
     sorted_idx = list(combinations_with_replacement(range(length), n_axes))
@@ -494,7 +498,9 @@ def symmetric_rows(n_axes: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     full = math.factorial(n_axes)
     counts = [full // math.prod(math.factorial(r) for r in Counter(idx).values())
               for idx in sorted_idx]
-    return flat, np.array(counts, dtype=np.int64)
+    counts = np.array(counts, dtype=np.int64)
+    flat.flags.writeable = counts.flags.writeable = False
+    return flat, counts
 
 
 def contract(vector: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
@@ -503,39 +509,54 @@ def contract(vector: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
     return vector @ matrix % p
 
 
+def _oracle_power(form: LinearForm, e: int, p: int, nv: int) -> dict[tuple[int, ...], int]:
+    """form**e by the multinomial theorem over the integers, reduced mod p."""
+    out: dict[tuple[int, ...], int] = {}
+    for js in product(range(e + 1), repeat=len(form.terms)):
+        rest = e - sum(js)
+        if rest < 0:
+            continue
+        coeff = form.constant ** rest
+        mono = [0] * nv
+        for (v, c), j in zip(form.terms, js):
+            coeff *= math.comb(rest + j, j) * c ** j
+            rest += j
+            mono[v] = j
+        if coeff % p:
+            out[tuple(mono)] = coeff % p
+    return out
+
+
 def sparse_expand_oracle(fp: FactorProduct, max_terms: int | None = None,
                          deadline_s: float | None = None) -> dict[tuple[int, ...], int]:
     """Reference full expansion into {exponent tuple: residue}, no truncation.
 
-    Intentionally naive (schoolbook dict convolution).  `max_terms` defaults
-    to the slot budget; `deadline_s` is a wall-clock limit used by the bench
-    comparison.  Both abort with CapacityExceeded.
+    Intentionally naive and independent of the engine: each factor power is
+    expanded by the multinomial theorem over the integers (`math.comb`),
+    reduced mod p, and multiplied in, in the given order, by schoolbook dict
+    convolution.  `max_terms` defaults to the slot budget; `deadline_s` is a
+    wall-clock limit used by the bench comparison.  Both abort with
+    CapacityExceeded.
     """
-    ctx, p = fp.ctx, fp.ctx.p
-    nv = fp.space.num_vars
+    p, nv = fp.ctx.p, fp.space.num_vars
     limit = slot_budget() if max_terms is None else max_terms
     t0 = time.monotonic()
-    acc: dict[tuple[int, ...], int] = {(0,) * nv: fp.scalar % p}
-    for form, e in _plan([(f, x) for f, x in fp.factors if x > 0]):
-        terms = _factor_terms(ctx, form, e, None)
+    acc = {(0,) * nv: fp.scalar % p} if fp.scalar % p else {}
+    ops = 0
+    for form, e in fp.factors:
+        if e == 0:
+            continue
+        power = _oracle_power(form, e, p, nv)
         new: dict[tuple[int, ...], int] = {}
-        ops = 0
         for mono, cm in acc.items():
-            for shifts, coeff in terms:
-                key = list(mono)
-                for axis, d in shifts:
-                    key[axis] += d
-                key = tuple(key)
-                v = (new.get(key, 0) + cm * coeff) % p
-                if v:
-                    new[key] = v
-                elif key in new:
-                    del new[key]
+            for shift, coeff in power.items():
+                key = tuple(m + d for m, d in zip(mono, shift))
+                new[key] = (new.get(key, 0) + cm * coeff) % p
                 ops += 1
                 if ops % 65536 == 0 and deadline_s is not None \
                         and time.monotonic() - t0 > deadline_s:
                     raise CapacityExceeded("sparse oracle exceeded its time limit")
-        if len(new) > limit:
+        acc = {key: v for key, v in new.items() if v}
+        if len(acc) > limit:
             raise CapacityExceeded(f"sparse oracle exceeded {limit} terms")
-        acc = new
     return acc

@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from fpselberg import mpoly
+from fpselberg import integrals, mpoly
 from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
-                              NegativeExponent, NotAllowable,
-                              PreconditionViolation)
+                              InvariantViolation, NegativeExponent,
+                              NotAllowable, PreconditionViolation)
 from fpselberg.gf import FpContext
 from fpselberg.harness import CampaignSpec, _enumerate_tasks
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
@@ -174,6 +174,55 @@ def test_selberg_chain_checks_int64_bounds(monkeypatch):
         selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
 
 
+def _full_box_block(k, i, c, ctx):
+    """Block i as first built: the pair factors expanded over the whole
+    block box, then the kept rows taken with their counts."""
+    p = ctx.p
+    sizes = (k.part(i), k.part(i + 1))
+    cap = integrals._group_cap(k, i, p)
+    caps = (cap,) * sizes[0] + (integrals._group_cap(k, i + 1, p),) * sizes[1]
+    factors = integrals._pair_factors(sizes, c, p, first_in_group=i == 1)
+    full = mpoly.expand(FactorProduct(ctx, VarSpace(sum(sizes)), tuple(factors)), caps).coeffs
+    rows, counts = mpoly.symmetric_rows(sizes[0], cap + 1)
+    return rows, full.reshape((cap + 1) ** sizes[0], -1)[rows] * counts[:, None] % p
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_dehomogenized_blocks_match_full_box_expansion(monkeypatch, p):
+    ctx = FpContext(p)
+    expanded_axes = []
+    expand = mpoly.expand
+
+    def recording_expand(fp, caps):
+        expanded_axes.append(len(caps))
+        return expand(fp, caps)
+
+    monkeypatch.setattr(mpoly, "expand", recording_expand)
+    keys = set()
+    for c in range(1, p + 1):  # c = p: no cross factors
+        cache = integrals._BlockCache()
+        for parts in [(1,), (1, 1), (1, 1, 1), (2, 1), (3, 1), (3, 2), (3, 2, 1)]:
+            k = KComposition(parts)
+            for i in range(1, k.n + 1):
+                expanded_axes.clear()
+                rows, matrix = cache.block(k, i, c, ctx)
+                # built one axis smaller than the block, or taken from the cache
+                assert expanded_axes in ([], [k.part(i) + k.part(i + 1) - 1])
+                keys.add((k.part(i - 1), k.part(i), k.part(i + 1)))
+                ref_rows, ref_matrix = _full_box_block(k, i, c, ctx)
+                assert np.array_equal(rows, ref_rows), (parts, i, c)
+                assert np.array_equal(matrix, ref_matrix), (parts, i, c)
+    # the single-variable last block of (3,2,1)
+    assert (2, 1, 0) in keys
+
+
+def test_block_build_requires_difference_factors(monkeypatch):
+    monkeypatch.setattr(integrals, "_pair_factors",
+                        lambda sizes, c, p, first_in_group=True: [(LinearForm.one_minus(0), 2)])
+    with pytest.raises(InvariantViolation):
+        integrals._BlockCache().block(KComposition((2, 1)), 1, 1, FpContext(5))
+
+
 def test_fp_integral_dimension_mismatch():
     ctx = FpContext(5)
     fp = FactorProduct(ctx, VarSpace(2), ((LinearForm.var(0), 1),))
@@ -272,3 +321,42 @@ def test_weighted_integral_shift_identity():
         lhs = weighted_integral(2, 1, AllowableTriple(0, 1, 0), pt, ctx)
         rhs = selberg_integral(k, ParamPoint(pt.a - 1, (pt.b[0], pt.b[1] - 1), pt.c), ctx)
         assert lhs == rhs
+
+
+def _full_sum_weighted(k1, k2, tr, pt, ctx):
+    """I_{l1,l2,m} as first defined: every (sigma, tau) summand of
+    weight_summands integrated, the sum divided by k1! k2!."""
+    p = ctx.p
+    a, (b1, b2), c = pt.a, pt.b, pt.c
+    cycle = cycle_from_composition(KComposition((k1, k2)))
+    total = 0
+    for sm in weight_summands(k1, k2, tr):
+        factors = []
+        for i in range(k1):
+            factors.append((LinearForm.var(i), a - 1 + (i in sm.t_num)))
+            factors.append((LinearForm.one_minus(i), b1 - 1 + (i in sm.t_one_minus)))
+        for j in range(k2):
+            factors.append((LinearForm.one_minus(k1 + j), b2 - 1 + (j in sm.s_one_minus)))
+            for i in range(k1):
+                factors.append((LinearForm.diff(k1 + j, i), p - c - ((j, i) in sm.pairs)))
+        for i, ip in itertools.combinations(range(k1), 2):
+            factors.append((LinearForm.diff(i, ip), 2 * c))
+        for j, jp in itertools.combinations(range(k2), 2):
+            factors.append((LinearForm.diff(k1 + j, k1 + jp), 2 * c))
+        fp = FactorProduct(ctx, VarSpace(k1 + k2), tuple((f, e) for f, e in factors if e))
+        total += fp_integral(fp, cycle, ctx).residue
+    return ctx.element(total) / ctx.element(math.factorial(k1) * math.factorial(k2))
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("k1, k2", [(2, 1), (3, 1), (3, 2)])
+def test_weighted_integral_is_one_summand_of_the_full_sum(k1, k2, p):
+    ctx = FpContext(p)
+    points = [pt for pt in enumerate_admissible(KComposition((k1, k2)), ctx)
+              if pt.a >= 1 and min(pt.b) >= 1 and pt.c < p]
+    count = 1 if (k1, k2, p) == (3, 2, 11) else 4  # 48 summands, about 4 s
+    for pt in random.Random(p * 10 + k1 + k2).sample(points, count):
+        for tr in (AllowableTriple(0, 0, 0), AllowableTriple(0, k2, 0),
+                   AllowableTriple(1, 1, 1), AllowableTriple(1, 1, 0)):
+            expect = _full_sum_weighted(k1, k2, tr, pt, ctx)
+            assert weighted_integral(k1, k2, tr, pt, ctx) == expect, (pt, tr)

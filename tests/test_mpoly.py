@@ -94,6 +94,7 @@ def test_exponent_at_or_above_p_uses_lucas_rows():
     got = {i: int(poly.coefficient((i,))) for i in range(8)
            if int(poly.coefficient((i,)))}
     assert got == {0: 1, 7: 6}
+    assert sparse_expand_oracle(fp) == {(0,): 1, (7,): 6}
 
 
 def test_trinomial_factor():
@@ -105,6 +106,7 @@ def test_trinomial_factor():
     expect = {(0, 0): 1, (1, 0): 2, (0, 1): 9, (2, 0): 1, (1, 1): 9, (0, 2): 1}
     for mono, v in expect.items():
         assert int(poly.coefficient(mono)) == v
+    assert sparse_expand_oracle(fp) == expect
 
 
 def test_scalar_and_zero_factor():
