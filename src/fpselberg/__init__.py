@@ -16,8 +16,7 @@ from .formulas import (FormulaResult, b_factors, beta_rhs, dyson_constant,
                        i000_rhs, induction_factor, r_a2, r_value, rhs_3_11,
                        rhs_4_111, shift_factor_b1, shift_factor_b2)
 from .gf import FpContext, FpElement, checked_factorial, sign_pow, wilson_cancel
-from .harness import (CampaignSpec, VerificationReport, bench, run_campaign,
-                      verify_induction, verify_relation_S1, verify_relation_S2)
+from .harness import CampaignSpec, VerificationReport, bench, run_campaign
 from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,
                         WeightSummand, cycle_from_composition, fp_integral,
                         master_polynomial, selberg_integral, weight_summands,

@@ -39,6 +39,7 @@ def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> Admissibil
     """Check the full inequality system for a strictly decreasing k."""
     _require_strict(k)
     n = k.n
+    kp = (0,) + k.parts + (0,)  # kp[i] = k_i, with k_0 = k_{n+1} = 0
     if pt.n != n:
         raise PreconditionViolation(f"b has length {pt.n}, composition has n={n}")
     a, b, c = pt.a, pt.b, pt.c
@@ -51,27 +52,27 @@ def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> Admissibil
             bsum = sum(b[s - 1:r])
             if not 0 <= (r - s) + bsum + (s - r) * c:
                 bad.append(f"ine1[s={s},r={r},lower]")
-            if not (r - s) + bsum + (k.part(r) - k.part(r + 1) + s - r - 1) * c <= p - 1:
+            if not (r - s) + bsum + (kp[r] - kp[r + 1] + s - r - 1) * c <= p - 1:
                 bad.append(f"ine1[s={s},r={r},upper]")
     for s in range(2, n + 1):
         for r in range(s, n + 1):
             bsum = sum(b[s - 1:r])
             base = (r - s + 1) + bsum
-            if not 0 <= base + (s - r + k.part(s) - k.part(s - 1) - 1) * c:
+            if not 0 <= base + (s - r + kp[s] - kp[s - 1] - 1) * c:
                 bad.append(f"ine2[s={s},r={r},lower]")
-            if not base + (s - r + k.part(r) - k.part(r + 1) + k.part(s) - k.part(s - 1) - 2) * c <= p - 1:
+            if not base + (s - r + kp[r] - kp[r + 1] + kp[s] - kp[s - 1] - 2) * c <= p - 1:
                 bad.append(f"ine2[s={s},r={r},upper]")
     for r in range(1, n + 1):
         bsum = sum(b[:r])
-        if not p <= r + a + bsum + (k.part(1) - r) * c:
+        if not p <= r + a + bsum + (kp[1] - r) * c:
             bad.append(f"ine13[r={r},lower]")
-        if not r + a + bsum + (k.part(r) - k.part(r + 1) + k.part(1) - r - 1) * c < 2 * p:
+        if not r + a + bsum + (kp[r] - kp[r + 1] + kp[1] - r - 1) * c < 2 * p:
             bad.append(f"ine13[r={r},upper]")
-    if not a + (k.part(1) - 1) * c < p - 1:
+    if not a + (kp[1] - 1) * c < p - 1:
         bad.append("ine14[a]")
-    if not b[0] >= p - 1 - (a + (k.part(1) - 1) * c):
+    if not b[0] >= p - 1 - (a + (kp[1] - 1) * c):
         bad.append("ine14[b1]")
-    if not 0 < k.part(1) * c < p:
+    if not 0 < kp[1] * c < p:
         bad.append("ine14[kc]")
     return AdmissibilityReport(not bad, tuple(bad))
 

@@ -32,15 +32,24 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _jobs(text: str) -> int:
-    """Worker count: at least 1, at most the number of CPUs."""
+def _at_least(flag: str, least: int, text: str) -> int:
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {jobs}")
-    return min(jobs, os.cpu_count() or 1)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"{flag} must be at least {least}, got {value}")
+    return value
+
+
+def _jobs(text: str) -> int:
+    """Worker count: at least 1, at most the number of CPUs."""
+    return min(_at_least("--jobs", 1, text), os.cpu_count() or 1)
+
+
+def _samples(text: str) -> int:
+    """Sample count: at least 0, where 0 sweeps every in-scope point."""
+    return _at_least("--samples", 0, text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = ck.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true",
                       help="sweep every in-scope point (the default)")
-    mode.add_argument("--samples", type=int, default=0,
+    mode.add_argument("--samples", type=_samples, default=0,
                       help="draw this many seeded samples instead")
     ck.add_argument("--seed", type=int, default=0)
     ck.add_argument("--jobs", type=_jobs, default=1,

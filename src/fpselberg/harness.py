@@ -1,24 +1,23 @@
 """Verification campaigns: left sides by coefficient extraction, right sides
 by closed form (or recurrence factors), exact equality only.
 
-A campaign turns into a list of point-level tasks, each executed by a pure
-function keyed on (campaign, p, k, point).  Tasks are evaluated grouped by
-the point's c (a stable sort on the c that `_point_json` reports), because
-`selberg_integral` caches the expanded pair blocks of one (p, c) at a time:
-in key order, campaigns whose keys vary c fastest would rebuild them at
-almost every point.  Tasks run sequentially by default; with jobs > 1 the
-pool maps them in the same grouped order, so each worker's cache sees runs
-of one c.  Outcomes are folded back into key order either way, so reports
-do not depend on the evaluation order.  Skips (non-admissible points,
-formula classifiers, capacity blowups) are counted separately from
-failures.
+`_CAMPAIGNS` holds one entry per campaign: its key list (and reported total),
+a check that returns (lhs, rhs, mismatch classifier) or raises `_Skip`, the
+composition length it needs, and the JSON form of a key.  `_outcome` turns
+every check into a skip, a pass or a failure, sequentially or in the jobs > 1
+pool.  Points run grouped by that JSON form's "c", because `selberg_integral`
+caches the pair blocks of one (p, c) at a time; failures are reported in key
+order.  Checks look up integrals, `formulas.*` and `adm.*` by module attribute
+at call time, so code that patches those attributes sees every call.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from itertools import repeat
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field
 
 from . import admissible as adm
 from . import formulas, mpoly
@@ -29,14 +28,7 @@ from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm
                         fp_integral, master_polynomial, selberg_integral,
                         weighted_integral)
 
-CAMPAIGNS = (
-    "main", "beta", "dyson", "thm_3_11", "thm_4_111",
-    "relations_IS", "relations_II0", "relations_B1", "relations_B2",
-    "relations_S1S2", "induction", "i000", "stokes",
-)
-
-A2_COMPOSITIONS = ((2, 1), (3, 1), (3, 2))
-A3_COMPOSITIONS = ((3, 2, 1),)
+_INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -52,6 +44,8 @@ class CampaignSpec:
     def __post_init__(self):
         if self.campaign not in CAMPAIGNS:
             raise ValueError(f"unknown campaign {self.campaign!r}")
+        if self.samples < 0:
+            raise ValueError(f"samples must be at least 0, got {self.samples}")
         if self.k is not None:
             object.__setattr__(self, "k", tuple(self.k))
 
@@ -70,29 +64,35 @@ class VerificationReport:
     seed: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "p": self.p,
-            "k": list(self.k) if self.k is not None else None,
-            "total": self.total,
-            "checked": self.checked,
-            "passed": self.passed,
-            "skipped": self.skipped,
-            "failures": self.failures,
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-        }
+        """The JSON report: the fields in declaration order, k as a list."""
+        report = asdict(self)
+        report["k"] = list(self.k) if self.k is not None else None
+        return report
 
     @property
     def all_passed(self) -> bool:
         return not self.failures
 
 
-# ---------------------------------------------------------------------------
-# point-level checks
-# ---------------------------------------------------------------------------
+class _Skip(Exception):
+    """A check's point lies outside its identity's domain or cannot be computed."""
 
-def _beta_point(ctx, _k, key):
+
+def _value(result: formulas.FormulaResult):
+    """A closed form's value, or a skip where it is undefined."""
+    if not result.ok:
+        raise _Skip(result.error)
+    return result.value
+
+
+def _lowered(pt: ParamPoint, idx: int) -> ParamPoint:
+    """pt with b_{idx+1} one lower."""
+    return ParamPoint(pt.a, pt.b[:idx] + (pt.b[idx] - 1,) + pt.b[idx + 1:], pt.c)
+
+
+# point checks: (ctx, k, key) -> (lhs, rhs, classifier of a mismatch)
+
+def _beta_check(ctx, _k, key):
     a, b = key
     space = VarSpace(1, ("x",))
     factors = []
@@ -101,10 +101,7 @@ def _beta_point(ctx, _k, key):
     if b:
         factors.append((LinearForm.one_minus(0), b))
     lhs = fp_integral(FactorProduct(ctx, space, tuple(factors)), PCycle((1,)), ctx)
-    rhs = formulas.beta_rhs(a, b, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, "mismatch")
+    return lhs, formulas.beta_rhs(a, b, ctx), "mismatch"
 
 
 def dyson_constant_term(k: int, c: int, ctx: FpContext):
@@ -120,66 +117,42 @@ def dyson_constant_term(k: int, c: int, ctx: FpContext):
     return sign_pow(ctx, c * k * (k - 1) // 2) * ctx.element(coeff)
 
 
-def _dyson_point(ctx, _k, key):
+def _dyson_check(ctx, _k, key):
     kk, c = key
-    lhs = dyson_constant_term(kk, c, ctx)
-    rhs = formulas.dyson_constant(kk, c, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, f"mismatch at k={kk}")
+    return (dyson_constant_term(kk, c, ctx), formulas.dyson_constant(kk, c, ctx),
+            f"mismatch at k={kk}")
 
 
-def _main_point(ctx, k, key):
-    pt = ParamPoint(key[0], key[1], key[2])
-    comp = KComposition(k)
-    rhs = formulas.r_value(comp, pt, ctx)
-    if not rhs.ok:
-        return ("skip", None, None, rhs.error)
+def _main_check(ctx, k, key):
+    comp, pt = KComposition(k), ParamPoint(*key)
+    rhs = _value(formulas.r_value(comp, pt, ctx))
     try:
         lhs = selberg_integral(comp, pt, ctx)
     except CapacityExceeded as exc:
-        return ("skip", None, None, str(exc))
-    if lhs == rhs.value:
-        return ("pass", lhs.residue, rhs.value.residue, None)
-    return ("fail", lhs.residue, rhs.value.residue, "mismatch")
+        raise _Skip(str(exc)) from None
+    return lhs, rhs, "mismatch"
 
 
-def _thm_3_11_point(ctx, _k, key):
-    a, b1, b2, c = key
-    rhs = formulas.rhs_3_11(a, b1, b2, c, ctx)
-    if not rhs.ok:
-        return ("skip", None, None, rhs.error)
-    lhs = selberg_integral(KComposition((1, 1)), ParamPoint(a, (b1, b2), c), ctx)
-    if lhs == rhs.value:
-        return ("pass", lhs.residue, rhs.value.residue, None)
-    return ("fail", lhs.residue, rhs.value.residue, "mismatch")
+def _thm_check(ctx, _k, key):
+    """Theorems 3.11 and 4.111: k = (1, 1) or (1, 1, 1), one b per group."""
+    a, b, c = key
+    closed_form = formulas.rhs_3_11 if len(b) == 2 else formulas.rhs_4_111
+    rhs = _value(closed_form(a, *b, c, ctx))
+    lhs = selberg_integral(KComposition((1,) * len(b)), ParamPoint(a, b, c), ctx)
+    return lhs, rhs, "mismatch"
 
 
-def _thm_4_111_point(ctx, _k, key):
-    a, b1, b2, b3, c = key
-    rhs = formulas.rhs_4_111(a, b1, b2, b3, c, ctx)
-    if not rhs.ok:
-        return ("skip", None, None, rhs.error)
-    lhs = selberg_integral(KComposition((1, 1, 1)), ParamPoint(a, (b1, b2, b3), c), ctx)
-    if lhs == rhs.value:
-        return ("pass", lhs.residue, rhs.value.residue, None)
-    return ("fail", lhs.residue, rhs.value.residue, "mismatch")
-
-
-def _relations_is_point(ctx, k, key):
+def _relations_is_check(ctx, k, key):
     k1, k2 = k
-    pt = ParamPoint(key[0], key[1], key[2])
-    lhs = weighted_integral(k1, k2, AllowableTriple(0, k2, 0), pt, ctx)
-    shifted = ParamPoint(pt.a - 1, (pt.b[0], pt.b[1] - 1), pt.c)
-    rhs = selberg_integral(KComposition(k), shifted, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, "mismatch")
+    a, b, c = key
+    lhs = weighted_integral(k1, k2, AllowableTriple(0, k2, 0), ParamPoint(a, b, c), ctx)
+    rhs = selberg_integral(KComposition(k), ParamPoint(a - 1, (b[0], b[1] - 1), c), ctx)
+    return lhs, rhs, "mismatch"
 
 
-def _relations_ii0_point(ctx, k, key):
+def _relations_ii0_check(ctx, k, key):
     k1, k2 = k
-    pt = ParamPoint(key[0], key[1], key[2])
+    pt = ParamPoint(*key)
     b2, c = pt.b[1], pt.c
     values = [weighted_integral(k1, k2, AllowableTriple(0, i, 0), pt, ctx)
               for i in range(k2 + 1)]
@@ -187,118 +160,61 @@ def _relations_ii0_point(ctx, k, key):
         combo = (ctx.element((k1 - k2 + i + 1) * c) * values[i]
                  + ctx.element(b2 + i * c) * values[i + 1])
         if combo != ctx.zero:
-            return ("fail", combo.residue, 0, f"chain step i={i} nonzero")
-    return ("pass", 0, 0, None)
+            return combo, ctx.zero, f"chain step i={i} nonzero"
+    return ctx.zero, ctx.zero, None
 
 
-def _relations_b1_point(ctx, k, key):
-    k1, k2 = k
-    pt = ParamPoint(key[0], key[1], key[2])
-    if pt.b[0] < 2:
-        return ("skip", None, None, "b1 < 2")
-    try:
-        _, factor_b1, _ = formulas.b_factors(k1, k2, pt, ctx)
-    except ZeroFactor as exc:
-        return ("skip", None, None, str(exc))
-    tr = AllowableTriple(0, 0, 0)
-    lhs = weighted_integral(k1, k2, tr, ParamPoint(pt.a, (pt.b[0] - 1, pt.b[1]), pt.c), ctx)
-    rhs = factor_b1 * weighted_integral(k1, k2, tr, pt, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, "mismatch")
+def _relations_b(idx: int) -> "_Campaign":
+    """I_{0,0,0} at b_{idx+1} - 1 = the b_{idx+1} factor of `formulas.b_factors`
+    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays positive."""
+    def keys(spec, ctx):
+        return _sampled([key for key in _admissible(spec.k, ctx) if key[1][idx] >= 2], spec)
+
+    def check(ctx, k, key):
+        k1, k2 = k
+        pt = ParamPoint(*key)
+        try:
+            factor = formulas.b_factors(k1, k2, pt, ctx)[1 + idx]
+        except ZeroFactor as exc:
+            raise _Skip(str(exc)) from None
+        tr = AllowableTriple(0, 0, 0)
+        lhs = weighted_integral(k1, k2, tr, _lowered(pt, idx), ctx)
+        return lhs, factor * weighted_integral(k1, k2, tr, pt, ctx), "mismatch"
+    return _Campaign(keys, check, 2)
 
 
-def _relations_b2_point(ctx, k, key):
-    k1, k2 = k
-    pt = ParamPoint(key[0], key[1], key[2])
-    if pt.b[1] < 2:
-        return ("skip", None, None, "b2 < 2")
-    try:
-        _, _, factor_b2 = formulas.b_factors(k1, k2, pt, ctx)
-    except ZeroFactor as exc:
-        return ("skip", None, None, str(exc))
-    tr = AllowableTriple(0, 0, 0)
-    lhs = weighted_integral(k1, k2, tr, ParamPoint(pt.a, (pt.b[0], pt.b[1] - 1), pt.c), ctx)
-    rhs = factor_b2 * weighted_integral(k1, k2, tr, pt, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, "mismatch")
-
-
-def verify_relation_S1(k: KComposition, pt: ParamPoint, ctx: FpContext) -> bool:
-    """S at (a, b1-1, b2, c) equals the b1-shift factor times S at pt."""
-    from .errors import PreconditionViolation
-    lower = ParamPoint(pt.a, (pt.b[0] - 1, pt.b[1]), pt.c)
-    if not (adm.is_admissible(k, pt, ctx) and adm.is_admissible(k, lower, ctx)):
-        raise PreconditionViolation("both endpoints must be admissible")
-    factor = formulas.shift_factor_b1(k.part(1), k.part(2), pt, ctx)
-    return selberg_integral(k, lower, ctx) == factor * selberg_integral(k, pt, ctx)
-
-
-def verify_relation_S2(k: KComposition, pt: ParamPoint, ctx: FpContext) -> bool:
-    """S at (a, b1, b2-1, c) equals the b2-shift factor times S at pt."""
-    from .errors import PreconditionViolation
-    lower = ParamPoint(pt.a, (pt.b[0], pt.b[1] - 1), pt.c)
-    if not (adm.is_admissible(k, pt, ctx) and adm.is_admissible(k, lower, ctx)):
-        raise PreconditionViolation("both endpoints must be admissible")
-    factor = formulas.shift_factor_b2(k.part(1), k.part(2), pt, ctx)
-    return selberg_integral(k, lower, ctx) == factor * selberg_integral(k, pt, ctx)
-
-
-def _relations_s1s2_edge(ctx, k, key):
+def _relations_s1s2_check(ctx, k, key):
+    """One decrement edge: S(lower end) = shift factor * S(upper end)."""
     hi_key, idx = key
-    comp = KComposition(k)
-    hi = ParamPoint(hi_key[0], hi_key[1], hi_key[2])
-    lo_b = list(hi.b)
-    lo_b[idx] -= 1
-    lo = ParamPoint(hi.a, tuple(lo_b), hi.c)
-    if idx == 0:
-        factor = formulas.shift_factor_b1(k[0], k[1], hi, ctx)
-    else:
-        factor = formulas.shift_factor_b2(k[0], k[1], hi, ctx)
-    lhs = selberg_integral(comp, lo, ctx)
+    comp, hi = KComposition(k), ParamPoint(*hi_key)
+    shift_factor = formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2
+    factor = shift_factor(k[0], k[1], hi, ctx)
+    lhs = selberg_integral(comp, _lowered(hi, idx), ctx)
     rhs = factor * selberg_integral(comp, hi, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, f"edge b{idx + 1}-1 mismatch")
+    return lhs, rhs, f"edge b{idx + 1}-1 mismatch"
 
 
-def verify_induction(k: KComposition, a: int, c: int, ctx: FpContext) -> bool:
+def _induction_check(ctx, _k, key):
     """Factored identity at the distinguished point: the n-group integral
     equals induction_factor times the (n-1)-group integral."""
-    full = adm.distinguished_point(k, a, c, ctx)
-    trunc = adm.distinguished_point(k.truncated(), a, c, ctx)
-    factor = formulas.induction_factor(k, c, ctx)
-    lhs = selberg_integral(k, full, ctx)
-    rhs = factor * selberg_integral(k.truncated(), ParamPoint(a, trunc.b, c), ctx)
-    return lhs == rhs
-
-
-def _induction_point(ctx, _k, key):
     kparts, a, c = key
     comp = KComposition(kparts)
     if comp.part(comp.n) * c > ctx.p - 1:
-        return ("skip", None, None, "k_n c > p-1")
+        raise _Skip("k_n c > p-1")
     full = adm.distinguished_point(comp, a, c, ctx)
     trunc = adm.distinguished_point(comp.truncated(), a, c, ctx)
     factor = formulas.induction_factor(comp, c, ctx)
     lhs = selberg_integral(comp, full, ctx)
     rhs = factor * selberg_integral(comp.truncated(), trunc, ctx)
-    if lhs == rhs:
-        return ("pass", lhs.residue, rhs.residue, None)
-    return ("fail", lhs.residue, rhs.residue, f"k={kparts} factored identity")
+    return lhs, rhs, f"k={kparts} factored identity"
 
 
-def _i000_point(ctx, k, key):
+def _i000_check(ctx, k, key):
     k1, k2 = k
-    pt = ParamPoint(key[0], key[1], key[2])
-    rhs = formulas.i000_rhs(k1, k2, pt, ctx)
-    if not rhs.ok:
-        return ("skip", None, None, rhs.error)
+    pt = ParamPoint(*key)
+    rhs = _value(formulas.i000_rhs(k1, k2, pt, ctx))
     lhs = weighted_integral(k1, k2, AllowableTriple(0, 0, 0), pt, ctx)
-    if lhs == rhs.value:
-        return ("pass", lhs.residue, rhs.value.residue, None)
-    return ("fail", lhs.residue, rhs.value.residue, "mismatch")
+    return lhs, rhs, "mismatch"
 
 
 def random_factor_product(ctx: FpContext, rng: random.Random,
@@ -319,229 +235,190 @@ def random_factor_product(ctx: FpContext, rng: random.Random,
     return FactorProduct(ctx, space, tuple(factors), scalar), PCycle(lengths)
 
 
-def _stokes_point(ctx, _k, key):
-    (seed, index) = key
+def _stokes_check(ctx, _k, key):
+    seed, index = key
     rng = random.Random(seed * 1_000_003 + index)
     fp, cycle = random_factor_product(ctx, rng)
     var = rng.randrange(fp.space.num_vars)
     targets = cycle.targets(ctx.p)
     caps = tuple(t + 1 if v == var else t for v, t in enumerate(targets))
-    poly = mpoly.expand(fp, caps)
-    deriv = mpoly.derivative(poly, var)
-    got = deriv.coefficient(targets)
-    if got == ctx.zero:
-        return ("pass", got.residue, 0, None)
-    return ("fail", got.residue, 0, f"derivative in x{var+1} has nonzero integral")
+    deriv = mpoly.derivative(mpoly.expand(fp, caps), var)
+    return (deriv.coefficient(targets), ctx.zero,
+            f"derivative in x{var+1} has nonzero integral")
 
 
-_POINT_RUNNERS = {
-    "beta": _beta_point,
-    "dyson": _dyson_point,
-    "main": _main_point,
-    "thm_3_11": _thm_3_11_point,
-    "thm_4_111": _thm_4_111_point,
-    "relations_IS": _relations_is_point,
-    "relations_II0": _relations_ii0_point,
-    "relations_B1": _relations_b1_point,
-    "relations_B2": _relations_b2_point,
-    "relations_S1S2": _relations_s1s2_edge,
-    "induction": _induction_point,
-    "i000": _i000_point,
-    "stokes": _stokes_point,
-}
+# key lists: (spec, ctx) -> (total, keys); total - len(keys) points are skips
+
+def _sampled(population: list, spec: CampaignSpec) -> tuple[int, list]:
+    if not spec.exhaustive:
+        sample = random.Random(spec.seed).sample(population, min(spec.samples, len(population)))
+        population = sorted(sample)
+    return len(population), population
 
 
-# ---------------------------------------------------------------------------
-# task enumeration
-# ---------------------------------------------------------------------------
-
-def _point_key(pt: ParamPoint) -> tuple:
-    return (pt.a, pt.b, pt.c)
+def _admissible(k: tuple[int, ...], ctx: FpContext) -> list[tuple]:
+    return [(pt.a, pt.b, pt.c) for pt in adm.enumerate_admissible(KComposition(k), ctx)]
 
 
-def _require_k(spec: CampaignSpec, length: int | None = None) -> tuple[int, ...]:
-    if spec.k is None:
-        raise ValueError(f"campaign {spec.campaign} needs a composition k")
-    if length is not None and len(spec.k) != length:
-        raise ValueError(f"campaign {spec.campaign} needs k of length {length}")
-    return spec.k
+def _admissible_keys(spec, ctx):
+    return _sampled(_admissible(spec.k, ctx), spec)
 
 
-def _sampled(population: list, spec: CampaignSpec) -> list:
-    if spec.exhaustive:
-        return population
-    rng = random.Random(spec.seed)
-    n = min(spec.samples, len(population))
-    return sorted(rng.sample(population, n))
+def _main_keys(spec, ctx):
+    if not spec.exhaustive:
+        return _admissible_keys(spec, ctx)
+    # the whole parameter box counts; its inadmissible points are skips
+    return (2 * spec.p - 1) ** (len(spec.k) + 2), _admissible(spec.k, ctx)
 
 
-def _admissible_population(spec: CampaignSpec, ctx, k: tuple[int, ...]) -> list[tuple]:
-    return [_point_key(pt) for pt in adm.enumerate_admissible(KComposition(k), ctx)]
+def _beta_keys(spec, _ctx):
+    keys = [(a, b) for a in range(spec.p) for b in range(spec.p)]
+    return len(keys), keys
 
 
-def _enumerate_tasks(spec: CampaignSpec, ctx: FpContext):
-    """Returns (total, pre_skipped, keys) for the campaign."""
+def _dyson_keys(spec, _ctx):
+    keys = [(kk, c) for kk in range(1, 5) for c in range(1, 4) if kk * c <= spec.p - 1]
+    return len(keys), keys
+
+
+def _thm_3_11_keys(spec, _ctx):
     p = spec.p
-    name = spec.campaign
-    if name == "beta":
-        keys = [(a, b) for a in range(p) for b in range(p)]
-        return len(keys), 0, keys
-    if name == "dyson":
-        keys = [(kk, c) for kk in range(1, 5) for c in range(1, 4) if kk * c <= p - 1]
-        return len(keys), 0, keys
-    if name == "main":
-        k = _require_k(spec)
-        population = _admissible_population(spec, ctx, k)
-        if spec.exhaustive:
-            box = (2 * p - 1) ** (len(k) + 2)
-            return box, box - len(population), population
-        keys = _sampled(population, spec)
-        return len(keys), 0, keys
-    if name == "thm_3_11":
-        keys = []
-        for a in range(p):
-            for c in range(1, p + 1):
-                for b2 in range(max(c - 1, 0), p + c - 1):
-                    for b1 in range(0, p + c - 1 - b2):
-                        if p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1:
-                            keys.append((a, b1, b2, c))
-        keys.sort()
-        return len(keys), 0, keys
-    if name == "thm_4_111":
-        keys = []
+    keys = []
+    for a in range(p):
         for c in range(1, p + 1):
-            for a in range(p):
-                for b3 in range(c - 1, p):
-                    if not 0 <= b3 - c + 1 < p:
-                        continue
-                    for b2 in range(0, 3 * p):
-                        if not (0 <= b2 + b3 - c + 1 < p and 0 <= b2 + b3 - 2 * c + 2 < p):
-                            continue
-                        for b1 in range(0, 4 * p):
-                            if not 0 <= b1 + b2 + b3 - 2 * c + 2 < p:
-                                continue
-                            if 0 <= a + b1 + b2 + b3 - 2 * c + 3 - p < p:
-                                keys.append((a, b1, b2, b3, c))
-        keys.sort()
-        return len(keys), 0, keys
-    if name in ("relations_IS", "relations_II0", "relations_B1", "relations_B2"):
-        k = _require_k(spec, 2)
-        population = _admissible_population(spec, ctx, k)
-        if name == "relations_B1":
-            population = [key for key in population if key[1][0] >= 2]
-        if name == "relations_B2":
-            population = [key for key in population if key[1][1] >= 2]
-        keys = _sampled(population, spec)
-        return len(keys), 0, keys
-    if name == "relations_S1S2":
-        k = _require_k(spec, 2)
-        comp = KComposition(k)
-        population = _admissible_population(spec, ctx, k)
-        sampled = _sampled(population, spec)
-        edges = set()
-        for key in sampled:
-            cur = ParamPoint(key[0], key[1], key[2])
-            for idx, nxt in adm.decrement_path(comp, cur, ctx):
-                edges.add((_point_key(cur), idx))
-                cur = nxt
-        keys = sorted(edges)
-        return len(keys), 0, keys
-    if name == "induction":
-        ksets = A2_COMPOSITIONS + A3_COMPOSITIONS if spec.k is None else (spec.k,)
-        keys = []
-        for kparts in ksets:
-            k1 = kparts[0]
-            for c in range(1, (p - 1) // k1 + 1):
-                for a in range(1, p - 1 - (k1 - 1) * c):
-                    keys.append((kparts, a, c))
-        return len(keys), 0, keys
-    if name == "i000":
-        k = _require_k(spec, 2)
-        population = [_point_key(pt) for pt in adm.enumerate_admissible_I(k[0], k[1], ctx)]
-        keys = _sampled(population, spec)
-        return len(keys), 0, keys
-    if name == "stokes":
-        count = spec.samples if spec.samples else 500
-        keys = [(spec.seed, i) for i in range(count)]
-        return count, 0, keys
-    raise ValueError(f"unknown campaign {name!r}")
+            for b2 in range(max(c - 1, 0), p + c - 1):
+                for b1 in range(0, p + c - 1 - b2):
+                    if p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1:
+                        keys.append((a, (b1, b2), c))
+    return len(keys), sorted(keys)
 
 
-def _point_json(campaign: str, key) -> dict:
-    if campaign == "beta":
-        return {"a": key[0], "b": key[1], "c": None}
-    if campaign == "dyson":
-        return {"a": None, "b": [key[0]], "c": key[1]}
-    if campaign == "thm_3_11":
-        return {"a": key[0], "b": [key[1], key[2]], "c": key[3]}
-    if campaign == "thm_4_111":
-        return {"a": key[0], "b": [key[1], key[2], key[3]], "c": key[4]}
-    if campaign == "relations_S1S2":
-        (a, b, c), idx = key
-        return {"a": a, "b": list(b), "c": c}
-    if campaign == "induction":
-        _, a, c = key
-        return {"a": a, "b": None, "c": c}
-    if campaign == "stokes":
-        return {"a": None, "b": None, "c": None}
+def _thm_4_111_keys(spec, _ctx):
+    p = spec.p
+    keys = []
+    for c in range(1, p + 1):
+        for a in range(p):
+            # 0 <= b3-c+1, b2+b3-c+1, b2+b3-2c+2, b1+b2+b3-2c+2 < p
+            for b3 in range(c - 1, p):
+                for b2 in range(max(0, 2 * c - 2 - b3), p + c - 1 - b3):
+                    for b1 in range(0, p + 2 * c - 2 - b2 - b3):
+                        if 0 <= a + b1 + b2 + b3 - 2 * c + 3 - p < p:
+                            keys.append((a, (b1, b2, b3), c))
+    return len(keys), sorted(keys)
+
+
+def _relations_s1s2_keys(spec, ctx):
+    """The edges (upper end, index of the lowered b) of the decrement paths
+    from the sampled points down to their distinguished points."""
+    comp = KComposition(spec.k)
+    edges = set()
+    for key in _admissible_keys(spec, ctx)[1]:
+        cur = ParamPoint(*key)
+        for idx, nxt in adm.decrement_path(comp, cur, ctx):
+            edges.add(((cur.a, cur.b, cur.c), idx))
+            cur = nxt
+    return len(edges), sorted(edges)
+
+
+def _induction_keys(spec, _ctx):
+    p = spec.p
+    keys = [(kparts, a, c)
+            for kparts in (_INDUCTION_COMPOSITIONS if spec.k is None else (spec.k,))
+            for c in range(1, (p - 1) // kparts[0] + 1)
+            for a in range(1, p - 1 - (kparts[0] - 1) * c)]
+    return len(keys), keys
+
+
+def _i000_keys(spec, ctx):
+    return _sampled([(pt.a, pt.b, pt.c) for pt in adm.enumerate_admissible_I(*spec.k, ctx)], spec)
+
+
+def _stokes_keys(spec, _ctx):
+    keys = [(spec.seed, i) for i in range(spec.samples or 500)]
+    return len(keys), keys
+
+
+def _point(key) -> dict:
     a, b, c = key
     return {"a": a, "b": list(b), "c": c}
 
 
-def _run_task(args):
-    campaign, p, k, key = args
-    ctx = FpContext(p)
-    return _POINT_RUNNERS[campaign](ctx, k, key)
+@dataclass(frozen=True)
+class _Campaign:
+    keys: Callable        # (spec, ctx) -> (total, keys)
+    check: Callable       # (ctx, k, key) -> (lhs, rhs, classifier); raises _Skip
+    k_len: int | None = None  # k needed: None no, 0 any length, n length n
+    point: Callable = _point  # key -> {"a", "b", "c"}; "c" groups evaluation
+
+
+_CAMPAIGNS = {
+    "main": _Campaign(_main_keys, _main_check, 0),
+    "beta": _Campaign(_beta_keys, _beta_check,
+                      point=lambda key: {"a": key[0], "b": key[1], "c": None}),
+    "dyson": _Campaign(_dyson_keys, _dyson_check,
+                       point=lambda key: {"a": None, "b": [key[0]], "c": key[1]}),
+    "thm_3_11": _Campaign(_thm_3_11_keys, _thm_check),
+    "thm_4_111": _Campaign(_thm_4_111_keys, _thm_check),
+    "relations_IS": _Campaign(_admissible_keys, _relations_is_check, 2),
+    "relations_II0": _Campaign(_admissible_keys, _relations_ii0_check, 2),
+    "relations_B1": _relations_b(0),
+    "relations_B2": _relations_b(1),
+    "relations_S1S2": _Campaign(_relations_s1s2_keys, _relations_s1s2_check, 2,
+                                point=lambda key: _point(key[0])),
+    "induction": _Campaign(_induction_keys, _induction_check,
+                           point=lambda key: {"a": key[1], "b": None, "c": key[2]}),
+    "i000": _Campaign(_i000_keys, _i000_check, 2),
+    "stokes": _Campaign(_stokes_keys, _stokes_check,
+                        point=lambda key: {"a": None, "b": None, "c": None}),
+}
+
+CAMPAIGNS = tuple(_CAMPAIGNS)
+
+
+def _outcome(campaign: str, ctx: FpContext, k, key) -> tuple[str, dict | None]:
+    """("skip", None), ("pass", None) or ("fail", failure record) for one point."""
+    entry = _CAMPAIGNS[campaign]
+    try:
+        lhs, rhs, classifier = entry.check(ctx, k, key)
+    except _Skip:
+        return "skip", None
+    if lhs == rhs:
+        return "pass", None
+    return "fail", {"point": entry.point(key), "lhs": lhs.residue, "rhs": rhs.residue,
+                    "classifier": classifier}
 
 
 def run_campaign(spec: CampaignSpec) -> VerificationReport:
+    entry = _CAMPAIGNS[spec.campaign]
     ctx = FpContext(spec.p)
+    if entry.k_len is not None and spec.k is None:
+        raise ValueError(f"campaign {spec.campaign} needs a composition k")
+    if entry.k_len and len(spec.k) != entry.k_len:
+        raise ValueError(f"campaign {spec.campaign} needs k of length {entry.k_len}")
     t0 = time.monotonic()
-    total, pre_skipped, keys = _enumerate_tasks(spec, ctx)
-    runner = _POINT_RUNNERS[spec.campaign]
-    order = sorted(range(len(keys)),
-                   key=lambda i: _point_json(spec.campaign, keys[i])["c"] or 0)
+    total, keys = entry.keys(spec, ctx)
+    order = sorted(range(len(keys)), key=lambda i: entry.point(keys[i])["c"] or 0)
+    args = (repeat(spec.campaign), repeat(ctx), repeat(spec.k), (keys[i] for i in order))
     if spec.jobs > 1:
         # imported here: the pool machinery costs about a tenth of start-up
         from concurrent.futures import ProcessPoolExecutor
-        tasks = [(spec.campaign, spec.p, spec.k, keys[i]) for i in order]
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            grouped = list(pool.map(_run_task, tasks, chunksize=8))
+            grouped = list(pool.map(_outcome, *args, chunksize=8))
     else:
-        grouped = [runner(ctx, spec.k, keys[i]) for i in order]
-    outcomes = [None] * len(keys)
-    for i, outcome in zip(order, grouped):
-        outcomes[i] = outcome
-
-    checked = passed = 0
-    skipped = pre_skipped
-    failures = []
-    for key, (status, lhs, rhs, classifier) in zip(keys, outcomes):
-        if status == "skip":
-            skipped += 1
-        elif status == "pass":
-            checked += 1
-            passed += 1
-        else:
-            checked += 1
-            failures.append({
-                "point": _point_json(spec.campaign, key),
-                "lhs": lhs,
-                "rhs": rhs,
-                "classifier": classifier,
-            })
-    elapsed_ms = int((time.monotonic() - t0) * 1000)
+        grouped = list(map(_outcome, *args))
+    # failures in key order
+    failures = [record for _, (status, record) in sorted(zip(order, grouped))
+                if status == "fail"]
+    checked = len(keys) - sum(status == "skip" for status, _ in grouped)
     return VerificationReport(
         campaign=spec.campaign, p=spec.p, k=spec.k,
-        total=total, checked=checked, passed=passed, skipped=skipped,
-        failures=failures, elapsed_ms=elapsed_ms,
+        total=total, checked=checked, passed=checked - len(failures), skipped=total - checked,
+        failures=failures, elapsed_ms=int((time.monotonic() - t0) * 1000),
         seed=None if spec.exhaustive and spec.campaign != "stokes" else spec.seed,
     )
 
 
-# ---------------------------------------------------------------------------
 # benchmark
-# ---------------------------------------------------------------------------
 
 def bench(p: int, k: tuple[int, ...], a: int = 1, c: int = 1) -> dict:
     """Truncated engine vs the sparse full-expansion oracle on one integral.

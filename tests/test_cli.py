@@ -100,6 +100,15 @@ def test_jobs_below_one_exits_2(capsys):
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
 
+def test_negative_samples_exit_2(capsys):
+    # a negative count used to print "total": -3 (stokes) or fail in the sampler (main)
+    for argv in (["stokes", "--p", "7"], ["main", "--p", "7", "--k", "2,1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", *argv, "--samples", "-3", "--json"])
+        assert exc.value.code == 2
+        assert "--samples must be at least 0" in capsys.readouterr().err
+
+
 def test_jobs_clamped_to_cpu_count(monkeypatch):
     # parsing only: no campaign runs and no worker starts
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

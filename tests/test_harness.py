@@ -1,14 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from fpselberg import harness
-from fpselberg.errors import PreconditionViolation
 from fpselberg.gf import FpContext
-from fpselberg.harness import (CampaignSpec, VerificationReport, bench,
-                               run_campaign, verify_induction,
-                               verify_relation_S1, verify_relation_S2)
-from fpselberg.integrals import KComposition, ParamPoint
+from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
+                               run_campaign)
 
 REPORT_KEYS = ["campaign", "p", "k", "total", "checked", "passed", "skipped",
                "failures", "elapsed_ms", "seed"]
@@ -19,6 +17,8 @@ def test_campaign_spec_validation():
         CampaignSpec("nonsense", 7)
     spec = CampaignSpec("main", 7, [2, 1])
     assert spec.k == (2, 1)
+    with pytest.raises(ValueError, match="samples must be at least 0"):
+        CampaignSpec("stokes", 7, samples=-3)
 
 
 def test_report_schema_and_key_order():
@@ -32,14 +32,22 @@ def test_report_schema_and_key_order():
     json.dumps(d)  # serializable as-is
 
 
-def test_accounting_invariants():
-    for spec in (CampaignSpec("main", 5, (1,)),
-                 CampaignSpec("thm_3_11", 5),
-                 CampaignSpec("relations_B1", 7, (2, 1), exhaustive=False,
-                              samples=10, seed=1)):
-        r = run_campaign(spec)
-        assert r.passed + len(r.failures) == r.checked
-        assert r.checked + r.skipped == r.total
+ACCOUNTING_SPECS = {
+    "main": CampaignSpec("main", 5, (1,)),
+    "thm_3_11": CampaignSpec("thm_3_11", 5),
+    "relations_B1": CampaignSpec("relations_B1", 7, (2, 1), exhaustive=False,
+                                 samples=10, seed=1),
+    "relations_B2": CampaignSpec("relations_B2", 7, (2, 1)),
+    "stokes": CampaignSpec("stokes", 5, samples=20, seed=2),
+}
+
+
+@pytest.mark.parametrize("campaign", CAMPAIGNS)
+def test_accounting_invariants(campaign):
+    k = (2, 1) if harness._CAMPAIGNS[campaign].k_len is not None else None
+    r = run_campaign(ACCOUNTING_SPECS.get(campaign, CampaignSpec(campaign, 5, k)))
+    assert r.passed + len(r.failures) == r.checked
+    assert r.checked + r.skipped == r.total
 
 
 def test_reports_are_deterministic():
@@ -82,17 +90,18 @@ def test_tasks_run_grouped_by_c(monkeypatch):
     # thm_3_11 keys vary c fastest; evaluation visits them sorted by c
     # (stably) and the report folds the outcomes back into key order
     seen = []
-    runner = harness._POINT_RUNNERS["thm_3_11"]
+    entry = harness._CAMPAIGNS["thm_3_11"]
 
     def recording(ctx, k, key):
         seen.append(key)
-        return runner(ctx, k, key)
+        return entry.check(ctx, k, key)
 
     expect = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
-    monkeypatch.setitem(harness._POINT_RUNNERS, "thm_3_11", recording)
+    monkeypatch.setitem(harness._CAMPAIGNS, "thm_3_11",
+                        dataclasses.replace(entry, check=recording))
     got = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
-    _, _, keys = harness._enumerate_tasks(CampaignSpec("thm_3_11", 5), FpContext(5))
-    assert seen == sorted(keys, key=lambda key: key[3])
+    _, keys = entry.keys(CampaignSpec("thm_3_11", 5), FpContext(5))
+    assert seen == sorted(keys, key=lambda key: key[2])
     assert seen != keys
     expect.pop("elapsed_ms"), got.pop("elapsed_ms")
     assert got == expect
@@ -114,31 +123,23 @@ def test_campaigns_requiring_k_reject_its_absence():
         run_campaign(CampaignSpec("relations_IS", 7, (2, 1, 1)))
 
 
-def test_verify_relation_helpers():
+def test_relations_s1s2_edges_pass():
+    # edges from points one b1-step and one b2-step above the distinguished point
     ctx = FpContext(11)
-    k = KComposition((2, 1))
-    # a point one b1-step and one b2-step above the distinguished point
-    base = ParamPoint(2, (6, 5), 3)
-    assert verify_relation_S1(k, base, ctx)
-    assert verify_relation_S2(k, ParamPoint(2, (5, 6), 3), ctx)
-    with pytest.raises(PreconditionViolation):
-        verify_relation_S1(k, ParamPoint(1, (1, 1), 1), ctx)
+    assert harness._outcome("relations_S1S2", ctx, (2, 1), ((2, (6, 5), 3), 0)) == ("pass", None)
+    assert harness._outcome("relations_S1S2", ctx, (2, 1), ((2, (5, 6), 3), 1)) == ("pass", None)
 
 
-def test_verify_induction():
-    ctx = FpContext(7)
-    assert verify_induction(KComposition((2, 1)), 1, 1, ctx)
-    assert verify_induction(KComposition((3, 2, 1)), 1, 1, ctx)
-    assert verify_induction(KComposition((2, 1)), 2, 3, FpContext(11))
+def test_induction_points_pass():
+    for p, key in ((7, ((2, 1), 1, 1)), (7, ((3, 2, 1), 1, 1)), (11, ((2, 1), 2, 3))):
+        assert harness._outcome("induction", FpContext(p), None, key) == ("pass", None)
 
 
 def test_induction_runner_skips_oversized_last_group():
-    from fpselberg.harness import _induction_point
-
-    status, lhs, rhs, note = _induction_point(FpContext(7), None, ((3, 2), 1, 4))
-    assert status == "skip"
-    assert lhs is None and rhs is None
-    assert "k_n c" in note
+    key = ((3, 2), 1, 4)
+    with pytest.raises(harness._Skip, match="k_n c"):
+        harness._CAMPAIGNS["induction"].check(FpContext(7), None, key)
+    assert harness._outcome("induction", FpContext(7), None, key) == ("skip", None)
 
 
 def test_stokes_campaign_runs_clean():

@@ -11,7 +11,7 @@ from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               InvariantViolation, NegativeExponent,
                               NotAllowable, PreconditionViolation)
 from fpselberg.gf import FpContext
-from fpselberg.harness import CampaignSpec, _enumerate_tasks
+from fpselberg.harness import _CAMPAIGNS, CampaignSpec
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
                                  PCycle, cycle_from_composition, fp_integral,
                                  master_polynomial, selberg_integral,
@@ -141,8 +141,8 @@ def test_selberg_chain_matches_full_expansion(parts, p):
         # the closed-form domains of the equal-part compositions reach
         # c = p, a = 0 and b_i >= p
         name = {2: "thm_3_11", 3: "thm_4_111"}[k.n]
-        _, _, keys = _enumerate_tasks(CampaignSpec(name, p), ctx)
-        points = [ParamPoint(key[0], key[1:-1], key[-1]) for key in keys]
+        _, keys = _CAMPAIGNS[name].keys(CampaignSpec(name, p), ctx)
+        points = [ParamPoint(*key) for key in keys]
     points += _edge_points(k.n, p)
     for pt in points:
         assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx), pt
