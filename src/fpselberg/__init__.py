@@ -21,8 +21,7 @@ from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,
                         WeightSummand, cycle_from_composition, fp_integral,
                         master_polynomial, selberg_integral, weight_summands,
                         weighted_integral)
-from .mpoly import (FactorProduct, LinearForm, TruncatedPoly, VarSpace,
-                    derivative, expand, extract_coefficient, multiply,
-                    slot_budget, sparse_expand_oracle)
+from .mpoly import (FactorProduct, LinearForm, TruncatedPoly, derivative, expand,
+                    extract_coefficient, slot_budget, sparse_expand_oracle)
 
 __version__ = "0.1.0"

@@ -5,12 +5,15 @@ composition k when a + (k_1 - 1)c < p - 1 and every factorial argument of the
 closed-form product lies in [0, p).  `is_admissible` checks the equivalent
 explicit inequality system directly; identifiers in the report name the
 violated system block, e.g. "ine1[s=1,r=2,upper]" or "ine14[b1]".
+`is_admissible_I`, the domain of the I_{0,0,0} closed form, asks
+`formulas.i000_rhs` itself whether the closed form is defined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import formulas
 from .errors import InvariantViolation, NoPath, PreconditionViolation
 from .gf import FpContext
 from .integrals import KComposition, ParamPoint
@@ -92,9 +95,12 @@ def enumerate_admissible(k: KComposition, ctx: FpContext,
     The inequality system itself bounds the search: each b_i <= p-1 (from
     the s = r case of the first block), c <= (p-1)/k_1, and
     a <= p-2 - (k_1-1)c.  Points are collected per-a and sorted, so pruning
-    by the c-dependent lower bounds cannot disturb the output order.
+    by the c-dependent lower bounds cannot disturb the output order.  With
+    `limit`, only the first `limit` points (limit >= 0).
     """
     _require_strict(k)
+    if limit is not None and limit < 0:
+        raise PreconditionViolation(f"limit must be at least 0, got {limit}")
     p = ctx.p
     out: list[ParamPoint] = []
     c_max = (p - 1) // k.part(1)
@@ -116,10 +122,9 @@ def enumerate_admissible(k: KComposition, ctx: FpContext,
                     rec(i + 1, prefix + (bi,))
             rec(0, ())
         batch.sort(key=lambda item: (item[0], item[1]))
-        for _, _, pt in batch:
-            out.append(pt)
-            if limit is not None and len(out) >= limit:
-                return out
+        out += [pt for _, _, pt in batch]
+        if limit is not None and len(out) >= limit:
+            return out[:limit]
     return out
 
 
@@ -173,39 +178,17 @@ def decrement_path(k: KComposition, frm: ParamPoint, ctx: FpContext) -> list[tup
 
 
 def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
-    """Domain of the I_{0,0,0} closed form: a+(k1-1)c < p and all of its
-    factorial arguments in [0, p)."""
-    if not k1 > k2 > 0:
-        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
-    if pt.n != 2:
-        raise PreconditionViolation("takes b = (b1, b2)")
-    a, (b1, b2), c = pt.a, pt.b, pt.c
-    p = ctx.p
+    """Domain of the I_{0,0,0} closed form: a, b_1, b_2, c >= 1,
+    a+(k1-1)c < p, and `formulas.i000_rhs` defined (all of its factorial
+    arguments in [0, p)); the last is reported by its first OutOfRange."""
+    closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
     bad: list[str] = []
-    if a < 1 or b1 < 1 or b2 < 1 or c < 1:
+    if pt.a < 1 or pt.c < 1 or min(pt.b) < 1:
         bad.append("positivity")
-    if not a + (k1 - 1) * c < p:
+    if not pt.a + (k1 - 1) * pt.c < ctx.p:
         bad.append("thmI[a]")
-    args = []
-    for i in range(1, k1 - k2 + 1):
-        args.append((b1 + (i - 1) * c, f"b1+(i-1)c at i={i}"))
-        args.append((a + b1 + (i + k1 - 2) * c - p, f"a+b1+(i+k1-2)c-p at i={i}"))
-    for i in range(1, k2 + 1):
-        args.append((b2 + (i - 1) * c, f"b2+(i-1)c at i={i}"))
-        args.append((b2 + (i + k2 - k1 - 2) * c, f"b2+(i+k2-k1-2)c at i={i}"))
-        args.append((b1 + b2 + (i - 2) * c, f"b1+b2+(i-2)c at i={i}"))
-        args.append((a + b1 + b2 + (i + k1 - 3) * c - p, f"a+b1+b2+(i+k1-3)c-p at i={i}"))
-    for i in range(1, k1 + 1):
-        args.append((a + (i - 1) * c - 1, f"a+(i-1)c-1 at i={i}"))
-    for i in range(1, k2 + 1):
-        args.append((p + (i - k1 - 1) * c - 1, f"p+(i-k1-1)c-1 at i={i}"))
-    for i in range(1, k1 + 1):
-        args.append((i * c, f"ic at i={i}"))
-    for name, value in (("c", c),):
-        args.append((value, name))
-    for value, name in args:
-        if not 0 <= value < p:
-            bad.append(f"last[{name}]")
+    if not closed_form.ok:
+        bad.append(f"i000_rhs[{closed_form.error}]")
     return AdmissibilityReport(not bad, tuple(bad))
 
 
@@ -217,6 +200,8 @@ def enumerate_admissible_I(k1: int, k2: int, ctx: FpContext) -> list[ParamPoint]
         for b1 in range(1, p):
             for b2 in range(1, p):
                 for c in range(1, (p - 1) // k1 + 1):
+                    if a + (k1 - 1) * c >= p:
+                        break  # thmI[a] fails from here on
                     pt = ParamPoint(a, (b1, b2), c)
                     if is_admissible_I(k1, k2, pt, ctx):
                         out.append(pt)

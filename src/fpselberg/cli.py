@@ -52,6 +52,11 @@ def _samples(text: str) -> int:
     return _at_least("--samples", 0, text)
 
 
+def _limit(text: str) -> int:
+    """Point limit: at least 0."""
+    return _at_least("--limit", 0, text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fpselberg")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -84,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     en = sub.add_parser("enumerate", help="list admissible parameter points")
     en.add_argument("--p", type=int, required=True)
     en.add_argument("--k", type=_parse_ints, required=True)
-    en.add_argument("--limit", type=int)
+    en.add_argument("--limit", type=_limit)
     en.add_argument("--count-only", action="store_true")
     en.add_argument("--json", action="store_true")
 

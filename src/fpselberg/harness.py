@@ -1,8 +1,9 @@
 """Verification campaigns: left sides by coefficient extraction, right sides
 by closed form (or recurrence factors), exact equality only.
 
-`_CAMPAIGNS` holds one entry per campaign: its key list (and reported total),
-a check that returns (lhs, rhs, mismatch classifier) or raises `_Skip`, the
+`_CAMPAIGNS` holds one entry per campaign: its key list (and reported total;
+`_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
+that returns (lhs, rhs, mismatch classifier) or raises `_Skip`, the
 composition length it needs, and the JSON form of a key.  `_outcome` turns
 every check into a skip, a pass or a failure, sequentially or in the jobs > 1
 pool.  Points run grouped by that JSON form's "c", because `selberg_integral`
@@ -24,9 +25,8 @@ from . import formulas, mpoly
 from .errors import CapacityExceeded, ZeroFactor
 from .gf import FpContext, sign_pow
 from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm,
-                        ParamPoint, PCycle, VarSpace, cycle_from_composition,
-                        fp_integral, master_polynomial, selberg_integral,
-                        weighted_integral)
+                        ParamPoint, PCycle, cycle_from_composition, fp_integral,
+                        master_polynomial, selberg_integral, weighted_integral)
 
 _INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
@@ -46,6 +46,8 @@ class CampaignSpec:
             raise ValueError(f"unknown campaign {self.campaign!r}")
         if self.samples < 0:
             raise ValueError(f"samples must be at least 0, got {self.samples}")
+        if not self.exhaustive and self.samples == 0:
+            raise ValueError("a sampled run needs at least 1 sample")
         if self.k is not None:
             object.__setattr__(self, "k", tuple(self.k))
 
@@ -94,13 +96,12 @@ def _lowered(pt: ParamPoint, idx: int) -> ParamPoint:
 
 def _beta_check(ctx, _k, key):
     a, b = key
-    space = VarSpace(1, ("x",))
     factors = []
     if a:
         factors.append((LinearForm.var(0), a))
     if b:
         factors.append((LinearForm.one_minus(0), b))
-    lhs = fp_integral(FactorProduct(ctx, space, tuple(factors)), PCycle((1,)), ctx)
+    lhs = fp_integral(FactorProduct(ctx, 1, tuple(factors)), PCycle((1,)), ctx)
     return lhs, formulas.beta_rhs(a, b, ctx), "mismatch"
 
 
@@ -108,10 +109,9 @@ def dyson_constant_term(k: int, c: int, ctx: FpContext):
     """C.T. of prod_{i != j} (1 - x_i/x_j)^c, computed by clearing denominators:
     it is (-1)^{c k(k-1)/2} times the balanced coefficient of prod (x_i - x_j)^{2c}.
     """
-    space = VarSpace(k, tuple(f"x{i+1}" for i in range(k)))
     factors = tuple((LinearForm.diff(i, j), 2 * c)
                     for i in range(k) for j in range(i + 1, k))
-    fp = FactorProduct(ctx, space, factors)
+    fp = FactorProduct(ctx, k, factors)
     target = ((k - 1) * c,) * k
     coeff = mpoly.extract_coefficient(fp, target)
     return sign_pow(ctx, c * k * (k - 1) // 2) * ctx.element(coeff)
@@ -221,7 +221,6 @@ def random_factor_product(ctx: FpContext, rng: random.Random,
                           max_vars: int = 3) -> tuple[FactorProduct, PCycle]:
     """A random small product of x, 1-x, and difference factors with a cycle."""
     nv = rng.randint(1, max_vars)
-    space = VarSpace(nv, tuple(f"x{i+1}" for i in range(nv)))
     factors = []
     for v in range(nv):
         factors.append((LinearForm.var(v), rng.randint(0, ctx.p)))
@@ -232,14 +231,14 @@ def random_factor_product(ctx: FpContext, rng: random.Random,
                 factors.append((LinearForm.diff(i, j), rng.randint(1, ctx.p // 2 + 1)))
     scalar = rng.randint(1, ctx.p - 1)
     lengths = tuple(rng.randint(1, 2) for _ in range(nv))
-    return FactorProduct(ctx, space, tuple(factors), scalar), PCycle(lengths)
+    return FactorProduct(ctx, nv, tuple(factors), scalar), PCycle(lengths)
 
 
 def _stokes_check(ctx, _k, key):
     seed, index = key
     rng = random.Random(seed * 1_000_003 + index)
     fp, cycle = random_factor_product(ctx, rng)
-    var = rng.randrange(fp.space.num_vars)
+    var = rng.randrange(fp.num_vars)
     targets = cycle.targets(ctx.p)
     caps = tuple(t + 1 if v == var else t for v, t in enumerate(targets))
     deriv = mpoly.derivative(mpoly.expand(fp, caps), var)
@@ -254,6 +253,13 @@ def _sampled(population: list, spec: CampaignSpec) -> tuple[int, list]:
         sample = random.Random(spec.seed).sample(population, min(spec.samples, len(population)))
         population = sorted(sample)
     return len(population), population
+
+
+def _swept(keys: list, spec: CampaignSpec) -> tuple[int, list]:
+    """Every key, for the campaigns that have no sampler."""
+    if not spec.exhaustive:
+        raise ValueError(f"campaign {spec.campaign} sweeps every point and takes no samples")
+    return len(keys), keys
 
 
 def _admissible(k: tuple[int, ...], ctx: FpContext) -> list[tuple]:
@@ -272,13 +278,12 @@ def _main_keys(spec, ctx):
 
 
 def _beta_keys(spec, _ctx):
-    keys = [(a, b) for a in range(spec.p) for b in range(spec.p)]
-    return len(keys), keys
+    return _swept([(a, b) for a in range(spec.p) for b in range(spec.p)], spec)
 
 
 def _dyson_keys(spec, _ctx):
-    keys = [(kk, c) for kk in range(1, 5) for c in range(1, 4) if kk * c <= spec.p - 1]
-    return len(keys), keys
+    return _swept([(kk, c) for kk in range(1, 5) for c in range(1, 4)
+                   if kk * c <= spec.p - 1], spec)
 
 
 def _thm_3_11_keys(spec, _ctx):
@@ -290,7 +295,7 @@ def _thm_3_11_keys(spec, _ctx):
                 for b1 in range(0, p + c - 1 - b2):
                     if p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1:
                         keys.append((a, (b1, b2), c))
-    return len(keys), sorted(keys)
+    return _swept(sorted(keys), spec)
 
 
 def _thm_4_111_keys(spec, _ctx):
@@ -304,7 +309,7 @@ def _thm_4_111_keys(spec, _ctx):
                     for b1 in range(0, p + 2 * c - 2 - b2 - b3):
                         if 0 <= a + b1 + b2 + b3 - 2 * c + 3 - p < p:
                             keys.append((a, (b1, b2, b3), c))
-    return len(keys), sorted(keys)
+    return _swept(sorted(keys), spec)
 
 
 def _relations_s1s2_keys(spec, ctx):
@@ -326,7 +331,7 @@ def _induction_keys(spec, _ctx):
             for kparts in (_INDUCTION_COMPOSITIONS if spec.k is None else (spec.k,))
             for c in range(1, (p - 1) // kparts[0] + 1)
             for a in range(1, p - 1 - (kparts[0] - 1) * c)]
-    return len(keys), keys
+    return _swept(keys, spec)
 
 
 def _i000_keys(spec, ctx):

@@ -40,6 +40,8 @@ tests compare against.
 symmetric within each group and the cycle's targets are equal within a
 group, so every (sigma, tau) summand has the same integral and the
 normalized sum equals the identity summand (argument in its docstring).
+Its pair factors come from `_pair_factors`, like the master polynomial's
+and the blocks', with the summand's denominator pairs one lower.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from . import mpoly
 from .errors import (CapacityExceeded, InvalidExponent, InvariantViolation,
                      NegativeExponent, NotAllowable, PreconditionViolation)
 from .gf import FpContext, FpElement, binom
-from .mpoly import FactorProduct, LinearForm, VarSpace
+from .mpoly import FactorProduct, LinearForm
 
 
 @dataclass(frozen=True)
@@ -146,14 +148,6 @@ def cycle_from_composition(k: KComposition) -> PCycle:
     return PCycle(tuple(lengths))
 
 
-def variable_space(k: KComposition) -> VarSpace:
-    labels = []
-    for i in range(1, k.n + 1):
-        for j in range(1, k.part(i) + 1):
-            labels.append(f"t{i}_{j}")
-    return VarSpace(k.num_variables(), tuple(labels))
-
-
 def _flat_index(k: KComposition, group: int, j: int) -> int:
     """0-based flat index of variable j (1-based) in group (1-based)."""
     return sum(k.parts[: group - 1]) + j - 1
@@ -203,7 +197,7 @@ def master_polynomial(k: KComposition, pt: ParamPoint, ctx: FpContext) -> Factor
             if b_i:
                 factors.append((LinearForm.one_minus(v), b_i))
     factors += _pair_factors(k.parts, pt.c, ctx.p)
-    return FactorProduct(ctx, variable_space(k), tuple(factors))
+    return FactorProduct(ctx, k.num_variables(), tuple(factors))
 
 
 def _check_target_box(targets: tuple[int, ...]) -> None:
@@ -217,9 +211,9 @@ def fp_integral(fp: FactorProduct, cycle: PCycle, ctx: FpContext) -> FpElement:
     """Coefficient of prod x_i^{l_i p - 1} in the expanded product."""
     if fp.ctx.p != ctx.p:
         raise PreconditionViolation("factor product built over a different prime")
-    if fp.space.num_vars != len(cycle.lengths):
+    if fp.num_vars != len(cycle.lengths):
         raise PreconditionViolation(
-            f"{fp.space.num_vars} variables vs cycle of length {len(cycle.lengths)}")
+            f"{fp.num_vars} variables vs cycle of length {len(cycle.lengths)}")
     targets = cycle.targets(ctx.p)
     _check_target_box(targets)
     return FpElement(mpoly.extract_coefficient(fp, targets), ctx)
@@ -290,7 +284,7 @@ class _BlockCache:
             last = sum(sizes) - 1
             factors, degree = _dehomogenized(
                 _pair_factors(sizes, c, p, first_in_group=i == 1), last)
-            dehom = mpoly.expand(FactorProduct(ctx, VarSpace(last), tuple(factors)),
+            dehom = mpoly.expand(FactorProduct(ctx, last, tuple(factors)),
                                  caps[:-1]).coeffs.reshape(-1)
             rows, counts = mpoly.symmetric_rows(sizes[0], lengths[0])
             col_degrees = _degrees(sizes[1], lengths[1])
@@ -437,8 +431,6 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     _check_summand_args(k1, k2, tr)
     sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
 
-    labels = tuple(f"t{i+1}" for i in range(k1)) + tuple(f"s{j+1}" for j in range(k2))
-    space = VarSpace(k1 + k2, labels)
     if k2 > 0:
         cycle = cycle_from_composition(KComposition((k1, k2)))
     else:
@@ -459,15 +451,11 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     for j in range(k2):
         factors.append((LinearForm.one_minus(k1 + j),
                         exponent(b2 - 1, 1 if j in sm.s_one_minus else 0, f"1-s{j+1}")))
-    for j in range(k2):
-        for i in range(k1):
-            e = exponent(p - c, -1 if (j, i) in sm.pairs else 0, f"s{j+1}-t{i+1}")
-            factors.append((LinearForm.diff(k1 + j, i), e))
-    for i in range(k1):
-        for ip in range(i + 1, k1):
-            factors.append((LinearForm.diff(i, ip), 2 * c))
-    for j in range(k2):
-        for jp in range(j + 1, k2):
-            factors.append((LinearForm.diff(k1 + j, k1 + jp), 2 * c))
-    fp = FactorProduct(ctx, space, tuple((f, e) for f, e in factors if e > 0))
+    if sm.pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
+        j, i = min(sm.pairs)
+        raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
+    # each denominator pair (s_j, t_i) lowers its cross factor by one
+    pairs = {LinearForm.diff(k1 + j, i) for j, i in sm.pairs}
+    factors += [(f, e - (f in pairs)) for f, e in _pair_factors((k1, k2), c, p)]
+    fp = FactorProduct(ctx, k1 + k2, tuple((f, e) for f, e in factors if e > 0))
     return fp_integral(fp, cycle, ctx)

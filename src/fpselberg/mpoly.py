@@ -1,7 +1,8 @@
 """Multivariate polynomial expansion over F_p with per-variable degree caps.
 
 The central object is a `FactorProduct`: a scalar times a product of powers
-of affine forms (x_i, 1 - x_i, x_i - x_j).  Coefficient extraction works on a
+of affine forms with at most two monomials (x_i, 1 - x_i, x_i - x_j), the
+factors an F_p-Selberg integrand has.  Coefficient extraction works on a
 dense numpy tensor truncated to per-variable caps.  Truncation is exact for
 the coefficients it keeps: every factor has nonnegative exponents in every
 variable, so monomials above a cap can never contribute back down to a
@@ -83,29 +84,11 @@ def check_int64_sum(terms: int, p: int, what: str) -> None:
             f"{what}: {terms} products of residues mod {p} can overflow int64")
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(n))
-
-
-@dataclass(frozen=True)
-class VarSpace:
-    """An ordered set of variables, with labels for diagnostics."""
-
-    num_vars: int
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.num_vars < 0:
-            raise PreconditionViolation("num_vars must be >= 0")
-        if not self.labels:
-            object.__setattr__(self, "labels", _default_labels(self.num_vars))
-        elif len(self.labels) != self.num_vars:
-            raise PreconditionViolation("labels length must match num_vars")
-
-
 @dataclass(frozen=True)
 class LinearForm:
-    """constant + sum of coeff * x_var with at most two variable terms.
+    """constant + sum of coeff * x_var with at most two monomials: a constant
+    and one variable term, or two variable terms and no constant (x, 1 - x,
+    x - y), so every power of a form is one binomial row.
 
     Coefficients are stored as plain (possibly negative) ints and reduced
     mod p at expansion time, so forms are context-free and hashable.
@@ -115,8 +98,8 @@ class LinearForm:
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if len(self.terms) > 2:
-            raise PreconditionViolation("a LinearForm has at most two variable terms")
+        if len(self.terms) > 2 or (self.constant and len(self.terms) == 2):
+            raise PreconditionViolation("a LinearForm has at most two monomials")
         vars_seen = [v for v, _ in self.terms]
         if len(set(vars_seen)) != len(vars_seen):
             raise PreconditionViolation("duplicate variable in LinearForm")
@@ -145,37 +128,33 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class FactorProduct:
-    """scalar * product of LinearForm ** exponent over a variable space."""
+    """scalar * product of LinearForm ** exponent in variables 0..num_vars-1."""
 
     ctx: FpContext
-    space: VarSpace
+    num_vars: int
     factors: tuple[tuple[LinearForm, int], ...]
     scalar: int = 1
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise PreconditionViolation("num_vars must be >= 0")
         for form, e in self.factors:
             if e < 0:
                 raise InvalidExponent(f"negative exponent {e} on {form}")
             for v in form.variables():
-                if v >= self.space.num_vars:
+                if v >= self.num_vars:
                     raise PreconditionViolation(
-                        f"variable index {v} outside space of {self.space.num_vars}")
+                        f"variable index {v} outside {self.num_vars} variables")
         object.__setattr__(self, "factors", tuple(self.factors))
 
     def permuted(self, perm: list[int]) -> "FactorProduct":
         """Relabel variable i as perm[i] everywhere (perm is a bijection)."""
-        if sorted(perm) != list(range(self.space.num_vars)):
+        if sorted(perm) != list(range(self.num_vars)):
             raise PreconditionViolation("perm must be a permutation of the variables")
-        mapping = {i: perm[i] for i in range(len(perm))}
-        labels = list(self.space.labels)
-        for i, j in mapping.items():
-            labels[j] = self.space.labels[i]
-        return FactorProduct(
-            self.ctx,
-            VarSpace(self.space.num_vars, tuple(labels)),
-            tuple((f.remapped(mapping), e) for f, e in self.factors),
-            self.scalar,
-        )
+        mapping = dict(enumerate(perm))
+        return FactorProduct(self.ctx, self.num_vars,
+                             tuple((f.remapped(mapping), e) for f, e in self.factors),
+                             self.scalar)
 
 
 class TruncatedPoly:
@@ -190,14 +169,6 @@ class TruncatedPoly:
         if coeffs.shape != expected:
             raise PreconditionViolation(f"coeff tensor shape {coeffs.shape} != caps+1 {expected}")
         self.coeffs = coeffs
-
-    @classmethod
-    def from_dict(cls, ctx: FpContext, caps: tuple[int, ...],
-                  entries: dict[tuple[int, ...], int]) -> "TruncatedPoly":
-        arr = np.zeros(tuple(c + 1 for c in caps), dtype=np.int64)
-        for e, v in entries.items():
-            arr[tuple(e)] = v % ctx.p
-        return cls(ctx, caps, arr)
 
     def coefficient(self, exponents: tuple[int, ...]) -> FpElement:
         if len(exponents) != len(self.caps):
@@ -216,23 +187,6 @@ class TruncatedPoly:
 
     def __repr__(self):
         return f"TruncatedPoly(p={self.ctx.p}, caps={self.caps}, nnz={self.nonzero_count()})"
-
-
-def multiply(a: TruncatedPoly, b: TruncatedPoly) -> TruncatedPoly:
-    """Truncated product of two polys over the same caps in the same field."""
-    if a.ctx.p != b.ctx.p or a.caps != b.caps:
-        raise PreconditionViolation("multiply needs matching contexts and caps")
-    p = a.ctx.p
-    out = np.zeros_like(a.coeffs)
-    if b.nonzero_count() > a.nonzero_count():
-        a, b = b, a
-    for idx in np.argwhere(b.coeffs):
-        v = int(b.coeffs[tuple(idx)])
-        src = tuple(slice(0, n - d) for n, d in zip(a.coeffs.shape, idx))
-        dst = tuple(slice(d, None) for d in idx)
-        out[dst] += v * a.coeffs[src]
-        out %= p
-    return TruncatedPoly(a.ctx, a.caps, out)
 
 
 def derivative(poly: TruncatedPoly, var: int) -> TruncatedPoly:
@@ -267,19 +221,16 @@ def _monomials(form: LinearForm, p: int) -> list[tuple[int | None, int]]:
 
 
 def _term_count(form: LinearForm, e: int, p: int) -> int:
-    """Upper bound on the terms of form**e: the monomials of degree e in its
-    m nonzero monomials (1, e+1 or (e+1)(e+2)/2), without expanding."""
-    m = max(len(_monomials(form, p)), 1)
-    return math.comb(e + m - 1, m - 1)
+    """The terms of form**e without expanding it: e+1 for a two-monomial
+    form, else 1."""
+    return e + 1 if len(_monomials(form, p)) == 2 else 1
 
 
-def _factor_terms(ctx: FpContext, form: LinearForm, e: int,
-                  caps: tuple[int, ...] | None):
+def _factor_terms(ctx: FpContext, form: LinearForm, e: int, caps: tuple[int, ...]):
     """Expand form**e into [(shifts, coeff)] with shifts = ((axis, d), ...).
 
-    Two-monomial forms get a Lucas binomial row (valid for e >= p); the rare
-    three-monomial case (constant plus two variables) falls back to repeated
-    squaring of a tiny sparse poly.  Terms whose shift exceeds a cap are
+    A form has at most two monomials (see `LinearForm`); two get a Lucas
+    binomial row (valid for e >= p).  Terms whose shift exceeds a cap are
     dropped -- they cannot contribute to any retained coefficient.
     """
     p = ctx.p
@@ -292,65 +243,29 @@ def _factor_terms(ctx: FpContext, form: LinearForm, e: int,
         axis, c = monos[0]
         coeff = pow(c, e, p)
         shifts = () if axis is None else ((axis, e),)
-        if axis is not None and caps is not None and e > caps[axis]:
+        if axis is not None and e > caps[axis]:
             return []
         return [(shifts, coeff)]
-    if len(monos) == 2:
-        (ax_a, ca), (ax_b, cb) = monos
-        out = []
-        pow_a = 1
-        pow_b = pow(cb, e, p)
-        inv_cb = pow(cb, p - 2, p)
-        for d in range(e + 1):
-            coeff = binom(ctx, e, d) * pow_a % p * pow_b % p
-            pow_a = pow_a * ca % p
-            pow_b = pow_b * inv_cb % p
-            if coeff == 0:
-                continue
-            shifts = []
-            if ax_a is not None:
-                if caps is not None and d > caps[ax_a]:
-                    continue
-                if d:
-                    shifts.append((ax_a, d))
-            if ax_b is not None:
-                if caps is not None and e - d > caps[ax_b]:
-                    continue
-                if e - d:
-                    shifts.append((ax_b, e - d))
-            out.append((tuple(shifts), coeff))
-        return out
-
-    # constant + two variables: square a {(d1, d2): coeff} dict
-    (_, c0), (ax1, c1), (ax2, c2) = sorted(monos, key=lambda m: (m[0] is not None, m[0]))
-    base = {(0, 0): c0, (1, 0): c1, (0, 1): c2}
-    acc = {(0, 0): 1}
-    k = e
-    while k:
-        if k & 1:
-            acc = _dict_mul2(acc, base, p)
-        k >>= 1
-        if k:
-            base = _dict_mul2(base, base, p)
+    # a constant comes first, so only the first monomial can lack an axis
+    (ax_a, ca), (ax_b, cb) = monos
     out = []
-    for (d1, d2), coeff in acc.items():
-        if caps is not None and (d1 > caps[ax1] or d2 > caps[ax2]):
+    pow_a = 1
+    pow_b = pow(cb, e, p)
+    inv_cb = pow(cb, p - 2, p)
+    for d in range(e + 1):
+        coeff = binom(ctx, e, d) * pow_a % p * pow_b % p
+        pow_a = pow_a * ca % p
+        pow_b = pow_b * inv_cb % p
+        if coeff == 0:
             continue
-        shifts = tuple(s for s in ((ax1, d1), (ax2, d2)) if s[1])
-        out.append((shifts, coeff))
-    return out
-
-
-def _dict_mul2(a: dict, b: dict, p: int) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (e1, e2), ca in a.items():
-        for (f1, f2), cb in b.items():
-            key = (e1 + f1, e2 + f2)
-            v = (out.get(key, 0) + ca * cb) % p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
+        if e - d > caps[ax_b] or (ax_a is not None and d > caps[ax_a]):
+            continue
+        shifts = []
+        if ax_a is not None and d:
+            shifts.append((ax_a, d))
+        if e - d:
+            shifts.append((ax_b, e - d))
+        out.append((tuple(shifts), coeff))
     return out
 
 
@@ -371,7 +286,7 @@ def _run_engine(fp: FactorProduct, caps: tuple[int, ...], project_targets: bool)
     whose introduced axes all have length 1.
     """
     ctx, p = fp.ctx, fp.ctx.p
-    nv = fp.space.num_vars
+    nv = fp.num_vars
     if len(caps) != nv:
         raise PreconditionViolation(f"caps length {len(caps)} != num_vars {nv}")
     if any(c < 0 for c in caps):
@@ -538,7 +453,7 @@ def sparse_expand_oracle(fp: FactorProduct, max_terms: int | None = None,
     wall-clock limit used by the bench comparison.  Both abort with
     CapacityExceeded.
     """
-    p, nv = fp.ctx.p, fp.space.num_vars
+    p, nv = fp.ctx.p, fp.num_vars
     limit = slot_budget() if max_terms is None else max_terms
     t0 = time.monotonic()
     acc = {(0,) * nv: fp.scalar % p} if fp.scalar % p else {}

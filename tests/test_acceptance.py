@@ -22,7 +22,7 @@ from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
                                  master_polynomial, selberg_integral,
                                  weighted_integral)
 from fpselberg.mpoly import (DEFAULT_SLOT_BUDGET, FactorProduct, LinearForm,
-                             VarSpace, expand, sparse_expand_oracle)
+                             expand, sparse_expand_oracle)
 
 
 def _green(spec: CampaignSpec):
@@ -211,7 +211,6 @@ def test_criterion_10_property_suites():
         p = trng.choice((5, 7, 11))
         ctx = FpContext(p)
         nv = trng.randint(1, 3)
-        space = VarSpace(nv)
         factors = []
         for _ in range(trng.randint(1, 4)):
             kind = trng.randint(0, 2)
@@ -224,7 +223,7 @@ def test_criterion_10_property_suites():
                 j = trng.randrange(nv)
                 form = LinearForm.diff(i, j) if i != j else LinearForm.var(i)
             factors.append((form, trng.randint(0, 5)))
-        fp = FactorProduct(ctx, space, tuple(factors), trng.randint(1, p - 1))
+        fp = FactorProduct(ctx, nv, tuple(factors), trng.randint(1, p - 1))
         caps = tuple(trng.randint(0, 8) for _ in range(nv))
         poly = expand(fp, caps)
         table = sparse_expand_oracle(fp)

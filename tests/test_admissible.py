@@ -41,6 +41,10 @@ def test_enumeration_order_and_limit():
     keys = [(pt.a, pt.b, pt.c) for pt in pts]
     assert keys == sorted(keys)
     assert enumerate_admissible(KComposition((1,)), ctx, limit=5) == pts[:5]
+    assert enumerate_admissible(KComposition((1,)), ctx, limit=0) == []
+    assert enumerate_admissible(KComposition((1,)), ctx, limit=99) == pts
+    with pytest.raises(PreconditionViolation):
+        enumerate_admissible(KComposition((1,)), ctx, limit=-3)
 
 
 def test_violation_identifiers():
@@ -179,6 +183,10 @@ def test_admissible_I_identifiers():
     ctx = FpContext(7)
     rep = is_admissible_I(2, 1, ParamPoint(1, (1, 1), 1), ctx)
     assert not rep
-    assert rep.violated
+    # the closed form's first factorial argument out of range
+    assert rep.violated == ("i000_rhs[factorial argument -4 outside [0, p) "
+                            "(a+b1+(i+k1-2)c-p at i=1)]",)
+    rep = is_admissible_I(2, 1, ParamPoint(0, (6, 6), 7), ctx)
+    assert rep.violated[:2] == ("positivity", "thmI[a]") and len(rep.violated) == 3
     with pytest.raises(PreconditionViolation):
         is_admissible_I(1, 1, ParamPoint(1, (1, 1), 1), ctx)

@@ -79,6 +79,22 @@ def test_enumerate_json_limit(capsys):
     assert set(pts[0]) == {"a", "b", "c"}
 
 
+def test_enumerate_limit_zero_and_three(capsys):
+    # --limit 0 used to print 1: the limit was checked after the first point
+    for limit, count in (("0", "0"), ("3", "3")):
+        code, out, _ = run(capsys, "enumerate", "--p", "7", "--k", "2,1",
+                           "--limit", limit, "--count-only")
+        assert code == 0
+        assert out.strip() == count
+
+
+def test_negative_limit_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--p", "7", "--k", "2,1", "--limit", "-3", "--count-only"])
+    assert exc.value.code == 2
+    assert "--limit must be at least 0" in capsys.readouterr().err
+
+
 def test_bad_prime_exits_2(capsys):
     code, _, err = run(capsys, "eval", "s", "--p", "6", "--k", "1",
                        "--a", "1", "--b", "1", "--c", "1")
@@ -107,6 +123,17 @@ def test_negative_samples_exit_2(capsys):
             main(["check", *argv, "--samples", "-3", "--json"])
         assert exc.value.code == 2
         assert "--samples must be at least 0" in capsys.readouterr().err
+
+
+def test_samples_on_a_campaign_without_sampler_exit_2(capsys):
+    code, out, err = run(capsys, "check", "beta", "--p", "5", "--samples", "3",
+                         "--seed", "9", "--json")
+    assert code == 2 and out == ""
+    assert "beta sweeps every point" in err
+    code, out, _ = run(capsys, "check", "stokes", "--p", "5", "--samples", "3",
+                       "--seed", "9", "--json")
+    assert code == 0
+    assert (json.loads(out)["total"], json.loads(out)["seed"]) == (3, 9)
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):

@@ -21,6 +21,23 @@ def test_campaign_spec_validation():
         CampaignSpec("stokes", 7, samples=-3)
 
 
+@pytest.mark.parametrize("campaign", ["beta", "dyson", "thm_3_11", "thm_4_111", "induction"])
+def test_campaigns_without_a_sampler_reject_samples(campaign):
+    # these sweep every point: a sample count used to be ignored while the
+    # report still claimed the seed
+    with pytest.raises(ValueError, match="takes no samples"):
+        run_campaign(CampaignSpec(campaign, 5, exhaustive=False, samples=3, seed=9))
+
+
+def test_sampled_spec_needs_a_sample():
+    # a sampled run of 0 points used to report total 0, checked 0: a pass
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        CampaignSpec("main", 7, (2, 1), exhaustive=False, samples=0, seed=4)
+    # stokes takes its point count from samples, sampled or not
+    assert CampaignSpec("stokes", 7, samples=500, seed=3).exhaustive
+    assert run_campaign(CampaignSpec("stokes", 5, exhaustive=False, samples=3)).total == 3
+
+
 def test_report_schema_and_key_order():
     report = run_campaign(CampaignSpec("beta", 5))
     d = report.as_dict()

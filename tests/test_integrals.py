@@ -16,7 +16,7 @@ from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
                                  PCycle, cycle_from_composition, fp_integral,
                                  master_polynomial, selberg_integral,
                                  weight_summands, weighted_integral)
-from fpselberg.mpoly import FactorProduct, LinearForm, VarSpace
+from fpselberg.mpoly import FactorProduct, LinearForm
 
 
 def test_cycle_targets():
@@ -89,10 +89,9 @@ def test_selberg_integral_known_value():
 
 def test_fp_integral_basic_one_variable():
     ctx = FpContext(5)
-    space = VarSpace(1)
-    cubed = FactorProduct(ctx, space, ((LinearForm.var(0), 3),))
+    cubed = FactorProduct(ctx, 1, ((LinearForm.var(0), 3),))
     assert int(fp_integral(cubed, PCycle((1,)), ctx)) == 0  # no x^4 term
-    sym = FactorProduct(ctx, space, ((LinearForm.var(0), 2), (LinearForm.one_minus(0), 2)))
+    sym = FactorProduct(ctx, 1, ((LinearForm.var(0), 2), (LinearForm.one_minus(0), 2)))
     assert int(fp_integral(sym, PCycle((1,)), ctx)) == 1
 
 
@@ -111,9 +110,8 @@ def test_master_polynomial_two_singleton_groups():
 def test_beta_case_by_hand():
     # single variable: coefficient of x^{p-1} in x^a (1-x)^b is C(b, p-1-a)*(-1)^(p-1-a)
     ctx = FpContext(7)
-    space = VarSpace(1)
     for a in range(4):
-        fp = FactorProduct(ctx, space, ((LinearForm.var(0), a), (LinearForm.one_minus(0), 6)))
+        fp = FactorProduct(ctx, 1, ((LinearForm.var(0), a), (LinearForm.one_minus(0), 6)))
         got = fp_integral(fp, PCycle((1,)), ctx)
         expect = math.comb(6, 6 - a) * (-1) ** (6 - a) % 7
         assert int(got) == expect
@@ -182,7 +180,7 @@ def _full_box_block(k, i, c, ctx):
     cap = integrals._group_cap(k, i, p)
     caps = (cap,) * sizes[0] + (integrals._group_cap(k, i + 1, p),) * sizes[1]
     factors = integrals._pair_factors(sizes, c, p, first_in_group=i == 1)
-    full = mpoly.expand(FactorProduct(ctx, VarSpace(sum(sizes)), tuple(factors)), caps).coeffs
+    full = mpoly.expand(FactorProduct(ctx, sum(sizes), tuple(factors)), caps).coeffs
     rows, counts = mpoly.symmetric_rows(sizes[0], cap + 1)
     return rows, full.reshape((cap + 1) ** sizes[0], -1)[rows] * counts[:, None] % p
 
@@ -225,7 +223,7 @@ def test_block_build_requires_difference_factors(monkeypatch):
 
 def test_fp_integral_dimension_mismatch():
     ctx = FpContext(5)
-    fp = FactorProduct(ctx, VarSpace(2), ((LinearForm.var(0), 1),))
+    fp = FactorProduct(ctx, 2, ((LinearForm.var(0), 1),))
     with pytest.raises(PreconditionViolation):
         fp_integral(fp, PCycle((1,)), ctx)
     with pytest.raises(PreconditionViolation):
@@ -313,6 +311,20 @@ def test_weighted_integral_negative_exponent():
         weighted_integral(2, 1, AllowableTriple(0, 1, 0), ParamPoint(0, (1, 1), 1), ctx)
 
 
+def test_weighted_integral_at_c_equal_p():
+    # the cross exponent p - c is 0: a summand with a denominator pair would
+    # need it at -1, one without has no cross factors at all
+    ctx = FpContext(7)
+    with pytest.raises(NegativeExponent, match="s1-t2 exponent -1"):
+        weighted_integral(2, 1, AllowableTriple(0, 0, 0), ParamPoint(1, (2, 2), 7), ctx)
+    with pytest.raises(NegativeExponent, match="s1-t1 exponent -1"):
+        weighted_integral(3, 2, AllowableTriple(1, 1, 1), ParamPoint(2, (2, 2), 7), ctx)
+    tr, pt = AllowableTriple(0, 1, 0), ParamPoint(2, (5, 7), 7)
+    assert not weight_summands(1, 1, tr)[0].pairs
+    got = weighted_integral(1, 1, tr, pt, ctx)
+    assert got == _full_sum_weighted(1, 1, tr, pt, ctx) and int(got) == 6
+
+
 def test_weighted_integral_shift_identity():
     # I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c) on admissible points
     ctx = FpContext(7)
@@ -343,7 +355,7 @@ def _full_sum_weighted(k1, k2, tr, pt, ctx):
             factors.append((LinearForm.diff(i, ip), 2 * c))
         for j, jp in itertools.combinations(range(k2), 2):
             factors.append((LinearForm.diff(k1 + j, k1 + jp), 2 * c))
-        fp = FactorProduct(ctx, VarSpace(k1 + k2), tuple((f, e) for f, e in factors if e))
+        fp = FactorProduct(ctx, k1 + k2, tuple((f, e) for f, e in factors if e))
         total += fp_integral(fp, cycle, ctx).residue
     return ctx.element(total) / ctx.element(math.factorial(k1) * math.factorial(k2))
 

@@ -1,9 +1,12 @@
 import ast
+import importlib
 from pathlib import Path
 
 import fpselberg
+from fpselberg import harness
 
 SOURCES = sorted(Path(fpselberg.__file__).parent.glob("*.py"))
+BENCH_DIR = Path(__file__).resolve().parents[1] / "campaignbench"
 
 
 def test_package_sources_found():
@@ -16,3 +19,21 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_entry_points_resolve(monkeypatch):
+    # the campaign benchmark reaches into the package from outside; this
+    # imports its modules, patches and restores every name its tracer wraps,
+    # and builds every workload's campaign specs, without running any
+    monkeypatch.syspath_prepend(str(BENCH_DIR))
+    run = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    importlib.import_module("accounting")
+    original = harness.selberg_integral
+    with tracing.Tracer():
+        assert harness.selberg_integral is not original
+    assert harness.selberg_integral is original
+    for workload in run.suite.WORKLOADS:
+        for size in ("tiny", "full"):
+            specs = run.campaign_specs(harness, workload, 1, size)
+            assert specs and all(spec.campaign in harness.CAMPAIGNS for spec in specs)
