@@ -101,44 +101,6 @@ def r_value(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
         return FormulaResult(error=str(exc))
 
 
-def r_a2(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
-    """The two-group specialization, transcribed literally as its own product.
-
-    Structural cross-check: must agree with r_value((k1, k2), pt) everywhere.
-    """
-    if not k1 > k2 > 0:
-        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
-    if pt.n != 2:
-        raise PreconditionViolation("two-group formula takes b = (b1, b2)")
-    a, (b1, b2), c = pt.a, pt.b, pt.c
-    p = ctx.p
-    try:
-        val = sign_pow(ctx, k1 + k2)
-        for i in range(1, k1 - k2 + 1):
-            val = val * checked_factorial(ctx, b1 + (i - 1) * c, f"b1+(i-1)c at i={i}")
-            val = val / checked_factorial(ctx, 1 + a + b1 + (i + k1 - 2) * c - p,
-                                          f"1+a+b1+(i+k1-2)c-p at i={i}")
-        for i in range(1, k2 + 1):
-            val = val * checked_factorial(ctx, b2 + (i - 1) * c, f"b2+(i-1)c at i={i}")
-            val = val / checked_factorial(ctx, 1 + b2 + (i + k2 - k1 - 2) * c,
-                                          f"1+b2+(i+k2-k1-2)c at i={i}")
-            val = val * checked_factorial(ctx, 1 + b1 + b2 + (i - 2) * c,
-                                          f"1+b1+b2+(i-2)c at i={i}")
-            val = val / checked_factorial(ctx, 2 + a + b1 + b2 + (i + k1 - 3) * c - p,
-                                          f"2+a+b1+b2+(i+k1-3)c-p at i={i}")
-        for i in range(1, k1 + 1):
-            val = val * checked_factorial(ctx, a + (i - 1) * c, f"a+(i-1)c at i={i}")
-        for i in range(1, k2 + 1):
-            val = val * checked_factorial(ctx, p + (i - k1 - 1) * c, f"p+(i-k1-1)c at i={i}")
-        c_fact = checked_factorial(ctx, c, "c")
-        for kr in (k1, k2):
-            for i in range(1, kr + 1):
-                val = val * checked_factorial(ctx, i * c, f"ic at i={i}") / c_fact
-        return FormulaResult(value=val)
-    except OutOfRange as exc:
-        return FormulaResult(error=str(exc))
-
-
 def rhs_3_11(a: int, b1: int, b2: int, c: int, ctx: FpContext) -> FormulaResult:
     """Closed form for the two-variable integrand t^a (1-t)^b1 (s-t)^{p-c} (1-s)^b2."""
     p = ctx.p

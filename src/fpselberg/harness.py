@@ -7,9 +7,10 @@ that returns (lhs, rhs, mismatch classifier) or raises `_Skip`, the
 composition length it needs, and the JSON form of a key.  `_outcome` turns
 every check into a skip, a pass or a failure, sequentially or in the jobs > 1
 pool.  Points run grouped by that JSON form's "c", because `selberg_integral`
-caches the pair blocks of one (p, c) at a time; failures are reported in key
-order.  Checks look up integrals, `formulas.*` and `adm.*` by module attribute
-at call time, so code that patches those attributes sees every call.
+and `weighted_integral` cache the pair blocks of one (p, c) at a time;
+failures are reported in key order.  Checks look up integrals, `formulas.*`
+and `adm.*` by module attribute at call time, so code that patches those
+attributes sees every call.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ class CampaignSpec:
             raise ValueError(f"samples must be at least 0, got {self.samples}")
         if not self.exhaustive and self.samples == 0:
             raise ValueError("a sampled run needs at least 1 sample")
+        # stokes reads samples as its point count in both modes
+        if self.exhaustive and self.samples and self.campaign != "stokes":
+            raise ValueError(f"an exhaustive {self.campaign} run takes no samples, "
+                             f"got {self.samples}")
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         if self.k is not None:
             object.__setattr__(self, "k", tuple(self.k))
 

@@ -11,37 +11,36 @@ with the j-th variable of group i at flat index k_1 + ... + k_{i-1} + j - 1.
 The cycle built by `cycle_from_composition` uses the same order, so exponent
 vectors and variable indices never need re-alignment.
 
-`selberg_integral` does not expand the whole integrand per point.  Only the
-one-variable factors depend on (a, b); the pair factors depend on (k, c, p)
-alone.  They are split along the group chain into blocks: block i spans
-groups i and i+1 and holds the cross factors (x_{i+1} - x_i)^{p-c} and the
-in-group factors (x - x')^{2c} of group i+1 (block 1 also those of group 1;
-group n+1 is empty).  Each block is built once to the target caps of its two
-groups, so it depends only on (k_{i-1}, k_i, k_{i+1}, c, p) and compositions
-share blocks: (3,2) and (3,2,1) share their first.  A block is a product of
-differences, hence homogeneous of degree D (the sum of its exponents), so it
-is expanded by `mpoly.expand` with its last variable set to 1, over the other
-axes only; the coefficient at exponents g of those axes belongs at exponent
-D - |g| of the last one and is dropped when that falls outside its cap (3.3 M
-slots become 85.7 k for block 1 of (3,2) at p=13).  Only the kept rows of the
+Neither `selberg_integral` nor `weighted_integral` expands the whole
+integrand per point.  Only the one-variable factors depend on (a, b); the
+pair factors depend on (k, c, p) alone.  They are split along the group
+chain into blocks: block i spans groups i and i+1 and holds the cross
+factors (x_{i+1} - x_i)^{p-c} and the in-group factors (x - x')^{2c} of
+group i+1 (block 1 also those of group 1; group n+1 is empty).  Each block
+is built once to the target caps of its two groups, so it depends only on
+(k_{i-1}, k_i, k_{i+1}, c, p), and compositions share blocks: (3,2) and
+(3,2,1) share their first.  A block is a product of differences, hence
+homogeneous of degree D (the sum of its exponents), so it is expanded by
+`mpoly.expand` with its last variable set to 1, over the other axes only;
+the coefficient at exponents g of those axes belongs at exponent D - |g| of
+the last one and is dropped when that falls outside its cap (3.3 M slots
+become 85.7 k for block 1 of (3,2) at p=13).  Only the kept rows of the
 block are filled (see `_BlockCache`); the full block box is never allocated.
-Per point, the value is carried along the chain as a polynomial in one group:
-multiply it on every axis by that group's weight row, x^a (1-x)^{b_1} for
-group 1 and (1-x)^{b_i} after it (Lucas binomials, so b_i >= p works),
+Per point, the value is carried along the chain (`_chain`) as a polynomial
+in one group: multiply each axis by its variable's weight row, the
+coefficients of x^alpha (1-x)^beta (Lucas binomials, so beta >= p works),
 reverse it, and contract it with the block, which leaves the coefficient of
 x^T in group i as a polynomial in group i+1.  After block n only the number
 is left.  A module-level cache holds the blocks of one (p, c); asking for
 another (p, c) drops them, so callers that evaluate many points should visit
 them grouped by c, as `harness.run_campaign` does.
-`fp_integral(master_polynomial(...))` is the independent per-point path that
-tests compare against.
 
-`weighted_integral` evaluates one summand, not k_1! k_2!: the integrand is
-symmetric within each group and the cycle's targets are equal within a
-group, so every (sigma, tau) summand has the same integral and the
-normalized sum equals the identity summand (argument in its docstring).
-Its pair factors come from `_pair_factors`, like the master polynomial's
-and the blocks', with the summand's denominator pairs one lower.
+`selberg_integral` gives every variable of group i the row x^a (1-x)^{b_1}
+(group 1) or (1-x)^{b_i}, so its blocks keep one row per symmetric orbit.
+`weighted_integral` evaluates the identity summand alone (argument in its
+docstring): a row per variable, full-row blocks, and the cross factors of
+its denominator pairs one lower in block 1.  `fp_integral`, one expansion
+of a whole integrand, is the independent path that tests compare against.
 """
 
 from __future__ import annotations
@@ -247,14 +246,15 @@ def _degrees(n_axes: int, length: int) -> np.ndarray:
 
 
 class _BlockCache:
-    """Expanded pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}).
+    """Expanded pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}),
+    the lowered pairs and the row choice.
 
     Holding one (p, c) bounds memory: the blocks of another c are dropped
-    before any of the new ones is built.  A block is symmetric in the
-    variables of each of its groups, and so is the polynomial contracted
-    with it, so only the group-i rows with non-decreasing exponents are
-    kept, each times the number of exponent tuples it stands for
-    (`mpoly.symmetric_rows`): k_i! fewer rows for distinct exponents.
+    before any of the new ones is built.  A block without lowered pairs is
+    symmetric in the variables of each of its groups; when the polynomial
+    contracted with it is too, only the group-i rows with non-decreasing
+    exponents are kept, each times the number of exponent tuples it stands
+    for (`mpoly.symmetric_rows`): k_i! fewer rows for distinct exponents.
 
     A block is a product of differences, so it is homogeneous of degree D,
     the sum of its exponents.  It is expanded with its last variable set to
@@ -267,26 +267,31 @@ class _BlockCache:
 
     def __init__(self):
         self._pc: tuple[int, int] | None = None
-        self._blocks: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
-    def block(self, k: KComposition, i: int, c: int,
-              ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
+    def block(self, k: KComposition, i: int, c: int, ctx: FpContext,
+              lowered: frozenset[LinearForm] = frozenset(),
+              full_rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(rows, matrix): the kept flat group-i indices and the block
-        reshaped to (len(rows), group-(i+1) slots), counts folded in."""
+        reshaped to (len(rows), group-(i+1) slots), counts folded in.  The
+        pair factors in `lowered` are one lower; full_rows keeps every row."""
         p = ctx.p
         if self._pc != (p, c):
             self._pc, self._blocks = (p, c), {}
-        key = (k.part(i - 1), k.part(i), k.part(i + 1))
+        key = (k.part(i - 1), k.part(i), k.part(i + 1), lowered, full_rows)
         if key not in self._blocks:
             sizes = (k.part(i), k.part(i + 1))
             lengths = (_group_cap(k, i, p) + 1, _group_cap(k, i + 1, p) + 1)
             caps = (lengths[0] - 1,) * sizes[0] + (lengths[1] - 1,) * sizes[1]
             last = sum(sizes) - 1
             factors, degree = _dehomogenized(
-                _pair_factors(sizes, c, p, first_in_group=i == 1), last)
+                [(f, e - (f in lowered))
+                 for f, e in _pair_factors(sizes, c, p, first_in_group=i == 1)], last)
             dehom = mpoly.expand(FactorProduct(ctx, last, tuple(factors)),
                                  caps[:-1]).coeffs.reshape(-1)
-            rows, counts = mpoly.symmetric_rows(sizes[0], lengths[0])
+            # full rows: group i as one flat axis, each entry its own orbit
+            axes = (1, lengths[0] ** sizes[0]) if full_rows else (sizes[0], lengths[0])
+            rows, counts = mpoly.symmetric_rows(*axes)
             col_degrees = _degrees(sizes[1], lengths[1])
             # the (kept row, column) slots of total degree D; a slot's flat
             # index in the block box, less its last axis, indexes `dehom`
@@ -312,25 +317,37 @@ def _weight_row(ctx: FpContext, a: int, b: int, cap: int) -> np.ndarray:
     return row
 
 
-def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
-    """The integral of master_polynomial(k, pt) over cycle_from_composition(k),
-    evaluated along the group chain from cached pair blocks (module docstring).
+def _chain(k: KComposition, c: int, ctx: FpContext, rows: list[list[np.ndarray]],
+           lowered: frozenset[LinearForm] = frozenset(),
+           full_rows: bool = False) -> FpElement:
+    """The integral over cycle_from_composition(k) of the pair factors of k
+    times rows[i-1][j](x) for the j-th variable x of each group i, along the
+    group chain (module docstring); `lowered` goes to block 1, `full_rows`
+    to every block.
 
     Raises CapacityExceeded exactly when the target box exceeds the slot
     budget; every block and every group polynomial is a sub-box of it.
     """
-    _check_point(k, pt, ctx)
     _check_target_box(cycle_from_composition(k).targets(ctx.p))
     p = ctx.p
     value = np.zeros((_group_cap(k, 1, p) + 1,) * k.part(1), dtype=np.int64)
     value[(0,) * k.part(1)] = 1
     for i in range(1, k.n + 1):
-        row = _weight_row(ctx, pt.a if i == 1 else 0, pt.b[i - 1], _group_cap(k, i, p))
-        value = mpoly.multiply_along_axes(value, row, p)
-        rows, matrix = _BLOCKS.block(k, i, pt.c, ctx)
-        value = mpoly.contract(np.flip(value).reshape(-1)[rows], matrix, p)
+        value = mpoly.multiply_along_axes(value, rows[i - 1], p)
+        kept, matrix = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset(),
+                                     full_rows)
+        value = mpoly.contract(np.flip(value).reshape(-1)[kept], matrix, p)
         value = value.reshape((_group_cap(k, i + 1, p) + 1,) * k.part(i + 1))
     return FpElement(int(value), ctx)
+
+
+def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
+    """The integral of master_polynomial(k, pt) over cycle_from_composition(k):
+    one weight row per group on orbit-reduced blocks (raises as `_chain`)."""
+    _check_point(k, pt, ctx)
+    rows = [[_weight_row(ctx, pt.a if i == 1 else 0, pt.b[i - 1], _group_cap(k, i, ctx.p))]
+            * k.part(i) for i in range(1, k.n + 1)]
+    return _chain(k, pt.c, ctx, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +435,8 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     The summand divides the integrand by prod t_i (1-t_i) prod (1-s_j) and
     by its denominator pairs, which is done symbolically by decrementing
     exponents; the numerator factors increment them back selectively.
-    Requires a, b_1, b_2 >= 1 so no exponent goes negative.
+    Requires a, b_1, b_2 >= 1 so no exponent goes negative.  It runs the
+    chain on full-row blocks, since its rows differ within a group.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
@@ -430,32 +448,22 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
         raise InvalidExponent(f"c={c} > p={p}")
     _check_summand_args(k1, k2, tr)
     sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
+    k = KComposition((k1, k2) if k2 else (k1,))
 
-    if k2 > 0:
-        cycle = cycle_from_composition(KComposition((k1, k2)))
-    else:
-        cycle = PCycle((1,) * k1)
-
-    def exponent(base: int, bump: int, what: str) -> int:
+    def exponent(base: int, bump: bool, what: str) -> int:
         e = base + bump
         if e < 0:
             raise NegativeExponent(f"{what} exponent {e} < 0")
         return e
 
-    factors: list[tuple[LinearForm, int]] = []
-    for i in range(k1):
-        factors.append((LinearForm.var(i),
-                        exponent(a - 1, 1 if i in sm.t_num else 0, f"t{i+1}")))
-        factors.append((LinearForm.one_minus(i),
-                        exponent(b1 - 1, 1 if i in sm.t_one_minus else 0, f"1-t{i+1}")))
-    for j in range(k2):
-        factors.append((LinearForm.one_minus(k1 + j),
-                        exponent(b2 - 1, 1 if j in sm.s_one_minus else 0, f"1-s{j+1}")))
+    rows = [[_weight_row(ctx, exponent(a - 1, i in sm.t_num, f"t{i+1}"),
+                         exponent(b1 - 1, i in sm.t_one_minus, f"1-t{i+1}"),
+                         _group_cap(k, 1, p)) for i in range(k1)],
+            [_weight_row(ctx, 0, exponent(b2 - 1, j in sm.s_one_minus, f"1-s{j+1}"),
+                         _group_cap(k, 2, p)) for j in range(k2)]]
     if sm.pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
         j, i = min(sm.pairs)
         raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
     # each denominator pair (s_j, t_i) lowers its cross factor by one
-    pairs = {LinearForm.diff(k1 + j, i) for j, i in sm.pairs}
-    factors += [(f, e - (f in pairs)) for f, e in _pair_factors((k1, k2), c, p)]
-    fp = FactorProduct(ctx, k1 + k2, tuple((f, e) for f, e in factors if e > 0))
-    return fp_integral(fp, cycle, ctx)
+    lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
+    return _chain(k, c, ctx, rows[:k.n], lowered, full_rows=True)

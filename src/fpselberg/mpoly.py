@@ -23,12 +23,12 @@ Two engines are provided:
   benchmark comparison.  It shares no code with the engine: factor powers
   come from the multinomial theorem over the integers, reduced mod p.
 
-Two dense tensor steps serve evaluations that expand a point-independent
-block once and reuse it (the Selberg group chain in `integrals`):
-`multiply_along_axes` multiplies a tensor by the same one-variable weight row
-on every axis, truncated to the axis length; `symmetric_rows` picks one
-entry per orbit of a tensor symmetric in its axes; and `contract` sums a
-vector of such entries against the rows of an expanded block.
+Three dense tensor steps serve evaluations that expand a point-independent
+block once and reuse it (the group chain in `integrals`):
+`multiply_along_axes` multiplies a tensor by one one-variable weight row per
+axis, truncated to the axis length; `symmetric_rows` picks one entry per
+orbit of a tensor symmetric in its axes; and `contract` sums a vector of
+entries against the rows of an expanded block.
 
 Every accumulation adds products of two residues, each below p^2, in int64
 before it reduces mod p.  A sum of N such products is safe while
@@ -377,23 +377,24 @@ def extract_coefficient(fp: FactorProduct, target: tuple[int, ...]) -> int:
     return int(arr.reshape(-1)[0])
 
 
-def multiply_along_axes(poly: np.ndarray, row: np.ndarray, p: int) -> np.ndarray:
-    """Truncated product of a dense tensor with row(x_j) for every axis j.
+def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndarray:
+    """Truncated product of a dense tensor with rows[j](x_j) for every axis j.
 
-    `row` holds the coefficients of a one-variable polynomial, one per slot
-    of each axis (all axes share its length).  Each axis is one product
-    with the upper-triangular Toeplitz matrix of the row, taken over axis 0
-    with the new axis appended last, so the axes are back in their original
-    order after ndim steps.
+    Each row holds the coefficients of a one-variable polynomial, one per
+    slot of its axis.  Each axis is one product with the upper-triangular
+    Toeplitz matrix of its row, taken over axis 0 with the new axis
+    appended last, so the axes are back in their original order after ndim
+    steps.  A row object repeated on the next axis reuses its matrix.
     """
-    n = len(row)
-    if any(length != n for length in poly.shape):
-        raise PreconditionViolation(f"row of length {n} for axes of {poly.shape}")
-    check_int64_sum(n, p, "row product")
-    padded = np.concatenate((np.zeros(n - 1, dtype=np.int64), row))
-    slots = np.arange(n)
-    toeplitz = padded[n - 1 + slots[None, :] - slots[:, None]]  # [i, j] = row[j - i]
-    for _ in range(poly.ndim):
+    if len(rows) != poly.ndim or any(len(row) != n for row, n in zip(rows, poly.shape)):
+        raise PreconditionViolation(f"{len(rows)} rows do not fit axes of {poly.shape}")
+    for j, row in enumerate(rows):
+        n = len(row)
+        if j == 0 or row is not rows[j - 1]:
+            check_int64_sum(n, p, "row product")
+            padded = np.concatenate((np.zeros(n - 1, dtype=np.int64), row))
+            slots = np.arange(n)
+            toeplitz = padded[n - 1 + slots[None, :] - slots[:, None]]  # [i, l] = row[l - i]
         poly = (poly.reshape(n, -1).T @ toeplitz % p).reshape(poly.shape[1:] + (n,))
     return poly
 

@@ -173,9 +173,14 @@ def test_criterion_09_weighted_closed_form():
     rhs = i000_rhs(2, 1, pt, ctx)
     assert rhs.ok
     assert weighted_integral(2, 1, AllowableTriple(0, 0, 0), pt, ctx) == rhs.value
+    # two groups of sizes 3 and 2, every point: the closed form and the
+    # II=0 chain of weighted integrals
+    assert _green(CampaignSpec("i000", 11, (3, 2))).checked == 191
+    assert _green(CampaignSpec("relations_II0", 11, (3, 2))).checked == 192
     elapsed = time.monotonic() - t0
     print(f"PASS criterion 9: weighted-integral closed form, exhaustive p=7 "
-          f"(60 points) + 150 samples p=11, boundary included, {elapsed:.2f}s")
+          f"(60 points) + 150 samples p=11, boundary included, exhaustive "
+          f"k=(3,2) p=11 for i000 (191) and II=0 (192), {elapsed:.2f}s")
 
 
 def test_criterion_10_property_suites():

@@ -5,9 +5,9 @@ from fpselberg.admissible import (decrement_path, distinguished_point,
 from fpselberg.errors import OutOfRange, PreconditionViolation, ZeroFactor
 from fpselberg.formulas import (FormulaResult, b_factors, beta_rhs,
                                 dyson_constant, i000_rhs, induction_factor,
-                                r_a2, r_value, rhs_3_11, rhs_4_111,
+                                r_value, rhs_3_11, rhs_4_111,
                                 shift_factor_b1, shift_factor_b2)
-from fpselberg.gf import FpContext
+from fpselberg.gf import FpContext, checked_factorial, sign_pow
 from fpselberg.integrals import KComposition, ParamPoint
 
 
@@ -58,6 +58,44 @@ def test_r_value_out_of_range_classifier():
     got = r_value(KComposition((1,)), ParamPoint(1, (1,), 1), ctx)
     assert not got.ok
     assert "outside [0, p)" in got.error
+
+
+def r_a2(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
+    """The two-group specialization, transcribed literally as its own product.
+
+    Structural cross-check: must agree with r_value((k1, k2), pt) everywhere.
+    """
+    if not k1 > k2 > 0:
+        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
+    if pt.n != 2:
+        raise PreconditionViolation("two-group formula takes b = (b1, b2)")
+    a, (b1, b2), c = pt.a, pt.b, pt.c
+    p = ctx.p
+    try:
+        val = sign_pow(ctx, k1 + k2)
+        for i in range(1, k1 - k2 + 1):
+            val = val * checked_factorial(ctx, b1 + (i - 1) * c, f"b1+(i-1)c at i={i}")
+            val = val / checked_factorial(ctx, 1 + a + b1 + (i + k1 - 2) * c - p,
+                                          f"1+a+b1+(i+k1-2)c-p at i={i}")
+        for i in range(1, k2 + 1):
+            val = val * checked_factorial(ctx, b2 + (i - 1) * c, f"b2+(i-1)c at i={i}")
+            val = val / checked_factorial(ctx, 1 + b2 + (i + k2 - k1 - 2) * c,
+                                          f"1+b2+(i+k2-k1-2)c at i={i}")
+            val = val * checked_factorial(ctx, 1 + b1 + b2 + (i - 2) * c,
+                                          f"1+b1+b2+(i-2)c at i={i}")
+            val = val / checked_factorial(ctx, 2 + a + b1 + b2 + (i + k1 - 3) * c - p,
+                                          f"2+a+b1+b2+(i+k1-3)c-p at i={i}")
+        for i in range(1, k1 + 1):
+            val = val * checked_factorial(ctx, a + (i - 1) * c, f"a+(i-1)c at i={i}")
+        for i in range(1, k2 + 1):
+            val = val * checked_factorial(ctx, p + (i - k1 - 1) * c, f"p+(i-k1-1)c at i={i}")
+        c_fact = checked_factorial(ctx, c, "c")
+        for kr in (k1, k2):
+            for i in range(1, kr + 1):
+                val = val * checked_factorial(ctx, i * c, f"ic at i={i}") / c_fact
+        return FormulaResult(value=val)
+    except OutOfRange as exc:
+        return FormulaResult(error=str(exc))
 
 
 def test_r_value_matches_on_all_admissible_points():

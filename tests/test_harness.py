@@ -19,6 +19,15 @@ def test_campaign_spec_validation():
     assert spec.k == (2, 1)
     with pytest.raises(ValueError, match="samples must be at least 0"):
         CampaignSpec("stokes", 7, samples=-3)
+    # a sample count on an exhaustive spec used to be ignored: the whole
+    # domain was swept and the report said seed None
+    for campaign in ("i000", "main", "beta"):
+        with pytest.raises(ValueError, match="exhaustive .* takes no samples"):
+            CampaignSpec(campaign, 7, (2, 1), samples=3, seed=4)
+    # a worker count below 1 used to run silently in this process
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            CampaignSpec("beta", 5, jobs=jobs)
 
 
 @pytest.mark.parametrize("campaign", ["beta", "dyson", "thm_3_11", "thm_4_111", "induction"])
