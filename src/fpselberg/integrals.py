@@ -24,13 +24,15 @@ homogeneous of degree D (the sum of its exponents), so it is expanded by
 `mpoly.expand` with its last variable set to 1, over the other axes only;
 the coefficient at exponents g of those axes belongs at exponent D - |g| of
 the last one and is dropped when that falls outside its cap (3.3 M slots
-become 85.7 k for block 1 of (3,2) at p=13).  Only the kept rows of the
-block are filled (see `_BlockCache`); the full block box is never allocated.
-Per point, the value is carried along the chain (`_chain`) as a polynomial
-in one group: multiply each axis by its variable's weight row, the
-coefficients of x^alpha (1-x)^beta (Lucas binomials, so beta >= p works),
-reverse it, and contract it with the block, which leaves the coefficient of
-x^T in group i as a polynomial in group i+1.  After block n only the number
+become 85.7 k for block 1 of (3,2) at p=13).  The cache stores only the
+nonzero slots of total degree D in the kept rows, as a `mpoly.SparseBlock`
+(1 048 of 692 055 for that block at c=1; see `_BlockCache`); no dense block
+is ever allocated.  Per point, the value is carried along the chain
+(`_chain`) as a polynomial in one group: multiply each axis by its
+variable's weight row, the coefficients of x^alpha (1-x)^beta (Lucas
+binomials, so beta >= p works), reverse it, and contract it with the sparse
+block, which leaves the coefficient of x^T in group i as a polynomial in
+group i+1.  After block n only the number
 is left.  A module-level cache holds the blocks of one (p, c); asking for
 another (p, c) drops them, so callers that evaluate many points should visit
 them grouped by c, as `harness.run_campaign` does.
@@ -246,7 +248,7 @@ def _degrees(n_axes: int, length: int) -> np.ndarray:
 
 
 class _BlockCache:
-    """Expanded pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}),
+    """Sparse pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}),
     the lowered pairs and the row choice.
 
     Holding one (p, c) bounds memory: the blocks of another c are dropped
@@ -260,21 +262,25 @@ class _BlockCache:
     the sum of its exponents.  It is expanded with its last variable set to
     1, over the other axes only (one axis smaller than the block); the
     coefficient of the block at a slot of total degree D is the expanded
-    one at the slot's other exponents, and every other slot is 0.  The
-    kept rows are filled from it directly; the full block box is never
+    one at the slot's other exponents, and every other slot is 0.  So only
+    the slots of total degree D are visited: with the columns sorted by
+    degree, the columns of a kept row of degree d are the one run of degree
+    D - d.  The nonzero ones are stored as a `mpoly.SparseBlock`; neither
+    the full block box nor an array of kept rows times columns is ever
     allocated.
     """
 
     def __init__(self):
         self._pc: tuple[int, int] | None = None
-        self._blocks: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self._blocks: dict[tuple, tuple[np.ndarray, mpoly.SparseBlock]] = {}
 
     def block(self, k: KComposition, i: int, c: int, ctx: FpContext,
               lowered: frozenset[LinearForm] = frozenset(),
-              full_rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, matrix): the kept flat group-i indices and the block
-        reshaped to (len(rows), group-(i+1) slots), counts folded in.  The
-        pair factors in `lowered` are one lower; full_rows keeps every row."""
+              full_rows: bool = False) -> tuple[np.ndarray, mpoly.SparseBlock]:
+        """(rows, block): the kept flat group-i indices, and the block as a
+        matrix of those rows (by position in `rows`) times the flat group-(i+1)
+        slots, counts folded in.  The pair factors in `lowered` are one
+        lower; full_rows keeps every row."""
         p = ctx.p
         if self._pc != (p, c):
             self._pc, self._blocks = (p, c), {}
@@ -293,14 +299,24 @@ class _BlockCache:
             axes = (1, lengths[0] ** sizes[0]) if full_rows else (sizes[0], lengths[0])
             rows, counts = mpoly.symmetric_rows(*axes)
             col_degrees = _degrees(sizes[1], lengths[1])
-            # the (kept row, column) slots of total degree D; a slot's flat
-            # index in the block box, less its last axis, indexes `dehom`
-            r, col = np.nonzero(np.add.outer(_degrees(sizes[0], lengths[0])[rows],
-                                             col_degrees) == degree)
-            matrix = np.zeros((len(rows), len(col_degrees)), dtype=np.int64)
-            slots = rows[r] * len(col_degrees) + col
-            matrix[r, col] = dehom[slots // (caps[-1] + 1)] * counts[r] % p
-            self._blocks[key] = (rows, matrix)
+            # the (kept row, column) slots of total degree D: with the columns
+            # sorted by degree, kept row r has the run[r] of them from first[r]
+            by_degree = np.argsort(col_degrees, kind="stable")
+            sorted_degrees = col_degrees[by_degree]
+            wanted = degree - _degrees(sizes[0], lengths[0])[rows]
+            first = np.searchsorted(sorted_degrees, wanted, "left")
+            run = np.searchsorted(sorted_degrees, wanted, "right") - first
+            r = np.repeat(np.arange(len(rows)), run)
+            # entry j of the runs laid end to end is sorted column
+            # first[r] + (j - the entries of the rows before r)
+            col = by_degree[np.arange(len(r)) + np.repeat(first - (np.cumsum(run) - run), run)]
+            # a slot's flat index in the block box, less its last axis, indexes `dehom`
+            values = dehom[(rows[r] * len(col_degrees) + col) // (caps[-1] + 1)] * counts[r] % p
+            keep = np.flatnonzero(values)
+            keep = keep[np.argsort(col[keep], kind="stable")]
+            columns, starts = np.unique(col[keep], return_index=True)
+            self._blocks[key] = (rows, mpoly.SparseBlock(r[keep], values[keep], columns,
+                                                         starts, len(col_degrees)))
         return self._blocks[key]
 
 
@@ -334,9 +350,9 @@ def _chain(k: KComposition, c: int, ctx: FpContext, rows: list[list[np.ndarray]]
     value[(0,) * k.part(1)] = 1
     for i in range(1, k.n + 1):
         value = mpoly.multiply_along_axes(value, rows[i - 1], p)
-        kept, matrix = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset(),
-                                     full_rows)
-        value = mpoly.contract(np.flip(value).reshape(-1)[kept], matrix, p)
+        kept, block = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset(),
+                                    full_rows)
+        value = mpoly.contract(np.flip(value).reshape(-1)[kept], block, p)
         value = value.reshape((_group_cap(k, i + 1, p) + 1,) * k.part(i + 1))
     return FpElement(int(value), ctx)
 

@@ -23,18 +23,18 @@ Two engines are provided:
   benchmark comparison.  It shares no code with the engine: factor powers
   come from the multinomial theorem over the integers, reduced mod p.
 
-Three dense tensor steps serve evaluations that expand a point-independent
-block once and reuse it (the group chain in `integrals`):
-`multiply_along_axes` multiplies a tensor by one one-variable weight row per
-axis, truncated to the axis length; `symmetric_rows` picks one entry per
-orbit of a tensor symmetric in its axes; and `contract` sums a vector of
-entries against the rows of an expanded block.
+Three steps serve evaluations that expand a point-independent block once
+and reuse it (the group chain in `integrals`): `multiply_along_axes`
+multiplies a dense tensor by one one-variable weight row per axis, truncated
+to the axis length; `symmetric_rows` picks one entry per orbit of a tensor
+symmetric in its axes; and `contract` sums a vector of entries against the
+rows of a block stored sparse, as a `SparseBlock` of its nonzero entries.
 
 Every accumulation adds products of two residues, each below p^2, in int64
 before it reduces mod p.  A sum of N such products is safe while
 N * (p-1)^2 < 2^63; `check_int64_sum` enforces this before each step (N is
 the number of terms of a factor in the engine, the axis length for a row
-product, the contracted size for a contraction) and raises
+product, the vector length for a contraction) and raises
 AccumulatorOverflow otherwise.
 
 The coefficient-slot budget (default 2^30 slots) can be overridden with the
@@ -50,6 +50,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -419,10 +420,26 @@ def symmetric_rows(n_axes: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return flat, counts
 
 
-def contract(vector: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
-    """vector @ matrix mod p: a sum of len(vector) products per entry."""
+class SparseBlock(NamedTuple):
+    """A matrix mod p by its nonzero entries, sorted by column: entry j is
+    values[j] at row positions[j].  `columns` lists the nonempty columns in
+    ascending order; the entries of column columns[m] start at starts[m]
+    and run to the next start.  The matrix has ncols columns."""
+
+    positions: np.ndarray
+    values: np.ndarray
+    columns: np.ndarray
+    starts: np.ndarray
+    ncols: int
+
+
+def contract(vector: np.ndarray, block: SparseBlock, p: int) -> np.ndarray:
+    """vector @ block mod p.  A column holds each row at most once, so it
+    sums at most len(vector) products; the empty columns are 0."""
     check_int64_sum(len(vector), p, "contraction")
-    return vector @ matrix % p
+    out = np.zeros(block.ncols, dtype=np.int64)
+    out[block.columns] = np.add.reduceat(vector[block.positions] * block.values, block.starts)
+    return out % p
 
 
 def _oracle_power(form: LinearForm, e: int, p: int, nv: int) -> dict[tuple[int, ...], int]:

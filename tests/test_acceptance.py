@@ -80,10 +80,15 @@ def test_criterion_04_main_rank_two():
                                       samples=200, seed=13))
         assert sampled.checked == 200
         checked += sampled.checked
+    # every point of the largest block chain of the suite
+    exhaustive = _green(CampaignSpec("main", 17, (3, 2)))
+    assert exhaustive.checked == 1300
+    checked += exhaustive.checked
     elapsed = time.monotonic() - t0
     assert elapsed < 900.0
     print(f"PASS criterion 4: rank-2 exhaustive p in {{7,11}} + 200-point "
-          f"samples at p=13, {checked} points, {elapsed:.2f}s")
+          f"samples at p=13 + exhaustive k=(3,2) p=17, {checked} points, "
+          f"{elapsed:.2f}s")
 
 
 def test_criterion_05_main_rank_three():
@@ -177,10 +182,12 @@ def test_criterion_09_weighted_closed_form():
     # II=0 chain of weighted integrals
     assert _green(CampaignSpec("i000", 11, (3, 2))).checked == 191
     assert _green(CampaignSpec("relations_II0", 11, (3, 2))).checked == 192
+    assert _green(CampaignSpec("relations_II0", 13, (3, 2))).checked == 407
     elapsed = time.monotonic() - t0
     print(f"PASS criterion 9: weighted-integral closed form, exhaustive p=7 "
           f"(60 points) + 150 samples p=11, boundary included, exhaustive "
-          f"k=(3,2) p=11 for i000 (191) and II=0 (192), {elapsed:.2f}s")
+          f"k=(3,2) p=11 for i000 (191) and II=0 (192), II=0 at p=13 (407), "
+          f"{elapsed:.2f}s")
 
 
 def test_criterion_10_property_suites():

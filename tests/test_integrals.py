@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,30 +160,50 @@ def test_selberg_capacity_fires_exactly_above_target_box(monkeypatch, p, parts):
     assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx)
 
 
+def _ones_block(nrows, ncols):
+    """The all-ones nrows x ncols matrix as a sparse block."""
+    return mpoly.SparseBlock(np.tile(np.arange(nrows), ncols),
+                             np.ones(nrows * ncols, dtype=np.int64),
+                             np.arange(ncols), np.arange(ncols) * nrows, ncols)
+
+
 def test_selberg_chain_checks_int64_bounds(monkeypatch):
     # at this limit a sum of five products of residues mod 5 no longer fits
     monkeypatch.setattr(mpoly, "INT64_LIMIT", 5 * 4**2)
     ones = np.ones(5, dtype=np.int64)
-    mpoly.contract(ones[:4], np.ones((4, 2), dtype=np.int64), 5)
+    mpoly.contract(ones[:4], _ones_block(4, 2), 5)
     with pytest.raises(AccumulatorOverflow):
-        mpoly.contract(ones, np.ones((5, 2), dtype=np.int64), 5)
+        mpoly.contract(ones, _ones_block(5, 2), 5)
     with pytest.raises(AccumulatorOverflow):
         mpoly.multiply_along_axes(ones, [ones], 5)
     with pytest.raises(AccumulatorOverflow):
         selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
 
 
-def _full_box_block(k, i, c, ctx):
-    """Block i as first built: the pair factors expanded over the whole
-    block box, then the kept rows taken with their counts."""
+def _full_box_block(k, i, c, ctx, lowered=frozenset(), full_rows=False):
+    """Block i as first built: the pair factors, those in `lowered` one
+    lower, expanded over the whole block box, then the kept rows taken with
+    their counts, as a dense matrix."""
     p = ctx.p
     sizes = (k.part(i), k.part(i + 1))
     cap = integrals._group_cap(k, i, p)
     caps = (cap,) * sizes[0] + (integrals._group_cap(k, i + 1, p),) * sizes[1]
-    factors = integrals._pair_factors(sizes, c, p, first_in_group=i == 1)
+    factors = [(f, e - (f in lowered))
+               for f, e in integrals._pair_factors(sizes, c, p, first_in_group=i == 1)]
     full = mpoly.expand(FactorProduct(ctx, sum(sizes), tuple(factors)), caps).coeffs
+    full = full.reshape((cap + 1) ** sizes[0], -1)
+    if full_rows:
+        return np.arange(len(full)), full
     rows, counts = mpoly.symmetric_rows(sizes[0], cap + 1)
-    return rows, full.reshape((cap + 1) ** sizes[0], -1)[rows] * counts[:, None] % p
+    return rows, full[rows] * counts[:, None] % p
+
+
+def _dense(block, nrows):
+    """A sparse block as a dense nrows x block.ncols matrix."""
+    ends = np.append(block.starts[1:], len(block.values))
+    dense = np.zeros((nrows, block.ncols), dtype=np.int64)
+    dense[block.positions, np.repeat(block.columns, ends - block.starts)] = block.values
+    return dense
 
 
 @pytest.mark.parametrize("p", [5, 7])
@@ -202,16 +223,41 @@ def test_dehomogenized_blocks_match_full_box_expansion(monkeypatch, p):
         for parts in [(1,), (1, 1), (1, 1, 1), (2, 1), (3, 1), (3, 2), (3, 2, 1)]:
             k = KComposition(parts)
             for i in range(1, k.n + 1):
-                expanded_axes.clear()
-                rows, matrix = cache.block(k, i, c, ctx)
-                # built one axis smaller than the block, or taken from the cache
-                assert expanded_axes in ([], [k.part(i) + k.part(i + 1) - 1])
-                keys.add((k.part(i - 1), k.part(i), k.part(i + 1)))
-                ref_rows, ref_matrix = _full_box_block(k, i, c, ctx)
-                assert np.array_equal(rows, ref_rows), (parts, i, c)
-                assert np.array_equal(matrix, ref_matrix), (parts, i, c)
+                variants = [(frozenset(), False), (frozenset(), True)]
+                if k.n == 2 and i == 1:
+                    # the weighted integrals' block 1: the pair (s_1, t_1) one lower
+                    variants.append((frozenset({LinearForm.diff(k.part(1), 0)}), True))
+                for lowered, full_rows in variants:
+                    expanded_axes.clear()
+                    rows, block = cache.block(k, i, c, ctx, lowered, full_rows)
+                    # built one axis smaller than the block, or taken from the cache
+                    assert expanded_axes in ([], [k.part(i) + k.part(i + 1) - 1])
+                    keys.add((k.part(i - 1), k.part(i), k.part(i + 1)))
+                    ref_rows, ref_matrix = _full_box_block(k, i, c, ctx, lowered, full_rows)
+                    where = (parts, i, c, lowered, full_rows)
+                    assert np.array_equal(rows, ref_rows), where
+                    assert np.array_equal(_dense(block, len(rows)), ref_matrix), where
+                    # no zero is stored, and no slot twice
+                    assert len(block.values) == np.count_nonzero(ref_matrix), where
     # the single-variable last block of (3,2,1)
     assert (2, 1, 0) in keys
+
+
+def test_weighted_block_stays_small():
+    # block 1 of the weighted integrals of (3,2) at p=17 has 4913 x 2601
+    # slots (102 MB as a dense int64 matrix), under 0.1 % of them nonzero
+    ctx = FpContext(17)
+    k = KComposition((3, 2))
+    lowered = frozenset({LinearForm.diff(3, 0)})
+    tracemalloc.start()
+    try:
+        rows, block = integrals._BlockCache().block(k, 1, 1, ctx, lowered, full_rows=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(rows), block.ncols) == (17**3, 51**2)
+    assert 0 < len(block.values) < len(rows) * block.ncols // 100
+    assert peak < 16 * 2**20
 
 
 def test_block_build_requires_difference_factors(monkeypatch):

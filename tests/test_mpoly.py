@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fpselberg import integrals
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               IndexOutOfCaps, InvalidExponent,
                               PreconditionViolation)
 from fpselberg.gf import FpContext
-from fpselberg.mpoly import (FactorProduct, LinearForm, TruncatedPoly,
-                             check_int64_sum, derivative, expand,
-                             extract_coefficient, slot_budget,
-                             sparse_expand_oracle)
+from fpselberg.integrals import KComposition
+from fpselberg.mpoly import (FactorProduct, LinearForm, SparseBlock,
+                             TruncatedPoly, check_int64_sum, contract,
+                             derivative, expand, extract_coefficient,
+                             slot_budget, sparse_expand_oracle)
 
 
 def test_linear_form_constructors():
@@ -170,6 +172,39 @@ def test_int64_accumulation_bound():
     check_int64_sum(2**61 - 1, 3, "edge")
     with pytest.raises(AccumulatorOverflow):
         check_int64_sum(2**61, 3, "edge")
+
+
+def _sparse(dense):
+    """The SparseBlock of a dense matrix of residues."""
+    col, row = np.nonzero(dense.T)  # column by column, rows ascending
+    columns, starts = np.unique(col, return_index=True)
+    return SparseBlock(row, dense[row, col], columns, starts, dense.shape[1])
+
+
+def test_sparse_contraction_matches_dense_product():
+    rng = np.random.default_rng(7)
+    dense_cases = []
+    for p in (5, 13, 101, 65521):
+        for _ in range(20):
+            shape = tuple(rng.integers(1, 30, size=2))
+            dense = rng.integers(1, p, size=shape) * (rng.random(shape) < rng.random())
+            dense[:, rng.integers(shape[1])] = 0  # at least one empty column
+            dense_cases.append((p, dense))
+        dense_cases.append((p, rng.integers(1, p, size=(17, 1))))  # one column
+        one = np.zeros((9, 6), dtype=np.int64)
+        one[4, 2] = p - 1
+        dense_cases.append((p, one))  # one nonzero
+        dense_cases.append((p, np.zeros((3, 4), dtype=np.int64)))
+    for p, dense in dense_cases:
+        block = _sparse(dense)
+        assert len(block.values) == np.count_nonzero(dense)
+        vector = rng.integers(0, p, size=len(dense))
+        assert np.array_equal(contract(vector, block, p), vector @ dense % p), (p, dense)
+    # block 1 of (3,2) at p=13 vanishes mod p for c=6: no entry is stored
+    rows, block = integrals._BlockCache().block(KComposition((3, 2)), 1, 6, FpContext(13))
+    assert len(block.values) == len(block.columns) == 0
+    vector = np.arange(len(rows)) % 13
+    assert np.array_equal(contract(vector, block, 13), np.zeros(block.ncols, dtype=np.int64))
 
 
 def test_huge_exponent_raises_before_expanding():

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import json
+import sys
 from pathlib import Path
 
 import fpselberg
@@ -20,6 +21,23 @@ def test_no_assert_statements():
     found = [f"{path.name}:{node.lineno}" for path in SOURCES
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one declared dependency; no path may quietly need another
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fpselberg"}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in allowed]
     assert found == []
 
 
