@@ -359,7 +359,7 @@ def _point(key) -> dict:
 class _Campaign:
     keys: Callable        # (spec, ctx) -> (total, keys)
     check: Callable       # (ctx, k, key) -> (lhs, rhs, classifier); raises _Skip
-    k_len: int | None = None  # k needed: None no, 0 any length, n length n
+    k_len: int | None = None  # k needed: None no (induction: optional), 0 any, n length n
     point: Callable = _point  # key -> {"a", "b", "c"}; "c" groups evaluation
 
 
@@ -407,6 +407,8 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
         raise ValueError(f"campaign {spec.campaign} needs a composition k")
     if entry.k_len and len(spec.k) != entry.k_len:
         raise ValueError(f"campaign {spec.campaign} needs k of length {entry.k_len}")
+    if entry.k_len is None and spec.k is not None and spec.campaign != "induction":
+        raise ValueError(f"campaign {spec.campaign} takes no composition k, got {spec.k}")
     t0 = time.monotonic()
     total, keys = entry.keys(spec, ctx)
     order = sorted(range(len(keys)), key=lambda i: entry.point(keys[i])["c"] or 0)

@@ -25,24 +25,23 @@ homogeneous of degree D (the sum of its exponents), so it is expanded by
 the coefficient at exponents g of those axes belongs at exponent D - |g| of
 the last one and is dropped when that falls outside its cap (3.3 M slots
 become 85.7 k for block 1 of (3,2) at p=13).  The cache stores only the
-nonzero slots of total degree D in the kept rows, as a `mpoly.SparseBlock`
-(1 048 of 692 055 for that block at c=1; see `_BlockCache`); no dense block
-is ever allocated.  Per point, the value is carried along the chain
-(`_chain`) as a polynomial in one group: multiply each axis by its
-variable's weight row, the coefficients of x^alpha (1-x)^beta (Lucas
-binomials, so beta >= p works), reverse it, and contract it with the sparse
-block, which leaves the coefficient of x^T in group i as a polynomial in
-group i+1.  After block n only the number
-is left.  A module-level cache holds the blocks of one (p, c); asking for
+nonzero slots, as a `mpoly.SparseBlock` (5 697 of 3 341 637 for that block
+at c=1; see `_BlockCache`); no dense block is ever allocated.  Per point,
+the value is carried along the chain (`_chain`) as a polynomial in one
+group: multiply each axis by its variable's weight row, the coefficients of
+x^alpha (1-x)^beta (Lucas binomials, so beta >= p works), reverse it, and
+contract it with the sparse block, which leaves the coefficient of x^T in
+group i as a polynomial in group i+1.  After block n only the number is
+left.  A module-level cache holds the blocks of one (p, c); asking for
 another (p, c) drops them, so callers that evaluate many points should visit
 them grouped by c, as `harness.run_campaign` does.
 
-`selberg_integral` gives every variable of group i the row x^a (1-x)^{b_1}
-(group 1) or (1-x)^{b_i}, so its blocks keep one row per symmetric orbit.
+Both integrals run on the same blocks.  `selberg_integral` gives every
+variable of group i the row x^a (1-x)^{b_1} (group 1) or (1-x)^{b_i}.
 `weighted_integral` evaluates the identity summand alone (argument in its
-docstring): a row per variable, full-row blocks, and the cross factors of
-its denominator pairs one lower in block 1.  `fp_integral`, one expansion
-of a whole integrand, is the independent path that tests compare against.
+docstring): a row per variable, and the cross factors of its denominator
+pairs one lower in block 1.  `fp_integral`, one expansion of a whole
+integrand, is the independent path that tests compare against.
 """
 
 from __future__ import annotations
@@ -242,81 +241,60 @@ def _dehomogenized(factors: list[tuple[LinearForm, int]],
     return out, degree
 
 
-def _degrees(n_axes: int, length: int) -> np.ndarray:
-    """Total degree of every flat index of an n_axes cube with the given side."""
-    return np.indices((length,) * n_axes).sum(axis=0).reshape(-1)
-
-
 class _BlockCache:
-    """Sparse pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1}),
-    the lowered pairs and the row choice.
+    """Sparse pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1})
+    and the lowered pairs.
 
     Holding one (p, c) bounds memory: the blocks of another c are dropped
-    before any of the new ones is built.  A block without lowered pairs is
-    symmetric in the variables of each of its groups; when the polynomial
-    contracted with it is too, only the group-i rows with non-decreasing
-    exponents are kept, each times the number of exponent tuples it stands
-    for (`mpoly.symmetric_rows`): k_i! fewer rows for distinct exponents.
+    before any of the new ones is built.
 
     A block is a product of differences, so it is homogeneous of degree D,
     the sum of its exponents.  It is expanded with its last variable set to
     1, over the other axes only (one axis smaller than the block); the
     coefficient of the block at a slot of total degree D is the expanded
-    one at the slot's other exponents, and every other slot is 0.  So only
-    the slots of total degree D are visited: with the columns sorted by
-    degree, the columns of a kept row of degree d are the one run of degree
-    D - d.  The nonzero ones are stored as a `mpoly.SparseBlock`; neither
-    the full block box nor an array of kept rows times columns is ever
+    one at the slot's other exponents, and every other slot is 0.  So each
+    nonzero of the expansion is one entry of the block, at last exponent D
+    less the sum of its others, unless that falls outside the last cap.
+    They are stored as a `mpoly.SparseBlock`; the full block box is never
     allocated.
     """
 
     def __init__(self):
         self._pc: tuple[int, int] | None = None
-        self._blocks: dict[tuple, tuple[np.ndarray, mpoly.SparseBlock]] = {}
+        self._blocks: dict[tuple, mpoly.SparseBlock] = {}
 
     def block(self, k: KComposition, i: int, c: int, ctx: FpContext,
-              lowered: frozenset[LinearForm] = frozenset(),
-              full_rows: bool = False) -> tuple[np.ndarray, mpoly.SparseBlock]:
-        """(rows, block): the kept flat group-i indices, and the block as a
-        matrix of those rows (by position in `rows`) times the flat group-(i+1)
-        slots, counts folded in.  The pair factors in `lowered` are one
-        lower; full_rows keeps every row."""
+              lowered: frozenset[LinearForm] = frozenset()) -> mpoly.SparseBlock:
+        """Block i as a matrix of the flat group-i slots times the flat
+        group-(i+1) slots; the pair factors in `lowered` are one lower."""
         p = ctx.p
         if self._pc != (p, c):
             self._pc, self._blocks = (p, c), {}
-        key = (k.part(i - 1), k.part(i), k.part(i + 1), lowered, full_rows)
+        key = (k.part(i - 1), k.part(i), k.part(i + 1), lowered)
         if key not in self._blocks:
             sizes = (k.part(i), k.part(i + 1))
-            lengths = (_group_cap(k, i, p) + 1, _group_cap(k, i + 1, p) + 1)
-            caps = (lengths[0] - 1,) * sizes[0] + (lengths[1] - 1,) * sizes[1]
+            caps = (_group_cap(k, i, p),) * sizes[0] + (_group_cap(k, i + 1, p),) * sizes[1]
             last = sum(sizes) - 1
             factors, degree = _dehomogenized(
                 [(f, e - (f in lowered))
                  for f, e in _pair_factors(sizes, c, p, first_in_group=i == 1)], last)
             dehom = mpoly.expand(FactorProduct(ctx, last, tuple(factors)),
                                  caps[:-1]).coeffs.reshape(-1)
-            # full rows: group i as one flat axis, each entry its own orbit
-            axes = (1, lengths[0] ** sizes[0]) if full_rows else (sizes[0], lengths[0])
-            rows, counts = mpoly.symmetric_rows(*axes)
-            col_degrees = _degrees(sizes[1], lengths[1])
-            # the (kept row, column) slots of total degree D: with the columns
-            # sorted by degree, kept row r has the run[r] of them from first[r]
-            by_degree = np.argsort(col_degrees, kind="stable")
-            sorted_degrees = col_degrees[by_degree]
-            wanted = degree - _degrees(sizes[0], lengths[0])[rows]
-            first = np.searchsorted(sorted_degrees, wanted, "left")
-            run = np.searchsorted(sorted_degrees, wanted, "right") - first
-            r = np.repeat(np.arange(len(rows)), run)
-            # entry j of the runs laid end to end is sorted column
-            # first[r] + (j - the entries of the rows before r)
-            col = by_degree[np.arange(len(r)) + np.repeat(first - (np.cumsum(run) - run), run)]
-            # a slot's flat index in the block box, less its last axis, indexes `dehom`
-            values = dehom[(rows[r] * len(col_degrees) + col) // (caps[-1] + 1)] * counts[r] % p
-            keep = np.flatnonzero(values)
-            keep = keep[np.argsort(col[keep], kind="stable")]
-            columns, starts = np.unique(col[keep], return_index=True)
-            self._blocks[key] = (rows, mpoly.SparseBlock(r[keep], values[keep], columns,
-                                                         starts, len(col_degrees)))
+            nz = np.flatnonzero(dehom)
+            # the exponent of the last variable is D less the sum of the others
+            rest, exponent = nz, np.full(len(nz), degree)
+            for cap in reversed(caps[:-1]):
+                rest, e = np.divmod(rest, cap + 1)
+                exponent -= e
+            keep = (exponent >= 0) & (exponent <= caps[-1])
+            nz = nz[keep]
+            ncols = (_group_cap(k, i + 1, p) + 1) ** sizes[1]
+            # the flat index in the block box, split into row and column
+            row, col = np.divmod(nz * (caps[-1] + 1) + exponent[keep], ncols)
+            order = np.argsort(col, kind="stable")
+            columns, starts = np.unique(col[order], return_index=True)
+            self._blocks[key] = mpoly.SparseBlock(row[order], dehom[nz[order]],
+                                                  columns, starts, ncols)
         return self._blocks[key]
 
 
@@ -334,12 +312,10 @@ def _weight_row(ctx: FpContext, a: int, b: int, cap: int) -> np.ndarray:
 
 
 def _chain(k: KComposition, c: int, ctx: FpContext, rows: list[list[np.ndarray]],
-           lowered: frozenset[LinearForm] = frozenset(),
-           full_rows: bool = False) -> FpElement:
+           lowered: frozenset[LinearForm] = frozenset()) -> FpElement:
     """The integral over cycle_from_composition(k) of the pair factors of k
     times rows[i-1][j](x) for the j-th variable x of each group i, along the
-    group chain (module docstring); `lowered` goes to block 1, `full_rows`
-    to every block.
+    group chain (module docstring); `lowered` goes to block 1.
 
     Raises CapacityExceeded exactly when the target box exceeds the slot
     budget; every block and every group polynomial is a sub-box of it.
@@ -350,16 +326,15 @@ def _chain(k: KComposition, c: int, ctx: FpContext, rows: list[list[np.ndarray]]
     value[(0,) * k.part(1)] = 1
     for i in range(1, k.n + 1):
         value = mpoly.multiply_along_axes(value, rows[i - 1], p)
-        kept, block = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset(),
-                                    full_rows)
-        value = mpoly.contract(np.flip(value).reshape(-1)[kept], block, p)
+        block = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
+        value = mpoly.contract(np.flip(value).reshape(-1), block, p)
         value = value.reshape((_group_cap(k, i + 1, p) + 1,) * k.part(i + 1))
     return FpElement(int(value), ctx)
 
 
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
     """The integral of master_polynomial(k, pt) over cycle_from_composition(k):
-    one weight row per group on orbit-reduced blocks (raises as `_chain`)."""
+    one weight row per group along the block chain (raises as `_chain`)."""
     _check_point(k, pt, ctx)
     rows = [[_weight_row(ctx, pt.a if i == 1 else 0, pt.b[i - 1], _group_cap(k, i, ctx.p))]
             * k.part(i) for i in range(1, k.n + 1)]
@@ -451,8 +426,8 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     The summand divides the integrand by prod t_i (1-t_i) prod (1-s_j) and
     by its denominator pairs, which is done symbolically by decrementing
     exponents; the numerator factors increment them back selectively.
-    Requires a, b_1, b_2 >= 1 so no exponent goes negative.  It runs the
-    chain on full-row blocks, since its rows differ within a group.
+    Requires a, b_1, b_2 >= 1 so no exponent goes negative.  Without
+    denominator pairs it runs on the blocks of `selberg_integral`.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
@@ -482,4 +457,4 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
         raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return _chain(k, c, ctx, rows[:k.n], lowered, full_rows=True)
+    return _chain(k, c, ctx, rows[:k.n], lowered)

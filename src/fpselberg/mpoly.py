@@ -23,11 +23,10 @@ Two engines are provided:
   benchmark comparison.  It shares no code with the engine: factor powers
   come from the multinomial theorem over the integers, reduced mod p.
 
-Three steps serve evaluations that expand a point-independent block once
+Two steps serve evaluations that expand a point-independent block once
 and reuse it (the group chain in `integrals`): `multiply_along_axes`
 multiplies a dense tensor by one one-variable weight row per axis, truncated
-to the axis length; `symmetric_rows` picks one entry per orbit of a tensor
-symmetric in its axes; and `contract` sums a vector of entries against the
+to the axis length, and `contract` sums a vector of entries against the
 rows of a block stored sparse, as a `SparseBlock` of its nonzero entries.
 
 Every accumulation adds products of two residues, each below p^2, in int64
@@ -43,13 +42,11 @@ FP_SELBERG_MEM_BUDGET environment variable.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -398,26 +395,6 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
             toeplitz = padded[n - 1 + slots[None, :] - slots[:, None]]  # [i, l] = row[l - i]
         poly = (poly.reshape(n, -1).T @ toeplitz % p).reshape(poly.shape[1:] + (n,))
     return poly
-
-
-@functools.lru_cache(maxsize=32)
-def symmetric_rows(n_axes: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the non-decreasing multi-indices of an n_axes cube
-    with the given side, and how many index tuples each one stands for.
-
-    A sum over the cube of a product of two tensors that are both symmetric
-    in these axes equals the sum over these rows weighted by the counts.
-    Memoized; the returned arrays are read-only.
-    """
-    shape = (length,) * n_axes
-    sorted_idx = list(combinations_with_replacement(range(length), n_axes))
-    flat = np.ravel_multi_index(np.array(sorted_idx, dtype=np.int64).T, shape)
-    full = math.factorial(n_axes)
-    counts = [full // math.prod(math.factorial(r) for r in Counter(idx).values())
-              for idx in sorted_idx]
-    counts = np.array(counts, dtype=np.int64)
-    flat.flags.writeable = counts.flags.writeable = False
-    return flat, counts
 
 
 class SparseBlock(NamedTuple):

@@ -103,9 +103,11 @@ def test_bad_prime_exits_2(capsys):
 
 
 def test_bad_campaign_k_exits_2(capsys):
-    code, _, err = run(capsys, "check", "main", "--p", "7")
-    assert code == 2
-    assert "error:" in err
+    # a missing k, and a k that beta would never read
+    for argv in (["main", "--p", "7"], ["beta", "--p", "5", "--k", "2,1", "--json"]):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and out == ""
+        assert "error:" in err
 
 
 def test_jobs_below_one_exits_2(capsys):

@@ -149,6 +149,14 @@ def test_campaigns_requiring_k_reject_its_absence():
         run_campaign(CampaignSpec("relations_IS", 7, (2, 1, 1)))
 
 
+@pytest.mark.parametrize("campaign, k", [("beta", (2, 1)), ("dyson", (2,)), ("thm_3_11", (1, 1)),
+                                         ("thm_4_111", (1, 1, 1)), ("stokes", (7,))])
+def test_campaigns_without_k_reject_one(campaign, k):
+    # these never read a composition: the report used to echo it anyway
+    with pytest.raises(ValueError, match="takes no composition k"):
+        run_campaign(CampaignSpec(campaign, 5, k))
+
+
 def test_relations_s1s2_edges_pass():
     # edges from points one b1-step and one b2-step above the distinguished point
     ctx = FpContext(11)

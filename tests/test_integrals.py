@@ -180,10 +180,10 @@ def test_selberg_chain_checks_int64_bounds(monkeypatch):
         selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
 
 
-def _full_box_block(k, i, c, ctx, lowered=frozenset(), full_rows=False):
+def _full_box_block(k, i, c, ctx, lowered=frozenset()):
     """Block i as first built: the pair factors, those in `lowered` one
-    lower, expanded over the whole block box, then the kept rows taken with
-    their counts, as a dense matrix."""
+    lower, expanded over the whole block box, as a dense matrix of the flat
+    group-i slots times the flat group-(i+1) slots."""
     p = ctx.p
     sizes = (k.part(i), k.part(i + 1))
     cap = integrals._group_cap(k, i, p)
@@ -191,11 +191,7 @@ def _full_box_block(k, i, c, ctx, lowered=frozenset(), full_rows=False):
     factors = [(f, e - (f in lowered))
                for f, e in integrals._pair_factors(sizes, c, p, first_in_group=i == 1)]
     full = mpoly.expand(FactorProduct(ctx, sum(sizes), tuple(factors)), caps).coeffs
-    full = full.reshape((cap + 1) ** sizes[0], -1)
-    if full_rows:
-        return np.arange(len(full)), full
-    rows, counts = mpoly.symmetric_rows(sizes[0], cap + 1)
-    return rows, full[rows] * counts[:, None] % p
+    return full.reshape((cap + 1) ** sizes[0], -1)
 
 
 def _dense(block, nrows):
@@ -223,20 +219,19 @@ def test_dehomogenized_blocks_match_full_box_expansion(monkeypatch, p):
         for parts in [(1,), (1, 1), (1, 1, 1), (2, 1), (3, 1), (3, 2), (3, 2, 1)]:
             k = KComposition(parts)
             for i in range(1, k.n + 1):
-                variants = [(frozenset(), False), (frozenset(), True)]
+                variants = [frozenset()]
                 if k.n == 2 and i == 1:
                     # the weighted integrals' block 1: the pair (s_1, t_1) one lower
-                    variants.append((frozenset({LinearForm.diff(k.part(1), 0)}), True))
-                for lowered, full_rows in variants:
+                    variants.append(frozenset({LinearForm.diff(k.part(1), 0)}))
+                for lowered in variants:
                     expanded_axes.clear()
-                    rows, block = cache.block(k, i, c, ctx, lowered, full_rows)
+                    block = cache.block(k, i, c, ctx, lowered)
                     # built one axis smaller than the block, or taken from the cache
                     assert expanded_axes in ([], [k.part(i) + k.part(i + 1) - 1])
                     keys.add((k.part(i - 1), k.part(i), k.part(i + 1)))
-                    ref_rows, ref_matrix = _full_box_block(k, i, c, ctx, lowered, full_rows)
-                    where = (parts, i, c, lowered, full_rows)
-                    assert np.array_equal(rows, ref_rows), where
-                    assert np.array_equal(_dense(block, len(rows)), ref_matrix), where
+                    ref_matrix = _full_box_block(k, i, c, ctx, lowered)
+                    where = (parts, i, c, lowered)
+                    assert np.array_equal(_dense(block, len(ref_matrix)), ref_matrix), where
                     # no zero is stored, and no slot twice
                     assert len(block.values) == np.count_nonzero(ref_matrix), where
     # the single-variable last block of (3,2,1)
@@ -251,13 +246,34 @@ def test_weighted_block_stays_small():
     lowered = frozenset({LinearForm.diff(3, 0)})
     tracemalloc.start()
     try:
-        rows, block = integrals._BlockCache().block(k, 1, 1, ctx, lowered, full_rows=True)
+        block = integrals._BlockCache().block(k, 1, 1, ctx, lowered)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (len(rows), block.ncols) == (17**3, 51**2)
-    assert 0 < len(block.values) < len(rows) * block.ncols // 100
+    assert block.ncols == 51**2 and block.positions.max() < 17**3
+    assert 0 < len(block.values) < 17**3 * block.ncols // 100
     assert peak < 16 * 2**20
+
+
+def test_selberg_and_weighted_integrals_share_their_blocks(monkeypatch):
+    # a weighted integral without denominator pairs runs on the Selberg
+    # blocks: I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c), one build each
+    ctx = FpContext(7)
+    expanded_axes = []
+    expand = mpoly.expand
+
+    def recording_expand(fp, caps):
+        expanded_axes.append(len(caps))
+        return expand(fp, caps)
+
+    monkeypatch.setattr(mpoly, "expand", recording_expand)
+    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+    k = KComposition((3, 2))
+    selberg = selberg_integral(k, ParamPoint(1, (3, 1), 2), ctx)
+    assert expanded_axes == [4, 1]  # blocks 1 and 2
+    weighted = weighted_integral(3, 2, AllowableTriple(0, 2, 0), ParamPoint(2, (3, 2), 2), ctx)
+    assert expanded_axes == [4, 1]
+    assert weighted == selberg
 
 
 def test_block_build_requires_difference_factors(monkeypatch):
@@ -418,7 +434,8 @@ def _allowable_triples(k1, k2):
 def test_weighted_integral_is_one_summand_of_the_full_sum(k1, k2, p):
     # at p=7 with k2 <= 1 every allowable triple: m > 0, a single group
     # (k2 = 0), and l1 > 0 without pairs, where the rows differ within a
-    # group while the block is symmetric, so an orbit-reduced block is wrong
+    # group while the block is symmetric, so the chain must not assume
+    # symmetric rows
     ctx = FpContext(p)
     # a one-group point takes any b2: there is no s variable
     points = [ParamPoint(pt.a, (pt.b[0], pt.b[-1] if k2 else 1), pt.c)

@@ -201,9 +201,9 @@ def test_sparse_contraction_matches_dense_product():
         vector = rng.integers(0, p, size=len(dense))
         assert np.array_equal(contract(vector, block, p), vector @ dense % p), (p, dense)
     # block 1 of (3,2) at p=13 vanishes mod p for c=6: no entry is stored
-    rows, block = integrals._BlockCache().block(KComposition((3, 2)), 1, 6, FpContext(13))
+    block = integrals._BlockCache().block(KComposition((3, 2)), 1, 6, FpContext(13))
     assert len(block.values) == len(block.columns) == 0
-    vector = np.arange(len(rows)) % 13
+    vector = np.arange(13**3) % 13
     assert np.array_equal(contract(vector, block, 13), np.zeros(block.ncols, dtype=np.int64))
 
 
