@@ -2,9 +2,15 @@
 
 A point (a, b, c) in Z_{>0}^{n+2} is admissible for a strictly decreasing
 composition k when a + (k_1 - 1)c < p - 1 and every factorial argument of the
-closed-form product lies in [0, p).  `is_admissible` checks the equivalent
-explicit inequality system directly; identifiers in the report name the
-violated system block, e.g. "ine1[s=1,r=2,upper]" or "ine14[b1]".
+closed-form product lies in [0, p).  The equivalent explicit inequality
+system in (a, b_1, ..., b_n, c) is written once.  Its b-part bounds only
+contiguous sums b_s + ... + b_r, so at fixed (a, c) it is one table of
+intervals (`_b_system`); the rest are the a/c-only conditions a, c >= 1,
+ine14[a] and ine14[kc].  `is_admissible` evaluates both; identifiers in the
+report name the violated system block, e.g. "ine1[s=1,r=2,upper]" or
+"ine14[b1]".  `enumerate_admissible` loops over a and c and picks b_1, ...,
+b_n in turn, each from the intersection of the intervals of the table
+entries that end at it, so it emits the admissible points and no others.
 `is_admissible_I`, the domain of the I_{0,0,0} closed form, asks
 `formulas.i000_rhs` itself whether the closed form is defined.
 """
@@ -12,6 +18,8 @@ violated system block, e.g. "ine1[s=1,r=2,upper]" or "ine14[b1]".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from . import formulas
 from .errors import InvariantViolation, NoPath, PreconditionViolation
@@ -38,93 +46,102 @@ def _require_strict(k: KComposition):
         raise PreconditionViolation(f"composition {k.parts} must be strictly decreasing")
 
 
-def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
-    """Check the full inequality system for a strictly decreasing k."""
-    _require_strict(k)
-    n = k.n
-    kp = (0,) + k.parts + (0,)  # kp[i] = k_i, with k_0 = k_{n+1} = 0
-    if pt.n != n:
-        raise PreconditionViolation(f"b has length {pt.n}, composition has n={n}")
-    a, b, c = pt.a, pt.b, pt.c
-    p = ctx.p
-    bad: list[str] = []
-    if a < 1 or c < 1 or any(x < 1 for x in b):
-        bad.append("positivity")
+@lru_cache(maxsize=1024)
+def _b_system(parts: tuple[int, ...], a: int, c: int,
+              p: int) -> tuple[tuple[str, int, int, int | None, int | None], ...]:
+    """The b-part of the inequality system of k = `parts` at fixed (a, c).
+
+    Entry (identifier, s, r, lo, hi) means lo <= b_s + ... + b_r <= hi, with
+    None for an open side.  In report order: b_i >= 1 (reported as
+    "positivity"), ine1 for every s <= r, ine2 for every 2 <= s <= r, ine13
+    (s = 1, a moved into the constants) for every r, and ine14[b1] last.
+    """
+    n = len(parts)
+    kp = (0,) + parts + (0,)  # kp[i] = k_i, with k_0 = k_{n+1} = 0
+    system = [("positivity", i, i, 1, None) for i in range(1, n + 1)]
     for s in range(1, n + 1):
         for r in range(s, n + 1):
-            bsum = sum(b[s - 1:r])
-            if not 0 <= (r - s) + bsum + (s - r) * c:
-                bad.append(f"ine1[s={s},r={r},lower]")
-            if not (r - s) + bsum + (kp[r] - kp[r + 1] + s - r - 1) * c <= p - 1:
-                bad.append(f"ine1[s={s},r={r},upper]")
+            system += [(f"ine1[s={s},r={r},lower]", s, r, (r - s) * (c - 1), None),
+                       (f"ine1[s={s},r={r},upper]", s, r, None,
+                        p - 1 - (r - s) - (kp[r] - kp[r + 1] + s - r - 1) * c)]
     for s in range(2, n + 1):
         for r in range(s, n + 1):
-            bsum = sum(b[s - 1:r])
-            base = (r - s + 1) + bsum
-            if not 0 <= base + (s - r + kp[s] - kp[s - 1] - 1) * c:
-                bad.append(f"ine2[s={s},r={r},lower]")
-            if not base + (s - r + kp[r] - kp[r + 1] + kp[s] - kp[s - 1] - 2) * c <= p - 1:
-                bad.append(f"ine2[s={s},r={r},upper]")
+            ks = kp[s] - kp[s - 1]
+            system += [(f"ine2[s={s},r={r},lower]", s, r,
+                        -(r - s + 1) - (s - r + ks - 1) * c, None),
+                       (f"ine2[s={s},r={r},upper]", s, r, None,
+                        p - 1 - (r - s + 1) - (s - r + kp[r] - kp[r + 1] + ks - 2) * c)]
     for r in range(1, n + 1):
-        bsum = sum(b[:r])
-        if not p <= r + a + bsum + (kp[1] - r) * c:
-            bad.append(f"ine13[r={r},lower]")
-        if not r + a + bsum + (kp[r] - kp[r + 1] + kp[1] - r - 1) * c < 2 * p:
-            bad.append(f"ine13[r={r},upper]")
-    if not a + (kp[1] - 1) * c < p - 1:
-        bad.append("ine14[a]")
-    if not b[0] >= p - 1 - (a + (kp[1] - 1) * c):
-        bad.append("ine14[b1]")
-    if not 0 < kp[1] * c < p:
-        bad.append("ine14[kc]")
-    return AdmissibilityReport(not bad, tuple(bad))
+        system += [(f"ine13[r={r},lower]", 1, r, p - r - a - (kp[1] - r) * c, None),
+                   (f"ine13[r={r},upper]", 1, r, None,
+                    2 * p - 1 - r - a - (kp[r] - kp[r + 1] + kp[1] - r - 1) * c)]
+    system.append(("ine14[b1]", 1, 1, p - 1 - (a + (kp[1] - 1) * c), None))
+    return tuple(system)
 
 
-def lower_bounds(k: KComposition, a: int, c: int, ctx: FpContext) -> tuple[int, ...]:
-    """Least possible b_i at fixed (a, c): the floor every admissible point sits on."""
+def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
+    """Check the full inequality system for a strictly decreasing k: the
+    `_b_system` entries, plus a, c >= 1, ine14[a] and ine14[kc]."""
     _require_strict(k)
-    first = ctx.p - 1 - (a + (k.part(1) - 1) * c)
-    rest = [(k.part(i - 1) - k.part(i) + 1) * c - 1 for i in range(2, k.n + 1)]
-    return (max(first, 1),) + tuple(max(x, 1) for x in rest)
+    if pt.n != k.n:
+        raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
+    a, c, p, k1 = pt.a, pt.c, ctx.p, k.part(1)
+    sums = (0,) + tuple(accumulate(pt.b))  # sums[r] = b_1 + ... + b_r
+    bad = [name for name, s, r, lo, hi in _b_system(k.parts, a, c, p)
+           if not (lo is None or lo <= sums[r] - sums[s - 1])
+           or not (hi is None or sums[r] - sums[s - 1] <= hi)]
+    if a < 1 or c < 1:
+        bad.insert(0, "positivity")
+    if not a + (k1 - 1) * c < p - 1:  # reported before ine14[b1], the table's last entry
+        bad.insert(len(bad) - (bad[-1:] == ["ine14[b1]"]), "ine14[a]")
+    if not 0 < k1 * c < p:
+        bad.append("ine14[kc]")
+    bad = tuple(dict.fromkeys(bad))  # one "positivity", however many variables trip it
+    return AdmissibilityReport(not bad, bad)
+
+
+def _b_tuples(system, n: int) -> list[tuple[int, ...]]:
+    """Every (b_1, ..., b_n) within all entries of `system` (a `_b_system`
+    table), in lexicographic order.  b_r is picked after b_1, ..., b_{r-1}:
+    each entry ending at r leaves it an interval, and it runs over their
+    intersection, which is finite by b_r >= 1 and ine1[s=r,r=r,upper]."""
+    prefixes: list[tuple[int, ...]] = [()]
+    for r in range(1, n + 1):
+        ends = [(s, lo, hi) for _, s, end, lo, hi in system if end == r]
+        prefixes = [b + (x,) for b in prefixes for x in range(
+            max(lo - sum(b[s - 1:]) for s, lo, _ in ends if lo is not None),
+            min(hi - sum(b[s - 1:]) for s, _, hi in ends if hi is not None) + 1)]
+    return prefixes
 
 
 def enumerate_admissible(k: KComposition, ctx: FpContext,
                          limit: int | None = None) -> list[ParamPoint]:
     """All admissible points, in lexicographic (a, b_1, ..., b_n, c) order.
 
-    The inequality system itself bounds the search: each b_i <= p-1 (from
-    the s = r case of the first block), c <= (p-1)/k_1, and
-    a <= p-2 - (k_1-1)c.  Points are collected per-a and sorted, so pruning
-    by the c-dependent lower bounds cannot disturb the output order.  With
-    `limit`, only the first `limit` points (limit >= 0).
+    a and c run over the a/c-only conditions: c <= (p-1)/k_1 (ine14[kc])
+    and a + (k_1-1)c < p-1 (ine14[a]).  At each (a, c), `_b_tuples` walks
+    the intervals of the `_b_system` table, which emits exactly the
+    admissible b.  Points are collected per a and sorted by (b, c).  With
+    `limit`, only the first `limit` points (limit >= 0).  Every returned
+    point still goes through `is_admissible`; a failure is a fault of the
+    walk and raises InvariantViolation.
     """
     _require_strict(k)
     if limit is not None and limit < 0:
         raise PreconditionViolation(f"limit must be at least 0, got {limit}")
-    p = ctx.p
+    p, k1 = ctx.p, k.part(1)
     out: list[ParamPoint] = []
-    c_max = (p - 1) // k.part(1)
-    for a in range(1, max(p - 1 - (k.part(1) - 1), 1)):
-        batch: list[tuple] = []
-        for c in range(1, c_max + 1):
-            if a + (k.part(1) - 1) * c >= p - 1:
-                continue
-            lows = lower_bounds(k, a, c, ctx)
-            highs = tuple(p - 1 - (k.part(i) - k.part(i + 1) - 1) * c
-                          for i in range(1, k.n + 1))
-            def rec(i: int, prefix: tuple):
-                if i == k.n:
-                    pt = ParamPoint(a, prefix, c)
-                    if is_admissible(k, pt, ctx):
-                        batch.append((prefix, c, pt))
-                    return
-                for bi in range(lows[i], highs[i] + 1):
-                    rec(i + 1, prefix + (bi,))
-            rec(0, ())
-        batch.sort(key=lambda item: (item[0], item[1]))
-        out += [pt for _, _, pt in batch]
+    for a in range(1, max(p - 1 - (k1 - 1), 1)):
+        batch = [(b, c) for c in range(1, (p - 1) // k1 + 1) if a + (k1 - 1) * c < p - 1
+                 for b in _b_tuples(_b_system(k.parts, a, c, p), k.n)]
+        out += [ParamPoint(a, b, c) for b, c in sorted(batch)]
         if limit is not None and len(out) >= limit:
-            return out[:limit]
+            out = out[:limit]
+            break
+    for pt in out:
+        report = is_admissible(k, pt, ctx)
+        if not report.admissible:
+            raise InvariantViolation(f"enumerated point {pt} violates {report.violated}")
     return out
 
 

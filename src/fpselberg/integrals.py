@@ -29,9 +29,10 @@ nonzero slots, as a `mpoly.SparseBlock` (5 697 of 3 341 637 for that block
 at c=1; see `_BlockCache`); no dense block is ever allocated.  Per point,
 the value is carried along the chain (`_chain`) as a polynomial in one
 group: multiply each axis by its variable's weight row, the coefficients of
-x^alpha (1-x)^beta (Lucas binomials, so beta >= p works), reverse it, and
-contract it with the sparse block, which leaves the coefficient of x^T in
-group i as a polynomial in group i+1.  After block n only the number is
+x^alpha (1-x)^beta (Lucas binomials, so beta >= p works; group 1 is just
+the outer product of its rows), reverse it, and contract it with the sparse
+block, which leaves the coefficient of x^T in group i as a polynomial in
+group i+1.  After block n only the number is
 left.  A module-level cache holds the blocks of one (p, c); asking for
 another (p, c) drops them, so callers that evaluate many points should visit
 them grouped by c, as `harness.run_campaign` does.
@@ -315,17 +316,22 @@ def _chain(k: KComposition, c: int, ctx: FpContext, rows: list[list[np.ndarray]]
            lowered: frozenset[LinearForm] = frozenset()) -> FpElement:
     """The integral over cycle_from_composition(k) of the pair factors of k
     times rows[i-1][j](x) for the j-th variable x of each group i, along the
-    group chain (module docstring); `lowered` goes to block 1.
+    group chain (module docstring); `lowered` goes to block 1.  Group 1
+    starts as the outer product of its rows, reduced mod p after each step,
+    so each slot holds one product of two residues; later groups multiply
+    the carried polynomial by their rows along its axes.
 
     Raises CapacityExceeded exactly when the target box exceeds the slot
     budget; every block and every group polynomial is a sub-box of it.
     """
     _check_target_box(cycle_from_composition(k).targets(ctx.p))
     p = ctx.p
-    value = np.zeros((_group_cap(k, 1, p) + 1,) * k.part(1), dtype=np.int64)
-    value[(0,) * k.part(1)] = 1
+    value = rows[0][0]
+    for row in rows[0][1:]:
+        value = np.multiply.outer(value, row) % p
     for i in range(1, k.n + 1):
-        value = mpoly.multiply_along_axes(value, rows[i - 1], p)
+        if i > 1:
+            value = mpoly.multiply_along_axes(value, rows[i - 1], p)
         block = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
         value = mpoly.contract(np.flip(value).reshape(-1), block, p)
         value = value.reshape((_group_cap(k, i + 1, p) + 1,) * k.part(i + 1))

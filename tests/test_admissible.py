@@ -6,7 +6,7 @@ from fpselberg import admissible
 from fpselberg.admissible import (AdmissibilityReport, decrement_path,
                                   distinguished_point, enumerate_admissible,
                                   enumerate_admissible_I, is_admissible,
-                                  is_admissible_I, lower_bounds)
+                                  is_admissible_I)
 from fpselberg.errors import InvariantViolation, PreconditionViolation
 from fpselberg.formulas import r_value
 from fpselberg.gf import FpContext
@@ -47,25 +47,76 @@ def test_enumeration_order_and_limit():
         enumerate_admissible(KComposition((1,)), ctx, limit=-3)
 
 
+# Full reports: together they trip every identifier family (positivity, ine1 and ine2 lower
+# and upper, ine13 lower and upper, ine14[a], ine14[b1], ine14[kc]) for each
+# composition, so a renamed, reordered or dropped identifier fails.
+PINNED_VIOLATIONS = [
+    ((2, 1), 7, (3, (8, 2), 5),
+     ("ine1[s=1,r=1,upper]", "ine2[s=2,r=2,lower]", "ine13[r=1,upper]",
+      "ine13[r=2,upper]", "ine14[a]", "ine14[kc]")),
+    ((2, 1), 7, (2, (1, 0), 3),
+     ("positivity", "ine1[s=1,r=2,lower]", "ine2[s=2,r=2,lower]", "ine13[r=2,lower]")),
+    ((2, 1), 7, (3, (10, 14), 3),
+     ("ine1[s=1,r=1,upper]", "ine1[s=1,r=2,upper]", "ine1[s=2,r=2,upper]",
+      "ine2[s=2,r=2,upper]", "ine13[r=1,upper]", "ine13[r=2,upper]", "ine14[a]")),
+    ((2, 1), 7, (2, (1, 0), 1),
+     ("positivity", "ine2[s=2,r=2,lower]", "ine13[r=1,lower]", "ine13[r=2,lower]",
+      "ine14[b1]")),
+    ((2, 1), 7, (1, (1, 2), 1), ("ine13[r=1,lower]", "ine13[r=2,lower]", "ine14[b1]")),
+    ((2, 1), 11, (2, (5, 5), 3), ()),
+    ((3, 2, 1), 11, (5, (16, 7, 22), 4),
+     ("ine1[s=1,r=1,upper]", "ine1[s=1,r=2,upper]", "ine1[s=1,r=3,upper]",
+      "ine1[s=2,r=3,upper]", "ine1[s=3,r=3,upper]", "ine2[s=2,r=3,upper]",
+      "ine2[s=3,r=3,upper]", "ine13[r=1,upper]", "ine13[r=2,upper]",
+      "ine13[r=3,upper]", "ine14[a]", "ine14[kc]")),
+    ((3, 2, 1), 11, (1, (8, 3, 3), 10),
+     ("ine1[s=1,r=3,lower]", "ine1[s=2,r=3,lower]", "ine2[s=2,r=2,lower]",
+      "ine2[s=2,r=3,lower]", "ine2[s=3,r=3,lower]", "ine13[r=1,upper]",
+      "ine13[r=2,upper]", "ine14[a]", "ine14[kc]")),
+    ((3, 2, 1), 11, (20, (3, 0, 18), 10),
+     ("positivity", "ine1[s=1,r=2,lower]", "ine1[s=3,r=3,upper]",
+      "ine2[s=2,r=2,lower]", "ine2[s=2,r=3,lower]", "ine2[s=3,r=3,lower]",
+      "ine13[r=1,upper]", "ine13[r=2,upper]", "ine13[r=3,upper]", "ine14[a]",
+      "ine14[kc]")),
+    ((3, 2, 1), 11, (0, (3, 7, 16), 2),
+     ("positivity", "ine1[s=1,r=3,upper]", "ine1[s=2,r=3,upper]",
+      "ine1[s=3,r=3,upper]", "ine2[s=2,r=3,upper]", "ine2[s=3,r=3,upper]",
+      "ine13[r=1,lower]", "ine13[r=3,upper]", "ine14[b1]")),
+    ((4, 3, 2, 1), 13, (26, (1, 12, 26, 16), 8),
+     ("ine1[s=1,r=3,upper]", "ine1[s=1,r=4,upper]", "ine1[s=2,r=3,upper]",
+      "ine1[s=2,r=4,upper]", "ine1[s=3,r=3,upper]", "ine1[s=3,r=4,upper]",
+      "ine1[s=4,r=4,upper]", "ine2[s=2,r=2,lower]", "ine2[s=2,r=3,upper]",
+      "ine2[s=2,r=4,upper]", "ine2[s=3,r=4,upper]", "ine13[r=1,upper]",
+      "ine13[r=2,upper]", "ine13[r=3,upper]", "ine13[r=4,upper]", "ine14[a]",
+      "ine14[kc]")),
+    ((4, 3, 2, 1), 13, (11, (0, 7, 11, 13), 9),
+     ("positivity", "ine1[s=1,r=2,lower]", "ine1[s=2,r=4,upper]",
+      "ine1[s=3,r=4,upper]", "ine1[s=4,r=4,upper]", "ine2[s=2,r=2,lower]",
+      "ine2[s=2,r=3,lower]", "ine2[s=2,r=4,lower]", "ine2[s=3,r=3,lower]",
+      "ine2[s=3,r=4,lower]", "ine2[s=4,r=4,lower]", "ine13[r=1,upper]",
+      "ine13[r=2,upper]", "ine13[r=3,upper]", "ine13[r=4,upper]", "ine14[a]",
+      "ine14[kc]")),
+    ((4, 3, 2, 1), 13, (1, (3, 3, 0, 21), 2),
+     ("positivity", "ine1[s=1,r=4,upper]", "ine1[s=2,r=4,upper]",
+      "ine1[s=3,r=4,upper]", "ine1[s=4,r=4,upper]", "ine2[s=2,r=3,lower]",
+      "ine2[s=2,r=4,upper]", "ine2[s=3,r=3,lower]", "ine2[s=3,r=4,upper]",
+      "ine2[s=4,r=4,upper]", "ine13[r=1,lower]", "ine13[r=3,lower]",
+      "ine13[r=4,upper]", "ine14[b1]")),
+]
+
+
 def test_violation_identifiers():
-    ctx = FpContext(7)
-    k = KComposition((2, 1))
-    # b1 far below its floor trips the first-block and 13-block lower bounds
-    rep = is_admissible(k, ParamPoint(1, (1, 2), 1), ctx)
-    assert not rep
-    assert any(v.startswith("ine13[") or v == "ine14[b1]" for v in rep.violated)
-    rep2 = is_admissible(k, ParamPoint(0, (1, 1), 1), ctx)
-    assert "positivity" in rep2.violated
+    for kparts, p, (a, b, c), violated in PINNED_VIOLATIONS:
+        rep = is_admissible(KComposition(kparts), ParamPoint(a, b, c), FpContext(p))
+        assert rep.violated == violated, (kparts, p, (a, b, c))
+        assert bool(rep) == (not violated)
 
 
-def test_every_enumerated_point_is_admissible_and_above_floors():
+def test_every_enumerated_point_is_admissible():
     ctx = FpContext(7)
     for k in (KComposition((2, 1)), KComposition((3, 1)), KComposition((3, 2))):
-        pts = enumerate_admissible(k, ctx)
-        for pt in pts:
+        for pt in enumerate_admissible(k, ctx):
             assert is_admissible(k, pt, ctx)
-            lows = lower_bounds(k, pt.a, pt.c, ctx)
-            assert all(b >= lo for b, lo in zip(pt.b, lows))
 
 
 @pytest.mark.parametrize("kparts,p", [
@@ -74,17 +125,67 @@ def test_every_enumerated_point_is_admissible_and_above_floors():
 ])
 def test_admissible_iff_closed_form_defined(kparts, p):
     # the inequality system is exactly "every factorial argument of the
-    # closed form lies in [0,p)" plus a+(k1-1)c < p-1, over positive tuples
+    # closed form lies in [0,p)" plus a+(k1-1)c < p-1, over positive tuples;
+    # the enumeration emits exactly the points of the box that pass it
     ctx = FpContext(p)
     k = KComposition(kparts)
+    passed = []
     for a in range(1, 2 * p - 1):
-        for c in range(1, 2 * p - 1):
-            for b in product(range(1, 2 * p - 1), repeat=k.n):
+        for b in product(range(1, 2 * p - 1), repeat=k.n):
+            for c in range(1, 2 * p - 1):
                 pt = ParamPoint(a, b, c)
                 direct = bool(is_admissible(k, pt, ctx))
                 via_formula = (r_value(k, pt, ctx).ok
                                and a + (k.part(1) - 1) * c < p - 1)
                 assert direct == via_formula
+                if direct:
+                    passed.append(pt)
+    assert enumerate_admissible(k, ctx) == passed
+
+
+@pytest.mark.parametrize("kparts,p", [((3, 2, 1), 7), ((4, 3, 2, 1), 5), ((4, 3, 2, 1), 7)])
+def test_enumeration_equals_box_filter(kparts, p):
+    # the box a, c, b_i in 1..2p-2 holds every admissible point; an (a, c)
+    # that fails ine14[a] or ine14[kc] fails whatever b is, so only the other
+    # (a, c) are swept over the whole b box ((4,3,2,1) at p=5 has none)
+    ctx = FpContext(p)
+    k = KComposition(kparts)
+    rng = range(1, 2 * p - 1)
+    pairs = [(a, c) for a in rng for c in rng
+             if not {"ine14[a]", "ine14[kc]"} & set(
+                 is_admissible(k, ParamPoint(a, (1,) * k.n, c), ctx).violated)]
+    passed = sorted(((a, b, c) for a, c in pairs for b in product(rng, repeat=k.n)
+                     if is_admissible(k, ParamPoint(a, b, c), ctx)))
+    assert [(pt.a, pt.b, pt.c) for pt in enumerate_admissible(k, ctx)] == passed
+
+
+@pytest.mark.parametrize("kparts", [(3, 2, 1), (4, 3, 2, 1)])
+def test_enumeration_checks_each_point_once(monkeypatch, kparts):
+    # the interval walk emits only admissible points, so is_admissible runs
+    # once per returned point and never on a rejected candidate
+    calls = []
+    real = admissible.is_admissible
+
+    def counting(k, pt, ctx):
+        calls.append(pt)
+        return real(k, pt, ctx)
+
+    monkeypatch.setattr(admissible, "is_admissible", counting)
+    pts = enumerate_admissible(KComposition(kparts), FpContext(11))
+    assert pts and calls == pts
+
+
+def test_enumeration_raises_when_a_point_is_not_admissible(monkeypatch):
+    k, ctx = KComposition((3, 2, 1)), FpContext(11)
+    victim = enumerate_admissible(k, ctx)[100]
+    real = admissible.is_admissible
+
+    def rejecting(k, pt, ctx):
+        return AdmissibilityReport(False, ("forced",)) if pt == victim else real(k, pt, ctx)
+
+    monkeypatch.setattr(admissible, "is_admissible", rejecting)
+    with pytest.raises(InvariantViolation):
+        enumerate_admissible(k, ctx)
 
 
 def test_distinguished_point_values():
