@@ -4,13 +4,11 @@ by closed form (or recurrence factors), exact equality only.
 `_CAMPAIGNS` holds one entry per campaign: its key list (and reported total;
 `_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
 that returns (lhs, rhs, mismatch classifier) or raises `_Skip`, the
-composition length it needs, and the JSON form of a key.  `_outcome` turns
-every check into a skip, a pass or a failure, sequentially or in the jobs > 1
-pool.  Points run grouped by that JSON form's "c", because `selberg_integral`
-and `weighted_integral` cache the pair blocks of one (p, c) at a time;
-failures are reported in key order.  Checks look up integrals, `formulas.*`
-and `adm.*` by module attribute at call time, so code that patches those
-attributes sees every call.
+composition length it needs, and the JSON form of a key in a failure
+record.  `_outcome` turns every check into a skip, a pass or a failure, in
+key order, sequentially or in the jobs > 1 pool.  Checks look up
+integrals, `formulas.*` and `adm.*` by module attribute at call time, so
+code that patches those attributes sees every call.
 """
 
 from __future__ import annotations
@@ -360,7 +358,7 @@ class _Campaign:
     keys: Callable        # (spec, ctx) -> (total, keys)
     check: Callable       # (ctx, k, key) -> (lhs, rhs, classifier); raises _Skip
     k_len: int | None = None  # k needed: None no (induction: optional), 0 any, n length n
-    point: Callable = _point  # key -> {"a", "b", "c"}; "c" groups evaluation
+    point: Callable = _point  # key -> {"a", "b", "c"} of a failure record
 
 
 _CAMPAIGNS = {
@@ -411,19 +409,16 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
         raise ValueError(f"campaign {spec.campaign} takes no composition k, got {spec.k}")
     t0 = time.monotonic()
     total, keys = entry.keys(spec, ctx)
-    order = sorted(range(len(keys)), key=lambda i: entry.point(keys[i])["c"] or 0)
-    args = (repeat(spec.campaign), repeat(ctx), repeat(spec.k), (keys[i] for i in order))
+    args = (repeat(spec.campaign), repeat(ctx), repeat(spec.k), keys)
     if spec.jobs > 1:
         # imported here: the pool machinery costs about a tenth of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            grouped = list(pool.map(_outcome, *args, chunksize=8))
+            outcomes = list(pool.map(_outcome, *args, chunksize=8))
     else:
-        grouped = list(map(_outcome, *args))
-    # failures in key order
-    failures = [record for _, (status, record) in sorted(zip(order, grouped))
-                if status == "fail"]
-    checked = len(keys) - sum(status == "skip" for status, _ in grouped)
+        outcomes = list(map(_outcome, *args))
+    failures = [record for status, record in outcomes if status == "fail"]
+    checked = len(keys) - sum(status == "skip" for status, _ in outcomes)
     return VerificationReport(
         campaign=spec.campaign, p=spec.p, k=spec.k,
         total=total, checked=checked, passed=checked - len(failures), skipped=total - checked,

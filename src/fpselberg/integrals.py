@@ -32,10 +32,9 @@ group: multiply each axis by its variable's weight row, the coefficients of
 x^alpha (1-x)^beta (Lucas binomials, so beta >= p works; group 1 is just
 the outer product of its rows), reverse it, and contract it with the sparse
 block, which leaves the coefficient of x^T in group i as a polynomial in
-group i+1.  After block n only the number is
-left.  A module-level cache holds the blocks of one (p, c); asking for
-another (p, c) drops them, so callers that evaluate many points should visit
-them grouped by c, as `harness.run_campaign` does.
+group i+1.  After block n only the number is left.  A module-level cache
+holds the blocks built for the prime last asked for, of every c; asking
+for another prime drops them, so points may be evaluated in any order.
 
 Both integrals run on the same blocks.  `selberg_integral` gives every
 variable of group i the row x^a (1-x)^{b_1} (group 1) or (1-x)^{b_i}.
@@ -243,11 +242,11 @@ def _dehomogenized(factors: list[tuple[LinearForm, int]],
 
 
 class _BlockCache:
-    """Sparse pair blocks of one (p, c), keyed by (k_{i-1}, k_i, k_{i+1})
+    """Sparse pair blocks of one prime, keyed by (k_{i-1}, k_i, k_{i+1}, c)
     and the lowered pairs.
 
-    Holding one (p, c) bounds memory: the blocks of another c are dropped
-    before any of the new ones is built.
+    Memory is bounded by the blocks built for the prime last asked for: the
+    blocks of another prime are dropped before any of the new ones is built.
 
     A block is a product of differences, so it is homogeneous of degree D,
     the sum of its exponents.  It is expanded with its last variable set to
@@ -261,7 +260,7 @@ class _BlockCache:
     """
 
     def __init__(self):
-        self._pc: tuple[int, int] | None = None
+        self._p: int | None = None
         self._blocks: dict[tuple, mpoly.SparseBlock] = {}
 
     def block(self, k: KComposition, i: int, c: int, ctx: FpContext,
@@ -269,9 +268,9 @@ class _BlockCache:
         """Block i as a matrix of the flat group-i slots times the flat
         group-(i+1) slots; the pair factors in `lowered` are one lower."""
         p = ctx.p
-        if self._pc != (p, c):
-            self._pc, self._blocks = (p, c), {}
-        key = (k.part(i - 1), k.part(i), k.part(i + 1), lowered)
+        if self._p != p:
+            self._p, self._blocks = p, {}
+        key = (k.part(i - 1), k.part(i), k.part(i + 1), c, lowered)
         if key not in self._blocks:
             sizes = (k.part(i), k.part(i + 1))
             caps = (_group_cap(k, i, p),) * sizes[0] + (_group_cap(k, i + 1, p),) * sizes[1]

@@ -104,6 +104,9 @@ def test_parallel_matches_sequential():
     CampaignSpec("main", 7, (2, 1)),
     CampaignSpec("induction", 7),
     CampaignSpec("relations_S1S2", 7, (2, 1)),
+    # key order interleaves c values and the weighted blocks' lowered pairs
+    CampaignSpec("relations_II0", 7, (2, 1)),
+    CampaignSpec("i000", 7, (2, 1)),
 ])
 def test_parallel_matches_sequential_on_selberg_campaigns(spec):
     seq = run_campaign(spec).as_dict()
@@ -112,9 +115,9 @@ def test_parallel_matches_sequential_on_selberg_campaigns(spec):
     assert seq == par
 
 
-def test_tasks_run_grouped_by_c(monkeypatch):
-    # thm_3_11 keys vary c fastest; evaluation visits them sorted by c
-    # (stably) and the report folds the outcomes back into key order
+def test_tasks_run_in_key_order(monkeypatch):
+    # thm_3_11 keys vary c fastest; the block cache keeps every c of the
+    # prime, so evaluation follows the key list as it is
     seen = []
     entry = harness._CAMPAIGNS["thm_3_11"]
 
@@ -127,8 +130,7 @@ def test_tasks_run_grouped_by_c(monkeypatch):
                         dataclasses.replace(entry, check=recording))
     got = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
     _, keys = entry.keys(CampaignSpec("thm_3_11", 5), FpContext(5))
-    assert seen == sorted(keys, key=lambda key: key[2])
-    assert seen != keys
+    assert seen == keys
     expect.pop("elapsed_ms"), got.pop("elapsed_ms")
     assert got == expect
 

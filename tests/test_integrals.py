@@ -214,8 +214,8 @@ def test_dehomogenized_blocks_match_full_box_expansion(monkeypatch, p):
 
     monkeypatch.setattr(mpoly, "expand", recording_expand)
     keys = set()
+    cache = integrals._BlockCache()  # one cache: blocks of every c coexist
     for c in range(1, p + 1):  # c = p: no cross factors
-        cache = integrals._BlockCache()
         for parts in [(1,), (1, 1), (1, 1, 1), (2, 1), (3, 1), (3, 2), (3, 2, 1)]:
             k = KComposition(parts)
             for i in range(1, k.n + 1):
@@ -274,6 +274,38 @@ def test_selberg_and_weighted_integrals_share_their_blocks(monkeypatch):
     weighted = weighted_integral(3, 2, AllowableTriple(0, 2, 0), ParamPoint(2, (3, 2), 2), ctx)
     assert expanded_axes == [4, 1]
     assert weighted == selberg
+
+
+def test_blocks_are_built_once_per_prime_in_any_point_order(monkeypatch):
+    # enumeration order varies c fastest (59 changes of c over (3,2) at
+    # p=11); the cache keeps every block of the prime, so each
+    # (k_{i-1}, k_i, k_{i+1}, c, lowered) block is built once
+    ctx = FpContext(11)
+    expanded_axes = []
+    expand = mpoly.expand
+
+    def recording_expand(fp, caps):
+        expanded_axes.append(len(caps))
+        return expand(fp, caps)
+
+    monkeypatch.setattr(mpoly, "expand", recording_expand)
+    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+    k = KComposition((3, 2))
+    points = list(enumerate_admissible(k, ctx))
+    for pt in points:
+        selberg_integral(k, pt, ctx)
+        for i in range(3):
+            weighted_integral(3, 2, AllowableTriple(0, i, 0), pt, ctx)
+    # per c: block 1 with two, one or no lowered pairs (I_{0,0,0}, I_{0,1,0},
+    # and I_{0,2,0} on Selberg's), and block 2, expanded over one axis
+    cs = {pt.c for pt in points}
+    assert len(cs) == 3
+    assert sorted(expanded_axes) == sorted([4, 4, 4, 1] * len(cs))
+    # the blocks of one prime only: evaluating at p=7 drops those of p=11
+    expanded_axes.clear()
+    selberg_integral(k, ParamPoint(1, (1, 1), 1), FpContext(7))
+    selberg_integral(k, points[0], ctx)
+    assert expanded_axes == [4, 1, 4, 1]
 
 
 def test_block_build_requires_difference_factors(monkeypatch):

@@ -24,6 +24,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_block_cache_policy_stays_in_integrals():
+    # which blocks are kept, and so in what order points may be evaluated,
+    # is decided in integrals alone; no other module may reach the cache
+    cache_names = {"_BLOCKS", "_BlockCache"}
+    found = []
+    for path in SOURCES:
+        if path.name == "integrals.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & cache_names]
+    assert found == []
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # numpy is the one declared dependency; no path may quietly need another
     allowed = set(sys.stdlib_module_names) | {"numpy", "fpselberg"}
