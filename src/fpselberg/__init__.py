@@ -19,8 +19,8 @@ from .gf import FpContext, FpElement, checked_factorial, sign_pow, wilson_cancel
 from .harness import CampaignSpec, VerificationReport, bench, run_campaign
 from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,
                         WeightSummand, cycle_from_composition, fp_integral,
-                        master_polynomial, selberg_integral, weight_summands,
-                        weighted_integral)
+                        master_polynomial, selberg_integral, selberg_integrals,
+                        weight_summands, weighted_integral)
 from .mpoly import (FactorProduct, LinearForm, TruncatedPoly, derivative, expand,
                     extract_coefficient, slot_budget, sparse_expand_oracle)
 

@@ -3,9 +3,14 @@ by closed form (or recurrence factors), exact equality only.
 
 `_CAMPAIGNS` holds one entry per campaign: its key list (and reported total;
 `_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
-that returns (lhs, rhs, mismatch classifier) or raises `_Skip`, the
-composition length it needs, and the JSON form of a key in a failure
-record.  `_outcome` turns every check into a skip, a pass or a failure, in
+that takes a list of keys and returns one result per key, (lhs, rhs,
+mismatch classifier) or a `_Skip`, the composition length it needs, and the
+JSON form of a key in a failure record.  Campaigns checked key by key go
+through one adapter, `_per_key`; `main`, `thm_3_11`, `thm_4_111` and
+`relations_S1S2` take all the Selberg integrals of their list from one
+`selberg_integrals` call, which evaluates them in batches.  `run_campaign`
+splits the keys into contiguous chunks of at most CHUNK_KEYS, and
+`_outcome` turns each chunk's results into skips, passes and failures, in
 key order, sequentially or in the jobs > 1 pool.  Checks look up
 integrals, `formulas.*` and `adm.*` by module attribute at call time, so
 code that patches those attributes sees every call.
@@ -25,7 +30,8 @@ from .errors import CapacityExceeded, ZeroFactor
 from .gf import FpContext, sign_pow
 from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm,
                         ParamPoint, PCycle, cycle_from_composition, fp_integral,
-                        master_polynomial, selberg_integral, weighted_integral)
+                        master_polynomial, selberg_integral, selberg_integrals,
+                        weighted_integral)
 
 _INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
@@ -85,19 +91,49 @@ class _Skip(Exception):
     """A check's point lies outside its identity's domain or cannot be computed."""
 
 
-def _value(result: formulas.FormulaResult):
-    """A closed form's value, or a skip where it is undefined."""
-    if not result.ok:
-        raise _Skip(result.error)
-    return result.value
-
-
 def _lowered(pt: ParamPoint, idx: int) -> ParamPoint:
     """pt with b_{idx+1} one lower."""
     return ParamPoint(pt.a, pt.b[:idx] + (pt.b[idx] - 1,) + pt.b[idx + 1:], pt.c)
 
 
-# point checks: (ctx, k, key) -> (lhs, rhs, classifier of a mismatch)
+# Point checks, (ctx, k, key) -> (lhs, rhs, classifier of a mismatch), raise
+# _Skip; `_per_key` makes one a check of a key list.  The checks of a key
+# list, (ctx, k, keys) -> one (lhs, rhs, classifier) or _Skip per key in key
+# order, take their Selberg integrals from one `selberg_integrals` call.
+
+def _per_key(check: Callable) -> Callable:
+    """The key-list check that runs a point check on each key."""
+    def checks(ctx, k, keys):
+        results = []
+        for key in keys:
+            try:
+                results.append(check(ctx, k, key))
+            except _Skip as skip:
+                # a fresh skip: the raised one's traceback holds the check's frames
+                results.append(_Skip(*skip.args))
+        return results
+    return checks
+
+
+def _closed(result: formulas.FormulaResult):
+    """A closed form's value, or the skip where it is undefined."""
+    return result.value if result.ok else _Skip(result.error)
+
+
+def _against_closed_forms(ctx, comp: KComposition, points: list[ParamPoint], rhs: list,
+                          capacity_skips: bool = False) -> list:
+    """(S(pt), rhs, "mismatch") at each point whose rhs is not a _Skip, the
+    skip at the others.  With capacity_skips, CapacityExceeded skips every
+    point."""
+    try:
+        values = iter(selberg_integrals(
+            comp, [pt for pt, r in zip(points, rhs) if not isinstance(r, _Skip)], ctx))
+    except CapacityExceeded as exc:
+        if not capacity_skips:
+            raise
+        return [_Skip(str(exc))] * len(points)
+    return [r if isinstance(r, _Skip) else (next(values), r, "mismatch") for r in rhs]
+
 
 def _beta_check(ctx, _k, key):
     a, b = key
@@ -128,23 +164,22 @@ def _dyson_check(ctx, _k, key):
             f"mismatch at k={kk}")
 
 
-def _main_check(ctx, k, key):
-    comp, pt = KComposition(k), ParamPoint(*key)
-    rhs = _value(formulas.r_value(comp, pt, ctx))
-    try:
-        lhs = selberg_integral(comp, pt, ctx)
-    except CapacityExceeded as exc:
-        raise _Skip(str(exc)) from None
-    return lhs, rhs, "mismatch"
+def _main_check(ctx, k, keys):
+    comp = KComposition(k)
+    points = [ParamPoint(*key) for key in keys]
+    rhs = [_closed(formulas.r_value(comp, pt, ctx)) for pt in points]
+    return _against_closed_forms(ctx, comp, points, rhs, capacity_skips=True)
 
 
-def _thm_check(ctx, _k, key):
-    """Theorems 3.11 and 4.111: k = (1, 1) or (1, 1, 1), one b per group."""
-    a, b, c = key
-    closed_form = formulas.rhs_3_11 if len(b) == 2 else formulas.rhs_4_111
-    rhs = _value(closed_form(a, *b, c, ctx))
-    lhs = selberg_integral(KComposition((1,) * len(b)), ParamPoint(a, b, c), ctx)
-    return lhs, rhs, "mismatch"
+def _thm(n: int) -> Callable:
+    """The check of Theorem 3.11 (n = 2) or 4.111 (n = 3): k = (1,)*n, one b
+    per group."""
+    def check(ctx, _k, keys):
+        closed_form = formulas.rhs_3_11 if n == 2 else formulas.rhs_4_111
+        rhs = [_closed(closed_form(a, *b, c, ctx)) for a, b, c in keys]
+        return _against_closed_forms(ctx, KComposition((1,) * n),
+                                     [ParamPoint(*key) for key in keys], rhs)
+    return check
 
 
 def _relations_is_check(ctx, k, key):
@@ -185,18 +220,18 @@ def _relations_b(idx: int) -> "_Campaign":
         tr = AllowableTriple(0, 0, 0)
         lhs = weighted_integral(k1, k2, tr, _lowered(pt, idx), ctx)
         return lhs, factor * weighted_integral(k1, k2, tr, pt, ctx), "mismatch"
-    return _Campaign(keys, check, 2)
+    return _Campaign(keys, _per_key(check), 2)
 
 
-def _relations_s1s2_check(ctx, k, key):
-    """One decrement edge: S(lower end) = shift factor * S(upper end)."""
-    hi_key, idx = key
-    comp, hi = KComposition(k), ParamPoint(*hi_key)
-    shift_factor = formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2
-    factor = shift_factor(k[0], k[1], hi, ctx)
-    lhs = selberg_integral(comp, _lowered(hi, idx), ctx)
-    rhs = factor * selberg_integral(comp, hi, ctx)
-    return lhs, rhs, f"edge b{idx + 1}-1 mismatch"
+def _relations_s1s2_check(ctx, k, keys):
+    """Decrement edges: S(lower end) = shift factor * S(upper end)."""
+    highs = [ParamPoint(*hi_key) for hi_key, _ in keys]
+    factors = [(formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
+        k[0], k[1], hi, ctx) for hi, (_, idx) in zip(highs, keys)]
+    lows = [_lowered(hi, idx) for hi, (_, idx) in zip(highs, keys)]
+    values = selberg_integrals(KComposition(k), lows + highs, ctx)
+    return [(lhs, factor * rhs, f"edge b{idx + 1}-1 mismatch")
+            for lhs, factor, rhs, (_, idx) in zip(values, factors, values[len(keys):], keys)]
 
 
 def _induction_check(ctx, _k, key):
@@ -217,7 +252,9 @@ def _induction_check(ctx, _k, key):
 def _i000_check(ctx, k, key):
     k1, k2 = k
     pt = ParamPoint(*key)
-    rhs = _value(formulas.i000_rhs(k1, k2, pt, ctx))
+    rhs = _closed(formulas.i000_rhs(k1, k2, pt, ctx))
+    if isinstance(rhs, _Skip):
+        raise rhs
     lhs = weighted_integral(k1, k2, AllowableTriple(0, 0, 0), pt, ctx)
     return lhs, rhs, "mismatch"
 
@@ -356,46 +393,54 @@ def _point(key) -> dict:
 @dataclass(frozen=True)
 class _Campaign:
     keys: Callable        # (spec, ctx) -> (total, keys)
-    check: Callable       # (ctx, k, key) -> (lhs, rhs, classifier); raises _Skip
+    check: Callable       # (ctx, k, keys) -> per key (lhs, rhs, classifier) or _Skip
     k_len: int | None = None  # k needed: None no (induction: optional), 0 any, n length n
     point: Callable = _point  # key -> {"a", "b", "c"} of a failure record
 
 
 _CAMPAIGNS = {
     "main": _Campaign(_main_keys, _main_check, 0),
-    "beta": _Campaign(_beta_keys, _beta_check,
+    "beta": _Campaign(_beta_keys, _per_key(_beta_check),
                       point=lambda key: {"a": key[0], "b": key[1], "c": None}),
-    "dyson": _Campaign(_dyson_keys, _dyson_check,
+    "dyson": _Campaign(_dyson_keys, _per_key(_dyson_check),
                        point=lambda key: {"a": None, "b": [key[0]], "c": key[1]}),
-    "thm_3_11": _Campaign(_thm_3_11_keys, _thm_check),
-    "thm_4_111": _Campaign(_thm_4_111_keys, _thm_check),
-    "relations_IS": _Campaign(_admissible_keys, _relations_is_check, 2),
-    "relations_II0": _Campaign(_admissible_keys, _relations_ii0_check, 2),
+    "thm_3_11": _Campaign(_thm_3_11_keys, _thm(2)),
+    "thm_4_111": _Campaign(_thm_4_111_keys, _thm(3)),
+    "relations_IS": _Campaign(_admissible_keys, _per_key(_relations_is_check), 2),
+    "relations_II0": _Campaign(_admissible_keys, _per_key(_relations_ii0_check), 2),
     "relations_B1": _relations_b(0),
     "relations_B2": _relations_b(1),
     "relations_S1S2": _Campaign(_relations_s1s2_keys, _relations_s1s2_check, 2,
                                 point=lambda key: _point(key[0])),
-    "induction": _Campaign(_induction_keys, _induction_check,
+    "induction": _Campaign(_induction_keys, _per_key(_induction_check),
                            point=lambda key: {"a": key[1], "b": None, "c": key[2]}),
-    "i000": _Campaign(_i000_keys, _i000_check, 2),
-    "stokes": _Campaign(_stokes_keys, _stokes_check,
+    "i000": _Campaign(_i000_keys, _per_key(_i000_check), 2),
+    "stokes": _Campaign(_stokes_keys, _per_key(_stokes_check),
                         point=lambda key: {"a": None, "b": None, "c": None}),
 }
 
 CAMPAIGNS = tuple(_CAMPAIGNS)
 
+# Checks run on contiguous chunks of the key list, of at most CHUNK_KEYS
+# keys, so that what a check holds per key stays bounded; the jobs > 1 pool
+# gets at least _CHUNKS_PER_JOB chunks per worker.
+_CHUNKS_PER_JOB = 4
+CHUNK_KEYS = 256
 
-def _outcome(campaign: str, ctx: FpContext, k, key) -> tuple[str, dict | None]:
-    """("skip", None), ("pass", None) or ("fail", failure record) for one point."""
+
+def _outcome(campaign: str, ctx: FpContext, k, keys) -> list[tuple[str, dict | None]]:
+    """Per key, ("skip", None), ("pass", None) or ("fail", failure record)."""
     entry = _CAMPAIGNS[campaign]
-    try:
-        lhs, rhs, classifier = entry.check(ctx, k, key)
-    except _Skip:
-        return "skip", None
-    if lhs == rhs:
-        return "pass", None
-    return "fail", {"point": entry.point(key), "lhs": lhs.residue, "rhs": rhs.residue,
-                    "classifier": classifier}
+    outcomes = []
+    for key, result in zip(keys, entry.check(ctx, k, keys), strict=True):
+        if isinstance(result, _Skip):
+            outcomes.append(("skip", None))
+            continue
+        lhs, rhs, classifier = result
+        outcomes.append(("pass", None) if lhs == rhs else (
+            "fail", {"point": entry.point(key), "lhs": lhs.residue, "rhs": rhs.residue,
+                     "classifier": classifier}))
+    return outcomes
 
 
 def run_campaign(spec: CampaignSpec) -> VerificationReport:
@@ -409,14 +454,19 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
         raise ValueError(f"campaign {spec.campaign} takes no composition k, got {spec.k}")
     t0 = time.monotonic()
     total, keys = entry.keys(spec, ctx)
-    args = (repeat(spec.campaign), repeat(ctx), repeat(spec.k), keys)
+    size = CHUNK_KEYS
+    if spec.jobs > 1:
+        size = max(1, min(size, -(-len(keys) // (_CHUNKS_PER_JOB * spec.jobs))))
+    chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
+    args = (repeat(spec.campaign), repeat(ctx), repeat(spec.k), chunks)
     if spec.jobs > 1:
         # imported here: the pool machinery costs about a tenth of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            outcomes = list(pool.map(_outcome, *args, chunksize=8))
+            results = list(pool.map(_outcome, *args))
     else:
-        outcomes = list(map(_outcome, *args))
+        results = list(map(_outcome, *args))
+    outcomes = [outcome for chunk in results for outcome in chunk]
     failures = [record for status, record in outcomes if status == "fail"]
     checked = len(keys) - sum(status == "skip" for status, _ in outcomes)
     return VerificationReport(

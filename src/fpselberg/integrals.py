@@ -11,7 +11,7 @@ with the j-th variable of group i at flat index k_1 + ... + k_{i-1} + j - 1.
 The cycle built by `cycle_from_composition` uses the same order, so exponent
 vectors and variable indices never need re-alignment.
 
-Neither `selberg_integral` nor `weighted_integral` expands the whole
+Neither `selberg_integrals` nor `weighted_integral` expands the whole
 integrand per point.  Only the one-variable factors depend on (a, b); the
 pair factors depend on (k, c, p) alone.  They are split along the group
 chain into blocks: block i spans groups i and i+1 and holds the cross
@@ -26,28 +26,34 @@ the coefficient at exponents g of those axes belongs at exponent D - |g| of
 the last one and is dropped when that falls outside its cap (3.3 M slots
 become 85.7 k for block 1 of (3,2) at p=13).  The cache stores only the
 nonzero slots, as a `mpoly.SparseBlock` (5 697 of 3 341 637 for that block
-at c=1; see `_BlockCache`); no dense block is ever allocated.  Per point,
+at c=1; see `_BlockCache`); no dense block is ever allocated.  Points run
+in batches that share k, c and p, and so every block: per point of a batch,
 the value is carried along the chain (`_chain`) as a polynomial in one
-group: multiply each axis by its variable's weight row, the coefficients of
-x^alpha (1-x)^beta (Lucas binomials, so beta >= p works; group 1 is just
-the outer product of its rows), reverse it, and contract it with the sparse
-block, which leaves the coefficient of x^T in group i as a polynomial in
-group i+1.  After block n only the number is left.  A module-level cache
-holds the blocks built for the prime last asked for, of every c; asking
-for another prime drops them, so points may be evaluated in any order.
+group, with the batch as a leading axis.  Each axis is multiplied by its
+variable's weight row, the coefficients of x^alpha (1-x)^beta (Lucas
+binomials, so beta >= p works; group 1 is just the outer product of its
+rows); the polynomial is reversed and contracted with the sparse block,
+which leaves the coefficient of x^T in group i as a polynomial in group
+i+1.  After block n one number per point is left.  A batch holds as many
+points as fit under BATCH_SLOTS live slots.  A module-level cache holds the
+blocks built for the prime last asked for, of every c; asking for another
+prime drops them, so points may be evaluated in any order.
 
-Both integrals run on the same blocks.  `selberg_integral` gives every
-variable of group i the row x^a (1-x)^{b_1} (group 1) or (1-x)^{b_i}.
+Both integrals run on the same chain and blocks.  `selberg_integrals`
+gives every variable of group i the row x^a (1-x)^{b_1} (group 1) or
+(1-x)^{b_i}, and `selberg_integral` is its batch of one.
 `weighted_integral` evaluates the identity summand alone (argument in its
-docstring): a row per variable, and the cross factors of its denominator
-pairs one lower in block 1.  `fp_integral`, one expansion of a whole
-integrand, is the independent path that tests compare against.
+docstring), a batch of one point: a row per variable, and the cross
+factors of its denominator pairs one lower in block 1.  `fp_integral`, one
+expansion of a whole integrand, is the independent path that tests compare
+against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -301,49 +307,105 @@ class _BlockCache:
 _BLOCKS = _BlockCache()
 
 
-def _weight_row(ctx: FpContext, a: int, b: int, cap: int) -> np.ndarray:
-    """Coefficients of x^a (1-x)^b up to x^cap; Lucas binomials allow b >= p."""
-    p = ctx.p
-    row = np.zeros(cap + 1, dtype=np.int64)
-    for d in range(a, min(a + b, cap) + 1):
-        coeff = binom(ctx, b, d - a)
-        row[d] = coeff if (d - a) % 2 == 0 else -coeff % p
-    return row
+# The live-slot cap of one batch of `selberg_integrals`.  A batch holds as
+# many points as fit: each point counts the slots of every array a chain
+# step allocates for it (its group tensor, the gathered block entries, the
+# Toeplitz matrix of its row and the next group tensor), at the step where
+# they add up to the most.  A point over the cap alone is a batch of one.
+BATCH_SLOTS = 2**15
 
 
-def _chain(k: KComposition, c: int, ctx: FpContext, rows: list[list[np.ndarray]],
-           lowered: frozenset[LinearForm] = frozenset()) -> FpElement:
-    """The integral over cycle_from_composition(k) of the pair factors of k
-    times rows[i-1][j](x) for the j-th variable x of each group i, along the
-    group chain (module docstring); `lowered` goes to block 1.  Group 1
-    starts as the outer product of its rows, reduced mod p after each step,
-    so each slot holds one product of two residues; later groups multiply
-    the carried polynomial by their rows along its axes.
+@lru_cache(maxsize=256)
+def _padded_power(ctx: FpContext, n: int, cap: int) -> tuple[int, ...]:
+    """cap + 1 zeros, then the coefficients of (1-x)^n up to x^cap; Lucas
+    binomials allow n >= p."""
+    return (0,) * (cap + 1) + tuple((-1) ** j * binom(ctx, n, j) % ctx.p if j <= n else 0
+                                    for j in range(cap + 1))
 
-    Raises CapacityExceeded exactly when the target box exceeds the slot
-    budget; every block and every group polynomial is a sub-box of it.
-    """
+
+def _weight_rows(ctx: FpContext, a: list[int], b: list[int], cap: int) -> np.ndarray:
+    """Row t holds the coefficients of x^{a[t]} (1-x)^{b[t]} up to x^cap."""
+    distinct: dict[int, int] = {}
+    which = [distinct.setdefault(n, len(distinct)) for n in b]
+    padded = np.array([_padded_power(ctx, n, cap) for n in distinct], dtype=np.int64)
+    # row t starts a[t] slots before the first coefficient, in the zeros
+    start = cap + 1 - np.minimum(a, cap + 1)
+    return padded[np.array(which)[:, None], start[:, None] + np.arange(cap + 1)]
+
+
+def _blocks(k: KComposition, c: int, ctx: FpContext,
+            lowered: frozenset[LinearForm] = frozenset()) -> list[mpoly.SparseBlock]:
+    """Blocks 1..n of k's chain, `lowered` going to block 1.  Raises
+    CapacityExceeded, before any block is built, exactly when the target
+    box exceeds the slot budget; every block and every group polynomial is
+    a sub-box of it."""
     _check_target_box(cycle_from_composition(k).targets(ctx.p))
-    p = ctx.p
+    return [_BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
+            for i in range(1, k.n + 1)]
+
+
+def _step_slots(caps: list[int], parts: tuple[int, ...],
+                blocks: list[mpoly.SparseBlock]) -> int:
+    """The slots a chain step allocates per point, at the costliest step
+    (see BATCH_SLOTS), for groups of these caps and sizes."""
+    return max((cap + 1) ** part + len(block.values) + (i > 0) * (cap + 1) ** 2 + block.ncols
+               for i, (cap, part, block) in enumerate(zip(caps, parts, blocks)))
+
+
+def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
+           p: int) -> np.ndarray:
+    """For each point t of a batch (axis 0 of every row), the integral over
+    a composition's cycle of the product of its blocks (`_blocks`) and
+    rows[i][j][t](x) for the j-th variable x of group i+1, along the group
+    chain (module docstring).  Group 1 starts as the outer product of its
+    rows, reduced mod p after each step, so each slot holds one product of
+    two residues; later groups multiply the carried polynomial by their
+    rows along its axes.
+    """
     value = rows[0][0]
     for row in rows[0][1:]:
-        value = np.multiply.outer(value, row) % p
-    for i in range(1, k.n + 1):
-        if i > 1:
-            value = mpoly.multiply_along_axes(value, rows[i - 1], p)
-        block = _BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
-        value = mpoly.contract(np.flip(value).reshape(-1), block, p)
-        value = value.reshape((_group_cap(k, i + 1, p) + 1,) * k.part(i + 1))
-    return FpElement(int(value), ctx)
+        value = value[..., None] * row.reshape(row.shape[:1] + (1,) * (value.ndim - 1) + (-1,)) % p
+    for i, block in enumerate(blocks):
+        if i:
+            shape = tuple(row.shape[1] for row in rows[i])
+            value = mpoly.multiply_along_axes(value.reshape((-1,) + shape), rows[i], p)
+        # reversing every axis of a C-ordered tensor reverses its flat slots
+        value = mpoly.contract(value.reshape(len(value), -1)[:, ::-1], block, p)
+    return value[:, 0]  # the last block leaves one slot per point
+
+
+def selberg_integrals(k: KComposition, points: list[ParamPoint],
+                      ctx: FpContext) -> list[FpElement]:
+    """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
+    at each point, in order: one weight row per group along the block chain,
+    the points of one c in batches under BATCH_SLOTS.  Raises as `_blocks`,
+    before any point is evaluated, and AccumulatorOverflow as the `mpoly`
+    kernels, whose int64 bounds are per point."""
+    for pt in points:
+        _check_point(k, pt, ctx)
+    p = ctx.p
+    caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
+    values: list[FpElement | None] = [None] * len(points)
+    by_c: dict[int, list[int]] = {}
+    for t, pt in enumerate(points):
+        by_c.setdefault(pt.c, []).append(t)
+    for c, members in by_c.items():
+        blocks = _blocks(k, c, ctx)
+        size = max(1, BATCH_SLOTS // _step_slots(caps, k.parts, blocks))
+        for start in range(0, len(members), size):
+            batch = members[start:start + size]
+            a = [points[t].a for t in batch]
+            rows = [[_weight_rows(ctx, a if i == 0 else [0] * len(batch),
+                                  [points[t].b[i] for t in batch], cap)] * part
+                    for i, (cap, part) in enumerate(zip(caps, k.parts))]
+            for t, value in zip(batch, _chain(rows, blocks, p).tolist()):
+                values[t] = FpElement(value, ctx)
+    return values
 
 
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
-    """The integral of master_polynomial(k, pt) over cycle_from_composition(k):
-    one weight row per group along the block chain (raises as `_chain`)."""
-    _check_point(k, pt, ctx)
-    rows = [[_weight_row(ctx, pt.a if i == 1 else 0, pt.b[i - 1], _group_cap(k, i, ctx.p))]
-            * k.part(i) for i in range(1, k.n + 1)]
-    return _chain(k, pt.c, ctx, rows)
+    """`selberg_integrals` at one point."""
+    return selberg_integrals(k, [pt], ctx)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +494,7 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     by its denominator pairs, which is done symbolically by decrementing
     exponents; the numerator factors increment them back selectively.
     Requires a, b_1, b_2 >= 1 so no exponent goes negative.  Without
-    denominator pairs it runs on the blocks of `selberg_integral`.
+    denominator pairs it runs on the blocks of `selberg_integrals`.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
@@ -452,14 +514,16 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
             raise NegativeExponent(f"{what} exponent {e} < 0")
         return e
 
-    rows = [[_weight_row(ctx, exponent(a - 1, i in sm.t_num, f"t{i+1}"),
-                         exponent(b1 - 1, i in sm.t_one_minus, f"1-t{i+1}"),
-                         _group_cap(k, 1, p)) for i in range(k1)],
-            [_weight_row(ctx, 0, exponent(b2 - 1, j in sm.s_one_minus, f"1-s{j+1}"),
-                         _group_cap(k, 2, p)) for j in range(k2)]]
+    t_exponents = [(exponent(a - 1, i in sm.t_num, f"t{i+1}"),
+                    exponent(b1 - 1, i in sm.t_one_minus, f"1-t{i+1}")) for i in range(k1)]
+    s_exponents = [exponent(b2 - 1, j in sm.s_one_minus, f"1-s{j+1}") for j in range(k2)]
+    # one row per variable, each a batch of one point
+    rows = [list(_weight_rows(ctx, *zip(*t_exponents), _group_cap(k, 1, p))[:, None])]
+    if k2:
+        rows.append(list(_weight_rows(ctx, [0] * k2, s_exponents, _group_cap(k, 2, p))[:, None]))
     if sm.pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
         j, i = min(sm.pairs)
         raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return _chain(k, c, ctx, rows[:k.n], lowered)
+    return FpElement(int(_chain(rows, _blocks(k, c, ctx, lowered), p)[0]), ctx)

@@ -24,17 +24,19 @@ Two engines are provided:
   come from the multinomial theorem over the integers, reduced mod p.
 
 Two steps serve evaluations that expand a point-independent block once
-and reuse it (the group chain in `integrals`): `multiply_along_axes`
-multiplies a dense tensor by one one-variable weight row per axis, truncated
-to the axis length, and `contract` sums a vector of entries against the
-rows of a block stored sparse, as a `SparseBlock` of its nonzero entries.
+and reuse it for a batch of points (the group chain in `integrals`); axis 0
+of their operands is the batch.  `multiply_along_axes` multiplies each
+dense tensor of a batch by its own one-variable weight row per axis,
+truncated to the axis length, and `contract` sums each vector of a batch
+against the rows of a block stored sparse, as a `SparseBlock` of its
+nonzero entries.
 
 Every accumulation adds products of two residues, each below p^2, in int64
 before it reduces mod p.  A sum of N such products is safe while
 N * (p-1)^2 < 2^63; `check_int64_sum` enforces this before each step (N is
 the number of terms of a factor in the engine, the axis length for a row
-product, the vector length for a contraction) and raises
-AccumulatorOverflow otherwise.
+product, the vector length for a contraction; a batch never sums across
+its points) and raises AccumulatorOverflow otherwise.
 
 The coefficient-slot budget (default 2^30 slots) can be overridden with the
 FP_SELBERG_MEM_BUDGET environment variable.
@@ -376,24 +378,30 @@ def extract_coefficient(fp: FactorProduct, target: tuple[int, ...]) -> int:
 
 
 def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndarray:
-    """Truncated product of a dense tensor with rows[j](x_j) for every axis j.
+    """Truncated product of a batch of dense tensors with rows[j](x_j) for
+    every axis j, tensor by tensor.
 
-    Each row holds the coefficients of a one-variable polynomial, one per
-    slot of its axis.  Each axis is one product with the upper-triangular
-    Toeplitz matrix of its row, taken over axis 0 with the new axis
-    appended last, so the axes are back in their original order after ndim
-    steps.  A row object repeated on the next axis reuses its matrix.
+    Axis 0 of `poly` is the batch; rows[j] holds one row per tensor, the
+    coefficients of a one-variable polynomial, one per slot of axis j+1.
+    Each axis is one product with the stack of upper-triangular Toeplitz
+    matrices of its rows, taken over axis 1 with the new axis appended
+    last, so the axes are back in their original order after ndim-1 steps.
+    A rows object repeated on the next axis reuses its stack.
     """
-    if len(rows) != poly.ndim or any(len(row) != n for row, n in zip(rows, poly.shape)):
+    if (len(rows) != poly.ndim - 1
+            or any(row.shape != (len(poly), n) for row, n in zip(rows, poly.shape[1:]))):
         raise PreconditionViolation(f"{len(rows)} rows do not fit axes of {poly.shape}")
+    batch = len(poly)
     for j, row in enumerate(rows):
-        n = len(row)
+        n = row.shape[1]
         if j == 0 or row is not rows[j - 1]:
             check_int64_sum(n, p, "row product")
-            padded = np.concatenate((np.zeros(n - 1, dtype=np.int64), row))
+            padded = np.concatenate((np.zeros((batch, n - 1), dtype=np.int64), row), axis=1)
             slots = np.arange(n)
-            toeplitz = padded[n - 1 + slots[None, :] - slots[:, None]]  # [i, l] = row[l - i]
-        poly = (poly.reshape(n, -1).T @ toeplitz % p).reshape(poly.shape[1:] + (n,))
+            # [t, i, l] = row[t, l - i]
+            toeplitz = padded[:, n - 1 + slots[None, :] - slots[:, None]]
+        poly = (poly.reshape(batch, n, -1).transpose(0, 2, 1) @ toeplitz % p).reshape(
+            (batch,) + poly.shape[2:] + (n,))
     return poly
 
 
@@ -410,13 +418,18 @@ class SparseBlock(NamedTuple):
     ncols: int
 
 
-def contract(vector: np.ndarray, block: SparseBlock, p: int) -> np.ndarray:
-    """vector @ block mod p.  A column holds each row at most once, so it
-    sums at most len(vector) products; the empty columns are 0."""
-    check_int64_sum(len(vector), p, "contraction")
-    out = np.zeros(block.ncols, dtype=np.int64)
-    out[block.columns] = np.add.reduceat(vector[block.positions] * block.values, block.starts)
-    return out % p
+def contract(vectors: np.ndarray, block: SparseBlock, p: int) -> np.ndarray:
+    """vectors @ block mod p, one row of `vectors` per result row.  A column
+    holds each block row at most once, so it sums at most vectors.shape[1]
+    products; the empty columns are 0."""
+    check_int64_sum(vectors.shape[1], p, "contraction")
+    # np.take along the axis gathers a batch of one as fast as 1-D indexing
+    entries = np.take(vectors, block.positions, axis=1)
+    entries *= block.values
+    out = np.zeros((len(vectors), block.ncols), dtype=np.int64)
+    out[:, block.columns] = np.add.reduceat(entries, block.starts, axis=1)
+    out %= p
+    return out
 
 
 def _oracle_power(form: LinearForm, e: int, p: int, nv: int) -> dict[tuple[int, ...], int]:

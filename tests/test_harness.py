@@ -5,6 +5,7 @@ import pytest
 
 from fpselberg import harness
 from fpselberg.gf import FpContext
+from fpselberg.integrals import KComposition, ParamPoint
 from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
                                run_campaign)
 
@@ -115,23 +116,54 @@ def test_parallel_matches_sequential_on_selberg_campaigns(spec):
     assert seq == par
 
 
+def _recorded_chunks(monkeypatch, jobs):
+    """The key lists thm_3_11 at p=5 hands its check, the report with and
+    without the recording, and the campaign's key list."""
+    spec = CampaignSpec("thm_3_11", 5)
+    entry = harness._CAMPAIGNS["thm_3_11"]
+    expect = run_campaign(spec).as_dict()
+    _, keys = entry.keys(spec, FpContext(5))
+    seen = []
+    if jobs == 1:
+        def recording(ctx, k, chunk):
+            seen.append(list(chunk))
+            return entry.check(ctx, k, chunk)
+
+        monkeypatch.setitem(harness._CAMPAIGNS, "thm_3_11",
+                            dataclasses.replace(entry, check=recording))
+    else:
+        # a pool worker runs the campaign table it imports, so the chunks
+        # are recorded where the pool hands them out, to threads here
+        import concurrent.futures
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def map(self, fn, *iterables):
+                campaigns, ctxs, ks, chunks = iterables
+                chunks = list(chunks)
+                seen.extend(chunks)
+                return super().map(fn, campaigns, ctxs, ks, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    got = run_campaign(dataclasses.replace(spec, jobs=jobs)).as_dict()
+    expect.pop("elapsed_ms"), got.pop("elapsed_ms")
+    return seen, expect, got, keys
+
+
 def test_tasks_run_in_key_order(monkeypatch):
     # thm_3_11 keys vary c fastest; the block cache keeps every c of the
-    # prime, so evaluation follows the key list as it is
-    seen = []
-    entry = harness._CAMPAIGNS["thm_3_11"]
+    # prime, so evaluation follows the key list as it is, in contiguous
+    # key lists of at most CHUNK_KEYS
+    seen, expect, got, keys = _recorded_chunks(monkeypatch, 1)
+    assert [key for chunk in seen for key in chunk] == keys
+    assert max(map(len, seen)) <= harness.CHUNK_KEYS < len(keys)
+    assert got == expect
 
-    def recording(ctx, k, key):
-        seen.append(key)
-        return entry.check(ctx, k, key)
 
-    expect = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
-    monkeypatch.setitem(harness._CAMPAIGNS, "thm_3_11",
-                        dataclasses.replace(entry, check=recording))
-    got = run_campaign(CampaignSpec("thm_3_11", 5)).as_dict()
-    _, keys = entry.keys(CampaignSpec("thm_3_11", 5), FpContext(5))
-    assert seen == keys
-    expect.pop("elapsed_ms"), got.pop("elapsed_ms")
+def test_pool_chunks_run_in_key_order(monkeypatch):
+    # the pool hands each worker several contiguous chunks, in key order
+    seen, expect, got, keys = _recorded_chunks(monkeypatch, 2)
+    assert [key for chunk in seen for key in chunk] == keys
+    assert len(seen) >= harness._CHUNKS_PER_JOB * 2
     assert got == expect
 
 
@@ -162,20 +194,33 @@ def test_campaigns_without_k_reject_one(campaign, k):
 def test_relations_s1s2_edges_pass():
     # edges from points one b1-step and one b2-step above the distinguished point
     ctx = FpContext(11)
-    assert harness._outcome("relations_S1S2", ctx, (2, 1), ((2, (6, 5), 3), 0)) == ("pass", None)
-    assert harness._outcome("relations_S1S2", ctx, (2, 1), ((2, (5, 6), 3), 1)) == ("pass", None)
+    keys = [((2, (6, 5), 3), 0), ((2, (5, 6), 3), 1)]
+    assert harness._outcome("relations_S1S2", ctx, (2, 1), keys) == [("pass", None)] * 2
 
 
 def test_induction_points_pass():
     for p, key in ((7, ((2, 1), 1, 1)), (7, ((3, 2, 1), 1, 1)), (11, ((2, 1), 2, 3))):
-        assert harness._outcome("induction", FpContext(p), None, key) == ("pass", None)
+        assert harness._outcome("induction", FpContext(p), None, [key]) == [("pass", None)]
 
 
 def test_induction_runner_skips_oversized_last_group():
     key = ((3, 2), 1, 4)
-    with pytest.raises(harness._Skip, match="k_n c"):
-        harness._CAMPAIGNS["induction"].check(FpContext(7), None, key)
-    assert harness._outcome("induction", FpContext(7), None, key) == ("skip", None)
+    skip, = harness._CAMPAIGNS["induction"].check(FpContext(7), None, [key])
+    assert isinstance(skip, harness._Skip) and "k_n c" in str(skip)
+    assert harness._outcome("induction", FpContext(7), None, [key]) == [("skip", None)]
+
+
+def test_outcomes_follow_the_keys_through_skips():
+    # one key list mixing passes and a main skip (r_value undefined), with
+    # a key repeated: one outcome per key, in key order
+    ctx = FpContext(7)
+    keys = [(1, (2, 5), 3), (0, (0, 0), 1), (2, (3, 5), 3), (1, (2, 5), 3)]
+    outcomes = harness._outcome("main", ctx, (2, 1), keys)
+    assert [status for status, _ in outcomes] == ["pass", "skip", "pass", "pass"]
+    checks = harness._CAMPAIGNS["main"].check(ctx, (2, 1), keys)
+    assert isinstance(checks[1], harness._Skip)
+    assert [lhs for lhs, _, _ in checks[:1] + checks[2:]] == harness.selberg_integrals(
+        KComposition((2, 1)), [ParamPoint(*key) for key in keys[:1] + keys[2:]], ctx)
 
 
 def test_stokes_campaign_runs_clean():

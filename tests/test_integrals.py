@@ -16,7 +16,8 @@ from fpselberg.harness import _CAMPAIGNS, CampaignSpec
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
                                  PCycle, cycle_from_composition, fp_integral,
                                  master_polynomial, selberg_integral,
-                                 weight_summands, weighted_integral)
+                                 selberg_integrals, weight_summands,
+                                 weighted_integral)
 from fpselberg.mpoly import FactorProduct, LinearForm
 
 
@@ -152,12 +153,97 @@ def test_selberg_capacity_fires_exactly_above_target_box(monkeypatch, p, parts):
     ctx = FpContext(p)
     k = KComposition(parts)
     pt = ParamPoint(1, (p,) * k.n, 1)
+    points = [pt, ParamPoint(1, (p,) * k.n, 2), ParamPoint(2, (p - 1,) * k.n, 1)]
     box = math.prod(t + 1 for t in cycle_from_composition(k).targets(p))
     monkeypatch.setenv("FP_SELBERG_MEM_BUDGET", str(box - 1))
     with pytest.raises(CapacityExceeded):
         selberg_integral(k, pt, ctx)
+    with pytest.raises(CapacityExceeded):
+        selberg_integrals(k, points, ctx)
     monkeypatch.setenv("FP_SELBERG_MEM_BUDGET", str(box))
     assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx)
+    assert selberg_integrals(k, points, ctx) == [_full_expansion(k, q, ctx) for q in points]
+
+
+def _batch_cases():
+    """(p, parts, points): the thm_3_11 and thm_4_111 keys at p=5 and p=7,
+    and every admissible point of (2,1), (3,1) and (3,2) at p=7 and of
+    (3,2,1) at p=5, with the edge points beside them."""
+    cases = []
+    for p in (5, 7):
+        for name, n in (("thm_3_11", 2), ("thm_4_111", 3)):
+            _, keys = _CAMPAIGNS[name].keys(CampaignSpec(name, p), FpContext(p))
+            cases.append((p, (1,) * n, [ParamPoint(*key) for key in keys]))
+    for p, parts in ((7, (2, 1)), (7, (3, 1)), (7, (3, 2)), (5, (3, 2, 1))):
+        cases.append((p, parts, enumerate_admissible(KComposition(parts), FpContext(p))))
+    return [(p, parts, points + _edge_points(len(parts), p)) for p, parts, points in cases]
+
+
+@pytest.mark.parametrize("p, parts, points", _batch_cases(),
+                         ids=lambda value: str(value) if isinstance(value, (int, tuple)) else "")
+def test_batched_integrals_match_single_points(monkeypatch, p, parts, points):
+    ctx, k = FpContext(p), KComposition(parts)
+    # shuffled, so that c changes from point to point
+    points = random.Random(p).sample(points, len(points))
+    expect = [selberg_integral(k, pt, ctx) for pt in points]
+    batches = []
+    chain = integrals._chain
+
+    def recording(rows, blocks, modulus):
+        # blocks are cached per c, so block 1 names the batch's c group
+        batches.append((id(blocks[0]), len(rows[0][0])))
+        return chain(rows, blocks, modulus)
+
+    monkeypatch.setattr(integrals, "_chain", recording)
+    # the minimum cap evaluates each point alone (on the first 200 points,
+    # which mix every c); 2^12 slots split the c groups of (1,1,1) and (2,1)
+    # into batches of several points
+    for cap, count in ((1, 200), (2**12, len(points)), (integrals.BATCH_SLOTS, len(points))):
+        monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
+        batches.clear()
+        assert selberg_integrals(k, points[:count], ctx) == expect[:count], cap
+        assert sum(size for _, size in batches) == len(points[:count])
+        if cap == 1:
+            assert all(size == 1 for _, size in batches)
+        if cap == 2**12 and parts in ((1, 1, 1), (2, 1)):
+            groups = [group for group, _ in batches]
+            assert any(groups.count(group) > 1 for group in groups)
+            assert any(size > 1 for _, size in batches)
+    # the first points against one expansion of the whole integrand
+    for pt, value in list(zip(points, expect))[:3]:
+        assert value == _full_expansion(k, pt, ctx), pt
+
+
+def test_batches_stay_under_the_slot_cap(monkeypatch):
+    # per batch, what the chain allocates stays within twice the cap's
+    # bytes; a c group of thm_4_111 p=7 (at most 533 points of about 70 slots)
+    # barely exceeds the default cap, so there it is lowered to 2^12
+    chain = integrals._chain
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        value = chain(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return value
+
+    monkeypatch.setattr(integrals, "_chain", traced)
+    ctx7, ctx13 = FpContext(7), FpContext(13)
+    _, keys = _CAMPAIGNS["thm_4_111"].keys(CampaignSpec("thm_4_111", 7), ctx7)
+    for k, points, ctx, cap in (
+            (KComposition((1, 1, 1)), [ParamPoint(*key) for key in keys], ctx7, 2**12),
+            (KComposition((2, 1)), enumerate_admissible(KComposition((2, 1)), ctx13), ctx13,
+             integrals.BATCH_SLOTS)):
+        monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
+        selberg_integrals(k, points[:50], ctx)  # builds the blocks untraced
+        peaks.clear()
+        tracemalloc.start()
+        try:
+            selberg_integrals(k, points, ctx)
+        finally:
+            tracemalloc.stop()
+        assert 0 < max(peaks) <= 2 * cap * 8, (k, max(peaks))
 
 
 def _ones_block(nrows, ncols):
@@ -168,16 +254,19 @@ def _ones_block(nrows, ncols):
 
 
 def test_selberg_chain_checks_int64_bounds(monkeypatch):
-    # at this limit a sum of five products of residues mod 5 no longer fits
+    # at this limit a sum of five products of residues mod 5 no longer fits;
+    # the bound is per point, whatever the batch size
     monkeypatch.setattr(mpoly, "INT64_LIMIT", 5 * 4**2)
-    ones = np.ones(5, dtype=np.int64)
-    mpoly.contract(ones[:4], _ones_block(4, 2), 5)
+    ones = np.ones((3, 5), dtype=np.int64)
+    mpoly.contract(ones[:, :4], _ones_block(4, 2), 5)
     with pytest.raises(AccumulatorOverflow):
-        mpoly.contract(ones, _ones_block(5, 2), 5)
+        mpoly.contract(ones[:1], _ones_block(5, 2), 5)
     with pytest.raises(AccumulatorOverflow):
-        mpoly.multiply_along_axes(ones, [ones], 5)
+        mpoly.multiply_along_axes(ones[:1], [ones[:1]], 5)
     with pytest.raises(AccumulatorOverflow):
         selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
+    with pytest.raises(AccumulatorOverflow):
+        selberg_integrals(KComposition((2, 1)), [ParamPoint(1, (3, 2), 1)] * 4, FpContext(5))
 
 
 def _full_box_block(k, i, c, ctx, lowered=frozenset()):

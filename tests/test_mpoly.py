@@ -14,7 +14,8 @@ from fpselberg.integrals import KComposition
 from fpselberg.mpoly import (FactorProduct, LinearForm, SparseBlock,
                              TruncatedPoly, check_int64_sum, contract,
                              derivative, expand, extract_coefficient,
-                             slot_budget, sparse_expand_oracle)
+                             multiply_along_axes, slot_budget,
+                             sparse_expand_oracle)
 
 
 def test_linear_form_constructors():
@@ -198,13 +199,41 @@ def test_sparse_contraction_matches_dense_product():
     for p, dense in dense_cases:
         block = _sparse(dense)
         assert len(block.values) == np.count_nonzero(dense)
-        vector = rng.integers(0, p, size=len(dense))
-        assert np.array_equal(contract(vector, block, p), vector @ dense % p), (p, dense)
+        # a batch of vectors, one result row each; a batch of one included
+        vectors = rng.integers(0, p, size=(rng.integers(1, 5), len(dense)))
+        assert np.array_equal(contract(vectors, block, p), vectors @ dense % p), (p, dense)
+        # a reversed view, as the block chain passes it
+        assert np.array_equal(contract(vectors[:, ::-1], block, p),
+                              vectors[:, ::-1] @ dense % p), (p, dense)
     # block 1 of (3,2) at p=13 vanishes mod p for c=6: no entry is stored
     block = integrals._BlockCache().block(KComposition((3, 2)), 1, 6, FpContext(13))
     assert len(block.values) == len(block.columns) == 0
-    vector = np.arange(13**3) % 13
-    assert np.array_equal(contract(vector, block, 13), np.zeros(block.ncols, dtype=np.int64))
+    vectors = np.arange(2 * 13**3).reshape(2, -1) % 13
+    assert np.array_equal(contract(vectors, block, 13), np.zeros((2, block.ncols), dtype=np.int64))
+
+
+def _truncated_product(poly, rows, p):
+    """One tensor times rows[j](x_j) on every axis, by one truncated
+    convolution per line of each axis."""
+    for axis, row in enumerate(rows):
+        poly = np.apply_along_axis(lambda line: np.convolve(line, row)[:len(row)] % p, axis, poly)
+    return poly
+
+
+def test_batched_row_product_matches_per_tensor_convolution():
+    rng = np.random.default_rng(3)
+    for p in (5, 13, 101):
+        for shape in ((1, 7), (3, 7), (4, 5, 5), (2, 6, 3, 4)):
+            poly = rng.integers(0, p, size=shape)
+            rows = [rng.integers(0, p, size=(shape[0], n)) for n in shape[1:]]
+            if shape[1:] == (5, 5):
+                rows[1] = rows[0]  # a repeated rows object reuses its Toeplitz stack
+            got = multiply_along_axes(poly, rows, p)
+            for t in range(shape[0]):
+                expect = _truncated_product(poly[t], [row[t] for row in rows], p)
+                assert np.array_equal(got[t], expect), (p, shape, t)
+    with pytest.raises(PreconditionViolation):
+        multiply_along_axes(np.ones((2, 3), dtype=np.int64), [np.ones((1, 3), dtype=np.int64)], 5)
 
 
 def test_huge_exponent_raises_before_expanding():

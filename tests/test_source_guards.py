@@ -40,6 +40,23 @@ def test_block_cache_policy_stays_in_integrals():
     assert found == []
 
 
+def test_only_the_block_chain_runs_the_chain_kernels():
+    # one evaluator: a per-point chain kept beside the batched `_chain`
+    # would be a second caller of the contraction or the row product
+    kernels = {"contract", "multiply_along_axes"}
+    callers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in kernels
+                                                   or getattr(node.func, "id", None) in kernels):
+                    callers.add((path.name, getattr(function, "name", "<lambda>")))
+    assert callers == {("integrals.py", "_chain")}
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # numpy is the one declared dependency; no path may quietly need another
     allowed = set(sys.stdlib_module_names) | {"numpy", "fpselberg"}
