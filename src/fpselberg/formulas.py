@@ -1,9 +1,18 @@
 """Closed-form product formulas and recurrence factors.
 
-Every evaluator works through `checked_factorial`, so a factorial argument
-outside [0, p) — the definition of a non-admissible parameter point — either
-surfaces as a structured `FormulaResult` error (for the formula-shaped
-results) or propagates as OutOfRange (for the always-defined helpers).
+A factorial argument outside [0, p) — the definition of a non-admissible
+parameter point — either surfaces as a structured `FormulaResult` error (for
+the formula-shaped results) or propagates as OutOfRange (for the
+always-defined helpers, which work through `checked_factorial`).
+
+The formula-shaped results `r_value`, `rhs_3_11`, `rhs_4_111` and `i000_rhs`
+are each one signed product of factorials n!^e.  Each passes its arguments
+as a list of ints, with one term (e, label) per argument, to
+`_factorial_product`.  It range-checks the arguments in the product's order,
+multiplies the residues as ints and inverts the denominator once.
+`r_value` and `i000_rhs` build their arguments from a term table, made once
+per (k, p), whose arguments are linear forms in a, contiguous sums of the
+b_i and c; `rhs_3_11` and `rhs_4_111` write theirs out.
 
 Two places deliberately deviate from a printed form; see the repository
 notes for the numeric evidence:
@@ -18,6 +27,8 @@ notes for the numeric evidence:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 
 from .errors import OutOfRange, PreconditionViolation, ZeroFactor
 from .gf import FpContext, FpElement, checked_factorial, sign_pow
@@ -59,46 +70,80 @@ def dyson_constant(k: int, c: int, ctx: FpContext) -> FpElement:
     return num / checked_factorial(ctx, c, "c") ** k
 
 
+def _factorial_product(ctx: FpContext, sign: int, args: list[int], terms) -> FormulaResult:
+    """sign * prod n!^e over the arguments n and their terms (e, label),
+    e being 1 or negative; or, at the first argument n outside [0, p), the
+    error with the text of OutOfRange(n, label)."""
+    p, fact = ctx.p, ctx._fact
+    num, den = sign, 1
+    for n, (e, label) in zip(args, terms):
+        if n < 0 or n >= p:
+            return FormulaResult(error=str(OutOfRange(n, label)))
+        if e == 1:
+            num = num * fact[n] % p
+        elif e == -1:
+            den = den * fact[n] % p
+        else:
+            den = den * pow(fact[n], -e, p) % p
+    return FormulaResult(value=FpElement(num * pow(den, p - 2, p), ctx))
+
+
+def _table_product(table, a: int, b: tuple[int, ...], c: int, ctx: FpContext) -> FormulaResult:
+    """A term table's product at (a, b, c).  Each argument is
+    k0 + ka*a + (b_{lo+1} + ... + b_hi) + kc*c for its form (k0, ka, lo, hi, kc)."""
+    sign, forms, terms = table
+    pre = [0, *accumulate(b)]
+    return _factorial_product(
+        ctx, sign, [k0 + ka * a + pre[hi] - pre[lo] + kc * c for k0, ka, lo, hi, kc in forms],
+        terms)
+
+
+@lru_cache(maxsize=64)
+def _r_table(parts: tuple[int, ...], p: int):
+    """r_value's term table for k = parts: (sign, forms, terms)."""
+    k = KComposition(parts)
+    n = k.n
+    forms, terms = [], []
+    for s in range(1, n + 1):
+        a_s = 1 if s == 1 else 0
+        delta_p = p if s == 1 else 0
+        for r in range(s, n + 1):
+            for i in range(1, k.part(r) - k.part(r + 1) + 1):
+                forms.append((r - s, 0, s - 1, r, i + s - r - 1))
+                terms.append((1, f"r-s+b_s+..+b_r+(i+s-r-1)c at s={s},r={r},i={i}"))
+                forms.append((r - s + 1 - delta_p, a_s, s - 1, r,
+                              i + s - r + k.part(s) - k.part(s - 1) - 2))
+                terms.append((-1, "r-s+1+a_s+b_s+..+b_r+(i+s-r+k_s-k_(s-1)-2)c-d(s,1)p"
+                                  f" at s={s},r={r},i={i}"))
+    for i in range(1, k.part(1) + 1):
+        forms.append((0, 1, 0, 0, i - 1))
+        terms.append((1, f"a+(i-1)c at i={i}"))
+    forms.append((0, 0, 0, 0, 1))
+    terms.append((-sum(parts), "c"))
+    for r in range(1, n + 1):
+        for i in range(1, k.part(r) + 1):
+            forms.append((0, 0, 0, 0, i))
+            terms.append((1, f"ic at i={i}"))
+    for r in range(2, n + 1):
+        for i in range(1, k.part(r) + 1):
+            forms.append((p, 0, 0, 0, i - k.part(r - 1) - 1))
+            terms.append((1, f"p+(i-k_(r-1)-1)c at r={r},i={i}"))
+    return (-1) ** sum(parts), tuple(forms), tuple(terms)
+
+
 def r_value(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
     """The full closed-form product for the composition k at (a, b, c).
 
     Conventions: a_1 = a, a_s = 0 for s >= 2; k_0 = k_{n+1} = 0; the -p
     subtraction in the denominator block applies only at s = 1.
     """
-    n = k.n
-    if pt.n != n:
-        raise PreconditionViolation(f"b has length {pt.n}, composition has n={n}")
-    a, b, c = pt.a, pt.b, pt.c
-    p = ctx.p
-    try:
-        val = sign_pow(ctx, sum(k.parts))
-        for s in range(1, n + 1):
-            a_s = a if s == 1 else 0
-            delta_p = p if s == 1 else 0
-            for r in range(s, n + 1):
-                bsum = sum(b[s - 1:r])
-                for i in range(1, k.part(r) - k.part(r + 1) + 1):
-                    num = (r - s) + bsum + (i + s - r - 1) * c
-                    den = ((r - s + 1) + a_s + bsum
-                           + (i + s - r + k.part(s) - k.part(s - 1) - 2) * c - delta_p)
-                    val = val * checked_factorial(
-                        ctx, num, f"r-s+b_s+..+b_r+(i+s-r-1)c at s={s},r={r},i={i}")
-                    val = val / checked_factorial(
-                        ctx, den,
-                        f"r-s+1+a_s+b_s+..+b_r+(i+s-r+k_s-k_(s-1)-2)c-d(s,1)p at s={s},r={r},i={i}")
-        for i in range(1, k.part(1) + 1):
-            val = val * checked_factorial(ctx, a + (i - 1) * c, f"a+(i-1)c at i={i}")
-        c_fact = checked_factorial(ctx, c, "c")
-        for r in range(1, n + 1):
-            for i in range(1, k.part(r) + 1):
-                val = val * checked_factorial(ctx, i * c, f"ic at i={i}") / c_fact
-        for r in range(2, n + 1):
-            for i in range(1, k.part(r) + 1):
-                val = val * checked_factorial(
-                    ctx, p + (i - k.part(r - 1) - 1) * c, f"p+(i-k_(r-1)-1)c at r={r},i={i}")
-        return FormulaResult(value=val)
-    except OutOfRange as exc:
-        return FormulaResult(error=str(exc))
+    if pt.n != k.n:
+        raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
+    return _table_product(_r_table(k.parts, ctx.p), pt.a, pt.b, pt.c, ctx)
+
+
+_RHS_3_11 = ((1, "a"), (1, "b1+b2-c+1"), (-1, "a+b1+b2-c+2-p"), (1, "p-c"), (1, "b2"),
+             (-1, "b2-c+1"))
 
 
 def rhs_3_11(a: int, b1: int, b2: int, c: int, ctx: FpContext) -> FormulaResult:
@@ -106,27 +151,22 @@ def rhs_3_11(a: int, b1: int, b2: int, c: int, ctx: FpContext) -> FormulaResult:
     p = ctx.p
     if b1 < 0 or b2 < 0:
         raise PreconditionViolation("b1, b2 must be nonnegative")
-    checks = [
-        (0 <= a < p, f"0 <= a < p fails for a={a}"),
-        (0 < c <= p, f"0 < c <= p fails for c={c}"),
-        (0 <= b2 - c + 1 < p, f"0 <= b2-c+1 < p fails for b2-c+1={b2 - c + 1}"),
-        (0 <= b1 + b2 - c + 1 < p, f"0 <= b1+b2-c+1 < p fails for {b1 + b2 - c + 1}"),
-        (p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1,
-         f"p-1 <= a+b1+b2-c+1 < 2p-1 fails for {a + b1 + b2 - c + 1}"),
-    ]
-    for ok, msg in checks:
-        if not ok:
-            raise PreconditionViolation(msg)
-    try:
-        val = checked_factorial(ctx, a, "a")
-        val = val * checked_factorial(ctx, b1 + b2 - c + 1, "b1+b2-c+1")
-        val = val / checked_factorial(ctx, a + b1 + b2 - c + 2 - p, "a+b1+b2-c+2-p")
-        val = val * checked_factorial(ctx, p - c, "p-c")
-        val = val * checked_factorial(ctx, b2, "b2")
-        val = val / checked_factorial(ctx, b2 - c + 1, "b2-c+1")
-        return FormulaResult(value=val)
-    except OutOfRange as exc:
-        return FormulaResult(error=str(exc))
+    if not 0 <= a < p:
+        raise PreconditionViolation(f"0 <= a < p fails for a={a}")
+    if not 0 < c <= p:
+        raise PreconditionViolation(f"0 < c <= p fails for c={c}")
+    if not 0 <= b2 - c + 1 < p:
+        raise PreconditionViolation(f"0 <= b2-c+1 < p fails for b2-c+1={b2 - c + 1}")
+    if not 0 <= b1 + b2 - c + 1 < p:
+        raise PreconditionViolation(f"0 <= b1+b2-c+1 < p fails for {b1 + b2 - c + 1}")
+    if not p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1:
+        raise PreconditionViolation(f"p-1 <= a+b1+b2-c+1 < 2p-1 fails for {a + b1 + b2 - c + 1}")
+    return _factorial_product(
+        ctx, 1, [a, b1 + b2 - c + 1, a + b1 + b2 - c + 2 - p, p - c, b2, b2 - c + 1], _RHS_3_11)
+
+
+_RHS_4_111 = ((1, "a"), (1, "b1+b2+b3-2c+2"), (-1, "a+b1+b2+b3-2c+3-p"), (1, "p-c"),
+              (1, "b2+b3-c+1"), (-1, "b2+b3-2c+2"), (1, "p-c"), (1, "b3"), (-1, "b3-c+1"))
 
 
 def rhs_4_111(a: int, b1: int, b2: int, b3: int, c: int, ctx: FpContext) -> FormulaResult:
@@ -138,33 +178,24 @@ def rhs_4_111(a: int, b1: int, b2: int, b3: int, c: int, ctx: FpContext) -> Form
     p = ctx.p
     if a < 0 or b1 < 0 or b2 < 0 or b3 < 0 or c < 1:
         raise PreconditionViolation("need a, b_i >= 0 and c >= 1")
-    try:
-        val = -checked_factorial(ctx, a, "a")
-        val = val * checked_factorial(ctx, b1 + b2 + b3 - 2 * c + 2, "b1+b2+b3-2c+2")
-        val = val / checked_factorial(ctx, a + b1 + b2 + b3 - 2 * c + 3 - p,
-                                      "a+b1+b2+b3-2c+3-p")
-        val = val * checked_factorial(ctx, p - c, "p-c")
-        val = val * checked_factorial(ctx, b2 + b3 - c + 1, "b2+b3-c+1")
-        val = val / checked_factorial(ctx, b2 + b3 - 2 * c + 2, "b2+b3-2c+2")
-        val = val * checked_factorial(ctx, p - c, "p-c")
-        val = val * checked_factorial(ctx, b3, "b3")
-        val = val / checked_factorial(ctx, b3 - c + 1, "b3-c+1")
-        return FormulaResult(value=val)
-    except OutOfRange as exc:
-        return FormulaResult(error=str(exc))
+    return _factorial_product(
+        ctx, -1, [a, b1 + b2 + b3 - 2 * c + 2, a + b1 + b2 + b3 - 2 * c + 3 - p, p - c,
+                  b2 + b3 - c + 1, b2 + b3 - 2 * c + 2, p - c, b3, b3 - c + 1], _RHS_4_111)
 
 
 def _ratio_product(ctx: FpContext, pairs) -> FpElement:
     """prod num/den over (num, den, name) with a ZeroFactor guard."""
-    val = ctx.one
-    for num, den, name in pairs:
-        nr, dr = num % ctx.p, den % ctx.p
+    p = ctx.p
+    num = den = 1
+    for n, d, name in pairs:
+        nr, dr = n % p, d % p
         if nr == 0:
-            raise ZeroFactor(f"numerator {name} = {num} vanishes mod {ctx.p}")
+            raise ZeroFactor(f"numerator {name} = {n} vanishes mod {p}")
         if dr == 0:
-            raise ZeroFactor(f"denominator {name} = {den} vanishes mod {ctx.p}")
-        val = val * ctx.element(nr) / ctx.element(dr)
-    return val
+            raise ZeroFactor(f"denominator {name} = {d} vanishes mod {p}")
+        num = num * nr % p
+        den = den * dr % p
+    return FpElement(num * pow(den, p - 2, p), ctx)
 
 
 def b_factors(k1: int, k2: int, pt: ParamPoint, ctx: FpContext):
@@ -189,39 +220,41 @@ def b_factors(k1: int, k2: int, pt: ParamPoint, ctx: FpContext):
     return b0, _ratio_product(ctx, b1_pairs), _ratio_product(ctx, b2_pairs)
 
 
+@lru_cache(maxsize=64)
+def _i000_table(k1: int, k2: int, p: int):
+    """i000_rhs's term table: (sign, forms, terms); in the forms, b1 is the
+    b-range 0..1, b2 is 1..2 and b1 + b2 is 0..2."""
+    forms, terms = [], []
+    for i in range(1, k1 - k2 + 1):
+        forms += [(0, 0, 0, 1, i - 1), (-p, 1, 0, 1, i + k1 - 2)]
+        terms += [(1, f"b1+(i-1)c at i={i}"), (-1, f"a+b1+(i+k1-2)c-p at i={i}")]
+    for i in range(1, k2 + 1):
+        forms += [(0, 0, 1, 2, i - 1), (0, 0, 1, 2, i + k2 - k1 - 2),
+                  (0, 0, 0, 2, i - 2), (-p, 1, 0, 2, i + k1 - 3)]
+        terms += [(1, f"b2+(i-1)c at i={i}"), (-1, f"b2+(i+k2-k1-2)c at i={i}"),
+                  (1, f"b1+b2+(i-2)c at i={i}"), (-1, f"a+b1+b2+(i+k1-3)c-p at i={i}")]
+    for i in range(1, k1 + 1):
+        forms.append((-1, 1, 0, 0, i - 1))
+        terms.append((1, f"a+(i-1)c-1 at i={i}"))
+    for i in range(1, k2 + 1):
+        forms.append((p - 1, 0, 0, 0, i - k1 - 1))
+        terms.append((1, f"p+(i-k1-1)c-1 at i={i}"))
+    forms.append((0, 0, 0, 0, 1))
+    terms.append((-(k1 + k2), "c"))
+    for kr in (k1, k2):
+        for i in range(1, kr + 1):
+            forms.append((0, 0, 0, 0, i))
+            terms.append((1, f"ic at i={i}"))
+    return (-1) ** (k1 + k2), tuple(forms), tuple(terms)
+
+
 def i000_rhs(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
     """Closed form for the fully-lowered weighted integral I_{0,0,0}."""
     if not k1 > k2 > 0:
         raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     if pt.n != 2:
         raise PreconditionViolation("takes b = (b1, b2)")
-    a, (b1, b2), c = pt.a, pt.b, pt.c
-    p = ctx.p
-    try:
-        val = sign_pow(ctx, k1 + k2)
-        for i in range(1, k1 - k2 + 1):
-            val = val * checked_factorial(ctx, b1 + (i - 1) * c, f"b1+(i-1)c at i={i}")
-            val = val / checked_factorial(ctx, a + b1 + (i + k1 - 2) * c - p,
-                                          f"a+b1+(i+k1-2)c-p at i={i}")
-        for i in range(1, k2 + 1):
-            val = val * checked_factorial(ctx, b2 + (i - 1) * c, f"b2+(i-1)c at i={i}")
-            val = val / checked_factorial(ctx, b2 + (i + k2 - k1 - 2) * c,
-                                          f"b2+(i+k2-k1-2)c at i={i}")
-            val = val * checked_factorial(ctx, b1 + b2 + (i - 2) * c, f"b1+b2+(i-2)c at i={i}")
-            val = val / checked_factorial(ctx, a + b1 + b2 + (i + k1 - 3) * c - p,
-                                          f"a+b1+b2+(i+k1-3)c-p at i={i}")
-        for i in range(1, k1 + 1):
-            val = val * checked_factorial(ctx, a + (i - 1) * c - 1, f"a+(i-1)c-1 at i={i}")
-        for i in range(1, k2 + 1):
-            val = val * checked_factorial(ctx, p + (i - k1 - 1) * c - 1,
-                                          f"p+(i-k1-1)c-1 at i={i}")
-        c_fact = checked_factorial(ctx, c, "c")
-        for kr in (k1, k2):
-            for i in range(1, kr + 1):
-                val = val * checked_factorial(ctx, i * c, f"ic at i={i}") / c_fact
-        return FormulaResult(value=val)
-    except OutOfRange as exc:
-        return FormulaResult(error=str(exc))
+    return _table_product(_i000_table(k1, k2, ctx.p), pt.a, pt.b, pt.c, ctx)
 
 
 def induction_factor(k: KComposition, c: int, ctx: FpContext) -> FpElement:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from fpselberg import harness
+from fpselberg import formulas, harness
 from fpselberg.harness import CAMPAIGNS, CampaignSpec, run_campaign
 from fpselberg.integrals import KComposition, cycle_from_composition
 
@@ -27,6 +27,7 @@ NEEDS_K = {"main", "relations_IS", "relations_II0", "relations_B1", "relations_B
 GOLDEN_SPECS = [CampaignSpec(name, 7, (2, 1) if name in NEEDS_K else None)
                 for name in CAMPAIGNS]
 GOLDEN_SPECS.append(CampaignSpec("main", 7, (2, 1), exhaustive=False, samples=10, seed=5))
+GOLDEN = Path(__file__).parent / "golden_reports.json"
 
 
 def _report(spec):
@@ -38,7 +39,7 @@ def _report(spec):
 def test_reports_match_golden_file():
     lines = [json.dumps(_report(spec)) for spec in GOLDEN_SPECS]
     text = "[\n" + ",\n".join(lines) + "\n]\n"
-    assert text == (Path(__file__).parent / "golden_reports.json").read_text()
+    assert text == GOLDEN.read_text()
 
 
 # campaign: (checked, failures, first failure) with every integral off by one;
@@ -84,6 +85,28 @@ def test_failure_records_under_a_planted_fault(monkeypatch, spec):
     assert (report.checked, len(report.failures)) == (checked, failed)
     assert report.passed == checked - failed
     assert (report.failures[0] if report.failures else None) == first
+
+
+CLOSED_FORMS = {"main": "r_value", "thm_3_11": "rhs_3_11", "thm_4_111": "rhs_4_111",
+                "i000": "i000_rhs"}
+
+
+@pytest.mark.parametrize("campaign", sorted(CLOSED_FORMS))
+def test_a_planted_closed_form_fault_fails_every_check(monkeypatch, campaign):
+    # the campaigns (and the benchmark's injected-mismatch self-test) look the
+    # closed forms up by module attribute; a fault planted there reaches every check
+    for name in CLOSED_FORMS.values():
+        closed_form = getattr(formulas, name)
+
+        def off_by_one(*args, closed_form=closed_form):
+            result = closed_form(*args)
+            return formulas.FormulaResult(value=result.value + 1) if result.ok else result
+        monkeypatch.setattr(formulas, name, off_by_one)
+    golden = next(report for report in json.loads(GOLDEN.read_text())
+                  if report["campaign"] == campaign and report["seed"] is None)
+    report = run_campaign(CampaignSpec(campaign, 7, (2, 1) if campaign in NEEDS_K else None))
+    assert report.checked == golden["checked"] > 0
+    assert len(report.failures) == report.checked and report.passed == 0
 
 
 def test_capacity_skips_every_main_point(monkeypatch):

@@ -40,10 +40,8 @@ def test_block_cache_policy_stays_in_integrals():
     assert found == []
 
 
-def test_only_the_block_chain_runs_the_chain_kernels():
-    # one evaluator: a per-point chain kept beside the batched `_chain`
-    # would be a second caller of the contraction or the row product
-    kernels = {"contract", "multiply_along_axes"}
+def _callers(names: set[str]) -> set[tuple[str, str]]:
+    """(file, function) of every function in the package that calls one of names."""
     callers = set()
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -51,10 +49,31 @@ def test_only_the_block_chain_runs_the_chain_kernels():
             if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             for node in ast.walk(function):
-                if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in kernels
-                                                   or getattr(node.func, "id", None) in kernels):
+                if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in names
+                                                   or getattr(node.func, "id", None) in names):
                     callers.add((path.name, getattr(function, "name", "<lambda>")))
-    assert callers == {("integrals.py", "_chain")}
+    return callers
+
+
+def test_only_the_block_chain_runs_the_chain_kernels():
+    # one evaluator: a per-point chain kept beside the batched `_chain`
+    # would be a second caller of the contraction or the row product
+    assert _callers({"contract", "multiply_along_axes"}) == {("integrals.py", "_chain")}
+
+
+def test_closed_forms_evaluate_through_the_factorial_product():
+    # r_value, rhs_3_11, rhs_4_111 and i000_rhs take one product over their
+    # factorial terms; a per-factor evaluator beside it would call
+    # checked_factorial or build its own FormulaResult
+    assert _callers({"checked_factorial"}) == {
+        ("gf.py", "wilson_cancel"), ("formulas.py", "beta_rhs"),
+        ("formulas.py", "dyson_constant"), ("formulas.py", "induction_factor")}
+    assert _callers({"FormulaResult"}) == {("formulas.py", "_factorial_product")}
+    assert _callers({"_factorial_product"}) == {
+        ("formulas.py", "_table_product"), ("formulas.py", "rhs_3_11"),
+        ("formulas.py", "rhs_4_111")}
+    assert _callers({"_table_product"}) == {("formulas.py", "r_value"),
+                                            ("formulas.py", "i000_rhs")}
 
 
 def test_package_imports_only_stdlib_and_numpy():
