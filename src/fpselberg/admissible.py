@@ -10,9 +10,17 @@ ine14[a] and ine14[kc].  `is_admissible` evaluates both; identifiers in the
 report name the violated system block, e.g. "ine1[s=1,r=2,upper]" or
 "ine14[b1]".  `enumerate_admissible` loops over a and c and picks b_1, ...,
 b_n in turn, each from the intersection of the intervals of the table
-entries that end at it, so it emits the admissible points and no others.
-`is_admissible_I`, the domain of the I_{0,0,0} closed form, asks
-`formulas.i000_rhs` itself whether the closed form is defined.
+entries that end at it (`_b_tuples`), so it emits the admissible points and
+no others.  The domain of the I_{0,0,0} closed form (Theorem I) is written
+the same way, from the theorem's statement: its factorial arguments in b_1,
+b_2 or b_1 + b_2 make a table of the same shape (`_i000_system`), and
+those in a and c alone reduce to the conditions thmI[a] and thmI[kc].
+`is_admissible_I` evaluates them, and `enumerate_admissible_I` walks the
+table with the same `_b_tuples`.  Each enumerator re-checks what it emits
+and raises InvariantViolation on a point that fails: `enumerate_admissible`
+against its table, `enumerate_admissible_I` by asking `formulas.i000_rhs`,
+which builds its arguments apart from that table, whether the closed form
+is defined.
 """
 
 from __future__ import annotations
@@ -79,6 +87,15 @@ def _b_system(parts: tuple[int, ...], a: int, c: int,
     return tuple(system)
 
 
+def _violated(system, b: tuple[int, ...]) -> list[str]:
+    """The identifiers of the entries of `system` (a `_b_system` or
+    `_i000_system` table) that b violates, in table order."""
+    sums = (0, *accumulate(b))  # sums[r] = b_1 + ... + b_r
+    return [name for name, s, r, lo, hi in system
+            if not (lo is None or lo <= sums[r] - sums[s - 1])
+            or not (hi is None or sums[r] - sums[s - 1] <= hi)]
+
+
 def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
     """Check the full inequality system for a strictly decreasing k: the
     `_b_system` entries, plus a, c >= 1, ine14[a] and ine14[kc]."""
@@ -86,10 +103,7 @@ def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> Admissibil
     if pt.n != k.n:
         raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
     a, c, p, k1 = pt.a, pt.c, ctx.p, k.part(1)
-    sums = (0,) + tuple(accumulate(pt.b))  # sums[r] = b_1 + ... + b_r
-    bad = [name for name, s, r, lo, hi in _b_system(k.parts, a, c, p)
-           if not (lo is None or lo <= sums[r] - sums[s - 1])
-           or not (hi is None or sums[r] - sums[s - 1] <= hi)]
+    bad = _violated(_b_system(k.parts, a, c, p), pt.b)
     if a < 1 or c < 1:
         bad.insert(0, "positivity")
     if not a + (k1 - 1) * c < p - 1:  # reported before ine14[b1], the table's last entry
@@ -102,9 +116,11 @@ def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> Admissibil
 
 def _b_tuples(system, n: int) -> list[tuple[int, ...]]:
     """Every (b_1, ..., b_n) within all entries of `system` (a `_b_system`
-    table), in lexicographic order.  b_r is picked after b_1, ..., b_{r-1}:
-    each entry ending at r leaves it an interval, and it runs over their
-    intersection, which is finite by b_r >= 1 and ine1[s=r,r=r,upper]."""
+    or `_i000_system` table), in lexicographic order.  b_r is picked after
+    b_1, ..., b_{r-1}: each entry ending at r leaves it an interval, and it
+    runs over their intersection, which is finite by b_r >= 1 and an upper
+    entry on b_r alone (ine1[s=r,r=r,upper]; thmI[b1+(i-1)c,i=1,upper] and
+    thmI[b2+(i-1)c,i=1,upper])."""
     prefixes: list[tuple[int, ...]] = [()]
     for r in range(1, n + 1):
         ends = [(s, lo, hi) for _, s, end, lo, hi in system if end == r]
@@ -123,8 +139,9 @@ def enumerate_admissible(k: KComposition, ctx: FpContext,
     the intervals of the `_b_system` table, which emits exactly the
     admissible b.  Points are collected per a and sorted by (b, c).  With
     `limit`, only the first `limit` points (limit >= 0).  Every returned
-    point still goes through `is_admissible`; a failure is a fault of the
-    walk and raises InvariantViolation.
+    point is re-checked against the a/c-only conditions and the table
+    entries; a failure is a fault of the walk and raises InvariantViolation
+    naming what `is_admissible` reports.
     """
     _require_strict(k)
     if limit is not None and limit < 0:
@@ -139,9 +156,11 @@ def enumerate_admissible(k: KComposition, ctx: FpContext,
             out = out[:limit]
             break
     for pt in out:
-        report = is_admissible(k, pt, ctx)
-        if not report.admissible:
-            raise InvariantViolation(f"enumerated point {pt} violates {report.violated}")
+        a, c = pt.a, pt.c
+        if (not (a >= 1 and c >= 1 and a + (k1 - 1) * c < p - 1 and k1 * c < p)
+                or _violated(_b_system(k.parts, a, c, p), pt.b)):
+            raise InvariantViolation(
+                f"enumerated point {pt} violates {is_admissible(k, pt, ctx).violated}")
     return out
 
 
@@ -194,32 +213,79 @@ def decrement_path(k: KComposition, frm: ParamPoint, ctx: FpContext) -> list[tup
     return path
 
 
+@lru_cache(maxsize=1024)
+def _i000_system(k1: int, k2: int, a: int, c: int,
+                 p: int) -> tuple[tuple[str, int, int, int | None, int | None], ...]:
+    """The b-part of the I_{0,0,0} domain of k = (k1, k2) at fixed (a, c),
+    shaped like `_b_system`.
+
+    Theorem I asks every factorial argument of its product to lie in
+    [0, p).  Those that involve b are b_s + ... + b_r plus a constant in a
+    and c, for (s, r) = (1, 1), (2, 2) or (1, 2); each gives a lower and an
+    upper entry, "thmI[<argument>,i=<i>,lower]" and "...,upper]", after b_1,
+    b_2 >= 1 (reported as "positivity").
+    """
+    arguments = []  # (argument, s, r, its constant)
+    for i in range(1, k1 - k2 + 1):
+        arguments += [(f"b1+(i-1)c,i={i}", 1, 1, (i - 1) * c),
+                      (f"a+b1+(i+k1-2)c-p,i={i}", 1, 1, a + (i + k1 - 2) * c - p)]
+    for i in range(1, k2 + 1):
+        arguments += [(f"b2+(i-1)c,i={i}", 2, 2, (i - 1) * c),
+                      (f"b2+(i+k2-k1-2)c,i={i}", 2, 2, (i + k2 - k1 - 2) * c),
+                      (f"b1+b2+(i-2)c,i={i}", 1, 2, (i - 2) * c),
+                      (f"a+b1+b2+(i+k1-3)c-p,i={i}", 1, 2, a + (i + k1 - 3) * c - p)]
+    system = [("positivity", 1, 1, 1, None), ("positivity", 2, 2, 1, None)]
+    for argument, s, r, constant in arguments:
+        system += [(f"thmI[{argument},lower]", s, r, -constant, None),
+                   (f"thmI[{argument},upper]", s, r, None, p - 1 - constant)]
+    return tuple(system)
+
+
 def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
-    """Domain of the I_{0,0,0} closed form: a, b_1, b_2, c >= 1,
-    a+(k1-1)c < p, and `formulas.i000_rhs` defined (all of its factorial
-    arguments in [0, p)); the last is reported by its first OutOfRange."""
-    closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
-    bad: list[str] = []
-    if pt.a < 1 or pt.c < 1 or min(pt.b) < 1:
-        bad.append("positivity")
-    if not pt.a + (k1 - 1) * pt.c < ctx.p:
+    """Domain of the I_{0,0,0} closed form: a, c >= 1, the `_i000_system`
+    entries, a+(k1-1)c < p (thmI[a]) and k1 c < p (thmI[kc]).
+
+    The factorial arguments in a and c alone, (a+(i-1)c-1)! for i <= k1,
+    (p+(i-k1-1)c-1)! for i <= k2, c! and (ic)! for i <= k1, lie in [0, p)
+    exactly when a+(k1-1)c <= p and k1 c <= p-1, given a, c >= 1; thmI[a]
+    is the stricter of the first two.  "positivity" is reported first,
+    then the table's entries in order, then thmI[a] and thmI[kc].
+    """
+    if not k1 > k2 > 0:
+        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
+    if pt.n != 2:
+        raise PreconditionViolation("takes b = (b1, b2)")
+    a, c, p = pt.a, pt.c, ctx.p
+    bad = _violated(_i000_system(k1, k2, a, c, p), pt.b)
+    if a < 1 or c < 1:
+        bad.insert(0, "positivity")
+    if not a + (k1 - 1) * c < p:
         bad.append("thmI[a]")
-    if not closed_form.ok:
-        bad.append(f"i000_rhs[{closed_form.error}]")
-    return AdmissibilityReport(not bad, tuple(bad))
+    if not k1 * c < p:
+        bad.append("thmI[kc]")
+    bad = tuple(dict.fromkeys(bad))  # one "positivity", however many variables trip it
+    return AdmissibilityReport(not bad, bad)
 
 
 def enumerate_admissible_I(k1: int, k2: int, ctx: FpContext) -> list[ParamPoint]:
-    """All points in the I_{0,0,0} domain, lexicographic in (a, b1, b2, c)."""
+    """All points in the I_{0,0,0} domain, lexicographic in (a, b1, b2, c).
+
+    a and c run over thmI[a] and thmI[kc]; at each (a, c), `_b_tuples`
+    walks the `_i000_system` table.  Every returned point is re-checked by
+    `formulas.i000_rhs`, once, and a point where the closed form is
+    undefined raises InvariantViolation.
+    """
+    if not k1 > k2 > 0:
+        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     p = ctx.p
     out: list[ParamPoint] = []
     for a in range(1, p):
-        for b1 in range(1, p):
-            for b2 in range(1, p):
-                for c in range(1, (p - 1) // k1 + 1):
-                    if a + (k1 - 1) * c >= p:
-                        break  # thmI[a] fails from here on
-                    pt = ParamPoint(a, (b1, b2), c)
-                    if is_admissible_I(k1, k2, pt, ctx):
-                        out.append(pt)
+        batch = [(b, c) for c in range(1, (p - 1) // k1 + 1) if a + (k1 - 1) * c < p
+                 for b in _b_tuples(_i000_system(k1, k2, a, c, p), 2)]
+        out += [ParamPoint(a, b, c) for b, c in sorted(batch)]
+    for pt in out:
+        closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
+        if not closed_form.ok:
+            raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: "
+                                     f"{closed_form.error}")
     return out

@@ -5,15 +5,20 @@ by closed form (or recurrence factors), exact equality only.
 `_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
 that takes a list of keys and returns one result per key, (lhs, rhs,
 mismatch classifier) or a `_Skip`, the composition length it needs, and the
-JSON form of a key in a failure record.  Campaigns checked key by key go
-through one adapter, `_per_key`; `main`, `thm_3_11`, `thm_4_111` and
-`relations_S1S2` take all the Selberg integrals of their list from one
-`selberg_integrals` call, which evaluates them in batches.  `run_campaign`
+JSON form of a key in a failure record.  Campaigns checked key by key
+(`beta`, `dyson`, `induction`, `stokes`) go through one adapter, `_per_key`.
+The others take their integrals in batches: `main`, `thm_3_11`,
+`thm_4_111` and `relations_S1S2` from one `selberg_integrals` call per key
+list; `i000`, `relations_II0`, `relations_B1` and `relations_B2` from one
+`weighted_integrals` call per allowable triple; `relations_IS` from one of
+each.  `run_campaign`
 splits the keys into contiguous chunks of at most CHUNK_KEYS, and
 `_outcome` turns each chunk's results into skips, passes and failures, in
 key order, sequentially or in the jobs > 1 pool.  Checks look up
 integrals, `formulas.*` and `adm.*` by module attribute at call time, so
-code that patches those attributes sees every call.
+code that patches those attributes sees every call.  No check calls
+`weighted_integral`; it stays imported, as a module attribute that the
+campaign benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .gf import FpContext, sign_pow
 from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm,
                         ParamPoint, PCycle, cycle_from_composition, fp_integral,
                         master_polynomial, selberg_integral, selberg_integrals,
-                        weighted_integral)
+                        weighted_integral, weighted_integrals)
 
 _INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
@@ -99,7 +104,8 @@ def _lowered(pt: ParamPoint, idx: int) -> ParamPoint:
 # Point checks, (ctx, k, key) -> (lhs, rhs, classifier of a mismatch), raise
 # _Skip; `_per_key` makes one a check of a key list.  The checks of a key
 # list, (ctx, k, keys) -> one (lhs, rhs, classifier) or _Skip per key in key
-# order, take their Selberg integrals from one `selberg_integrals` call.
+# order, take their integrals from one `selberg_integrals` or
+# `weighted_integrals` call per kind of integral.
 
 def _per_key(check: Callable) -> Callable:
     """The key-list check that runs a point check on each key."""
@@ -120,14 +126,14 @@ def _closed(result: formulas.FormulaResult):
     return result.value if result.ok else _Skip(result.error)
 
 
-def _against_closed_forms(ctx, comp: KComposition, points: list[ParamPoint], rhs: list,
+def _against_closed_forms(points: list[ParamPoint], rhs: list, integrals: Callable,
                           capacity_skips: bool = False) -> list:
-    """(S(pt), rhs, "mismatch") at each point whose rhs is not a _Skip, the
-    skip at the others.  With capacity_skips, CapacityExceeded skips every
-    point."""
+    """(integral, rhs, "mismatch") at each point whose rhs is not a _Skip,
+    the skip at the others; `integrals` maps the former points to their
+    integrals in one call.  With capacity_skips, CapacityExceeded skips
+    every point."""
     try:
-        values = iter(selberg_integrals(
-            comp, [pt for pt, r in zip(points, rhs) if not isinstance(r, _Skip)], ctx))
+        values = iter(integrals([pt for pt, r in zip(points, rhs) if not isinstance(r, _Skip)]))
     except CapacityExceeded as exc:
         if not capacity_skips:
             raise
@@ -168,7 +174,8 @@ def _main_check(ctx, k, keys):
     comp = KComposition(k)
     points = [ParamPoint(*key) for key in keys]
     rhs = [_closed(formulas.r_value(comp, pt, ctx)) for pt in points]
-    return _against_closed_forms(ctx, comp, points, rhs, capacity_skips=True)
+    return _against_closed_forms(points, rhs, lambda pts: selberg_integrals(comp, pts, ctx),
+                                 capacity_skips=True)
 
 
 def _thm(n: int) -> Callable:
@@ -177,31 +184,40 @@ def _thm(n: int) -> Callable:
     def check(ctx, _k, keys):
         closed_form = formulas.rhs_3_11 if n == 2 else formulas.rhs_4_111
         rhs = [_closed(closed_form(a, *b, c, ctx)) for a, b, c in keys]
-        return _against_closed_forms(ctx, KComposition((1,) * n),
-                                     [ParamPoint(*key) for key in keys], rhs)
+        return _against_closed_forms([ParamPoint(*key) for key in keys], rhs,
+                                     lambda pts: selberg_integrals(KComposition((1,) * n),
+                                                                   pts, ctx))
     return check
 
 
-def _relations_is_check(ctx, k, key):
+def _relations_is_check(ctx, k, keys):
+    """I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c)."""
     k1, k2 = k
-    a, b, c = key
-    lhs = weighted_integral(k1, k2, AllowableTriple(0, k2, 0), ParamPoint(a, b, c), ctx)
-    rhs = selberg_integral(KComposition(k), ParamPoint(a - 1, (b[0], b[1] - 1), c), ctx)
-    return lhs, rhs, "mismatch"
+    points = [ParamPoint(*key) for key in keys]
+    lhs = weighted_integrals(k1, k2, AllowableTriple(0, k2, 0), points, ctx)
+    rhs = selberg_integrals(KComposition(k), [ParamPoint(pt.a - 1, (pt.b[0], pt.b[1] - 1), pt.c)
+                                              for pt in points], ctx)
+    return [(left, right, "mismatch") for left, right in zip(lhs, rhs)]
 
 
-def _relations_ii0_check(ctx, k, key):
+def _relations_ii0_check(ctx, k, keys):
+    """(k1-k2+i+1)c I_{0,i,0} + (b2+ic) I_{0,i+1,0} = 0 for i < k2."""
     k1, k2 = k
-    pt = ParamPoint(*key)
-    b2, c = pt.b[1], pt.c
-    values = [weighted_integral(k1, k2, AllowableTriple(0, i, 0), pt, ctx)
+    points = [ParamPoint(*key) for key in keys]
+    values = [weighted_integrals(k1, k2, AllowableTriple(0, i, 0), points, ctx)
               for i in range(k2 + 1)]
-    for i in range(k2):
-        combo = (ctx.element((k1 - k2 + i + 1) * c) * values[i]
-                 + ctx.element(b2 + i * c) * values[i + 1])
-        if combo != ctx.zero:
-            return combo, ctx.zero, f"chain step i={i} nonzero"
-    return ctx.zero, ctx.zero, None
+    results = []
+    for t, pt in enumerate(points):
+        b2, c = pt.b[1], pt.c
+        for i in range(k2):
+            combo = (ctx.element((k1 - k2 + i + 1) * c) * values[i][t]
+                     + ctx.element(b2 + i * c) * values[i + 1][t])
+            if combo != ctx.zero:
+                results.append((combo, ctx.zero, f"chain step i={i} nonzero"))
+                break
+        else:
+            results.append((ctx.zero, ctx.zero, None))
+    return results
 
 
 def _relations_b(idx: int) -> "_Campaign":
@@ -210,17 +226,22 @@ def _relations_b(idx: int) -> "_Campaign":
     def keys(spec, ctx):
         return _sampled([key for key in _admissible(spec.k, ctx) if key[1][idx] >= 2], spec)
 
-    def check(ctx, k, key):
+    def check(ctx, k, keys):
         k1, k2 = k
-        pt = ParamPoint(*key)
-        try:
-            factor = formulas.b_factors(k1, k2, pt, ctx)[1 + idx]
-        except ZeroFactor as exc:
-            raise _Skip(str(exc)) from None
-        tr = AllowableTriple(0, 0, 0)
-        lhs = weighted_integral(k1, k2, tr, _lowered(pt, idx), ctx)
-        return lhs, factor * weighted_integral(k1, k2, tr, pt, ctx), "mismatch"
-    return _Campaign(keys, _per_key(check), 2)
+        points, factors = [], []
+        for key in keys:
+            pt = ParamPoint(*key)
+            try:
+                factors.append(formulas.b_factors(k1, k2, pt, ctx)[1 + idx])
+                points.append(pt)
+            except ZeroFactor as exc:
+                factors.append(_Skip(str(exc)))
+        values = weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
+                                    [_lowered(pt, idx) for pt in points] + points, ctx)
+        lows, highs = iter(values[:len(points)]), iter(values[len(points):])
+        return [factor if isinstance(factor, _Skip)
+                else (next(lows), factor * next(highs), "mismatch") for factor in factors]
+    return _Campaign(keys, check, 2)
 
 
 def _relations_s1s2_check(ctx, k, keys):
@@ -249,14 +270,12 @@ def _induction_check(ctx, _k, key):
     return lhs, rhs, f"k={kparts} factored identity"
 
 
-def _i000_check(ctx, k, key):
+def _i000_check(ctx, k, keys):
     k1, k2 = k
-    pt = ParamPoint(*key)
-    rhs = _closed(formulas.i000_rhs(k1, k2, pt, ctx))
-    if isinstance(rhs, _Skip):
-        raise rhs
-    lhs = weighted_integral(k1, k2, AllowableTriple(0, 0, 0), pt, ctx)
-    return lhs, rhs, "mismatch"
+    points = [ParamPoint(*key) for key in keys]
+    rhs = [_closed(formulas.i000_rhs(k1, k2, pt, ctx)) for pt in points]
+    return _against_closed_forms(
+        points, rhs, lambda pts: weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), pts, ctx))
 
 
 def random_factor_product(ctx: FpContext, rng: random.Random,
@@ -406,15 +425,15 @@ _CAMPAIGNS = {
                        point=lambda key: {"a": None, "b": [key[0]], "c": key[1]}),
     "thm_3_11": _Campaign(_thm_3_11_keys, _thm(2)),
     "thm_4_111": _Campaign(_thm_4_111_keys, _thm(3)),
-    "relations_IS": _Campaign(_admissible_keys, _per_key(_relations_is_check), 2),
-    "relations_II0": _Campaign(_admissible_keys, _per_key(_relations_ii0_check), 2),
+    "relations_IS": _Campaign(_admissible_keys, _relations_is_check, 2),
+    "relations_II0": _Campaign(_admissible_keys, _relations_ii0_check, 2),
     "relations_B1": _relations_b(0),
     "relations_B2": _relations_b(1),
     "relations_S1S2": _Campaign(_relations_s1s2_keys, _relations_s1s2_check, 2,
                                 point=lambda key: _point(key[0])),
     "induction": _Campaign(_induction_keys, _per_key(_induction_check),
                            point=lambda key: {"a": key[1], "b": None, "c": key[2]}),
-    "i000": _Campaign(_i000_keys, _per_key(_i000_check), 2),
+    "i000": _Campaign(_i000_keys, _i000_check, 2),
     "stokes": _Campaign(_stokes_keys, _per_key(_stokes_check),
                         point=lambda key: {"a": None, "b": None, "c": None}),
 }

@@ -11,7 +11,7 @@ with the j-th variable of group i at flat index k_1 + ... + k_{i-1} + j - 1.
 The cycle built by `cycle_from_composition` uses the same order, so exponent
 vectors and variable indices never need re-alignment.
 
-Neither `selberg_integrals` nor `weighted_integral` expands the whole
+Neither `selberg_integrals` nor `weighted_integrals` expands the whole
 integrand per point.  Only the one-variable factors depend on (a, b); the
 pair factors depend on (k, c, p) alone.  They are split along the group
 chain into blocks: block i spans groups i and i+1 and holds the cross
@@ -39,14 +39,16 @@ points as fit under BATCH_SLOTS live slots.  A module-level cache holds the
 blocks built for the prime last asked for, of every c; asking for another
 prime drops them, so points may be evaluated in any order.
 
-Both integrals run on the same chain and blocks.  `selberg_integrals`
-gives every variable of group i the row x^a (1-x)^{b_1} (group 1) or
-(1-x)^{b_i}, and `selberg_integral` is its batch of one.
-`weighted_integral` evaluates the identity summand alone (argument in its
-docstring), a batch of one point: a row per variable, and the cross
-factors of its denominator pairs one lower in block 1.  `fp_integral`, one
-expansion of a whole integrand, is the independent path that tests compare
-against.
+Both integrals run on the same chain and blocks, through one batch runner
+(`_batches`) that groups the points by c and splits the groups under
+BATCH_SLOTS.  `selberg_integrals` gives every variable of group i the row
+x^a (1-x)^{b_1} (group 1) or (1-x)^{b_i}.  `weighted_integrals` evaluates
+the identity summand alone (argument in `weighted_integral`'s docstring):
+a row per variable, at most two distinct ones per group, and the cross
+factors of its denominator pairs one lower in block 1, the same for every
+point of one triple.  `selberg_integral` and `weighted_integral` are their
+batches of one.  `fp_integral`, one expansion of a whole integrand, is the
+independent path that tests compare against.
 """
 
 from __future__ import annotations
@@ -374,15 +376,14 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
     return value[:, 0]  # the last block leaves one slot per point
 
 
-def selberg_integrals(k: KComposition, points: list[ParamPoint],
-                      ctx: FpContext) -> list[FpElement]:
-    """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
-    at each point, in order: one weight row per group along the block chain,
-    the points of one c in batches under BATCH_SLOTS.  Raises as `_blocks`,
-    before any point is evaluated, and AccumulatorOverflow as the `mpoly`
-    kernels, whose int64 bounds are per point."""
-    for pt in points:
-        _check_point(k, pt, ctx)
+def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext, weight_rows,
+             lowered: frozenset[LinearForm] = frozenset()) -> list[FpElement]:
+    """The chain's value at each point, in order.  The points are grouped
+    by c, and each group runs in batches under BATCH_SLOTS on the blocks of
+    `_blocks(k, c, ctx, lowered)`; `weight_rows(batch, caps)` gives the rows
+    of a batch's points for `_chain`.  Raises as `_blocks`, before any point
+    is evaluated, and AccumulatorOverflow as the `mpoly` kernels, whose
+    int64 bounds are per point."""
     p = ctx.p
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
     values: list[FpElement | None] = [None] * len(points)
@@ -390,17 +391,30 @@ def selberg_integrals(k: KComposition, points: list[ParamPoint],
     for t, pt in enumerate(points):
         by_c.setdefault(pt.c, []).append(t)
     for c, members in by_c.items():
-        blocks = _blocks(k, c, ctx)
+        blocks = _blocks(k, c, ctx, lowered)
         size = max(1, BATCH_SLOTS // _step_slots(caps, k.parts, blocks))
         for start in range(0, len(members), size):
             batch = members[start:start + size]
-            a = [points[t].a for t in batch]
-            rows = [[_weight_rows(ctx, a if i == 0 else [0] * len(batch),
-                                  [points[t].b[i] for t in batch], cap)] * part
-                    for i, (cap, part) in enumerate(zip(caps, k.parts))]
+            rows = weight_rows([points[t] for t in batch], caps)
             for t, value in zip(batch, _chain(rows, blocks, p).tolist()):
                 values[t] = FpElement(value, ctx)
     return values
+
+
+def selberg_integrals(k: KComposition, points: list[ParamPoint],
+                      ctx: FpContext) -> list[FpElement]:
+    """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
+    at each point, in order: one weight row per group along the block chain,
+    in batches (`_batches`)."""
+    for pt in points:
+        _check_point(k, pt, ctx)
+
+    def weight_rows(batch, caps):
+        a = [pt.a for pt in batch]
+        return [[_weight_rows(ctx, a if i == 0 else [0] * len(batch),
+                              [pt.b[i] for pt in batch], cap)] * part
+                for i, (cap, part) in enumerate(zip(caps, k.parts))]
+    return _batches(k, points, ctx, weight_rows)
 
 
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
@@ -476,9 +490,75 @@ def weight_summands(k1: int, k2: int, tr: AllowableTriple) -> list[WeightSummand
             for sigma in permutations(range(k1)) for tau in permutations(range(k2))]
 
 
+def _check_weighted_point(pt: ParamPoint, p: int, bumps, pairs) -> None:
+    """Raise as the identity summand at pt would: b = (b1, b2), c <= p, no
+    negative exponent (`bumps` as in `weighted_integrals`) and, at c = p,
+    no denominator pair."""
+    if pt.n != 2:
+        raise PreconditionViolation("weighted integrals take b = (b1, b2)")
+    a, (b1, b2), c = pt.a, pt.b, pt.c
+    if c > p:
+        raise InvalidExponent(f"c={c} > p={p}")
+    if not (a and b1 and b2):  # an exponent is at least its base less one
+        t_bumps, s_bumps = bumps
+        exponents = [(f"{what}{i+1}", base - 1 + bump)
+                     for i, (da, db) in enumerate(t_bumps)
+                     for what, base, bump in (("t", a, da), ("1-t", b1, db))]
+        exponents += [(f"1-s{j+1}", b2 - 1 + db) for j, (_, db) in enumerate(s_bumps)]
+        for what, e in exponents:
+            if e < 0:
+                raise NegativeExponent(f"{what} exponent {e} < 0")
+    if pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
+        j, i = min(pairs)
+        raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
+
+
+def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, points: list[ParamPoint],
+                       ctx: FpContext) -> list[FpElement]:
+    """`weighted_integral` at each point, in order, in batches (`_batches`).
+
+    The identity summand divides the integrand by prod t_i (1-t_i)
+    prod (1-s_j) and by its denominator pairs, which is done symbolically by
+    decrementing exponents; its numerator factors increment them back
+    selectively.  So every variable gets the row x^{a-1} (1-x)^{b_1-1} (a t)
+    or (1-x)^{b_2-1} (an s), each exponent bumped by one where the summand's
+    numerator says so, and the same denominator pairs are one lower in
+    block 1 at every point.  Requires a, b_1, b_2 >= 1 so no exponent goes
+    negative.  Raises for the arguments first, then, before any point is
+    evaluated, as the first offending point would alone, then as `_batches`.
+    """
+    p = ctx.p
+    if k1 >= p or k2 >= p:
+        raise PreconditionViolation("group sizes must be < p for the 1/(k1! k2!) factor")
+    _check_summand_args(k1, k2, tr)
+    sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
+    # per variable, the bumps of its x and 1-x exponents; an s has no x factor
+    bumps = ([(i in sm.t_num, i in sm.t_one_minus) for i in range(k1)],
+             [(0, j in sm.s_one_minus) for j in range(k2)])
+    for pt in points:
+        _check_weighted_point(pt, p, bumps, sm.pairs)
+
+    def weight_rows(batch, caps):
+        bases = [([pt.a - 1 for pt in batch], [pt.b[0] - 1 for pt in batch]),
+                 ([0] * len(batch), [pt.b[1] - 1 for pt in batch])]
+        rows = []
+        for cap, (xs, ys), group in zip(caps, bases, bumps):
+            # one (N, cap+1) row per distinct bump, repeated across its variables
+            distinct = {bump: _weight_rows(ctx, [x + bump[0] for x in xs],
+                                           [y + bump[1] for y in ys], cap)
+                        for bump in dict.fromkeys(group)}
+            rows.append([distinct[bump] for bump in group])
+        return rows
+    # each denominator pair (s_j, t_i) lowers its cross factor by one
+    lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
+    return _batches(KComposition((k1, k2) if k2 else (k1,)), points, ctx, weight_rows,
+                    lowered)
+
+
 def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
                       ctx: FpContext) -> FpElement:
-    """The integral I_{l1,l2,m}(a, b_1, b_2, c) for the two-group integrand.
+    """The integral I_{l1,l2,m}(a, b_1, b_2, c) for the two-group integrand:
+    `weighted_integrals` at one point.
 
     I is 1/(k_1! k_2!) times the sum over the (sigma, tau) summands of
     `weight_summands`, and equals the identity summand alone, which is all
@@ -488,42 +568,7 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     by sigma and the s's by tau.  The cycle's target exponent is the same
     for every t and the same for every s, so relabelling inside a group
     does not move the extracted coefficient: all k_1! k_2! summands have
-    the same integral, and the normalized sum is any one of them.
-
-    The summand divides the integrand by prod t_i (1-t_i) prod (1-s_j) and
-    by its denominator pairs, which is done symbolically by decrementing
-    exponents; the numerator factors increment them back selectively.
-    Requires a, b_1, b_2 >= 1 so no exponent goes negative.  Without
+    the same integral, and the normalized sum is any one of them.  Without
     denominator pairs it runs on the blocks of `selberg_integrals`.
     """
-    p = ctx.p
-    if k1 >= p or k2 >= p:
-        raise PreconditionViolation("group sizes must be < p for the 1/(k1! k2!) factor")
-    if pt.n != 2:
-        raise PreconditionViolation("weighted integrals take b = (b1, b2)")
-    a, (b1, b2), c = pt.a, pt.b, pt.c
-    if c > p:
-        raise InvalidExponent(f"c={c} > p={p}")
-    _check_summand_args(k1, k2, tr)
-    sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
-    k = KComposition((k1, k2) if k2 else (k1,))
-
-    def exponent(base: int, bump: bool, what: str) -> int:
-        e = base + bump
-        if e < 0:
-            raise NegativeExponent(f"{what} exponent {e} < 0")
-        return e
-
-    t_exponents = [(exponent(a - 1, i in sm.t_num, f"t{i+1}"),
-                    exponent(b1 - 1, i in sm.t_one_minus, f"1-t{i+1}")) for i in range(k1)]
-    s_exponents = [exponent(b2 - 1, j in sm.s_one_minus, f"1-s{j+1}") for j in range(k2)]
-    # one row per variable, each a batch of one point
-    rows = [list(_weight_rows(ctx, *zip(*t_exponents), _group_cap(k, 1, p))[:, None])]
-    if k2:
-        rows.append(list(_weight_rows(ctx, [0] * k2, s_exponents, _group_cap(k, 2, p))[:, None]))
-    if sm.pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
-        j, i = min(sm.pairs)
-        raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
-    # each denominator pair (s_j, t_i) lowers its cross factor by one
-    lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return FpElement(int(_chain(rows, _blocks(k, c, ctx, lowered), p)[0]), ctx)
+    return weighted_integrals(k1, k2, tr, [pt], ctx)[0]

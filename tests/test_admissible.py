@@ -1,8 +1,10 @@
+import re
 from itertools import product
 
 import pytest
 
-from fpselberg import admissible
+import reference_admissible
+from fpselberg import admissible, formulas
 from fpselberg.admissible import (AdmissibilityReport, decrement_path,
                                   distinguished_point, enumerate_admissible,
                                   enumerate_admissible_I, is_admissible,
@@ -161,30 +163,39 @@ def test_enumeration_equals_box_filter(kparts, p):
 
 @pytest.mark.parametrize("kparts", [(3, 2, 1), (4, 3, 2, 1)])
 def test_enumeration_checks_each_point_once(monkeypatch, kparts):
-    # the interval walk emits only admissible points, so is_admissible runs
-    # once per returned point and never on a rejected candidate
-    calls = []
-    real = admissible.is_admissible
+    # the interval walk emits only admissible points, so each returned point
+    # is re-checked against its table once, without a report, and
+    # is_admissible never runs on a point that passes
+    checked, reports = [], []
+    violated, report = admissible._violated, admissible.is_admissible
 
-    def counting(k, pt, ctx):
-        calls.append(pt)
-        return real(k, pt, ctx)
+    def counting(system, b):
+        checked.append(b)
+        return violated(system, b)
 
-    monkeypatch.setattr(admissible, "is_admissible", counting)
+    def reporting(*args):
+        reports.append(args)
+        return report(*args)
+
+    monkeypatch.setattr(admissible, "_violated", counting)
+    monkeypatch.setattr(admissible, "is_admissible", reporting)
     pts = enumerate_admissible(KComposition(kparts), FpContext(11))
-    assert pts and calls == pts
+    assert pts and checked == [pt.b for pt in pts] and reports == []
 
 
 def test_enumeration_raises_when_a_point_is_not_admissible(monkeypatch):
+    # a walk that also emits one b past the table at one (a, c) is caught by
+    # the re-check, which names what is_admissible reports for that point
     k, ctx = KComposition((3, 2, 1)), FpContext(11)
     victim = enumerate_admissible(k, ctx)[100]
-    real = admissible.is_admissible
-
-    def rejecting(k, pt, ctx):
-        return AdmissibilityReport(False, ("forced",)) if pt == victim else real(k, pt, ctx)
-
-    monkeypatch.setattr(admissible, "is_admissible", rejecting)
-    with pytest.raises(InvariantViolation):
+    system = admissible._b_system(k.parts, victim.a, victim.c, ctx.p)
+    planted = (victim.b[0] + 20,) + victim.b[1:]
+    violated = is_admissible(k, ParamPoint(victim.a, planted, victim.c), ctx).violated
+    assert violated
+    walk = admissible._b_tuples
+    monkeypatch.setattr(admissible, "_b_tuples", lambda table, n: walk(table, n) + (
+        [planted] if table == system else []))
+    with pytest.raises(InvariantViolation, match=re.escape(f"violates {violated}")):
         enumerate_admissible(k, ctx)
 
 
@@ -280,14 +291,97 @@ def test_admissible_I_counts_and_boundary():
         assert is_admissible_I(2, 1, pt, ctx)
 
 
+# (k1, k2, p, point, violated): together they trip every identifier family
+# of the I_000 domain that a point with a, b_i >= 0 can trip (positivity,
+# thmI[a], thmI[kc] and each argument's lower and upper entry, but the lower
+# entries of b1+(i-1)c and b2+(i-1)c, which b_i >= 0 meets)
+PINNED_VIOLATIONS_I = [
+    (2, 1, 7, (1, (1, 1), 1),
+     ("thmI[a+b1+(i+k1-2)c-p,i=1,lower]", "thmI[b2+(i+k2-k1-2)c,i=1,lower]",
+      "thmI[a+b1+b2+(i+k1-3)c-p,i=1,lower]")),
+    (2, 1, 7, (0, (6, 6), 7),
+     ("positivity", "thmI[b2+(i+k2-k1-2)c,i=1,lower]", "thmI[a]", "thmI[kc]")),
+    (2, 1, 7, (3, (3, 6), 3), ()),
+    (3, 1, 7, (5, (6, 1), 3),
+     ("thmI[a+b1+(i+k1-2)c-p,i=1,upper]", "thmI[b1+(i-1)c,i=2,upper]",
+      "thmI[a+b1+(i+k1-2)c-p,i=2,upper]", "thmI[b2+(i+k2-k1-2)c,i=1,lower]",
+      "thmI[a+b1+b2+(i+k1-3)c-p,i=1,upper]", "thmI[a]", "thmI[kc]")),
+    (3, 2, 11, (0, (11, 0), 11),
+     ("positivity", "thmI[b1+(i-1)c,i=1,upper]", "thmI[a+b1+(i+k1-2)c-p,i=1,upper]",
+      "thmI[b2+(i+k2-k1-2)c,i=1,lower]", "thmI[a+b1+b2+(i+k1-3)c-p,i=1,upper]",
+      "thmI[b2+(i-1)c,i=2,upper]", "thmI[b2+(i+k2-k1-2)c,i=2,lower]",
+      "thmI[b1+b2+(i-2)c,i=2,upper]", "thmI[a+b1+b2+(i+k1-3)c-p,i=2,upper]", "thmI[a]",
+      "thmI[kc]")),
+    (3, 2, 11, (0, (0, 0), 1),
+     ("positivity", "thmI[a+b1+(i+k1-2)c-p,i=1,lower]", "thmI[b2+(i+k2-k1-2)c,i=1,lower]",
+      "thmI[b1+b2+(i-2)c,i=1,lower]", "thmI[a+b1+b2+(i+k1-3)c-p,i=1,lower]",
+      "thmI[b2+(i+k2-k1-2)c,i=2,lower]", "thmI[a+b1+b2+(i+k1-3)c-p,i=2,lower]")),
+    (3, 2, 11, (0, (0, 12), 1),
+     ("positivity", "thmI[a+b1+(i+k1-2)c-p,i=1,lower]", "thmI[b2+(i-1)c,i=1,upper]",
+      "thmI[b1+b2+(i-2)c,i=1,upper]", "thmI[b2+(i-1)c,i=2,upper]",
+      "thmI[b2+(i+k2-k1-2)c,i=2,upper]", "thmI[b1+b2+(i-2)c,i=2,upper]")),
+]
+
+
 def test_admissible_I_identifiers():
+    for k1, k2, p, (a, b, c), violated in PINNED_VIOLATIONS_I:
+        rep = is_admissible_I(k1, k2, ParamPoint(a, b, c), FpContext(p))
+        assert rep.violated == violated, (k1, k2, p, (a, b, c))
+        assert bool(rep) == (not violated)
     ctx = FpContext(7)
-    rep = is_admissible_I(2, 1, ParamPoint(1, (1, 1), 1), ctx)
-    assert not rep
-    # the closed form's first factorial argument out of range
-    assert rep.violated == ("i000_rhs[factorial argument -4 outside [0, p) "
-                            "(a+b1+(i+k1-2)c-p at i=1)]",)
-    rep = is_admissible_I(2, 1, ParamPoint(0, (6, 6), 7), ctx)
-    assert rep.violated[:2] == ("positivity", "thmI[a]") and len(rep.violated) == 3
     with pytest.raises(PreconditionViolation):
         is_admissible_I(1, 1, ParamPoint(1, (1, 1), 1), ctx)
+    with pytest.raises(PreconditionViolation):
+        is_admissible_I(2, 1, ParamPoint(1, (1,), 1), ctx)
+    with pytest.raises(PreconditionViolation):
+        enumerate_admissible_I(2, 2, ctx)
+
+
+I_CASES = [(k1, k2, p) for k1 in (2, 3, 4) for k2 in range(1, k1) for p in (3, 5, 7, 11, 13, 17)]
+
+
+@pytest.mark.parametrize("k1, k2, p", I_CASES)
+def test_I_enumeration_equals_box_filter(k1, k2, p):
+    # the interval walk against the filter over the candidate box that it replaced
+    ctx = FpContext(p)
+    assert enumerate_admissible_I(k1, k2, ctx) == reference_admissible.enumerate_admissible_I(
+        k1, k2, ctx)
+
+
+@pytest.mark.parametrize("k1, k2, p", [(2, 1, 7), (3, 2, 11), (4, 1, 13)])
+def test_I_enumeration_asks_the_closed_form_once_per_point(monkeypatch, k1, k2, p):
+    # no closed form is evaluated for a rejected candidate
+    calls = []
+    closed_form = formulas.i000_rhs
+
+    def counting(*args):
+        calls.append(args[2])
+        return closed_form(*args)
+
+    monkeypatch.setattr(formulas, "i000_rhs", counting)
+    pts = enumerate_admissible_I(k1, k2, FpContext(p))
+    assert pts and calls == pts
+
+
+def test_I_enumeration_raises_where_the_closed_form_is_undefined(monkeypatch):
+    ctx = FpContext(11)
+    victim = enumerate_admissible_I(3, 2, ctx)[50]
+    closed_form = formulas.i000_rhs
+    monkeypatch.setattr(formulas, "i000_rhs", lambda k1, k2, pt, ctx: (
+        formulas.FormulaResult(error="forced") if pt == victim else closed_form(k1, k2, pt, ctx)))
+    with pytest.raises(InvariantViolation, match="forced"):
+        enumerate_admissible_I(3, 2, ctx)
+
+
+@pytest.mark.parametrize("k1, k2, p", [(2, 1, 7), (3, 1, 7), (3, 2, 7), (3, 2, 11), (4, 3, 11)])
+def test_admissible_I_iff_closed_form_defined(k1, k2, p):
+    # over a box around the candidates of the box filter (a, b_i in 1..p-1,
+    # k1 c < p, thmI[a]), where the domain is exactly "i000_rhs is defined":
+    # the table and the a/c conditions are the closed form's ranges, written apart
+    ctx = FpContext(p)
+    for a, b1, b2 in product(range(p + 2), repeat=3):
+        for c in range(1, p + 1):
+            pt = ParamPoint(a, (b1, b2), c)
+            closed_form = formulas.i000_rhs(k1, k2, pt, ctx).ok
+            candidate = min(a, b1, b2) >= 1 and a + (k1 - 1) * c < p
+            assert is_admissible_I(k1, k2, pt, ctx).admissible == (closed_form and candidate), pt

@@ -212,3 +212,76 @@ def test_shift_factors_along_a_path():
         assert selberg_integral(k, nxt, ctx) == factor * selberg_integral(k, cur, ctx)
         cur = nxt
     assert cur == distinguished_point(k, frm.a, frm.c, ctx)
+
+
+# (function, k, p, point, ZeroFactor text): for each ratio pair of the three
+# functions, and each side of it, the first point of a sweep (k = (3,2),
+# (3,1) and (2,1); p = 7; c <= p; a, b_i < 2p) where it is the pair that
+# raises.  Not listed, because an earlier pair always vanishes with them:
+# B0's numerator at i=1 (it needs c = 0 mod p, as does i=0), B2's first
+# denominators (B0's at i-1) and B2's second ratio (B1's second product).
+PINNED_ZERO_FACTORS = [
+    ("b_factors", (3, 2), (0, (0, 0), 1), "denominator B0 term at i=0 = 0 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (0, 6), 1), "denominator B0 term at i=1 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (0, 0), 7), "numerator B0 term at i=0 = 14 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (0, 1), 1),
+     "denominator B1 first product at i=1 = 0 vanishes mod 7"),
+    ("b_factors", (3, 1), (0, (6, 1), 1),
+     "denominator B1 first product at i=2 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (5, 1), 1),
+     "numerator B1 first product at i=1 = 7 vanishes mod 7"),
+    ("b_factors", (3, 1), (0, (4, 1), 1),
+     "numerator B1 first product at i=2 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (3, 5), 1),
+     "denominator B1 second product at i=1 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (2, 5), 1),
+     "denominator B1 second product at i=2 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (1, 5), 1),
+     "numerator B1 second product at i=1 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (1, 4), 1),
+     "numerator B1 second product at i=2 = 7 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (1, 2), 1), "numerator B2 first ratio at i=1 = 0 vanishes mod 7"),
+    ("b_factors", (3, 2), (0, (1, 1), 1), "numerator B2 first ratio at i=2 = 0 vanishes mod 7"),
+    ("shift_factor_b1", (3, 2), (0, (0, 0), 1),
+     "denominator b1-shift first product at i=1 = 0 vanishes mod 7"),
+    ("shift_factor_b1", (3, 1), (0, (6, 0), 1),
+     "denominator b1-shift first product at i=2 = 7 vanishes mod 7"),
+    ("shift_factor_b1", (3, 2), (0, (4, 0), 1),
+     "numerator b1-shift first product at i=1 = 0 vanishes mod 7"),
+    ("shift_factor_b1", (3, 1), (0, (3, 0), 1),
+     "numerator b1-shift first product at i=2 = 0 vanishes mod 7"),
+    ("shift_factor_b1", (3, 2), (0, (1, 6), 1),
+     "denominator b1-shift second product at i=1 = 7 vanishes mod 7"),
+    ("shift_factor_b1", (3, 2), (0, (1, 5), 1),
+     "denominator b1-shift second product at i=2 = 7 vanishes mod 7"),
+    ("shift_factor_b1", (3, 2), (0, (1, 3), 1),
+     "numerator b1-shift second product at i=1 = 0 vanishes mod 7"),
+    ("shift_factor_b1", (3, 2), (0, (1, 2), 1),
+     "numerator b1-shift second product at i=2 = 0 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (0, 0), 1),
+     "denominator b2-shift first ratio at i=1 = 0 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (0, 6), 1),
+     "denominator b2-shift first ratio at i=2 = 7 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (0, 1), 1),
+     "numerator b2-shift first ratio at i=1 = 0 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (1, 1), 2),
+     "numerator b2-shift first ratio at i=2 = 0 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (1, 6), 1),
+     "denominator b2-shift second ratio at i=1 = 7 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (1, 5), 1),
+     "denominator b2-shift second ratio at i=2 = 7 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (0, 4), 1),
+     "numerator b2-shift second ratio at i=1 = 0 vanishes mod 7"),
+    ("shift_factor_b2", (3, 2), (0, (0, 3), 1),
+     "numerator b2-shift second ratio at i=2 = 0 vanishes mod 7"),
+]
+
+
+def test_zero_factor_texts_name_the_vanishing_pair():
+    functions = {"b_factors": b_factors, "shift_factor_b1": shift_factor_b1,
+                 "shift_factor_b2": shift_factor_b2}
+    ctx = FpContext(7)
+    for name, (k1, k2), (a, b, c), text in PINNED_ZERO_FACTORS:
+        with pytest.raises(ZeroFactor) as info:
+            functions[name](k1, k2, ParamPoint(a, b, c), ctx)
+        assert str(info.value) == text, (name, (k1, k2), (a, b, c))

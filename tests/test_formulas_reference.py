@@ -68,7 +68,8 @@ def test_two_and_three_group_forms_on_the_sweep_populations(campaign, evaluate, 
 
 
 def test_i000_rhs_on_the_sweep_domain_walk():
-    # the candidates enumerate_admissible_I tries for the i000 campaign, and its domain
+    # the candidate box that the I_000 domain was once filtered from (see
+    # reference_admissible.py), and the domain itself
     ctx = FpContext(11)
     for a in range(1, 11):
         for b1 in range(1, 11):
@@ -156,9 +157,11 @@ def test_ratio_products_on_random_pairs(p):
     outcomes = []
     for size in range(5):
         for _ in range(RANDOM_POINTS // 5):
-            pairs = [(rng.randint(-p, 3 * p), rng.randint(-p, 3 * p), f"term {j}")
+            # the program's pairs carry (name, i) and label a pair "name at i=<i>"
+            pairs = [(rng.randint(-p, 3 * p), rng.randint(-p, 3 * p), "term", j)
                      for j in range(size)]
             got = _ratio_outcome(formulas._ratio_product, ctx, pairs)
-            assert got == _ratio_outcome(ref._ratio_product, ctx, pairs), pairs
+            labelled = [(n, d, f"{name} at i={j}") for n, d, name, j in pairs]
+            assert got == _ratio_outcome(ref._ratio_product, ctx, labelled), pairs
             outcomes.append(got)
     assert _tally(outcomes) == {"value", "zero"}

@@ -573,3 +573,71 @@ def test_weighted_integral_is_one_summand_of_the_full_sum(k1, k2, p):
         for tr in triples:
             expect = _full_sum_weighted(k1, k2, tr, pt, ctx)
             assert weighted_integral(k1, k2, tr, pt, ctx) == expect, (pt, tr)
+
+
+def _weighted_points(k1, k2, p):
+    """The admissible points of (k1, k2) at p, or of (k1,) with b2 = a when
+    k2 = 0 (a one-group point takes any b2: there is no s variable)."""
+    ctx = FpContext(p)
+    if k2:
+        return enumerate_admissible(KComposition((k1, k2)), ctx)
+    return [ParamPoint(pt.a, (pt.b[0], pt.a), pt.c)
+            for pt in enumerate_admissible(KComposition((k1,)), ctx)]
+
+
+@pytest.mark.parametrize("k1, k2", [(2, 1), (3, 1), (3, 2), (3, 0), (2, 0)])
+def test_batched_weighted_integrals_match_single_points(monkeypatch, k1, k2):
+    # every allowable triple at p=7, the points shuffled so that c changes
+    # from point to point; the minimum cap evaluates each point alone, and
+    # 2^12 slots put several points of one c in a batch
+    ctx = FpContext(7)
+    points = random.Random(k1 * 10 + k2).sample(_weighted_points(k1, k2, 7),
+                                                len(_weighted_points(k1, k2, 7)))
+    chain = integrals._chain
+    batches = []
+
+    def recording(rows, blocks, modulus):
+        batches.append(len(rows[0][0]))
+        return chain(rows, blocks, modulus)
+
+    for tr in _allowable_triples(k1, k2):
+        expect = [weighted_integral(k1, k2, tr, pt, ctx) for pt in points]
+        monkeypatch.setattr(integrals, "_chain", recording)
+        for cap in (1, 2**12, integrals.BATCH_SLOTS):
+            monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
+            batches.clear()
+            assert integrals.weighted_integrals(k1, k2, tr, points, ctx) == expect, (tr, cap)
+            assert sum(batches) == len(points)
+            assert (max(batches) == 1) == (cap == 1), (tr, cap, batches)
+        monkeypatch.undo()
+    assert integrals.weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), [], ctx) == []
+
+
+@pytest.mark.parametrize("k1, k2, tr, bad", [
+    # a = 0 under a bare t, b1 = 0 under a bare 1-t, b2 = 0 under a bare 1-s
+    (2, 1, AllowableTriple(0, 1, 0), [ParamPoint(0, (2, 2), 1), ParamPoint(1, (2, 0), 1)]),
+    (3, 2, AllowableTriple(1, 1, 0), [ParamPoint(1, (0, 3), 1), ParamPoint(1, (2, 0), 1)]),
+    (3, 0, AllowableTriple(2, 0, 0), [ParamPoint(1, (0, 0), 1), ParamPoint(0, (1, 0), 1)]),
+    # a denominator pair at c = p; c > p; b of the wrong length
+    (3, 2, AllowableTriple(1, 1, 1), [ParamPoint(2, (2, 2), 7), ParamPoint(2, (2, 2), 8),
+                                      ParamPoint(2, (2,), 1)]),
+])
+def test_weighted_integrals_raise_as_the_first_offending_point(monkeypatch, k1, k2, tr, bad):
+    # whatever the order, the batch raises what weighted_integral raises at
+    # its first offending point, before any point is evaluated
+    ctx = FpContext(7)
+    good = _weighted_points(k1, k2, 7)[:3]
+    errors = []
+    for pt in bad:
+        with pytest.raises(Exception) as info:
+            weighted_integral(k1, k2, tr, pt, ctx)
+        errors.append(info.value)
+    evaluated = []
+    monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
+    for order in itertools.permutations(range(len(bad))):
+        points = good[:1] + [bad[i] for i in order] + good[1:]
+        first = errors[order[0]]
+        with pytest.raises(type(first)) as info:
+            integrals.weighted_integrals(k1, k2, tr, points, ctx)
+        assert str(info.value) == str(first), order
+    assert evaluated == []

@@ -8,8 +8,9 @@ table.  A change that alters any report fails here; if the change is meant,
 regenerate the file from `GOLDEN_SPECS` and say why.
 
 The failure path is pinned the same way: with every integral the checks
-compute shifted by one (each value of a `selberg_integrals` batch too), each campaign's checked count, failure count and
-first failure record are frozen.
+compute shifted by one (each value of a `selberg_integrals` or
+`weighted_integrals` batch too), each campaign's checked count, failure
+count and first failure record are frozen.
 """
 
 import json
@@ -77,9 +78,10 @@ def test_failure_records_under_a_planted_fault(monkeypatch, spec):
         integral = getattr(harness, name)
         monkeypatch.setattr(harness, name,
                             lambda *args, integral=integral: integral(*args) + args[-1].one)
-    batched = harness.selberg_integrals
-    monkeypatch.setattr(harness, "selberg_integrals",
-                        lambda *args: [value + args[-1].one for value in batched(*args)])
+    for name in ("selberg_integrals", "weighted_integrals"):
+        batched = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *args, batched=batched: [
+            value + args[-1].one for value in batched(*args)])
     report = run_campaign(spec)
     checked, failed, first = FAULTED[spec.campaign]
     assert (report.checked, len(report.failures)) == (checked, failed)

@@ -61,6 +61,21 @@ def test_only_the_block_chain_runs_the_chain_kernels():
     assert _callers({"contract", "multiply_along_axes"}) == {("integrals.py", "_chain")}
 
 
+def test_one_batch_runner_runs_the_chain():
+    # Selberg and weighted integrals share the batch runner; a second
+    # caller of `_chain` would be a second evaluator to keep in step
+    assert _callers({"_chain"}) == {("integrals.py", "_batches")}
+    assert _callers({"_batches"}) == {("integrals.py", "selberg_integrals"),
+                                      ("integrals.py", "weighted_integrals")}
+
+
+def test_both_domains_are_walked_by_one_interval_walker():
+    # the admissible and the I_000 domain are each a table of intervals,
+    # enumerated by the same walk rather than by filtering a box
+    assert _callers({"_b_tuples"}) == {("admissible.py", "enumerate_admissible"),
+                                       ("admissible.py", "enumerate_admissible_I")}
+
+
 def test_closed_forms_evaluate_through_the_factorial_product():
     # r_value, rhs_3_11, rhs_4_111 and i000_rhs take one product over their
     # factorial terms; a per-factor evaluator beside it would call
