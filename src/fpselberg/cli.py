@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     en.add_argument("--count-only", action="store_true")
     en.add_argument("--json", action="store_true")
 
-    be = sub.add_parser("bench", help="truncated engine vs sparse oracle")
+    be = sub.add_parser("bench", help="block chain vs sparse oracle")
     be.add_argument("--p", type=int, required=True)
     be.add_argument("--k", type=_parse_ints, required=True)
     be.add_argument("--a", type=int, default=1)

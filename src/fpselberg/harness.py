@@ -6,23 +6,24 @@ by closed form (or recurrence factors), exact equality only.
 that takes a list of keys and returns one result per key, (lhs, rhs,
 mismatch classifier) or a `_Skip`, the composition length it needs, and the
 JSON form of a key in a failure record.  Campaigns checked key by key
-(`beta`, `dyson`, `induction`, `stokes`) go through one adapter, `_per_key`.
-The others take their integrals in batches: `main`, `thm_3_11`,
-`thm_4_111` and `relations_S1S2` from one `selberg_integrals` call per key
-list; `i000`, `relations_II0`, `relations_B1` and `relations_B2` from one
-`weighted_integrals` call per allowable triple; `relations_IS` from one of
-each.  `run_campaign`
-splits the keys into contiguous chunks of at most CHUNK_KEYS, and
-`_outcome` turns each chunk's results into skips, passes and failures, in
-key order, sequentially or in the jobs > 1 pool.  Checks look up
-integrals, `formulas.*` and `adm.*` by module attribute at call time, so
-code that patches those attributes sees every call.  No check calls
-`weighted_integral`; it stays imported, as a module attribute that the
-campaign benchmark's tracer wraps.
+(`dyson`, `induction`, `stokes`) go through one adapter, `_per_key`.  The
+others take their integrals in batches: `beta` (the one group k = (1,)),
+`main`, `thm_3_11`, `thm_4_111` and `relations_S1S2` from one
+`selberg_integrals` call per key list; `i000`, `relations_II0`,
+`relations_B1` and `relations_B2` from one `weighted_integrals` call per
+allowable triple; `relations_IS` from one of each.  `bench` times
+`selberg_integral` too.  `run_campaign` splits the keys into contiguous
+chunks of at most CHUNK_KEYS, and `_outcome` turns each chunk's results
+into skips, passes and failures, in key order, sequentially or in the
+jobs > 1 pool.  Checks look up integrals, `formulas.*` and `adm.*` by
+module attribute at call time, so code that patches those attributes sees
+every call.  No check calls `weighted_integral` or `fp_integral`; they stay
+imported, as module attributes that the campaign benchmark's tracer wraps.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from itertools import repeat
@@ -141,15 +142,11 @@ def _against_closed_forms(points: list[ParamPoint], rhs: list, integrals: Callab
     return [r if isinstance(r, _Skip) else (next(values), r, "mismatch") for r in rhs]
 
 
-def _beta_check(ctx, _k, key):
-    a, b = key
-    factors = []
-    if a:
-        factors.append((LinearForm.var(0), a))
-    if b:
-        factors.append((LinearForm.one_minus(0), b))
-    lhs = fp_integral(FactorProduct(ctx, 1, tuple(factors)), PCycle((1,)), ctx)
-    return lhs, formulas.beta_rhs(a, b, ctx), "mismatch"
+def _beta_check(ctx, _k, keys):
+    """x^a (1-x)^b over [1]_p: the Selberg integral of the one group k = (1,)."""
+    lhs = selberg_integrals(KComposition((1,)), [ParamPoint(a, (b,), 1) for a, b in keys], ctx)
+    return [(value, formulas.beta_rhs(a, b, ctx), "mismatch")
+            for value, (a, b) in zip(lhs, keys)]
 
 
 def dyson_constant_term(k: int, c: int, ctx: FpContext):
@@ -191,7 +188,8 @@ def _thm(n: int) -> Callable:
 
 
 def _relations_is_check(ctx, k, keys):
-    """I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c)."""
+    """I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c).  Homogeneous in the
+    integrals, so a fault that zeroes or scales every integral passes it."""
     k1, k2 = k
     points = [ParamPoint(*key) for key in keys]
     lhs = weighted_integrals(k1, k2, AllowableTriple(0, k2, 0), points, ctx)
@@ -201,7 +199,9 @@ def _relations_is_check(ctx, k, keys):
 
 
 def _relations_ii0_check(ctx, k, keys):
-    """(k1-k2+i+1)c I_{0,i,0} + (b2+ic) I_{0,i+1,0} = 0 for i < k2."""
+    """(k1-k2+i+1)c I_{0,i,0} + (b2+ic) I_{0,i+1,0} = 0 for i < k2.
+    Homogeneous in the integrals, so a fault that zeroes or scales every
+    integral passes it."""
     k1, k2 = k
     points = [ParamPoint(*key) for key in keys]
     values = [weighted_integrals(k1, k2, AllowableTriple(0, i, 0), points, ctx)
@@ -222,7 +222,9 @@ def _relations_ii0_check(ctx, k, keys):
 
 def _relations_b(idx: int) -> "_Campaign":
     """I_{0,0,0} at b_{idx+1} - 1 = the b_{idx+1} factor of `formulas.b_factors`
-    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays positive."""
+    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays positive.
+    Homogeneous in the integrals, so a fault that zeroes or scales every
+    integral passes it."""
     def keys(spec, ctx):
         return _sampled([key for key in _admissible(spec.k, ctx) if key[1][idx] >= 2], spec)
 
@@ -245,7 +247,9 @@ def _relations_b(idx: int) -> "_Campaign":
 
 
 def _relations_s1s2_check(ctx, k, keys):
-    """Decrement edges: S(lower end) = shift factor * S(upper end)."""
+    """Decrement edges: S(lower end) = shift factor * S(upper end).
+    Homogeneous in the integrals, so a fault that zeroes or scales every
+    integral passes it."""
     highs = [ParamPoint(*hi_key) for hi_key, _ in keys]
     factors = [(formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
         k[0], k[1], hi, ctx) for hi, (_, idx) in zip(highs, keys)]
@@ -257,7 +261,9 @@ def _relations_s1s2_check(ctx, k, keys):
 
 def _induction_check(ctx, _k, key):
     """Factored identity at the distinguished point: the n-group integral
-    equals induction_factor times the (n-1)-group integral."""
+    equals induction_factor times the (n-1)-group integral.  Homogeneous in
+    the integrals, so a fault that zeroes or scales every integral passes
+    it."""
     kparts, a, c = key
     comp = KComposition(kparts)
     if comp.part(comp.n) * c > ctx.p - 1:
@@ -419,7 +425,7 @@ class _Campaign:
 
 _CAMPAIGNS = {
     "main": _Campaign(_main_keys, _main_check, 0),
-    "beta": _Campaign(_beta_keys, _per_key(_beta_check),
+    "beta": _Campaign(_beta_keys, _beta_check,
                       point=lambda key: {"a": key[0], "b": key[1], "c": None}),
     "dyson": _Campaign(_dyson_keys, _per_key(_dyson_check),
                        point=lambda key: {"a": None, "b": [key[0]], "c": key[1]}),
@@ -499,31 +505,29 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
 # benchmark
 
 def bench(p: int, k: tuple[int, ...], a: int = 1, c: int = 1) -> dict:
-    """Truncated engine vs the sparse full-expansion oracle on one integral.
+    """The block chain vs the sparse full-expansion oracle on one integral.
 
-    The oracle is aborted once it exceeds 10x the truncated runtime or the
-    slot budget; that outcome is reported, not treated as an error.
+    The oracle is aborted once it exceeds 10x the chain's runtime (at least
+    0.5 s) or the slot budget; that outcome is reported, not treated as an
+    error.
     """
     ctx = FpContext(p)
     comp = KComposition(k)
     pt = adm.distinguished_point(comp, a, c, ctx)
-    cycle = cycle_from_composition(comp)
-    fp = master_polynomial(comp, pt, ctx)
-    targets = cycle.targets(p)
+    targets = cycle_from_composition(comp).targets(p)
 
     t0 = time.monotonic()
-    value = fp_integral(fp, cycle, ctx)
+    value = selberg_integral(comp, pt, ctx)
     trunc_s = time.monotonic() - t0
 
     result = {
         "p": p, "k": list(k), "point": {"a": pt.a, "b": list(pt.b), "c": pt.c},
-        "target_slots": 1,
+        "target_slots": math.prod(t + 1 for t in targets),
         "budget": mpoly.slot_budget(),
         "trunc_ms": int(trunc_s * 1000),
         "value": value.residue,
     }
-    for t in targets:
-        result["target_slots"] *= t + 1
+    fp = master_polynomial(comp, pt, ctx)
     t0 = time.monotonic()
     try:
         table = mpoly.sparse_expand_oracle(fp, deadline_s=max(10 * trunc_s, 0.5))

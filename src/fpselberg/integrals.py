@@ -41,14 +41,16 @@ prime drops them, so points may be evaluated in any order.
 
 Both integrals run on the same chain and blocks, through one batch runner
 (`_batches`) that groups the points by c and splits the groups under
-BATCH_SLOTS.  `selberg_integrals` gives every variable of group i the row
-x^a (1-x)^{b_1} (group 1) or (1-x)^{b_i}.  `weighted_integrals` evaluates
-the identity summand alone (argument in `weighted_integral`'s docstring):
-a row per variable, at most two distinct ones per group, and the cross
-factors of its denominator pairs one lower in block 1, the same for every
-point of one triple.  `selberg_integral` and `weighted_integral` are their
-batches of one.  `fp_integral`, one expansion of a whole integrand, is the
-independent path that tests compare against.
+BATCH_SLOTS.  Its data is a shift table, one (da, db) per variable: the
+row of variable j of group i is x^{a [i=1] + da} (1-x)^{b_i + db}.
+`selberg_integrals` passes all-zero shifts (and the beta integral is its
+one group k = (1,)).  `weighted_integrals` passes the identity summand's
+shifts (argument in `weighted_integral`'s docstring), at most two distinct
+ones per group, with the cross factors of its denominator pairs one lower
+in block 1, the same for every point of one triple.  `selberg_integral`
+and `weighted_integral` are their batches of one.  `fp_integral`, one
+expansion of a whole integrand, is the independent path that tests compare
+against; no package code calls it.
 """
 
 from __future__ import annotations
@@ -376,14 +378,16 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
     return value[:, 0]  # the last block leaves one slot per point
 
 
-def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext, weight_rows,
+def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext,
+             shifts: list[list[tuple[int, int]]],
              lowered: frozenset[LinearForm] = frozenset()) -> list[FpElement]:
-    """The chain's value at each point, in order.  The points are grouped
-    by c, and each group runs in batches under BATCH_SLOTS on the blocks of
-    `_blocks(k, c, ctx, lowered)`; `weight_rows(batch, caps)` gives the rows
-    of a batch's points for `_chain`.  Raises as `_blocks`, before any point
-    is evaluated, and AccumulatorOverflow as the `mpoly` kernels, whose
-    int64 bounds are per point."""
+    """The chain's value at each point, in order, with variable j of group
+    i+1 weighted by x^{a [i=0] + da} (1-x)^{b_{i+1} + db} for (da, db) =
+    shifts[i][j].  The points are grouped by c, and each group runs in
+    batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
+    lowered)`.  Raises as `_blocks`, before any point is evaluated, and
+    AccumulatorOverflow as the `mpoly` kernels, whose int64 bounds are per
+    point."""
     p = ctx.p
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
     values: list[FpElement | None] = [None] * len(points)
@@ -395,7 +399,16 @@ def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext, weight_r
         size = max(1, BATCH_SLOTS // _step_slots(caps, k.parts, blocks))
         for start in range(0, len(members), size):
             batch = members[start:start + size]
-            rows = weight_rows([points[t] for t in batch], caps)
+            rows = []
+            for i, (cap, group) in enumerate(zip(caps, shifts)):
+                a = [points[t].a if i == 0 else 0 for t in batch]
+                b = [points[t].b[i] for t in batch]
+                # one (N, cap+1) row per distinct shift, repeated across its
+                # variables, so that `mpoly.multiply_along_axes` reuses it
+                distinct = {(da, db): _weight_rows(ctx, [x + da for x in a],
+                                                   [y + db for y in b], cap)
+                            for da, db in dict.fromkeys(group)}
+                rows.append([distinct[shift] for shift in group])
             for t, value in zip(batch, _chain(rows, blocks, p).tolist()):
                 values[t] = FpElement(value, ctx)
     return values
@@ -404,17 +417,11 @@ def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext, weight_r
 def selberg_integrals(k: KComposition, points: list[ParamPoint],
                       ctx: FpContext) -> list[FpElement]:
     """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
-    at each point, in order: one weight row per group along the block chain,
-    in batches (`_batches`)."""
+    at each point, in order: every shift zero along the block chain, in
+    batches (`_batches`)."""
     for pt in points:
         _check_point(k, pt, ctx)
-
-    def weight_rows(batch, caps):
-        a = [pt.a for pt in batch]
-        return [[_weight_rows(ctx, a if i == 0 else [0] * len(batch),
-                              [pt.b[i] for pt in batch], cap)] * part
-                for i, (cap, part) in enumerate(zip(caps, k.parts))]
-    return _batches(k, points, ctx, weight_rows)
+    return _batches(k, points, ctx, [[(0, 0)] * part for part in k.parts])
 
 
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
@@ -490,24 +497,21 @@ def weight_summands(k1: int, k2: int, tr: AllowableTriple) -> list[WeightSummand
             for sigma in permutations(range(k1)) for tau in permutations(range(k2))]
 
 
-def _check_weighted_point(pt: ParamPoint, p: int, bumps, pairs) -> None:
+def _check_weighted_point(pt: ParamPoint, p: int, shifts, pairs) -> None:
     """Raise as the identity summand at pt would: b = (b1, b2), c <= p, no
-    negative exponent (`bumps` as in `weighted_integrals`) and, at c = p,
+    negative exponent (`shifts` as in `weighted_integrals`) and, at c = p,
     no denominator pair."""
     if pt.n != 2:
         raise PreconditionViolation("weighted integrals take b = (b1, b2)")
     a, (b1, b2), c = pt.a, pt.b, pt.c
     if c > p:
         raise InvalidExponent(f"c={c} > p={p}")
-    if not (a and b1 and b2):  # an exponent is at least its base less one
-        t_bumps, s_bumps = bumps
-        exponents = [(f"{what}{i+1}", base - 1 + bump)
-                     for i, (da, db) in enumerate(t_bumps)
-                     for what, base, bump in (("t", a, da), ("1-t", b1, db))]
-        exponents += [(f"1-s{j+1}", b2 - 1 + db) for j, (_, db) in enumerate(s_bumps)]
-        for what, e in exponents:
-            if e < 0:
-                raise NegativeExponent(f"{what} exponent {e} < 0")
+    if not (a and b1 and b2):  # a shift lowers an exponent by at most one
+        for name, x, b, group in zip("ts", (a, 0), (b1, b2), shifts):
+            for j, (da, db) in enumerate(group):
+                for what, e in ((f"{name}{j+1}", x + da), (f"1-{name}{j+1}", b + db)):
+                    if e < 0:
+                        raise NegativeExponent(f"{what} exponent {e} < 0")
     if pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
         j, i = min(pairs)
         raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
@@ -519,40 +523,27 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, points: list[Param
 
     The identity summand divides the integrand by prod t_i (1-t_i)
     prod (1-s_j) and by its denominator pairs, which is done symbolically by
-    decrementing exponents; its numerator factors increment them back
-    selectively.  So every variable gets the row x^{a-1} (1-x)^{b_1-1} (a t)
-    or (1-x)^{b_2-1} (an s), each exponent bumped by one where the summand's
-    numerator says so, and the same denominator pairs are one lower in
-    block 1 at every point.  Requires a, b_1, b_2 >= 1 so no exponent goes
-    negative.  Raises for the arguments first, then, before any point is
-    evaluated, as the first offending point would alone, then as `_batches`.
+    lowering exponents by one; its numerator factors raise them back
+    selectively.  So variable j of group i gets the shift (da, db) of
+    `_batches`: (-[j not in t_num], -[j not in t_one_minus]) for a t and
+    (0, -[j not in s_one_minus]) for an s, and the same denominator pairs
+    are one lower in block 1 at every point.  Requires a, b_1, b_2 >= 1 so
+    no exponent goes negative.  Raises for the arguments first, then,
+    before any point is evaluated, as the first offending point would
+    alone, then as `_batches`.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
         raise PreconditionViolation("group sizes must be < p for the 1/(k1! k2!) factor")
     _check_summand_args(k1, k2, tr)
     sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
-    # per variable, the bumps of its x and 1-x exponents; an s has no x factor
-    bumps = ([(i in sm.t_num, i in sm.t_one_minus) for i in range(k1)],
-             [(0, j in sm.s_one_minus) for j in range(k2)])
+    shifts = [[(-(i not in sm.t_num), -(i not in sm.t_one_minus)) for i in range(k1)],
+              [(0, -(j not in sm.s_one_minus)) for j in range(k2)]]
     for pt in points:
-        _check_weighted_point(pt, p, bumps, sm.pairs)
-
-    def weight_rows(batch, caps):
-        bases = [([pt.a - 1 for pt in batch], [pt.b[0] - 1 for pt in batch]),
-                 ([0] * len(batch), [pt.b[1] - 1 for pt in batch])]
-        rows = []
-        for cap, (xs, ys), group in zip(caps, bases, bumps):
-            # one (N, cap+1) row per distinct bump, repeated across its variables
-            distinct = {bump: _weight_rows(ctx, [x + bump[0] for x in xs],
-                                           [y + bump[1] for y in ys], cap)
-                        for bump in dict.fromkeys(group)}
-            rows.append([distinct[bump] for bump in group])
-        return rows
+        _check_weighted_point(pt, p, shifts, sm.pairs)
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return _batches(KComposition((k1, k2) if k2 else (k1,)), points, ctx, weight_rows,
-                    lowered)
+    return _batches(KComposition((k1, k2) if k2 else (k1,)), points, ctx, shifts, lowered)
 
 
 def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,

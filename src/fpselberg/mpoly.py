@@ -13,10 +13,12 @@ Two engines are provided:
 * `expand` / `extract_coefficient`: the dense truncated engine.  Factors are
   multiplied in ascending variable order (single-variable factors first, then
   differences), growing one tensor axis at a time so intermediates stay as
-  small as possible.  `extract_coefficient` additionally projects an axis to
-  its target index as soon as no remaining factor touches that variable,
-  which keeps the live tensor far below the full cap product for chained
-  variable groups.
+  small as possible.  `expand` builds the pair blocks of the chain in
+  `integrals`.  `extract_coefficient` additionally projects an axis to its
+  target index as soon as no remaining factor touches that variable, which
+  keeps the live tensor far below the full cap product for chained variable
+  groups; it serves `integrals.fp_integral`, the per-point reference the
+  tests compare the chain against, and the Dyson constant terms.
 
 * `sparse_expand_oracle`: a deliberately simple dict-of-monomials full
   expansion used as an independent cross-check and as the slow side of the

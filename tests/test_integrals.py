@@ -119,6 +119,18 @@ def test_beta_case_by_hand():
         assert int(got) == expect
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_beta_integral_is_the_one_group_chain(p):
+    # the beta campaign's integral, x^a (1-x)^b over [1]_p, is the Selberg
+    # integral of k = (1,) on the block chain
+    ctx = FpContext(p)
+    for a in range(p):
+        for b in range(p):
+            factors = ((LinearForm.var(0), a), (LinearForm.one_minus(0), b))
+            expect = fp_integral(FactorProduct(ctx, 1, factors), PCycle((1,)), ctx)
+            assert selberg_integral(KComposition((1,)), ParamPoint(a, (b,), 1), ctx) == expect
+
+
 def _full_expansion(k, pt, ctx):
     return fp_integral(master_polynomial(k, pt, ctx), cycle_from_composition(k), ctx)
 

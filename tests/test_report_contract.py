@@ -10,7 +10,8 @@ regenerate the file from `GOLDEN_SPECS` and say why.
 The failure path is pinned the same way: with every integral the checks
 compute shifted by one (each value of a `selberg_integrals` or
 `weighted_integrals` batch too), each campaign's checked count, failure
-count and first failure record are frozen.
+count and first failure record are frozen; with every integral zeroed or
+doubled, its checked and failure counts.
 """
 
 import json
@@ -72,21 +73,39 @@ FAULTED = {
 }
 
 
-@pytest.mark.parametrize("spec", GOLDEN_SPECS[:len(CAMPAIGNS)], ids=CAMPAIGNS)
-def test_failure_records_under_a_planted_fault(monkeypatch, spec):
+# campaign: (checked, failures) with every integral zeroed, and the same with
+# every integral doubled; the six relation campaigns are homogeneous in the
+# integrals, so such a fault passes them
+SCALED = {"main": (61, 61), "beta": (49, 28), "dyson": (9, 0), "thm_3_11": (658, 658),
+          "thm_4_111": (2298, 2298), "relations_IS": (61, 0), "relations_II0": (61, 0),
+          "relations_B1": (19, 0), "relations_B2": (16, 0), "relations_S1S2": (52, 0),
+          "induction": (21, 0), "i000": (60, 60), "stokes": (500, 0)}
+FAULTS = {"plus_one": lambda value, ctx: value + ctx.one,
+          "zero": lambda value, ctx: ctx.zero,
+          "double": lambda value, ctx: value + value}
+
+
+@pytest.mark.parametrize("fault, spec", [
+    pytest.param(fault, spec, id=spec.campaign if fault == "plus_one" else f"{fault}-{spec.campaign}")
+    for fault in FAULTS for spec in GOLDEN_SPECS[:len(CAMPAIGNS)]])
+def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
+    planted = FAULTS[fault]
     for name in ("selberg_integral", "weighted_integral", "fp_integral"):
         integral = getattr(harness, name)
         monkeypatch.setattr(harness, name,
-                            lambda *args, integral=integral: integral(*args) + args[-1].one)
+                            lambda *args, integral=integral: planted(integral(*args), args[-1]))
     for name in ("selberg_integrals", "weighted_integrals"):
         batched = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *args, batched=batched: [
-            value + args[-1].one for value in batched(*args)])
+            planted(value, args[-1]) for value in batched(*args)])
     report = run_campaign(spec)
-    checked, failed, first = FAULTED[spec.campaign]
+    if fault == "plus_one":
+        checked, failed, first = FAULTED[spec.campaign]
+        assert (report.failures[0] if report.failures else None) == first
+    else:
+        checked, failed = SCALED[spec.campaign]
     assert (report.checked, len(report.failures)) == (checked, failed)
     assert report.passed == checked - failed
-    assert (report.failures[0] if report.failures else None) == first
 
 
 CLOSED_FORMS = {"main": "r_value", "thm_3_11": "rhs_3_11", "thm_4_111": "rhs_4_111",

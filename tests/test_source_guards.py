@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import json
 import sys
@@ -40,19 +41,24 @@ def test_block_cache_policy_stays_in_integrals():
     assert found == []
 
 
-def _callers(names: set[str]) -> set[tuple[str, str]]:
-    """(file, function) of every function in the package that calls one of names."""
-    callers = set()
+@functools.cache
+def _calls() -> list[tuple[str, str, set[str]]]:
+    """(file, function, names it calls) for every function in the package,
+    nested ones included; a nested function's calls count for its parents."""
+    found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
         for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-                continue
-            for node in ast.walk(function):
-                if isinstance(node, ast.Call) and (getattr(node.func, "attr", None) in names
-                                                   or getattr(node.func, "id", None) in names):
-                    callers.add((path.name, getattr(function, "name", "<lambda>")))
-    return callers
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                found.append((path.name, getattr(function, "name", "<lambda>"),
+                              {getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+                               for node in ast.walk(function) if isinstance(node, ast.Call)}))
+    return found
+
+
+def _callers(names: set[str]) -> set[tuple[str, str]]:
+    """(file, function) of every function in the package that calls one of names."""
+    return {(path, function) for path, function, called in _calls() if called & names}
 
 
 def test_only_the_block_chain_runs_the_chain_kernels():
@@ -67,6 +73,16 @@ def test_one_batch_runner_runs_the_chain():
     assert _callers({"_chain"}) == {("integrals.py", "_batches")}
     assert _callers({"_batches"}) == {("integrals.py", "selberg_integrals"),
                                       ("integrals.py", "weighted_integrals")}
+
+
+def test_one_shift_table_builds_every_weight_row():
+    # Selberg and weighted rows come from the batch runner's shift table;
+    # no package code expands an integrand per point, and the per-point
+    # engine serves only the reference integral and the Dyson constant terms
+    assert _callers({"_weight_rows"}) == {("integrals.py", "_batches")}
+    assert _callers({"fp_integral"}) == set()
+    assert _callers({"extract_coefficient"}) == {("integrals.py", "fp_integral"),
+                                                 ("harness.py", "dyson_constant_term")}
 
 
 def test_both_domains_are_walked_by_one_interval_walker():
@@ -127,15 +143,17 @@ def test_benchmark_entry_points_resolve(monkeypatch):
 
 
 def test_weighted_campaigns_need_no_per_point_expansion(monkeypatch):
-    # weighted integrals run on the cached block chain; a per-point
-    # expansion of their integrand would reach extract_coefficient
+    # weighted integrals, and beta's one-group integral, run on the cached
+    # block chain; a per-point expansion would reach extract_coefficient
     def expansion(*_args):
-        raise RuntimeError("per-point expansion in a weighted campaign")
+        raise RuntimeError("per-point expansion in a chain campaign")
 
     monkeypatch.setattr(mpoly, "extract_coefficient", expansion)
     golden = {report["campaign"]: report for report in json.loads(GOLDEN.read_text())
-              if report["k"] == [2, 1] and report["seed"] is None}
-    for name in ("i000", "relations_IS", "relations_II0", "relations_B1", "relations_B2"):
-        report = harness.run_campaign(harness.CampaignSpec(name, 7, (2, 1))).as_dict()
+              if report["seed"] is None}
+    for name in ("beta", "i000", "relations_IS", "relations_II0", "relations_B1",
+                 "relations_B2"):
+        k = (2, 1) if golden[name]["k"] else None
+        report = harness.run_campaign(harness.CampaignSpec(name, 7, k)).as_dict()
         report.pop("elapsed_ms")
         assert report == golden[name], name
