@@ -57,4 +57,5 @@ class InvariantViolation(FpSelbergError):
 
 
 class AccumulatorOverflow(FpSelbergError):
-    """A sum of products of residues could overflow its int64 accumulator."""
+    """A sum of products of residues could leave the range its accumulator
+    holds exactly: 2^63 for int64, 2^53 for the float64 row product."""

@@ -386,7 +386,8 @@ def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext,
     shifts[i][j].  The points are grouped by c, and each group runs in
     batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
     lowered)`.  Raises as `_blocks`, before any point is evaluated, and
-    AccumulatorOverflow as the `mpoly` kernels, whose int64 bounds are per
+    AccumulatorOverflow as the `mpoly` kernels, whose accumulation bounds
+    (int64 for the contraction, 2^53 for the float64 row product) are per
     point."""
     p = ctx.p
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]

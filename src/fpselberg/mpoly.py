@@ -33,12 +33,17 @@ truncated to the axis length, and `contract` sums each vector of a batch
 against the rows of a block stored sparse, as a `SparseBlock` of its
 nonzero entries.
 
-Every accumulation adds products of two residues, each below p^2, in int64
-before it reduces mod p.  A sum of N such products is safe while
-N * (p-1)^2 < 2^63; `check_int64_sum` enforces this before each step (N is
-the number of terms of a factor in the engine, the axis length for a row
-product, the vector length for a contraction; a batch never sums across
-its points) and raises AccumulatorOverflow otherwise.
+Every accumulation adds products of two residues, each at most (p-1)^2,
+before it reduces mod p, and a batch never sums across its points.  The
+engine and the contraction sum in int64: a sum of N such products is safe
+while N * (p-1)^2 < 2^63, which `check_int64_sum` enforces before each step
+(N is the number of terms of a factor in the engine, the vector length for
+a contraction).  The row product sums in float64, so that numpy runs it as
+a BLAS matmul: every partial sum of its N products (N the axis length) is
+an integer of at most N * (p-1)^2, which float64 holds exactly, whatever the
+order of addition, while N * (p-1)^2 < 2^53; `check_float64_sum` enforces
+this.  The product is then converted back to int64 and reduced there.
+Both checks raise AccumulatorOverflow.
 
 The coefficient-slot budget (default 2^30 slots) can be overridden with the
 FP_SELBERG_MEM_BUDGET environment variable.
@@ -62,6 +67,7 @@ from .gf import FpContext, FpElement, binom
 DEFAULT_SLOT_BUDGET = 2**30
 _BUDGET_ENV = "FP_SELBERG_MEM_BUDGET"
 INT64_LIMIT = 2**63
+FLOAT64_EXACT_LIMIT = 2**53  # every integer below it is a float64
 
 
 def slot_budget() -> int:
@@ -84,6 +90,14 @@ def check_int64_sum(terms: int, p: int, what: str) -> None:
     if terms * (p - 1) ** 2 >= INT64_LIMIT:
         raise AccumulatorOverflow(
             f"{what}: {terms} products of residues mod {p} can overflow int64")
+
+
+def check_float64_sum(terms: int, p: int, what: str) -> None:
+    """Raise AccumulatorOverflow unless `terms` products of residues mod p
+    can be summed exactly in float64: terms * (p-1)^2 < 2^53."""
+    if terms * (p - 1) ** 2 >= FLOAT64_EXACT_LIMIT:
+        raise AccumulatorOverflow(
+            f"{what}: {terms} products of residues mod {p} can exceed float64's exact integers")
 
 
 @dataclass(frozen=True)
@@ -388,7 +402,9 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
     Each axis is one product with the stack of upper-triangular Toeplitz
     matrices of its rows, taken over axis 1 with the new axis appended
     last, so the axes are back in their original order after ndim-1 steps.
-    A rows object repeated on the next axis reuses its stack.
+    A rows object repeated on the next axis reuses its stack.  The products
+    run in float64, exact under `check_float64_sum`, and are reduced mod p
+    in int64; the result is int64.
     """
     if (len(rows) != poly.ndim - 1
             or any(row.shape != (len(poly), n) for row, n in zip(rows, poly.shape[1:]))):
@@ -397,13 +413,15 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
     for j, row in enumerate(rows):
         n = row.shape[1]
         if j == 0 or row is not rows[j - 1]:
-            check_int64_sum(n, p, "row product")
-            padded = np.concatenate((np.zeros((batch, n - 1), dtype=np.int64), row), axis=1)
+            check_float64_sum(n, p, "row product")
+            padded = np.zeros((batch, 2 * n - 1))
+            padded[:, n - 1:] = row
             slots = np.arange(n)
             # [t, i, l] = row[t, l - i]
             toeplitz = padded[:, n - 1 + slots[None, :] - slots[:, None]]
-        poly = (poly.reshape(batch, n, -1).transpose(0, 2, 1) @ toeplitz % p).reshape(
-            (batch,) + poly.shape[2:] + (n,))
+        product = poly.reshape(batch, n, -1).transpose(0, 2, 1).astype(np.float64) @ toeplitz
+        poly = product.astype(np.int64).reshape((batch,) + poly.shape[2:] + (n,))
+        poly %= p
     return poly
 
 

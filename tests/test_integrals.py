@@ -266,9 +266,11 @@ def _ones_block(nrows, ncols):
 
 
 def test_selberg_chain_checks_int64_bounds(monkeypatch):
-    # at this limit a sum of five products of residues mod 5 no longer fits;
-    # the bound is per point, whatever the batch size
+    # at these limits a sum of five products of residues mod 5 no longer
+    # fits, in the contraction's int64 or the row product's float64; the
+    # bound is per point, whatever the batch size
     monkeypatch.setattr(mpoly, "INT64_LIMIT", 5 * 4**2)
+    monkeypatch.setattr(mpoly, "FLOAT64_EXACT_LIMIT", 5 * 4**2)
     ones = np.ones((3, 5), dtype=np.int64)
     mpoly.contract(ones[:, :4], _ones_block(4, 2), 5)
     with pytest.raises(AccumulatorOverflow):

@@ -12,7 +12,8 @@ from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition
 from fpselberg.mpoly import (FactorProduct, LinearForm, SparseBlock,
-                             TruncatedPoly, check_int64_sum, contract,
+                             TruncatedPoly, check_float64_sum,
+                             check_int64_sum, contract,
                              derivative, expand, extract_coefficient,
                              multiply_along_axes, slot_budget,
                              sparse_expand_oracle)
@@ -175,6 +176,14 @@ def test_int64_accumulation_bound():
         check_int64_sum(2**61, 3, "edge")
 
 
+def test_float64_exact_sum_bound():
+    # (p-1)^2 = 4 at p = 3: 2^51 products reach 2^53, where float64 stops
+    # holding every integer
+    check_float64_sum(2**51 - 1, 3, "edge")
+    with pytest.raises(AccumulatorOverflow):
+        check_float64_sum(2**51, 3, "edge")
+
+
 def _sparse(dense):
     """The SparseBlock of a dense matrix of residues."""
     col, row = np.nonzero(dense.T)  # column by column, rows ascending
@@ -222,16 +231,25 @@ def _truncated_product(poly, rows, p):
 
 def test_batched_row_product_matches_per_tensor_convolution():
     rng = np.random.default_rng(3)
+    cases = []
     for p in (5, 13, 101):
         for shape in ((1, 7), (3, 7), (4, 5, 5), (2, 6, 3, 4)):
             poly = rng.integers(0, p, size=shape)
             rows = [rng.integers(0, p, size=(shape[0], n)) for n in shape[1:]]
             if shape[1:] == (5, 5):
                 rows[1] = rows[0]  # a repeated rows object reuses its Toeplitz stack
-            got = multiply_along_axes(poly, rows, p)
-            for t in range(shape[0]):
-                expect = _truncated_product(poly[t], [row[t] for row in rows], p)
-                assert np.array_equal(got[t], expect), (p, shape, t)
+            cases.append((p, poly, rows))
+    # the largest prime: with every entry p-1, a slot of a 64-slot axis sums
+    # 64 products of (p-1)^2, about 2^36, exact in float64 below 2^53
+    p = 32749
+    for shape in ((2, 64), (2, 64, 64), (3, 17, 64, 5)):
+        cases.append((p, np.full(shape, p - 1, dtype=np.int64),
+                      [np.full((shape[0], n), p - 1, dtype=np.int64) for n in shape[1:]]))
+    for p, poly, rows in cases:
+        got = multiply_along_axes(poly, rows, p)
+        for t in range(len(poly)):
+            expect = _truncated_product(poly[t], [row[t] for row in rows], p)
+            assert np.array_equal(got[t], expect), (p, poly.shape, t)
     with pytest.raises(PreconditionViolation):
         multiply_along_axes(np.ones((2, 3), dtype=np.int64), [np.ones((1, 3), dtype=np.int64)], 5)
 

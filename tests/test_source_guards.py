@@ -67,6 +67,15 @@ def test_only_the_block_chain_runs_the_chain_kernels():
     assert _callers({"contract", "multiply_along_axes"}) == {("integrals.py", "_chain")}
 
 
+def test_one_row_product_path():
+    # the row product sums in float64 under its own bound, and only the
+    # engine and the contraction sum in int64; an int64 matmul kept beside
+    # the BLAS one would bring the int64 check with it
+    assert _callers({"check_float64_sum"}) == {("mpoly.py", "multiply_along_axes")}
+    assert _callers({"check_int64_sum"}) == {("mpoly.py", "_run_engine"),
+                                             ("mpoly.py", "contract")}
+
+
 def test_one_batch_runner_runs_the_chain():
     # Selberg and weighted integrals share the batch runner; a second
     # caller of `_chain` would be a second evaluator to keep in step
