@@ -302,6 +302,12 @@ def random_factor_product(ctx: FpContext, rng: random.Random,
 
 
 def _stokes_check(ctx, _k, key):
+    """The integral of a partial derivative of a random product is 0.
+
+    No fault in the expansion engine can fail this check: the coefficient
+    of x^T in d f / d x_v is (T_v + 1) [x^(T + e_v)] f, and T_v + 1 = l_v p
+    is 0 mod p, whatever `mpoly.expand` returns for f.
+    """
     seed, index = key
     rng = random.Random(seed * 1_000_003 + index)
     fp, cycle = random_factor_product(ctx, rng)

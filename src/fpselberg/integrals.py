@@ -48,9 +48,9 @@ one group k = (1,)).  `weighted_integrals` passes the identity summand's
 shifts (argument in `weighted_integral`'s docstring), at most two distinct
 ones per group, with the cross factors of its denominator pairs one lower
 in block 1, the same for every point of one triple.  `selberg_integral`
-and `weighted_integral` are their batches of one.  `fp_integral`, one
-expansion of a whole integrand, is the independent path that tests compare
-against; no package code calls it.
+and `weighted_integral` are their batches of one.  `fp_integral` reads
+one coefficient of a whole integrand's `mpoly.expand`; no package code
+calls it.
 """
 
 from __future__ import annotations

@@ -10,15 +10,13 @@ retained coefficient.
 
 Two engines are provided:
 
-* `expand` / `extract_coefficient`: the dense truncated engine.  Factors are
-  multiplied in ascending variable order (single-variable factors first, then
+* `expand`: the dense truncated engine.  Factors are multiplied in
+  ascending variable order (single-variable factors first, then
   differences), growing one tensor axis at a time so intermediates stay as
-  small as possible.  `expand` builds the pair blocks of the chain in
-  `integrals`.  `extract_coefficient` additionally projects an axis to its
-  target index as soon as no remaining factor touches that variable, which
-  keeps the live tensor far below the full cap product for chained variable
-  groups; it serves `integrals.fp_integral`, the per-point reference the
-  tests compare the chain against, and the Dyson constant terms.
+  small as possible.  It builds the pair blocks of the chain in
+  `integrals`.  `extract_coefficient` reads one coefficient of it, for
+  `integrals.fp_integral` and the Dyson constant terms; like `expand`, it
+  refuses a cap box over the slot budget.
 
 * `sparse_expand_oracle`: a deliberately simple dict-of-monomials full
   expansion used as an independent cross-check and as the slow side of the
@@ -138,9 +136,6 @@ class LinearForm:
     def variables(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.terms)
 
-    def remapped(self, perm: dict[int, int]) -> "LinearForm":
-        return LinearForm(self.constant, tuple((perm[v], c) for v, c in self.terms))
-
 
 @dataclass(frozen=True)
 class FactorProduct:
@@ -162,15 +157,6 @@ class FactorProduct:
                     raise PreconditionViolation(
                         f"variable index {v} outside {self.num_vars} variables")
         object.__setattr__(self, "factors", tuple(self.factors))
-
-    def permuted(self, perm: list[int]) -> "FactorProduct":
-        """Relabel variable i as perm[i] everywhere (perm is a bijection)."""
-        if sorted(perm) != list(range(self.num_vars)):
-            raise PreconditionViolation("perm must be a permutation of the variables")
-        mapping = dict(enumerate(perm))
-        return FactorProduct(self.ctx, self.num_vars,
-                             tuple((f.remapped(mapping), e) for f, e in self.factors),
-                             self.scalar)
 
 
 class TruncatedPoly:
@@ -294,103 +280,55 @@ def _plan(factors):
     return sorted(factors, key=key)
 
 
-def _run_engine(fp: FactorProduct, caps: tuple[int, ...], project_targets: bool):
-    """Shared core of expand/extract.  Returns the final tensor.
+def expand(fp: FactorProduct, caps: tuple[int, ...]) -> TruncatedPoly:
+    """Full truncated expansion of a factor product.
 
-    With project_targets=True each axis is collapsed to its cap index as soon
-    as its last factor has been multiplied in, so the return value is a tensor
-    whose introduced axes all have length 1.
+    Each factor's product is written into a tensor whose axes of that
+    factor's variables have grown to their full length, so an axis takes
+    its cap length only when its first factor is multiplied in.  Raises
+    CapacityExceeded when the cap box itself is over budget.
     """
     ctx, p = fp.ctx, fp.ctx.p
+    caps = tuple(caps)
     nv = fp.num_vars
     if len(caps) != nv:
         raise PreconditionViolation(f"caps length {len(caps)} != num_vars {nv}")
     if any(c < 0 for c in caps):
         raise PreconditionViolation("caps must be nonnegative")
     budget = slot_budget()
-    full_size = math.prod(c + 1 for c in caps)
-    if not project_targets and full_size > budget:
-        raise CapacityExceeded(f"{full_size} slots exceed budget {budget}")
+    full_shape = tuple(c + 1 for c in caps)
+    if math.prod(full_shape) > budget:
+        raise CapacityExceeded(f"{math.prod(full_shape)} slots exceed budget {budget}")
 
-    plan = _plan([(f, e) for f, e in fp.factors if e > 0])
-    last_use = {}
-    for idx, (form, _) in enumerate(plan):
-        for v in form.variables():
-            last_use[v] = idx
-
-    arr = np.zeros((1,) * nv, dtype=np.int64)
-    arr[(0,) * nv] = fp.scalar % p
-    introduced = [False] * nv
-
-    def introduce(vs):
-        nonlocal arr
-        new_shape = list(arr.shape)
-        for v in vs:
-            new_shape[v] = caps[v] + 1
-        size = math.prod(new_shape)
-        if size > budget:
-            raise CapacityExceeded(f"{size} live slots exceed budget {budget}")
-        new = np.zeros(new_shape, dtype=np.int64)
-        new[tuple(slice(0, s) for s in arr.shape)] = arr
-        arr = new
-        for v in vs:
-            introduced[v] = True
-
-    for idx, (form, e) in enumerate(plan):
-        fresh = [v for v in form.variables() if not introduced[v]]
-        if fresh:
-            introduce(fresh)
+    arr = np.full((1,) * nv, fp.scalar % p, dtype=np.int64)
+    for form, e in _plan([(f, e) for f, e in fp.factors if e > 0]):
         # each slot receives at most one product (< p^2) per term
         check_int64_sum(_term_count(form, e, p), p, f"factor {form} ** {e}")
-        terms = _factor_terms(ctx, form, e, caps)
-        new = np.zeros_like(arr)
-        for shifts, coeff in terms:
-            src = [slice(None)] * nv
-            dst = [slice(None)] * nv
-            skip = False
-            for axis, d in shifts:
-                n = arr.shape[axis]
-                if d >= n:
-                    skip = True
-                    break
-                src[axis] = slice(0, n - d)
-                dst[axis] = slice(d, None)
-            if skip:
-                continue
+        shape = list(arr.shape)
+        unshifted = [slice(None)] * nv  # arr's slots inside the grown axes
+        for v in form.variables():
+            shape[v] = full_shape[v]
+            unshifted[v] = slice(0, arr.shape[v])
+        new = np.zeros(shape, dtype=np.int64)
+        for shifts, coeff in _factor_terms(ctx, form, e, caps):
+            src, dst = unshifted.copy(), unshifted.copy()
+            for axis, d in shifts:  # d <= caps[axis]: _factor_terms drops the rest
+                n = min(arr.shape[axis], shape[axis] - d)
+                src[axis], dst[axis] = slice(0, n), slice(d, d + n)
             new[tuple(dst)] += coeff * arr[tuple(src)]
         new %= p
         arr = new
-        if project_targets:
-            for v in form.variables():
-                if last_use[v] == idx:
-                    arr = np.take(arr, [caps[v]], axis=v)
-    return arr, introduced
-
-
-def expand(fp: FactorProduct, caps: tuple[int, ...]) -> TruncatedPoly:
-    """Full truncated expansion of a factor product.
-
-    Raises CapacityExceeded when the cap box itself is over budget.
-    """
-    arr, introduced = _run_engine(fp, tuple(caps), project_targets=False)
-    if any(not done for done in introduced):
-        full = np.zeros(tuple(c + 1 for c in caps), dtype=np.int64)
+    if arr.shape != full_shape:  # a variable no factor touches
+        full = np.zeros(full_shape, dtype=np.int64)
         full[tuple(slice(0, s) for s in arr.shape)] = arr
         arr = full
-    return TruncatedPoly(fp.ctx, tuple(caps), arr)
+    return TruncatedPoly(ctx, caps, arr)
 
 
 def extract_coefficient(fp: FactorProduct, target: tuple[int, ...]) -> int:
-    """Coefficient of the monomial with the given exponent vector, as an int.
-
-    Equivalent to expand(fp, target).coefficient(target) but projects each
-    variable out as soon as it is complete, so the live tensor stays small.
-    """
-    arr, introduced = _run_engine(fp, tuple(target), project_targets=True)
-    for v, done in enumerate(introduced):
-        if not done and target[v] > 0:
-            return 0
-    return int(arr.reshape(-1)[0])
+    """Coefficient of the monomial with the given exponent vector, as an int:
+    `expand(fp, target)` read at `target`."""
+    return int(expand(fp, target).coefficient(tuple(target)))
 
 
 def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndarray:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference_engine as ref
 from fpselberg import integrals, mpoly
 from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
@@ -132,7 +133,8 @@ def test_beta_integral_is_the_one_group_chain(p):
 
 
 def _full_expansion(k, pt, ctx):
-    return fp_integral(master_polynomial(k, pt, ctx), cycle_from_composition(k), ctx)
+    targets = cycle_from_composition(k).targets(ctx.p)
+    return ctx.element(ref.coefficient(master_polynomial(k, pt, ctx), targets))
 
 
 def _edge_points(n, p):
@@ -144,7 +146,8 @@ def _edge_points(n, p):
 @pytest.mark.parametrize("p", [5, 7])
 @pytest.mark.parametrize("parts", [(1,), (1, 1), (2, 1), (3, 1), (3, 2), (1, 1, 1), (3, 2, 1)])
 def test_selberg_chain_matches_full_expansion(parts, p):
-    # the chained block evaluation against one truncated expansion per point
+    # the chained block evaluation against the reference engine, one
+    # projecting expansion per point that shares no code with the package
     ctx = FpContext(p)
     k = KComposition(parts)
     if k.is_strictly_decreasing():
@@ -441,13 +444,13 @@ def test_group_transposition_symmetry():
     rng = random.Random(2)
     ctx = FpContext(5)
     k = KComposition((2, 1))
-    cycle = cycle_from_composition(k)
+    targets = cycle_from_composition(k).targets(ctx.p)
     for _ in range(10):
         pt = ParamPoint(rng.randint(0, 3), (rng.randint(0, 4), rng.randint(0, 4)),
                         rng.randint(1, 2))
         fp = master_polynomial(k, pt, ctx)
-        swapped = fp.permuted([1, 0, 2])  # transpose the two group-1 variables
-        assert fp_integral(fp, cycle, ctx) == fp_integral(swapped, cycle, ctx)
+        swapped = ref.relabelled(fp, [1, 0, 2])  # transpose the two group-1 variables
+        assert ref.coefficient(fp, targets) == ref.coefficient(swapped, targets)
 
 
 def test_allowable_triple_check():
@@ -534,11 +537,12 @@ def test_weighted_integral_shift_identity():
 
 def _full_sum_weighted(k1, k2, tr, pt, ctx):
     """I_{l1,l2,m} as first defined: every (sigma, tau) summand of
-    weight_summands integrated, the sum divided by k1! k2!.  With k2 = 0
-    the cycle is (1, ..., 1)."""
+    weight_summands integrated by the reference engine, the sum divided by
+    k1! k2!.  With k2 = 0 the cycle is (1, ..., 1)."""
     p = ctx.p
     a, (b1, b2), c = pt.a, pt.b, pt.c
     cycle = cycle_from_composition(KComposition((k1, k2))) if k2 else PCycle((1,) * k1)
+    targets = cycle.targets(p)
     total = 0
     for sm in weight_summands(k1, k2, tr):
         factors = []
@@ -554,7 +558,7 @@ def _full_sum_weighted(k1, k2, tr, pt, ctx):
         for j, jp in itertools.combinations(range(k2), 2):
             factors.append((LinearForm.diff(k1 + j, k1 + jp), 2 * c))
         fp = FactorProduct(ctx, k1 + k2, tuple((f, e) for f, e in factors if e))
-        total += fp_integral(fp, cycle, ctx).residue
+        total += ref.coefficient(fp, targets)
     return ctx.element(total) / ctx.element(math.factorial(k1) * math.factorial(k2))
 
 
@@ -655,3 +659,39 @@ def test_weighted_integrals_raise_as_the_first_offending_point(monkeypatch, k1, 
             integrals.weighted_integrals(k1, k2, tr, points, ctx)
         assert str(info.value) == str(first), order
     assert evaluated == []
+
+
+def _plant_doubled_term(monkeypatch):
+    """Plant an engine fault: in every power form**e with e >= 3 that the
+    package expands, double the term with d = 1, the one in which the
+    second monomial has exponent e - 1.  The chain's blocks are expanded
+    anew under it; the reference engine does not call the package."""
+    factor_terms = mpoly._factor_terms
+
+    def doubled(ctx, form, e, caps):
+        terms = factor_terms(ctx, form, e, caps)
+        if e < 3:
+            return terms
+        second = form.terms[-1][0]
+        return [(shifts, coeff * 2 % ctx.p if (second, e - 1) in shifts else coeff)
+                for shifts, coeff in terms]
+
+    monkeypatch.setattr(mpoly, "_factor_terms", doubled)
+    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+
+
+@pytest.mark.parametrize("check, args", [
+    (test_selberg_chain_matches_full_expansion, ((2, 1), 5)),
+    (test_selberg_chain_matches_full_expansion, ((1, 1, 1), 7)),
+    (test_selberg_chain_matches_full_expansion, ((3, 2), 7)),
+    (test_selberg_chain_matches_full_expansion, ((3, 2, 1), 5)),
+    (test_weighted_integral_is_one_summand_of_the_full_sum, (2, 1, 7)),
+    (test_weighted_integral_is_one_summand_of_the_full_sum, (3, 0, 7)),
+], ids=["selberg-2,1-p5", "selberg-1,1,1-p7", "selberg-3,2-p7", "selberg-3,2,1-p5",
+        "weighted-2,1-p7", "weighted-3,0-p7"])
+def test_a_planted_engine_fault_fails_the_chain_checks(monkeypatch, check, args):
+    # the chain-versus-reference checks are independent of the engine that
+    # builds the chain's blocks: a fault there fails them
+    _plant_doubled_term(monkeypatch)
+    with pytest.raises(AssertionError):
+        check(*args)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference_engine as ref
 from fpselberg import integrals
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               IndexOutOfCaps, InvalidExponent,
@@ -318,11 +319,15 @@ def test_expansion_is_factor_order_independent(case, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_products())
-def test_extract_agrees_with_expand(case):
+@given(small_products(), st.data())
+def test_extract_agrees_with_expand(case, data):
+    # the tests' projecting reference engine, which shares no code with
+    # `expand`, at the cap corner and at one slot inside the caps
     fp, caps = case
     poly = expand(fp, caps)
-    assert extract_coefficient(fp, caps) == int(poly.coefficient(caps))
+    inner = tuple(data.draw(st.integers(0, cap)) for cap in caps)
+    for target in (caps, inner):
+        assert ref.coefficient(fp, target) == int(poly.coefficient(target)), target
 
 
 def test_oracle_term_limit():

@@ -18,9 +18,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fpselberg import formulas, harness
+from fpselberg import formulas, harness, mpoly
 from fpselberg.harness import CAMPAIGNS, CampaignSpec, run_campaign
 from fpselberg.integrals import KComposition, cycle_from_composition
 
@@ -106,6 +107,23 @@ def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
         checked, failed = SCALED[spec.campaign]
     assert (report.checked, len(report.failures)) == (checked, failed)
     assert report.passed == checked - failed
+
+
+def test_stokes_passes_whatever_the_engine_returns(monkeypatch):
+    # the coefficient of x^T in d f / d x_v is (T_v + 1) [x^(T + e_v)] f and
+    # T_v + 1 = l_v p = 0 mod p, so `stokes` cannot see an engine fault, as
+    # SCALED records the relation campaigns' blind spots
+    rng = np.random.default_rng(7)
+    expanded = []
+
+    def random_residues(fp, caps):
+        expanded.append(caps)
+        shape = tuple(cap + 1 for cap in caps)
+        return mpoly.TruncatedPoly(fp.ctx, caps, rng.integers(0, fp.ctx.p, shape))
+
+    monkeypatch.setattr(mpoly, "expand", random_residues)
+    report = run_campaign(CampaignSpec("stokes", 7))
+    assert (report.checked, len(report.failures), len(expanded)) == (500, 0, 500)
 
 
 CLOSED_FORMS = {"main": "r_value", "thm_3_11": "rhs_3_11", "thm_4_111": "rhs_4_111",

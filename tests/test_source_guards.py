@@ -11,6 +11,7 @@ from fpselberg import harness, mpoly
 SOURCES = sorted(Path(fpselberg.__file__).parent.glob("*.py"))
 BENCH_DIR = Path(__file__).resolve().parents[1] / "campaignbench"
 GOLDEN = Path(__file__).resolve().parent / "golden_reports.json"
+REFERENCE_ENGINE = Path(__file__).resolve().parent / "reference_engine.py"
 
 
 def test_package_sources_found():
@@ -72,8 +73,30 @@ def test_one_row_product_path():
     # engine and the contraction sum in int64; an int64 matmul kept beside
     # the BLAS one would bring the int64 check with it
     assert _callers({"check_float64_sum"}) == {("mpoly.py", "multiply_along_axes")}
-    assert _callers({"check_int64_sum"}) == {("mpoly.py", "_run_engine"),
+    assert _callers({"check_int64_sum"}) == {("mpoly.py", "expand"),
                                              ("mpoly.py", "contract")}
+
+
+def test_one_expansion_mode():
+    # `expand` is the one expansion; extracting a coefficient reads it, and
+    # the projecting per-point reference lives in the tests
+    found = [path.name for path in SOURCES if "project_targets" in path.read_text()]
+    assert found == []
+    assert _callers({"_factor_terms"}) == {("mpoly.py", "expand")}
+
+
+def test_reference_engine_shares_no_package_code():
+    # the tests' reference reads the factor-product data classes and
+    # nothing else of the package, so an engine fault cannot reach it
+    imported = set()
+    for node in ast.walk(ast.parse(REFERENCE_ENGINE.read_text())):
+        if isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {(node.module, alias.name) for alias in node.names}
+    assert {(module, name) for module, name in imported
+            if module.partition(".")[0] == "fpselberg"} == {
+        ("fpselberg.mpoly", "FactorProduct"), ("fpselberg.mpoly", "LinearForm")}
 
 
 def test_one_batch_runner_runs_the_chain():
