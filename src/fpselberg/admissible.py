@@ -2,29 +2,25 @@
 
 A point (a, b, c) in Z_{>0}^{n+2} is admissible for a strictly decreasing
 composition k when a + (k_1 - 1)c < p - 1 and every factorial argument of the
-closed-form product lies in [0, p).  The equivalent explicit inequality
-system in (a, b_1, ..., b_n, c) is written once.  Its b-part bounds only
-contiguous sums b_s + ... + b_r, so at fixed (a, c) it is one table of
-intervals (`_b_system`); the rest are the a/c-only conditions a, c >= 1,
-ine14[a] and ine14[kc].  `is_admissible` evaluates both; identifiers in the
-report name the violated system block, e.g. "ine1[s=1,r=2,upper]" or
-"ine14[b1]".  `enumerate_admissible` loops over a and c and picks b_1, ...,
-b_n in turn, each from the intersection of the intervals of the table
-entries that end at it (`_b_tuples`), so it emits the admissible points and
-no others.  The domain of the I_{0,0,0} closed form (Theorem I) is written
-the same way, from the theorem's statement: its factorial arguments in b_1,
-b_2 or b_1 + b_2 make a table of the same shape (`_i000_system`), and
-those in a and c alone reduce to the conditions thmI[a] and thmI[kc].
-`is_admissible_I` evaluates them, and `enumerate_admissible_I` walks the
-table with the same `_b_tuples`.  Each enumerator re-checks what it emits
-and raises InvariantViolation on a point that fails: `enumerate_admissible`
-against its table, `enumerate_admissible_I` by asking `formulas.i000_rhs`,
-which builds its arguments apart from that table, whether the closed form
-is defined.
+closed-form product lies in [0, p).  At fixed (a, c) the equivalent
+inequality system is one table (`_b_system`) of bounds on contiguous sums
+b_s + ... + b_r, and the conditions on a and c alone are its entries over
+the empty sum.  The domain of the I_{0,0,0} closed form (Theorem I) is a
+table of the same shape (`_i000_system`), written from the theorem's
+factorial arguments.  `is_admissible` and `is_admissible_I` report the
+entries a point violates, e.g. "ine1[s=1,r=2,upper]" or "ine14[a]".  One
+walker (`_walk`) enumerates both domains, picking b_1, ..., b_n in turn from
+the intervals the table leaves, so it emits the points of the domain and no
+others.  Each enumerator re-checks what it emits and raises
+InvariantViolation on a point that fails: `enumerate_admissible` against
+its table, `enumerate_admissible_I` by asking `formulas.i000_rhs`, which
+builds its arguments apart from that table, whether the closed form is
+defined.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -57,16 +53,20 @@ def _require_strict(k: KComposition):
 @lru_cache(maxsize=1024)
 def _b_system(parts: tuple[int, ...], a: int, c: int,
               p: int) -> tuple[tuple[str, int, int, int | None, int | None], ...]:
-    """The b-part of the inequality system of k = `parts` at fixed (a, c).
+    """The inequality system of k = `parts` at fixed (a, c).
 
     Entry (identifier, s, r, lo, hi) means lo <= b_s + ... + b_r <= hi, with
-    None for an open side.  In report order: b_i >= 1 (reported as
-    "positivity"), ine1 for every s <= r, ine2 for every 2 <= s <= r, ine13
-    (s = 1, a moved into the constants) for every r, and ine14[b1] last.
+    None for an open side; an entry with (s, r) = (1, 0) bounds the empty
+    sum, 0, so it is a condition on a and c alone.  In report order: a, c >= 1
+    and b_i >= 1 (all reported as "positivity"), ine1 for every s <= r, ine2
+    for every 2 <= s <= r, ine13 (s = 1, a moved into the constants) for
+    every r, ine14[a] (a + (k_1-1)c < p-1), ine14[b1], and ine14[kc]
+    (0 < k_1 c < p) last.
     """
     n = len(parts)
     kp = (0,) + parts + (0,)  # kp[i] = k_i, with k_0 = k_{n+1} = 0
-    system = [("positivity", i, i, 1, None) for i in range(1, n + 1)]
+    system = [("positivity", 1, 0, 1 - a, None), ("positivity", 1, 0, 1 - c, None)]
+    system += [("positivity", i, i, 1, None) for i in range(1, n + 1)]
     for s in range(1, n + 1):
         for r in range(s, n + 1):
             system += [(f"ine1[s={s},r={r},lower]", s, r, (r - s) * (c - 1), None),
@@ -83,44 +83,51 @@ def _b_system(parts: tuple[int, ...], a: int, c: int,
         system += [(f"ine13[r={r},lower]", 1, r, p - r - a - (kp[1] - r) * c, None),
                    (f"ine13[r={r},upper]", 1, r, None,
                     2 * p - 1 - r - a - (kp[r] - kp[r + 1] + kp[1] - r - 1) * c)]
-    system.append(("ine14[b1]", 1, 1, p - 1 - (a + (kp[1] - 1) * c), None))
+    system += [("ine14[a]", 1, 0, None, p - 2 - (a + (kp[1] - 1) * c)),
+               ("ine14[b1]", 1, 1, p - 1 - (a + (kp[1] - 1) * c), None),
+               ("ine14[kc]", 1, 0, kp[1] * c - (p - 1), kp[1] * c - 1)]
     return tuple(system)
 
 
 def _violated(system, b: tuple[int, ...]) -> list[str]:
     """The identifiers of the entries of `system` (a `_b_system` or
-    `_i000_system` table) that b violates, in table order."""
+    `_i000_system` table) that b violates, in table order; an entry over the
+    empty sum is evaluated at 0."""
     sums = (0, *accumulate(b))  # sums[r] = b_1 + ... + b_r
     return [name for name, s, r, lo, hi in system
             if not (lo is None or lo <= sums[r] - sums[s - 1])
             or not (hi is None or sums[r] - sums[s - 1] <= hi)]
 
 
+def _failed_ac(system) -> list[str]:
+    """The identifiers of the entries of `system` over the empty sum, the
+    conditions on a and c alone, that fail: asked once per (a, c), where
+    `_violated` is asked once per point."""
+    return [name for name, _, r, lo, hi in system
+            if r == 0 and not ((lo is None or lo <= 0) and (hi is None or 0 <= hi))]
+
+
+def _report(system, b: tuple[int, ...]) -> AdmissibilityReport:
+    bad = tuple(dict.fromkeys(_violated(system, b)))  # one "positivity", however many trip it
+    return AdmissibilityReport(not bad, bad)
+
+
 def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
-    """Check the full inequality system for a strictly decreasing k: the
-    `_b_system` entries, plus a, c >= 1, ine14[a] and ine14[kc]."""
+    """Check the full inequality system, the `_b_system` table, for a
+    strictly decreasing k."""
     _require_strict(k)
     if pt.n != k.n:
         raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
-    a, c, p, k1 = pt.a, pt.c, ctx.p, k.part(1)
-    bad = _violated(_b_system(k.parts, a, c, p), pt.b)
-    if a < 1 or c < 1:
-        bad.insert(0, "positivity")
-    if not a + (k1 - 1) * c < p - 1:  # reported before ine14[b1], the table's last entry
-        bad.insert(len(bad) - (bad[-1:] == ["ine14[b1]"]), "ine14[a]")
-    if not 0 < k1 * c < p:
-        bad.append("ine14[kc]")
-    bad = tuple(dict.fromkeys(bad))  # one "positivity", however many variables trip it
-    return AdmissibilityReport(not bad, bad)
+    return _report(_b_system(k.parts, pt.a, pt.c, ctx.p), pt.b)
 
 
 def _b_tuples(system, n: int) -> list[tuple[int, ...]]:
     """Every (b_1, ..., b_n) within all entries of `system` (a `_b_system`
-    or `_i000_system` table), in lexicographic order.  b_r is picked after
-    b_1, ..., b_{r-1}: each entry ending at r leaves it an interval, and it
-    runs over their intersection, which is finite by b_r >= 1 and an upper
-    entry on b_r alone (ine1[s=r,r=r,upper]; thmI[b1+(i-1)c,i=1,upper] and
-    thmI[b2+(i-1)c,i=1,upper])."""
+    or `_i000_system` table) that end at some b_r, in lexicographic order.
+    b_r is picked after b_1, ..., b_{r-1}: each entry ending at r leaves it
+    an interval, and it runs over their intersection, which is finite by
+    b_r >= 1 and an upper entry on b_r alone (ine1[s=r,r=r,upper];
+    thmI[b1+(i-1)c,i=1,upper] and thmI[b2+(i-1)c,i=1,upper])."""
     prefixes: list[tuple[int, ...]] = [()]
     for r in range(1, n + 1):
         ends = [(s, lo, hi) for _, s, end, lo, hi in system if end == r]
@@ -130,35 +137,36 @@ def _b_tuples(system, n: int) -> list[tuple[int, ...]]:
     return prefixes
 
 
+def _walk(system: Callable[[int, int], tuple], n: int, p: int) -> list[ParamPoint]:
+    """Every point of the domain whose table at (a, c) is `system(a, c)`, in
+    lexicographic (a, b_1, ..., b_n, c) order.  a and c run over [1, p),
+    where every entry over the empty sum that can fail caps a nonnegative
+    combination of a and c, so the first c that fails one ends the run."""
+    out: list[ParamPoint] = []
+    for a in range(1, p):
+        batch = []
+        for c in range(1, p):
+            table = system(a, c)
+            if _failed_ac(table):
+                break
+            batch += [(b, c) for b in _b_tuples(table, n)]
+        out += [ParamPoint(a, b, c) for b, c in sorted(batch)]
+    return out
+
+
 def enumerate_admissible(k: KComposition, ctx: FpContext,
                          limit: int | None = None) -> list[ParamPoint]:
-    """All admissible points, in lexicographic (a, b_1, ..., b_n, c) order.
-
-    a and c run over the a/c-only conditions: c <= (p-1)/k_1 (ine14[kc])
-    and a + (k_1-1)c < p-1 (ine14[a]).  At each (a, c), `_b_tuples` walks
-    the intervals of the `_b_system` table, which emits exactly the
-    admissible b.  Points are collected per a and sorted by (b, c).  With
-    `limit`, only the first `limit` points (limit >= 0).  Every returned
-    point is re-checked against the a/c-only conditions and the table
-    entries; a failure is a fault of the walk and raises InvariantViolation
-    naming what `is_admissible` reports.
-    """
+    """All admissible points, in lexicographic (a, b_1, ..., b_n, c) order;
+    with `limit`, only the first `limit` (limit >= 0).  Every returned point
+    is re-checked against its table; a failure is a fault of the walk and
+    raises InvariantViolation naming what `is_admissible` reports."""
     _require_strict(k)
     if limit is not None and limit < 0:
         raise PreconditionViolation(f"limit must be at least 0, got {limit}")
-    p, k1 = ctx.p, k.part(1)
-    out: list[ParamPoint] = []
-    for a in range(1, max(p - 1 - (k1 - 1), 1)):
-        batch = [(b, c) for c in range(1, (p - 1) // k1 + 1) if a + (k1 - 1) * c < p - 1
-                 for b in _b_tuples(_b_system(k.parts, a, c, p), k.n)]
-        out += [ParamPoint(a, b, c) for b, c in sorted(batch)]
-        if limit is not None and len(out) >= limit:
-            out = out[:limit]
-            break
+    p = ctx.p
+    out = _walk(lambda a, c: _b_system(k.parts, a, c, p), k.n, p)[:limit]
     for pt in out:
-        a, c = pt.a, pt.c
-        if (not (a >= 1 and c >= 1 and a + (k1 - 1) * c < p - 1 and k1 * c < p)
-                or _violated(_b_system(k.parts, a, c, p), pt.b)):
+        if _violated(_b_system(k.parts, pt.a, pt.c, p), pt.b):
             raise InvariantViolation(
                 f"enumerated point {pt} violates {is_admissible(k, pt, ctx).violated}")
     return out
@@ -168,12 +176,9 @@ def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> Para
     """(a, p-1-(a+(k_1-1)c), (k_1-k_2+1)c-1, ..., (k_{n-1}-k_n+1)c-1, c)."""
     _require_strict(k)
     p = ctx.p
-    if a < 1 or c < 1:
-        raise PreconditionViolation("a and c must be positive")
-    if not 0 < k.part(1) * c <= p - 1:
-        raise PreconditionViolation(f"k1*c = {k.part(1) * c} outside (0, p-1]")
-    if not a + (k.part(1) - 1) * c < p - 1:
-        raise PreconditionViolation(f"a+(k1-1)c = {a + (k.part(1) - 1) * c} >= p-2+1")
+    failed = tuple(dict.fromkeys(_failed_ac(_b_system(k.parts, a, c, p))))
+    if failed:
+        raise PreconditionViolation(f"(a, c) = ({a}, {c}) violates {failed}")
     b = (p - 1 - (a + (k.part(1) - 1) * c),)
     b += tuple((k.part(i - 1) - k.part(i) + 1) * c - 1 for i in range(2, k.n + 1))
     pt = ParamPoint(a, b, c)
@@ -181,6 +186,11 @@ def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> Para
     if not report.admissible:
         raise InvariantViolation(f"distinguished point {pt} violates {report.violated}")
     return pt
+
+
+def lowered(pt: ParamPoint, idx: int) -> ParamPoint:
+    """pt with b_{idx+1} one lower."""
+    return ParamPoint(pt.a, pt.b[:idx] + (pt.b[idx] - 1,) + pt.b[idx + 1:], pt.c)
 
 
 def decrement_path(k: KComposition, frm: ParamPoint, ctx: FpContext) -> list[tuple[int, ParamPoint]]:
@@ -203,7 +213,7 @@ def decrement_path(k: KComposition, frm: ParamPoint, ctx: FpContext) -> list[tup
         if any(s < 0 for s, _ in slacks) or not candidates:
             raise NoPath(f"{cur} sits below the distinguished point {target}")
         for _, i in candidates:
-            nxt = ParamPoint(cur.a, cur.b[:i] + (cur.b[i] - 1,) + cur.b[i + 1:], cur.c)
+            nxt = lowered(cur, i)
             if is_admissible(k, nxt, ctx):
                 path.append((i, nxt))
                 cur = nxt
@@ -216,14 +226,18 @@ def decrement_path(k: KComposition, frm: ParamPoint, ctx: FpContext) -> list[tup
 @lru_cache(maxsize=1024)
 def _i000_system(k1: int, k2: int, a: int, c: int,
                  p: int) -> tuple[tuple[str, int, int, int | None, int | None], ...]:
-    """The b-part of the I_{0,0,0} domain of k = (k1, k2) at fixed (a, c),
-    shaped like `_b_system`.
+    """The I_{0,0,0} domain of k = (k1, k2) at fixed (a, c), shaped like
+    `_b_system`.
 
     Theorem I asks every factorial argument of its product to lie in
     [0, p).  Those that involve b are b_s + ... + b_r plus a constant in a
     and c, for (s, r) = (1, 1), (2, 2) or (1, 2); each gives a lower and an
-    upper entry, "thmI[<argument>,i=<i>,lower]" and "...,upper]", after b_1,
-    b_2 >= 1 (reported as "positivity").
+    upper entry, "thmI[<argument>,i=<i>,lower]" and "...,upper]", after a,
+    c, b_1, b_2 >= 1 (reported as "positivity").  Those in a and c alone,
+    (a+(i-1)c-1)! for i <= k1, (p+(i-k1-1)c-1)! for i <= k2, c! and (ic)!
+    for i <= k1, lie in [0, p) exactly when a+(k1-1)c <= p and k1 c <= p-1,
+    given a, c >= 1; the last two entries are a+(k1-1)c < p (thmI[a], the
+    stricter of the first two) and k1 c < p (thmI[kc]).
     """
     arguments = []  # (argument, s, r, its constant)
     for i in range(1, k1 - k2 + 1):
@@ -234,55 +248,33 @@ def _i000_system(k1: int, k2: int, a: int, c: int,
                       (f"b2+(i+k2-k1-2)c,i={i}", 2, 2, (i + k2 - k1 - 2) * c),
                       (f"b1+b2+(i-2)c,i={i}", 1, 2, (i - 2) * c),
                       (f"a+b1+b2+(i+k1-3)c-p,i={i}", 1, 2, a + (i + k1 - 3) * c - p)]
-    system = [("positivity", 1, 1, 1, None), ("positivity", 2, 2, 1, None)]
+    system = [("positivity", 1, 0, 1 - a, None), ("positivity", 1, 0, 1 - c, None),
+              ("positivity", 1, 1, 1, None), ("positivity", 2, 2, 1, None)]
     for argument, s, r, constant in arguments:
         system += [(f"thmI[{argument},lower]", s, r, -constant, None),
                    (f"thmI[{argument},upper]", s, r, None, p - 1 - constant)]
+    system += [("thmI[a]", 1, 0, None, p - 1 - (a + (k1 - 1) * c)),
+               ("thmI[kc]", 1, 0, None, p - 1 - k1 * c)]
     return tuple(system)
 
 
 def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
-    """Domain of the I_{0,0,0} closed form: a, c >= 1, the `_i000_system`
-    entries, a+(k1-1)c < p (thmI[a]) and k1 c < p (thmI[kc]).
-
-    The factorial arguments in a and c alone, (a+(i-1)c-1)! for i <= k1,
-    (p+(i-k1-1)c-1)! for i <= k2, c! and (ic)! for i <= k1, lie in [0, p)
-    exactly when a+(k1-1)c <= p and k1 c <= p-1, given a, c >= 1; thmI[a]
-    is the stricter of the first two.  "positivity" is reported first,
-    then the table's entries in order, then thmI[a] and thmI[kc].
-    """
+    """Domain of the I_{0,0,0} closed form: the `_i000_system` table."""
     if not k1 > k2 > 0:
         raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     if pt.n != 2:
         raise PreconditionViolation("takes b = (b1, b2)")
-    a, c, p = pt.a, pt.c, ctx.p
-    bad = _violated(_i000_system(k1, k2, a, c, p), pt.b)
-    if a < 1 or c < 1:
-        bad.insert(0, "positivity")
-    if not a + (k1 - 1) * c < p:
-        bad.append("thmI[a]")
-    if not k1 * c < p:
-        bad.append("thmI[kc]")
-    bad = tuple(dict.fromkeys(bad))  # one "positivity", however many variables trip it
-    return AdmissibilityReport(not bad, bad)
+    return _report(_i000_system(k1, k2, pt.a, pt.c, ctx.p), pt.b)
 
 
 def enumerate_admissible_I(k1: int, k2: int, ctx: FpContext) -> list[ParamPoint]:
     """All points in the I_{0,0,0} domain, lexicographic in (a, b1, b2, c).
-
-    a and c run over thmI[a] and thmI[kc]; at each (a, c), `_b_tuples`
-    walks the `_i000_system` table.  Every returned point is re-checked by
-    `formulas.i000_rhs`, once, and a point where the closed form is
-    undefined raises InvariantViolation.
-    """
+    Every returned point is re-checked by `formulas.i000_rhs`, once, and a
+    point where the closed form is undefined raises InvariantViolation."""
     if not k1 > k2 > 0:
         raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     p = ctx.p
-    out: list[ParamPoint] = []
-    for a in range(1, p):
-        batch = [(b, c) for c in range(1, (p - 1) // k1 + 1) if a + (k1 - 1) * c < p
-                 for b in _b_tuples(_i000_system(k1, k2, a, c, p), 2)]
-        out += [ParamPoint(a, b, c) for b, c in sorted(batch)]
+    out = _walk(lambda a, c: _i000_system(k1, k2, a, c, p), 2, p)
     for pt in out:
         closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
         if not closed_form.ok:

@@ -34,7 +34,7 @@ class FpContext:
     __slots__ = ("p", "_fact")
 
     def __init__(self, p: int):
-        if not (3 <= p < MAX_PRIME) or not is_prime(p) or p == 2:
+        if not (3 <= p < MAX_PRIME) or not is_prime(p):
             raise PreconditionViolation(f"p must be an odd prime with 3 <= p < 2^15, got {p}")
         self.p = p
         fact = [1] * p

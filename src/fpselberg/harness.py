@@ -97,11 +97,6 @@ class _Skip(Exception):
     """A check's point lies outside its identity's domain or cannot be computed."""
 
 
-def _lowered(pt: ParamPoint, idx: int) -> ParamPoint:
-    """pt with b_{idx+1} one lower."""
-    return ParamPoint(pt.a, pt.b[:idx] + (pt.b[idx] - 1,) + pt.b[idx + 1:], pt.c)
-
-
 # Point checks, (ctx, k, key) -> (lhs, rhs, classifier of a mismatch), raise
 # _Skip; `_per_key` makes one a check of a key list.  The checks of a key
 # list, (ctx, k, keys) -> one (lhs, rhs, classifier) or _Skip per key in key
@@ -239,7 +234,7 @@ def _relations_b(idx: int) -> "_Campaign":
             except ZeroFactor as exc:
                 factors.append(_Skip(str(exc)))
         values = weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
-                                    [_lowered(pt, idx) for pt in points] + points, ctx)
+                                    [adm.lowered(pt, idx) for pt in points] + points, ctx)
         lows, highs = iter(values[:len(points)]), iter(values[len(points):])
         return [factor if isinstance(factor, _Skip)
                 else (next(lows), factor * next(highs), "mismatch") for factor in factors]
@@ -253,7 +248,7 @@ def _relations_s1s2_check(ctx, k, keys):
     highs = [ParamPoint(*hi_key) for hi_key, _ in keys]
     factors = [(formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
         k[0], k[1], hi, ctx) for hi, (_, idx) in zip(highs, keys)]
-    lows = [_lowered(hi, idx) for hi, (_, idx) in zip(highs, keys)]
+    lows = [adm.lowered(hi, idx) for hi, (_, idx) in zip(highs, keys)]
     values = selberg_integrals(KComposition(k), lows + highs, ctx)
     return [(lhs, factor * rhs, f"edge b{idx + 1}-1 mismatch")
             for lhs, factor, rhs, (_, idx) in zip(values, factors, values[len(keys):], keys)]

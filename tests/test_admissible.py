@@ -216,11 +216,11 @@ def test_distinguished_point_raises_when_not_admissible(monkeypatch):
 def test_distinguished_point_preconditions():
     ctx = FpContext(7)
     k = KComposition((2, 1))
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionViolation, match=re.escape("ine14[kc]")):
         distinguished_point(k, 1, 4, ctx)  # k1*c = 8 > p-1
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionViolation, match=re.escape("ine14[a]")):
         distinguished_point(k, 5, 1, ctx)  # a + (k1-1)c = 6 = p-1
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionViolation, match="positivity"):
         distinguished_point(k, 0, 1, ctx)
 
 

@@ -120,8 +120,35 @@ def test_one_shift_table_builds_every_weight_row():
 def test_both_domains_are_walked_by_one_interval_walker():
     # the admissible and the I_000 domain are each a table of intervals,
     # enumerated by the same walk rather than by filtering a box
-    assert _callers({"_b_tuples"}) == {("admissible.py", "enumerate_admissible"),
-                                       ("admissible.py", "enumerate_admissible_I")}
+    assert _callers({"_b_tuples"}) == {("admissible.py", "_walk")}
+    assert _callers({"_walk"}) == {("admissible.py", "enumerate_admissible"),
+                                   ("admissible.py", "enumerate_admissible_I")}
+
+
+def test_each_ac_condition_is_written_in_its_table_alone():
+    # the conditions on a and c alone are entries of the domain tables; a
+    # function that restated one would name it outside them (docstrings,
+    # which may describe the conditions, are not code)
+    conditions = ("ine14[a]", "ine14[kc]", "thmI[a]", "thmI[kc]")
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, scopes) and node.body
+                      and isinstance(node.body[0], ast.Expr)}
+
+        def visit(node, owner):
+            for child in ast.iter_child_nodes(node):
+                if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                        and id(child) not in docstrings
+                        and any(name in child.value for name in conditions)):
+                    found.add((path.name, owner))
+                visit(child, getattr(child, "name", owner) if isinstance(child, scopes)
+                      else owner)
+
+        visit(tree, "<module>")
+    assert found == {("admissible.py", "_b_system"), ("admissible.py", "_i000_system")}
 
 
 def test_closed_forms_evaluate_through_the_factorial_product():
