@@ -30,6 +30,8 @@ from itertools import repeat
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import admissible as adm
 from . import formulas, mpoly
 from .errors import CapacityExceeded, ZeroFactor
@@ -221,7 +223,8 @@ def _relations_b(idx: int) -> "_Campaign":
     Homogeneous in the integrals, so a fault that zeroes or scales every
     integral passes it."""
     def keys(spec, ctx):
-        return _sampled([key for key in _admissible(spec.k, ctx) if key[1][idx] >= 2], spec)
+        rows = _admissible(spec.k, ctx)
+        return _sampled(rows[rows[:, 1 + idx] >= 2], spec)
 
     def check(ctx, k, keys):
         k1, k2 = k
@@ -316,11 +319,15 @@ def _stokes_check(ctx, _k, key):
 
 # key lists: (spec, ctx) -> (total, keys); total - len(keys) points are skips
 
-def _sampled(population: list, spec: CampaignSpec) -> tuple[int, list]:
+def _sampled(rows: np.ndarray, spec: CampaignSpec) -> tuple[int, list]:
+    """The keys (a, (b_1, ..., b_n), c) of rows (a, b_1, ..., b_n, c) that
+    are in key order, or of a seeded sample of them.  `random.sample` reads
+    only the population's length and the items it picks, so sampling the
+    row indices picks the keys that sampling the key list would."""
     if not spec.exhaustive:
-        sample = random.Random(spec.seed).sample(population, min(spec.samples, len(population)))
-        population = sorted(sample)
-    return len(population), population
+        picked = random.Random(spec.seed).sample(range(len(rows)), min(spec.samples, len(rows)))
+        rows = rows[sorted(picked)]
+    return len(rows), [(row[0], tuple(row[1:-1]), row[-1]) for row in rows.tolist()]
 
 
 def _swept(keys: list, spec: CampaignSpec) -> tuple[int, list]:
@@ -330,8 +337,8 @@ def _swept(keys: list, spec: CampaignSpec) -> tuple[int, list]:
     return len(keys), keys
 
 
-def _admissible(k: tuple[int, ...], ctx: FpContext) -> list[tuple]:
-    return [(pt.a, pt.b, pt.c) for pt in adm.enumerate_admissible(KComposition(k), ctx)]
+def _admissible(k: tuple[int, ...], ctx: FpContext) -> np.ndarray:
+    return adm.admissible_rows(KComposition(k), ctx)
 
 
 def _admissible_keys(spec, ctx):
@@ -339,10 +346,9 @@ def _admissible_keys(spec, ctx):
 
 
 def _main_keys(spec, ctx):
-    if not spec.exhaustive:
-        return _admissible_keys(spec, ctx)
-    # the whole parameter box counts; its inadmissible points are skips
-    return (2 * spec.p - 1) ** (len(spec.k) + 2), _admissible(spec.k, ctx)
+    total, keys = _admissible_keys(spec, ctx)
+    # an exhaustive run counts the whole parameter box; its inadmissible points are skips
+    return (2 * spec.p - 1) ** (len(spec.k) + 2) if spec.exhaustive else total, keys
 
 
 def _beta_keys(spec, _ctx):
@@ -394,16 +400,17 @@ def _relations_s1s2_keys(spec, ctx):
 
 
 def _induction_keys(spec, _ctx):
-    p = spec.p
-    keys = [(kparts, a, c)
-            for kparts in (_INDUCTION_COMPOSITIONS if spec.k is None else (spec.k,))
-            for c in range(1, (p - 1) // kparts[0] + 1)
-            for a in range(1, p - 1 - (kparts[0] - 1) * c)]
+    """Per composition, c-major, the (a, c) whose a/c conditions hold."""
+    p, keys = spec.p, []
+    for kparts in (_INDUCTION_COMPOSITIONS if spec.k is None else (spec.k,)):
+        pairs = adm._ac_tables(lambda a, c: adm._b_system(kparts, a, c, p), p)
+        keys += [(kparts, a, c) for c, a in sorted((c, a) for a, c, _ in pairs)]
     return _swept(keys, spec)
 
 
 def _i000_keys(spec, ctx):
-    return _sampled([(pt.a, pt.b, pt.c) for pt in adm.enumerate_admissible_I(*spec.k, ctx)], spec)
+    points = adm.enumerate_admissible_I(*spec.k, ctx)
+    return _sampled(np.array([(pt.a, *pt.b, pt.c) for pt in points]).reshape(-1, 4), spec)
 
 
 def _stokes_keys(spec, _ctx):

@@ -1,6 +1,7 @@
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 
 import reference_admissible
@@ -145,7 +146,8 @@ def test_admissible_iff_closed_form_defined(kparts, p):
     assert enumerate_admissible(k, ctx) == passed
 
 
-@pytest.mark.parametrize("kparts,p", [((3, 2, 1), 7), ((4, 3, 2, 1), 5), ((4, 3, 2, 1), 7)])
+@pytest.mark.parametrize("kparts,p", [((3, 2, 1), 7), ((4, 3, 2, 1), 5), ((4, 3, 2, 1), 7),
+                                     ((3, 2), 17), ((4, 2, 1), 11)])
 def test_enumeration_equals_box_filter(kparts, p):
     # the box a, c, b_i in 1..2p-2 holds every admissible point; an (a, c)
     # that fails ine14[a] or ine14[kc] fails whatever b is, so only the other
@@ -163,24 +165,39 @@ def test_enumeration_equals_box_filter(kparts, p):
 
 @pytest.mark.parametrize("kparts", [(3, 2, 1), (4, 3, 2, 1)])
 def test_enumeration_checks_each_point_once(monkeypatch, kparts):
-    # the interval walk emits only admissible points, so each returned point
-    # is re-checked against its table once, without a report, and
-    # is_admissible never runs on a point that passes
-    checked, reports = [], []
-    violated, report = admissible._violated, admissible.is_admissible
+    # one vector re-check sees every row the walk emits, and is_admissible
+    # runs only to name what a failing row violates
+    k, ctx = KComposition(kparts), FpContext(11)
+    rechecked, reports = [], []
+    outside, report, walk = admissible._outside, admissible.is_admissible, admissible._walk
 
-    def counting(system, b):
-        checked.append(b)
-        return violated(system, b)
+    def recording(parts, p, rows):
+        rechecked.append(rows.copy())
+        return outside(parts, p, rows)
 
     def reporting(*args):
-        reports.append(args)
+        reports.append(args[1])
         return report(*args)
 
-    monkeypatch.setattr(admissible, "_violated", counting)
+    monkeypatch.setattr(admissible, "_outside", recording)
     monkeypatch.setattr(admissible, "is_admissible", reporting)
-    pts = enumerate_admissible(KComposition(kparts), FpContext(11))
-    assert pts and checked == [pt.b for pt in pts] and reports == []
+    pts = enumerate_admissible(k, ctx)
+    assert pts and len(rechecked) == 1 and reports == []
+    assert [(a, tuple(b), c) for a, *b, c in rechecked[0].tolist()] == [
+        (pt.a, pt.b, pt.c) for pt in pts]
+    # a row past the table (b_1 >= p breaks ine1[s=1,r=1,upper]) at the first
+    # and at the last (a, c) of the walk
+    pairs = admissible._ac_tables(lambda a, c: admissible._b_system(kparts, a, c, ctx.p), ctx.p)
+    for a, c, _ in (pairs[0], pairs[-1]):
+        planted = ParamPoint(a, (2 * ctx.p,) + (1,) * (k.n - 1), c)
+        violated = is_admissible(k, planted, ctx).violated
+        assert "ine1[s=1,r=1,upper]" in violated
+        monkeypatch.setattr(admissible, "_walk", lambda *args: np.vstack(
+            [walk(*args), [planted.a, *planted.b, planted.c]]))
+        reports.clear()
+        with pytest.raises(InvariantViolation, match=re.escape(f"violates {violated}")):
+            enumerate_admissible(k, ctx)
+        assert reports == [planted]
 
 
 def test_enumeration_raises_when_a_point_is_not_admissible(monkeypatch):
@@ -188,13 +205,12 @@ def test_enumeration_raises_when_a_point_is_not_admissible(monkeypatch):
     # the re-check, which names what is_admissible reports for that point
     k, ctx = KComposition((3, 2, 1)), FpContext(11)
     victim = enumerate_admissible(k, ctx)[100]
-    system = admissible._b_system(k.parts, victim.a, victim.c, ctx.p)
     planted = (victim.b[0] + 20,) + victim.b[1:]
     violated = is_admissible(k, ParamPoint(victim.a, planted, victim.c), ctx).violated
     assert violated
-    walk = admissible._b_tuples
-    monkeypatch.setattr(admissible, "_b_tuples", lambda table, n: walk(table, n) + (
-        [planted] if table == system else []))
+    walk = admissible._walk
+    monkeypatch.setattr(admissible, "_walk", lambda *args: np.insert(
+        walk(*args), 101, [victim.a, *planted, victim.c], axis=0))
     with pytest.raises(InvariantViolation, match=re.escape(f"violates {violated}")):
         enumerate_admissible(k, ctx)
 

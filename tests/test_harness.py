@@ -1,9 +1,11 @@
 import dataclasses
 import json
+import random
 
 import pytest
 
 from fpselberg import harness
+from fpselberg.admissible import enumerate_admissible
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition, ParamPoint
 from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
@@ -92,6 +94,55 @@ def test_different_seed_changes_sample():
     # same sizes either way, whatever the draw
     ra, rb = run_campaign(base), run_campaign(other)
     assert ra.checked == rb.checked == 5
+
+
+@pytest.mark.parametrize("campaign", ["main", "relations_B2"])
+def test_sampling_indices_picks_the_keys_of_sampling_the_key_list(campaign):
+    # keys are drawn as indices into the domain's rows; random.sample reads
+    # only the population's length and the items it picks, so the draw is
+    # the one over the list of the enumerated points' keys
+    ctx = FpContext(13)
+    population = [(pt.a, pt.b, pt.c) for pt in enumerate_admissible(KComposition((3, 2)), ctx)
+                  if campaign == "main" or pt.b[1] >= 2]
+    n = len(population)
+    for seed in range(21):
+        for samples in (1, 36, n, n + 5):
+            spec = CampaignSpec(campaign, 13, (3, 2), exhaustive=False, samples=samples,
+                                seed=seed)
+            expected = sorted(random.Random(seed).sample(population, min(samples, n)))
+            total, keys = harness._CAMPAIGNS[campaign].keys(spec, ctx)
+            assert (total, keys) == (len(expected), expected), (seed, samples)
+    assert all(type(x) is int for a, b, c in keys for x in (a, *b, c))
+
+
+def test_sampled_main_builds_points_for_its_sample_alone(monkeypatch):
+    # the domain's 407 points stay rows; a ParamPoint is built only for each
+    # of the 36 sampled keys (the whole domain was built, 443 in all, while
+    # keys were taken from the public enumerator's points)
+    built = []
+    post_init = harness.ParamPoint.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(harness.ParamPoint, "__post_init__", counting)
+    report = run_campaign(CampaignSpec("main", 13, (3, 2), exhaustive=False, samples=36, seed=1))
+    assert report.checked == 36 and len(built) == 36
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_induction_keys_are_the_ac_pairs_of_the_domain_table(p):
+    # the key list as it was written before it was read off the table's a/c
+    # entries: per composition, c with k_1 c < p, then a with
+    # a + (k_1-1)c < p-1
+    for k in (None, (2, 1), (3, 2), (3, 2, 1)):
+        expected = [(kparts, a, c)
+                    for kparts in (harness._INDUCTION_COMPOSITIONS if k is None else (k,))
+                    for c in range(1, (p - 1) // kparts[0] + 1)
+                    for a in range(1, p - 1 - (kparts[0] - 1) * c)]
+        spec = CampaignSpec("induction", p, k)
+        assert harness._induction_keys(spec, FpContext(p)) == (len(expected), expected)
 
 
 def test_parallel_matches_sequential():

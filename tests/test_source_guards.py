@@ -119,10 +119,16 @@ def test_one_shift_table_builds_every_weight_row():
 
 def test_both_domains_are_walked_by_one_interval_walker():
     # the admissible and the I_000 domain are each a table of intervals,
-    # enumerated by the same walk rather than by filtering a box
-    assert _callers({"_b_tuples"}) == {("admissible.py", "_walk")}
-    assert _callers({"_walk"}) == {("admissible.py", "enumerate_admissible"),
+    # enumerated by the same vector walk rather than by filtering a box: only
+    # `_walk` expands intervals, and campaigns take the re-checked rows of
+    # `admissible_rows` rather than a second walk
+    assert {(path, function) for path, function in _callers({"repeat"})
+            if path == "admissible.py"} == {("admissible.py", "_walk")}
+    assert all(function != "_b_tuples" for _, function, _ in _calls())
+    assert _callers({"_walk"}) == {("admissible.py", "admissible_rows"),
                                    ("admissible.py", "enumerate_admissible_I")}
+    assert _callers({"admissible_rows"}) == {("admissible.py", "enumerate_admissible"),
+                                             ("harness.py", "_admissible")}
 
 
 def test_each_ac_condition_is_written_in_its_table_alone():
