@@ -205,14 +205,9 @@ def admissible_rows(k: KComposition, ctx: FpContext) -> np.ndarray:
     return rows
 
 
-def enumerate_admissible(k: KComposition, ctx: FpContext,
-                         limit: int | None = None) -> list[ParamPoint]:
-    """The points of `admissible_rows`; with `limit`, only the first `limit`
-    (limit >= 0)."""
-    rows = admissible_rows(k, ctx)
-    if limit is not None and limit < 0:
-        raise PreconditionViolation(f"limit must be at least 0, got {limit}")
-    return _points(rows[:limit])
+def enumerate_admissible(k: KComposition, ctx: FpContext) -> list[ParamPoint]:
+    """The points of `admissible_rows`."""
+    return _points(admissible_rows(k, ctx))
 
 
 def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> ParamPoint:

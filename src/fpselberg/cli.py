@@ -155,7 +155,7 @@ def _cmd_enumerate(args) -> int:
     from .admissible import enumerate_admissible
     ctx = FpContext(args.p)
     k = KComposition(args.k)
-    points = enumerate_admissible(k, ctx, limit=args.limit)
+    points = enumerate_admissible(k, ctx)[:args.limit]
     if args.count_only:
         print(len(points))
     elif args.json:

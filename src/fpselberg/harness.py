@@ -5,20 +5,22 @@ by closed form (or recurrence factors), exact equality only.
 `_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
 that takes a list of keys and returns one result per key, (lhs, rhs,
 mismatch classifier) or a `_Skip`, the composition length it needs, and the
-JSON form of a key in a failure record.  Campaigns checked key by key
-(`dyson`, `induction`, `stokes`) go through one adapter, `_per_key`.  The
-others take their integrals in batches: `beta` (the one group k = (1,)),
-`main`, `thm_3_11`, `thm_4_111` and `relations_S1S2` from one
-`selberg_integrals` call per key list; `i000`, `relations_II0`,
-`relations_B1` and `relations_B2` from one `weighted_integrals` call per
-allowable triple; `relations_IS` from one of each.  `bench` times
-`selberg_integral` too.  `run_campaign` splits the keys into contiguous
-chunks of at most CHUNK_KEYS, and `_outcome` turns each chunk's results
-into skips, passes and failures, in key order, sequentially or in the
-jobs > 1 pool.  Checks look up integrals, `formulas.*` and `adm.*` by
-module attribute at call time, so code that patches those attributes sees
-every call.  No check calls `weighted_integral` or `fp_integral`; they stay
-imported, as module attributes that the campaign benchmark's tracer wraps.
+JSON form of a key in a failure record.  Checks take their integrals in
+batches: `beta` (the one group k = (1,)), `main`, `thm_3_11`, `thm_4_111`
+and `relations_S1S2` from one `selberg_integrals` call per key list;
+`induction` from two per run of one composition (the full and the
+truncated composition); `i000`, `relations_II0`, `relations_B1` and
+`relations_B2` from one `weighted_integrals` call per allowable triple;
+`relations_IS` from one of each.  `dyson` and `stokes` read one
+coefficient off one expansion per key.  `run_campaign` splits the keys
+into contiguous chunks of at most CHUNK_KEYS, and `_outcome` turns each
+chunk's results into skips, passes and failures, in key order,
+sequentially or in the jobs > 1 pool.  Checks look up integrals,
+`formulas.*` and `adm.*` by module attribute at call time, so code that
+patches those attributes sees every call.  Only `bench` calls
+`selberg_integral`, and nothing calls `weighted_integral` or
+`fp_integral`; they stay imported, as module attributes that the campaign
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import repeat
+from itertools import compress, groupby, repeat
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
@@ -99,26 +101,6 @@ class _Skip(Exception):
     """A check's point lies outside its identity's domain or cannot be computed."""
 
 
-# Point checks, (ctx, k, key) -> (lhs, rhs, classifier of a mismatch), raise
-# _Skip; `_per_key` makes one a check of a key list.  The checks of a key
-# list, (ctx, k, keys) -> one (lhs, rhs, classifier) or _Skip per key in key
-# order, take their integrals from one `selberg_integrals` or
-# `weighted_integrals` call per kind of integral.
-
-def _per_key(check: Callable) -> Callable:
-    """The key-list check that runs a point check on each key."""
-    def checks(ctx, k, keys):
-        results = []
-        for key in keys:
-            try:
-                results.append(check(ctx, k, key))
-            except _Skip as skip:
-                # a fresh skip: the raised one's traceback holds the check's frames
-                results.append(_Skip(*skip.args))
-        return results
-    return checks
-
-
 def _closed(result: formulas.FormulaResult):
     """A closed form's value, or the skip where it is undefined."""
     return result.value if result.ok else _Skip(result.error)
@@ -158,10 +140,9 @@ def dyson_constant_term(k: int, c: int, ctx: FpContext):
     return sign_pow(ctx, c * k * (k - 1) // 2) * ctx.element(coeff)
 
 
-def _dyson_check(ctx, _k, key):
-    kk, c = key
-    return (dyson_constant_term(kk, c, ctx), formulas.dyson_constant(kk, c, ctx),
-            f"mismatch at k={kk}")
+def _dyson_check(ctx, _k, keys):
+    return [(dyson_constant_term(kk, c, ctx), formulas.dyson_constant(kk, c, ctx),
+             f"mismatch at k={kk}") for kk, c in keys]
 
 
 def _main_check(ctx, k, keys):
@@ -257,21 +238,27 @@ def _relations_s1s2_check(ctx, k, keys):
             for lhs, factor, rhs, (_, idx) in zip(values, factors, values[len(keys):], keys)]
 
 
-def _induction_check(ctx, _k, key):
+def _induction_check(ctx, _k, keys):
     """Factored identity at the distinguished point: the n-group integral
-    equals induction_factor times the (n-1)-group integral.  Homogeneous in
-    the integrals, so a fault that zeroes or scales every integral passes
-    it."""
-    kparts, a, c = key
-    comp = KComposition(kparts)
-    if comp.part(comp.n) * c > ctx.p - 1:
-        raise _Skip("k_n c > p-1")
-    full = adm.distinguished_point(comp, a, c, ctx)
-    trunc = adm.distinguished_point(comp.truncated(), a, c, ctx)
-    factor = formulas.induction_factor(comp, c, ctx)
-    lhs = selberg_integral(comp, full, ctx)
-    rhs = factor * selberg_integral(comp.truncated(), trunc, ctx)
-    return lhs, rhs, f"k={kparts} factored identity"
+    equals induction_factor times the (n-1)-group integral, each side of a
+    run of keys of one composition from one `selberg_integrals` call.
+    Homogeneous in the integrals, so a fault that zeroes or scales every
+    integral passes it."""
+    results = []
+    for kparts, run in groupby(keys, key=lambda key: key[0]):
+        comp = KComposition(kparts)
+        trunc = comp.truncated()
+        pairs = [(a, c) for _, a, c in run]
+        fits = [comp.part(comp.n) * c <= ctx.p - 1 for _, c in pairs]
+        kept = list(compress(pairs, fits))
+        fulls = iter(selberg_integrals(
+            comp, [adm.distinguished_point(comp, a, c, ctx) for a, c in kept], ctx))
+        truncs = iter(selberg_integrals(
+            trunc, [adm.distinguished_point(trunc, a, c, ctx) for a, c in kept], ctx))
+        results += [(next(fulls), formulas.induction_factor(comp, c, ctx) * next(truncs),
+                     f"k={kparts} factored identity") if fit else _Skip("k_n c > p-1")
+                    for (_, c), fit in zip(pairs, fits)]
+    return results
 
 
 def _i000_check(ctx, k, keys):
@@ -299,22 +286,24 @@ def random_factor_product(ctx: FpContext, rng: random.Random,
     return FactorProduct(ctx, nv, tuple(factors), scalar), PCycle(lengths)
 
 
-def _stokes_check(ctx, _k, key):
+def _stokes_check(ctx, _k, keys):
     """The integral of a partial derivative of a random product is 0.
 
     No fault in the expansion engine can fail this check: the coefficient
     of x^T in d f / d x_v is (T_v + 1) [x^(T + e_v)] f, and T_v + 1 = l_v p
     is 0 mod p, whatever `mpoly.expand` returns for f.
     """
-    seed, index = key
-    rng = random.Random(seed * 1_000_003 + index)
-    fp, cycle = random_factor_product(ctx, rng)
-    var = rng.randrange(fp.num_vars)
-    targets = cycle.targets(ctx.p)
-    caps = tuple(t + 1 if v == var else t for v, t in enumerate(targets))
-    deriv = mpoly.derivative(mpoly.expand(fp, caps), var)
-    return (deriv.coefficient(targets), ctx.zero,
-            f"derivative in x{var+1} has nonzero integral")
+    results = []
+    for seed, index in keys:
+        rng = random.Random(seed * 1_000_003 + index)
+        fp, cycle = random_factor_product(ctx, rng)
+        var = rng.randrange(fp.num_vars)
+        targets = cycle.targets(ctx.p)
+        caps = tuple(t + 1 if v == var else t for v, t in enumerate(targets))
+        deriv = mpoly.derivative(mpoly.expand(fp, caps), var)
+        results.append((deriv.coefficient(targets), ctx.zero,
+                        f"derivative in x{var+1} has nonzero integral"))
+    return results
 
 
 # key lists: (spec, ctx) -> (total, keys); total - len(keys) points are skips
@@ -435,7 +424,7 @@ _CAMPAIGNS = {
     "main": _Campaign(_main_keys, _main_check, 0),
     "beta": _Campaign(_beta_keys, _beta_check,
                       point=lambda key: {"a": key[0], "b": key[1], "c": None}),
-    "dyson": _Campaign(_dyson_keys, _per_key(_dyson_check),
+    "dyson": _Campaign(_dyson_keys, _dyson_check,
                        point=lambda key: {"a": None, "b": [key[0]], "c": key[1]}),
     "thm_3_11": _Campaign(_thm_3_11_keys, _thm(2)),
     "thm_4_111": _Campaign(_thm_4_111_keys, _thm(3)),
@@ -445,10 +434,10 @@ _CAMPAIGNS = {
     "relations_B2": _relations_b(1),
     "relations_S1S2": _Campaign(_relations_s1s2_keys, _relations_s1s2_check, 2,
                                 point=lambda key: _point(key[0])),
-    "induction": _Campaign(_induction_keys, _per_key(_induction_check),
+    "induction": _Campaign(_induction_keys, _induction_check,
                            point=lambda key: {"a": key[1], "b": None, "c": key[2]}),
     "i000": _Campaign(_i000_keys, _i000_check, 2),
-    "stokes": _Campaign(_stokes_keys, _per_key(_stokes_check),
+    "stokes": _Campaign(_stokes_keys, _stokes_check,
                         point=lambda key: {"a": None, "b": None, "c": None}),
 }
 

@@ -38,16 +38,11 @@ def test_known_admissible_counts():
     assert len(enumerate_admissible(KComposition((2, 1)), FpContext(7))) == 61
 
 
-def test_enumeration_order_and_limit():
+def test_enumeration_order():
     ctx = FpContext(5)
     pts = enumerate_admissible(KComposition((1,)), ctx)
     keys = [(pt.a, pt.b, pt.c) for pt in pts]
     assert keys == sorted(keys)
-    assert enumerate_admissible(KComposition((1,)), ctx, limit=5) == pts[:5]
-    assert enumerate_admissible(KComposition((1,)), ctx, limit=0) == []
-    assert enumerate_admissible(KComposition((1,)), ctx, limit=99) == pts
-    with pytest.raises(PreconditionViolation):
-        enumerate_admissible(KComposition((1,)), ctx, limit=-3)
 
 
 # Full reports: together they trip every identifier family (positivity, ine1 and ine2 lower

@@ -77,6 +77,8 @@ def test_enumerate_json_limit(capsys):
     pts = json.loads(out)
     assert len(pts) == 3
     assert set(pts[0]) == {"a", "b", "c"}
+    _, out, _ = run(capsys, "enumerate", "--p", "5", "--k", "1", "--json")
+    assert json.loads(out)[:3] == pts
 
 
 def test_enumerate_limit_zero_and_three(capsys):

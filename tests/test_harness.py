@@ -5,9 +5,10 @@ import random
 import pytest
 
 from fpselberg import harness
-from fpselberg.admissible import enumerate_admissible
+from fpselberg.admissible import distinguished_point, enumerate_admissible
+from fpselberg.formulas import induction_factor
 from fpselberg.gf import FpContext
-from fpselberg.integrals import KComposition, ParamPoint
+from fpselberg.integrals import KComposition, ParamPoint, selberg_integral
 from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
                                run_campaign)
 
@@ -259,6 +260,45 @@ def test_induction_runner_skips_oversized_last_group():
     skip, = harness._CAMPAIGNS["induction"].check(FpContext(7), None, [key])
     assert isinstance(skip, harness._Skip) and "k_n c" in str(skip)
     assert harness._outcome("induction", FpContext(7), None, [key]) == [("skip", None)]
+
+
+def test_induction_batches_each_run_of_one_composition():
+    # two runs of (2,1) around one of (3,2,1), a repeated key, and a key
+    # whose last group is too large for its c: one result per key, in key
+    # order, each side equal to the integral at its distinguished point
+    ctx = FpContext(11)
+    keys = [((2, 1), 2, 3), ((2, 1), 1, 1), ((2, 1), 2, 3), ((3, 2, 1), 1, 1),
+            ((3, 2, 1), 1, 11), ((3, 2, 1), 2, 2), ((2, 1), 3, 2)]
+    results = harness._CAMPAIGNS["induction"].check(ctx, None, keys)
+    assert len(results) == len(keys)
+    assert isinstance(results[4], harness._Skip) and "k_n c" in str(results[4])
+    for (kparts, a, c), result in zip(keys[:4] + keys[5:], results[:4] + results[5:]):
+        comp = KComposition(kparts)
+        trunc = comp.truncated()
+        lhs = selberg_integral(comp, distinguished_point(comp, a, c, ctx), ctx)
+        rhs = induction_factor(comp, c, ctx) * selberg_integral(
+            trunc, distinguished_point(trunc, a, c, ctx), ctx)
+        assert result == (lhs, rhs, f"k={kparts} factored identity")
+    assert results[0] == results[2]
+
+
+def test_induction_takes_two_integral_calls_per_composition(monkeypatch):
+    calls = {"selberg_integrals": 0, "selberg_integral": 0}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    report = run_campaign(CampaignSpec("induction", 13))
+    assert report.all_passed and report.checked > 0
+    assert calls == {"selberg_integrals": 2 * len(harness._INDUCTION_COMPOSITIONS),
+                     "selberg_integral": 0}
 
 
 def test_outcomes_follow_the_keys_through_skips():

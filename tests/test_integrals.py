@@ -163,6 +163,66 @@ def test_selberg_chain_matches_full_expansion(parts, p):
         assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx), pt
 
 
+def _point_counts(parts, p):
+    """(-1)^n times the sum over F_p^n of the paper's product
+    prod t^a_i (1-t)^b_i, in-group (t-t')^2c, adjacent-group (t'-t)^(p-c),
+    at every point a, b_i < p, 1 <= c < p where each variable has degree at
+    most 2p-3.  The sum of x^m over F_p is -1 when m > 0 and p-1 divides m,
+    and 0 otherwise; so under that bound the count is the coefficient of
+    prod x^(p-1), the integral over an all-ones cycle.  Numpy power tables
+    mod p only: no package arithmetic."""
+    n = sum(parts)
+    group = np.repeat(np.arange(len(parts)), parts)
+    x = np.array(list(itertools.product(range(p), repeat=n)), dtype=np.int64).T
+    powers = np.ones((2 * p, p), dtype=np.int64)  # powers[e, y] = y^e mod p
+    for e in range(1, 2 * p):
+        powers[e] = powers[e - 1] * np.arange(p) % p
+    counts = {}
+    for c in range(1, p):
+        pairs, degree = np.ones(p ** n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        for u, v in itertools.combinations(range(n), 2):
+            e = {0: 2 * c, 1: p - c}.get(group[v] - group[u], 0)
+            pairs = pairs * powers[e, (x[v] - x[u]) % p] % p
+            degree[[u, v]] += e
+        for a, *b in itertools.product(range(p), repeat=len(parts) + 1):
+            a_exp, b_exp = np.where(group == 0, a, 0), np.array(b)[group]
+            if (a_exp + b_exp + degree).max() > 2 * p - 3:
+                continue
+            f = pairs
+            for v in range(n):
+                f = f * powers[a_exp[v], x[v]] % p * powers[b_exp[v], (1 - x[v]) % p] % p
+            counts[(a, tuple(b), c)] = (-1) ** n * int(f.sum()) % p
+    return counts
+
+
+POINT_COUNT_CASES = [((1, 1), 7, 1456), ((1, 1), 11, 10120), ((1, 1, 1), 5, 1080),
+                     ((2,), 7, 111), ((3,), 7, 44)]
+
+
+def _chain_against_point_counts(parts, p):
+    counts = _point_counts(parts, p)
+    values = selberg_integrals(KComposition(parts), [ParamPoint(*key) for key in counts],
+                               FpContext(p))
+    return [int(value) for value in values], list(counts.values())
+
+
+@pytest.mark.parametrize("parts, p, size", POINT_COUNT_CASES)
+def test_selberg_chain_matches_point_counts(parts, p, size):
+    # an oracle that shares nothing with the chain: the all-ones cycle
+    # integral as a point count, at every degree-bounded point of the box,
+    # closed-form domain or not
+    chain, counts = _chain_against_point_counts(parts, p)
+    assert len(counts) == size and any(counts)
+    assert chain == counts
+
+
+def test_a_planted_chain_fault_fails_the_point_counts(monkeypatch):
+    chain = integrals._chain
+    monkeypatch.setattr(integrals, "_chain", lambda *args: chain(*args) + 1)
+    values, counts = _chain_against_point_counts((1, 1), 7)
+    assert all(value != count for value, count in zip(values, counts))
+
+
 @pytest.mark.parametrize("p, parts", [(7, (2, 1)), (5, (3, 2, 1))])
 def test_selberg_capacity_fires_exactly_above_target_box(monkeypatch, p, parts):
     ctx = FpContext(p)

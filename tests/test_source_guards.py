@@ -7,6 +7,7 @@ from pathlib import Path
 
 import fpselberg
 from fpselberg import harness, mpoly
+from fpselberg.gf import FpContext
 
 SOURCES = sorted(Path(fpselberg.__file__).parent.glob("*.py"))
 BENCH_DIR = Path(__file__).resolve().parents[1] / "campaignbench"
@@ -75,6 +76,21 @@ def test_one_row_product_path():
     assert _callers({"check_float64_sum"}) == {("mpoly.py", "multiply_along_axes")}
     assert _callers({"check_int64_sum"}) == {("mpoly.py", "expand"),
                                              ("mpoly.py", "contract")}
+
+
+def test_every_campaign_checks_a_key_list():
+    # one check shape: a second, per-key shape would bring back an adapter,
+    # and with it the per-point integrals that only `bench` still times
+    assert not hasattr(harness, "_per_key")
+    for name, entry in harness._CAMPAIGNS.items():
+        k = None if entry.k_len is None else (2, 1)
+        assert entry.check(FpContext(7), k, []) == [], name
+
+    def in_harness(names):
+        return {caller for caller in _callers(names) if caller[0] == "harness.py"}
+
+    assert in_harness({"selberg_integral"}) == {("harness.py", "bench")}
+    assert in_harness({"weighted_integral", "fp_integral"}) == set()
 
 
 def test_one_expansion_mode():
