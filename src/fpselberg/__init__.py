@@ -12,10 +12,10 @@ from .errors import (AccumulatorOverflow, CapacityExceeded, FpSelbergError,
                      IndexOutOfCaps, InvalidExponent, InvariantViolation,
                      NegativeExponent, NoPath, NotAllowable, OutOfRange,
                      PreconditionViolation, ZeroFactor)
-from .formulas import (FormulaResult, b_factors, beta_rhs, dyson_constant,
+from .formulas import (FormulaResult, b_factor, beta_rhs, dyson_constant,
                        i000_rhs, induction_factor, r_value, rhs_3_11,
                        rhs_4_111, shift_factor_b1, shift_factor_b2)
-from .gf import FpContext, FpElement, checked_factorial, sign_pow, wilson_cancel
+from .gf import FpContext, FpElement, checked_factorial, sign_pow
 from .harness import CampaignSpec, VerificationReport, bench, run_campaign
 from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,
                         WeightSummand, cycle_from_composition, fp_integral,

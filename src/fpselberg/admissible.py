@@ -298,10 +298,7 @@ def _i000_system(k1: int, k2: int, a: int, c: int,
 
 def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
     """Domain of the I_{0,0,0} closed form: the `_i000_system` table."""
-    if not k1 > k2 > 0:
-        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
-    if pt.n != 2:
-        raise PreconditionViolation("takes b = (b1, b2)")
+    formulas._two_groups(k1, k2, pt)
     return _report(_i000_system(k1, k2, pt.a, pt.c, ctx.p), pt.b)
 
 

@@ -215,25 +215,34 @@ def _ratio_product(ctx: FpContext, pairs) -> FpElement:
     return FpElement(num * pow(den, p - 2, p), ctx)
 
 
-def b_factors(k1: int, k2: int, pt: ParamPoint, ctx: FpContext):
-    """The three contiguous-relation factors (B0, B1, B2) as field elements."""
+def _two_groups(k1: int, k2: int, pt: ParamPoint) -> None:
+    """The precondition of the two-group forms: k1 > k2 > 0 and b = (b1, b2)."""
     if not k1 > k2 > 0:
         raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     if pt.n != 2:
-        raise PreconditionViolation("b_factors take b = (b1, b2)")
+        raise PreconditionViolation("takes b = (b1, b2)")
+
+
+def b_factor(k1: int, k2: int, idx: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
+    """The contiguous-relation factor B1 (idx 0) or B2 (idx 1), idx being the
+    index of the lowered b as in `admissible.lowered`, as a field element;
+    ZeroFactor names the first of its own pairs that vanishes."""
+    _two_groups(k1, k2, pt)
     a, (b1, b2), c = pt.a, pt.b, pt.c
-    b0 = sign_pow(ctx, k2) * _ratio_product(ctx, [
-        ((k1 - k2 + i + 1) * c, b2 + i * c, "B0 term", i) for i in range(k2)])
-    b1_pairs = [(a + b1 + (i + k1 - 2) * c, b1 + (i - 1) * c, "B1 first product", i)
-                for i in range(1, k1 - k2 + 1)]
-    b1_pairs += [(a + b1 + b2 + (i + k1 - 3) * c, b1 + b2 + (i - 2) * c,
-                  "B1 second product", i) for i in range(1, k2 + 1)]
-    b2_pairs = []
-    for i in range(1, k2 + 1):
-        b2_pairs.append((b2 + (i + k2 - k1 - 2) * c, b2 + (i - 1) * c, "B2 first ratio", i))
-        b2_pairs.append((a + b1 + b2 + (i + k1 - 3) * c, b1 + b2 + (i - 2) * c,
-                         "B2 second ratio", i))
-    return b0, _ratio_product(ctx, b1_pairs), _ratio_product(ctx, b2_pairs)
+    if idx == 0:
+        pairs = [(a + b1 + (i + k1 - 2) * c, b1 + (i - 1) * c, "B1 first product", i)
+                 for i in range(1, k1 - k2 + 1)]
+        pairs += [(a + b1 + b2 + (i + k1 - 3) * c, b1 + b2 + (i - 2) * c,
+                   "B1 second product", i) for i in range(1, k2 + 1)]
+    elif idx == 1:
+        pairs = []
+        for i in range(1, k2 + 1):
+            pairs.append((b2 + (i + k2 - k1 - 2) * c, b2 + (i - 1) * c, "B2 first ratio", i))
+            pairs.append((a + b1 + b2 + (i + k1 - 3) * c, b1 + b2 + (i - 2) * c,
+                          "B2 second ratio", i))
+    else:
+        raise PreconditionViolation(f"idx must be 0 (B1) or 1 (B2), got {idx}")
+    return _ratio_product(ctx, pairs)
 
 
 @lru_cache(maxsize=64)
@@ -266,10 +275,7 @@ def _i000_table(k1: int, k2: int, p: int):
 
 def i000_rhs(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
     """Closed form for the fully-lowered weighted integral I_{0,0,0}."""
-    if not k1 > k2 > 0:
-        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
-    if pt.n != 2:
-        raise PreconditionViolation("takes b = (b1, b2)")
+    _two_groups(k1, k2, pt)
     return _table_product(_i000_table(k1, k2, ctx.p), pt.a, pt.b, pt.c, ctx)
 
 
@@ -289,6 +295,7 @@ def induction_factor(k: KComposition, c: int, ctx: FpContext) -> FpElement:
 
 def shift_factor_b1(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
     """Factor F with S(a, b1-1, b2, c) = F * S(a, b1, b2, c), evaluated at pt."""
+    _two_groups(k1, k2, pt)
     a, (b1, b2), c = pt.a, pt.b, pt.c
     p = ctx.p
     pairs = [(1 + a + b1 + (i + k1 - 2) * c - p, b1 + (i - 1) * c,
@@ -300,6 +307,7 @@ def shift_factor_b1(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpEleme
 
 def shift_factor_b2(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
     """Factor F with S(a, b1, b2-1, c) = F * S(a, b1, b2, c), evaluated at pt."""
+    _two_groups(k1, k2, pt)
     a, (b1, b2), c = pt.a, pt.b, pt.c
     p = ctx.p
     pairs = []

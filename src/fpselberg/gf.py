@@ -10,7 +10,7 @@ that a parameter point has left the valid region.
 
 from __future__ import annotations
 
-from .errors import InvariantViolation, OutOfRange, PreconditionViolation
+from .errors import OutOfRange, PreconditionViolation
 
 MAX_PRIME = 2**15
 
@@ -175,21 +175,6 @@ def checked_factorial(ctx: FpContext, n: int, what: str | None = None) -> FpElem
 def sign_pow(ctx: FpContext, e: int) -> FpElement:
     """(-1)^e as a field element."""
     return ctx.one if e % 2 == 0 else ctx.element(-1)
-
-
-def wilson_cancel(ctx: FpContext, a: int, b: int) -> FpElement:
-    """a! * b! for a + b = p - 1, which collapses to (-1)^(a+1).
-
-    This is the cancellation that removes paired factorials from ratio
-    products.  The product is computed from the table and cross-checked
-    against the sign formula as a tripwire.
-    """
-    if a < 0 or b < 0 or a + b != ctx.p - 1:
-        raise PreconditionViolation(f"need a, b >= 0 with a + b = p - 1, got a={a}, b={b}")
-    value = checked_factorial(ctx, a) * checked_factorial(ctx, b)
-    if value != sign_pow(ctx, a + 1):
-        raise InvariantViolation(f"Wilson cancellation violated: {a}! {b}! = {value}")
-    return value
 
 
 def binom(ctx: FpContext, n: int, k: int) -> int:

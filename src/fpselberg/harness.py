@@ -199,8 +199,9 @@ def _relations_ii0_check(ctx, k, keys):
 
 
 def _relations_b(idx: int) -> "_Campaign":
-    """I_{0,0,0} at b_{idx+1} - 1 = the b_{idx+1} factor of `formulas.b_factors`
-    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays positive.
+    """I_{0,0,0} at b_{idx+1} - 1 = `formulas.b_factor(k1, k2, idx, ...)`
+    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays positive;
+    a point is skipped only where a ratio of its own factor vanishes.
     Homogeneous in the integrals, so a fault that zeroes or scales every
     integral passes it."""
     def keys(spec, ctx):
@@ -213,7 +214,7 @@ def _relations_b(idx: int) -> "_Campaign":
         for key in keys:
             pt = ParamPoint(*key)
             try:
-                factors.append(formulas.b_factors(k1, k2, pt, ctx)[1 + idx])
+                factors.append(formulas.b_factor(k1, k2, idx, pt, ctx))
                 points.append(pt)
             except ZeroFactor as exc:
                 factors.append(_Skip(str(exc)))
@@ -269,10 +270,9 @@ def _i000_check(ctx, k, keys):
         points, rhs, lambda pts: weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), pts, ctx))
 
 
-def random_factor_product(ctx: FpContext, rng: random.Random,
-                          max_vars: int = 3) -> tuple[FactorProduct, PCycle]:
-    """A random small product of x, 1-x, and difference factors with a cycle."""
-    nv = rng.randint(1, max_vars)
+def random_factor_product(ctx: FpContext, rng: random.Random) -> tuple[FactorProduct, PCycle]:
+    """A random product of x, 1-x, and difference factors in 1 to 3 variables, with a cycle."""
+    nv = rng.randint(1, 3)
     factors = []
     for v in range(nv):
         factors.append((LinearForm.var(v), rng.randint(0, ctx.p)))

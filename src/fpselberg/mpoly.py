@@ -408,19 +408,19 @@ def _oracle_power(form: LinearForm, e: int, p: int, nv: int) -> dict[tuple[int, 
     return out
 
 
-def sparse_expand_oracle(fp: FactorProduct, max_terms: int | None = None,
+def sparse_expand_oracle(fp: FactorProduct,
                          deadline_s: float | None = None) -> dict[tuple[int, ...], int]:
     """Reference full expansion into {exponent tuple: residue}, no truncation.
 
     Intentionally naive and independent of the engine: each factor power is
     expanded by the multinomial theorem over the integers (`math.comb`),
     reduced mod p, and multiplied in, in the given order, by schoolbook dict
-    convolution.  `max_terms` defaults to the slot budget; `deadline_s` is a
+    convolution.  The slot budget bounds its term count; `deadline_s` is a
     wall-clock limit used by the bench comparison.  Both abort with
     CapacityExceeded.
     """
     p, nv = fp.ctx.p, fp.num_vars
-    limit = slot_budget() if max_terms is None else max_terms
+    limit = slot_budget()
     t0 = time.monotonic()
     acc = {(0,) * nv: fp.scalar % p} if fp.scalar % p else {}
     ops = 0

@@ -4,7 +4,7 @@ one field operation per factor.
 Reference for tests/test_formulas_reference.py, which requires the table
 evaluators of `fpselberg.formulas` to give the same value or the same error
 text.  `_ratio_product` is the per-factor form of the ratio products behind
-`b_factors` and the shift factors.
+`b_factor` and the shift factors.
 """
 
 from fpselberg.errors import OutOfRange, PreconditionViolation, ZeroFactor

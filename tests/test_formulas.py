@@ -1,9 +1,11 @@
+from functools import partial
+
 import pytest
 
 from fpselberg.admissible import (decrement_path, distinguished_point,
                                   enumerate_admissible, enumerate_admissible_I)
 from fpselberg.errors import OutOfRange, PreconditionViolation, ZeroFactor
-from fpselberg.formulas import (FormulaResult, b_factors, beta_rhs,
+from fpselberg.formulas import (FormulaResult, b_factor, beta_rhs,
                                 dyson_constant, i000_rhs, induction_factor,
                                 r_value, rhs_3_11, rhs_4_111,
                                 shift_factor_b1, shift_factor_b2)
@@ -152,23 +154,45 @@ def test_rhs_4_111_value_against_integral():
     assert selberg_integral(k, ParamPoint(a, (b1, b2, b3), c), ctx) == got.value
 
 
-def test_b_factors_known_point():
+def test_b_factor_known_point():
     ctx = FpContext(11)
-    b0, b1f, b2f = b_factors(2, 1, ParamPoint(2, (5, 5), 3), ctx)
-    # B0 = -(k1-k2+1)c / b2 = -6/5 = 1 mod 11
-    assert int(b0) == 1
-    assert int(b1f) == 5
-    assert int(b2f) == 5
+    pt = ParamPoint(2, (5, 5), 3)
+    assert int(b_factor(2, 1, 0, pt, ctx)) == 5
+    assert int(b_factor(2, 1, 1, pt, ctx)) == 5
+    with pytest.raises(PreconditionViolation, match="idx must be 0"):
+        b_factor(2, 1, 2, pt, ctx)
 
 
-def test_b_factors_zero_denominator():
+def test_b_factor_zero_denominator():
     ctx = FpContext(11)
-    # b1 + b2 - c = 0 mod 11 kills the shared second-product denominator
-    with pytest.raises(ZeroFactor):
-        b_factors(2, 1, ParamPoint(1, (5, 6), 11), ctx)
-    # b2 = 0 mod 11 kills the B0 denominator
-    with pytest.raises(ZeroFactor):
-        b_factors(2, 1, ParamPoint(1, (5, 11), 1), ctx)
+    # b1 + b2 - c = 0 mod 11 kills the second-product denominator both share
+    for idx in (0, 1):
+        with pytest.raises(ZeroFactor):
+            b_factor(2, 1, idx, ParamPoint(1, (5, 6), 11), ctx)
+
+
+def test_b_factor_raises_only_for_its_own_pairs():
+    ctx = FpContext(7)
+    # only B2's first-ratio numerator b2 + (1 + k2 - k1 - 2)c vanishes
+    pt = ParamPoint(1, (2, 6), 3)
+    assert int(b_factor(2, 1, 0, pt, ctx)) != 0
+    with pytest.raises(ZeroFactor, match="numerator B2 first ratio at i=1"):
+        b_factor(2, 1, 1, pt, ctx)
+    # only B1's first-product numerator a + b1 + (1 + k1 - 2)c vanishes
+    pt = ParamPoint(1, (3, 5), 3)
+    assert int(b_factor(2, 1, 1, pt, ctx)) != 0
+    with pytest.raises(ZeroFactor, match="numerator B1 first product at i=1"):
+        b_factor(2, 1, 0, pt, ctx)
+
+
+@pytest.mark.parametrize("k, b", [((2, 1), (2,)), ((2, 2), (2, 2)), ((1, 2), (2, 2))])
+def test_two_group_factors_check_their_input(k, b):
+    ctx = FpContext(7)
+    for factor in (partial(b_factor, *k, 0), partial(b_factor, *k, 1),
+                   partial(shift_factor_b1, *k), partial(shift_factor_b2, *k),
+                   partial(i000_rhs, *k)):
+        with pytest.raises(PreconditionViolation):
+            factor(ParamPoint(1, b, 3), ctx)
 
 
 def test_induction_factor_values():
@@ -214,34 +238,27 @@ def test_shift_factors_along_a_path():
     assert cur == distinguished_point(k, frm.a, frm.c, ctx)
 
 
-# (function, k, p, point, ZeroFactor text): for each ratio pair of the three
-# functions, and each side of it, the first point of a sweep (k = (3,2),
-# (3,1) and (2,1); p = 7; c <= p; a, b_i < 2p) where it is the pair that
-# raises.  Not listed, because an earlier pair always vanishes with them:
-# B0's numerator at i=1 (it needs c = 0 mod p, as does i=0), B2's first
-# denominators (B0's at i-1) and B2's second ratio (B1's second product).
+# (function, k, point, ZeroFactor text): for each ratio pair of the four
+# factors (B1 and B2 are `b_factor` at idx 0 and 1), and each side of it,
+# the first point of a sweep (k = (3,2), (3,1) and (2,1) in turn; p = 7;
+# c-major over c <= p, then a, b1, b2 < 2p) where it is the pair that raises.
 PINNED_ZERO_FACTORS = [
-    ("b_factors", (3, 2), (0, (0, 0), 1), "denominator B0 term at i=0 = 0 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (0, 6), 1), "denominator B0 term at i=1 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (0, 0), 7), "numerator B0 term at i=0 = 14 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (0, 1), 1),
-     "denominator B1 first product at i=1 = 0 vanishes mod 7"),
-    ("b_factors", (3, 1), (0, (6, 1), 1),
-     "denominator B1 first product at i=2 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (5, 1), 1),
-     "numerator B1 first product at i=1 = 7 vanishes mod 7"),
-    ("b_factors", (3, 1), (0, (4, 1), 1),
-     "numerator B1 first product at i=2 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (3, 5), 1),
-     "denominator B1 second product at i=1 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (2, 5), 1),
-     "denominator B1 second product at i=2 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (1, 5), 1),
-     "numerator B1 second product at i=1 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (1, 4), 1),
-     "numerator B1 second product at i=2 = 7 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (1, 2), 1), "numerator B2 first ratio at i=1 = 0 vanishes mod 7"),
-    ("b_factors", (3, 2), (0, (1, 1), 1), "numerator B2 first ratio at i=2 = 0 vanishes mod 7"),
+    ("B1", (3, 2), (0, (0, 0), 1), "denominator B1 first product at i=1 = 0 vanishes mod 7"),
+    ("B1", (3, 1), (0, (6, 0), 1), "denominator B1 first product at i=2 = 7 vanishes mod 7"),
+    ("B1", (3, 2), (0, (5, 0), 1), "numerator B1 first product at i=1 = 7 vanishes mod 7"),
+    ("B1", (3, 1), (0, (4, 0), 1), "numerator B1 first product at i=2 = 7 vanishes mod 7"),
+    ("B1", (3, 2), (0, (1, 0), 1), "denominator B1 second product at i=1 = 0 vanishes mod 7"),
+    ("B1", (3, 2), (0, (1, 6), 1), "denominator B1 second product at i=2 = 7 vanishes mod 7"),
+    ("B1", (3, 2), (0, (1, 5), 1), "numerator B1 second product at i=1 = 7 vanishes mod 7"),
+    ("B1", (3, 2), (0, (1, 4), 1), "numerator B1 second product at i=2 = 7 vanishes mod 7"),
+    ("B2", (3, 2), (0, (0, 0), 1), "denominator B2 first ratio at i=1 = 0 vanishes mod 7"),
+    ("B2", (3, 2), (0, (1, 6), 1), "denominator B2 first ratio at i=2 = 7 vanishes mod 7"),
+    ("B2", (3, 2), (0, (0, 2), 1), "numerator B2 first ratio at i=1 = 0 vanishes mod 7"),
+    ("B2", (3, 2), (0, (1, 1), 1), "numerator B2 first ratio at i=2 = 0 vanishes mod 7"),
+    ("B2", (3, 2), (0, (0, 1), 1), "denominator B2 second ratio at i=1 = 0 vanishes mod 7"),
+    ("B2", (3, 2), (0, (2, 5), 1), "denominator B2 second ratio at i=2 = 7 vanishes mod 7"),
+    ("B2", (3, 2), (0, (0, 6), 1), "numerator B2 second ratio at i=1 = 7 vanishes mod 7"),
+    ("B2", (3, 2), (0, (0, 5), 1), "numerator B2 second ratio at i=2 = 7 vanishes mod 7"),
     ("shift_factor_b1", (3, 2), (0, (0, 0), 1),
      "denominator b1-shift first product at i=1 = 0 vanishes mod 7"),
     ("shift_factor_b1", (3, 1), (0, (6, 0), 1),
@@ -278,8 +295,9 @@ PINNED_ZERO_FACTORS = [
 
 
 def test_zero_factor_texts_name_the_vanishing_pair():
-    functions = {"b_factors": b_factors, "shift_factor_b1": shift_factor_b1,
-                 "shift_factor_b2": shift_factor_b2}
+    functions = {"B1": lambda k1, k2, pt, ctx: b_factor(k1, k2, 0, pt, ctx),
+                 "B2": lambda k1, k2, pt, ctx: b_factor(k1, k2, 1, pt, ctx),
+                 "shift_factor_b1": shift_factor_b1, "shift_factor_b2": shift_factor_b2}
     ctx = FpContext(7)
     for name, (k1, k2), (a, b, c), text in PINNED_ZERO_FACTORS:
         with pytest.raises(ZeroFactor) as info:

@@ -3,10 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fpselberg import gf
-from fpselberg.errors import InvariantViolation, OutOfRange, PreconditionViolation
-from fpselberg.gf import (FpContext, binom, checked_factorial, is_prime,
-                          sign_pow, wilson_cancel)
+from fpselberg.errors import OutOfRange, PreconditionViolation
+from fpselberg.gf import FpContext, binom, checked_factorial, is_prime, sign_pow
 
 
 def test_context_rejects_non_primes():
@@ -91,7 +89,6 @@ def test_wilson_cancellation_exhaustive_small_primes():
             b = p - 1 - a
             prod = checked_factorial(ctx, a) * checked_factorial(ctx, b)
             assert prod == sign_pow(ctx, a + 1)
-            assert wilson_cancel(ctx, a, b) == prod
 
 
 def test_binom_small_values():
@@ -128,10 +125,3 @@ def test_element_equality_is_hash_consistent():
     assert x == ctx.element(10) and hash(x) == hash(ctx.element(10))
     assert x != 3 and x != 10
     assert len({x, 3}) == 2 and len({x, ctx.element(10)}) == 1
-
-
-def test_wilson_cancel_raises_when_identity_fails(monkeypatch):
-    ctx = FpContext(7)
-    monkeypatch.setattr(gf, "sign_pow", lambda ctx, e: ctx.zero)
-    with pytest.raises(InvariantViolation):
-        wilson_cancel(ctx, 2, 4)

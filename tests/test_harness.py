@@ -6,7 +6,8 @@ import pytest
 
 from fpselberg import harness
 from fpselberg.admissible import distinguished_point, enumerate_admissible
-from fpselberg.formulas import induction_factor
+from fpselberg.errors import ZeroFactor
+from fpselberg.formulas import b_factor, induction_factor
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition, ParamPoint, selberg_integral
 from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
@@ -248,6 +249,30 @@ def test_relations_s1s2_edges_pass():
     ctx = FpContext(11)
     keys = [((2, (6, 5), 3), 0), ((2, (5, 6), 3), 1)]
     assert harness._outcome("relations_S1S2", ctx, (2, 1), keys) == [("pass", None)] * 2
+
+
+@pytest.mark.parametrize("campaign, key", [("relations_B1", (1, (2, 6), 3)),
+                                           ("relations_B2", (1, (3, 5), 3))])
+def test_b_relations_check_where_only_the_other_factor_vanishes(campaign, key):
+    # at p = 7, k = (2, 1): B2's first-ratio numerator vanishes at the B1
+    # key, B1's first-product numerator at the B2 key
+    assert harness._outcome(campaign, FpContext(7), (2, 1), [key]) == [("pass", None)]
+
+
+@pytest.mark.parametrize("p", [7, 11])
+@pytest.mark.parametrize("idx", [0, 1])
+def test_b_relations_skip_exactly_where_their_factor_vanishes(p, idx):
+    spec = CampaignSpec(f"relations_B{idx + 1}", p, (2, 1))
+    ctx = FpContext(p)
+    _, keys = harness._CAMPAIGNS[spec.campaign].keys(spec, ctx)
+    vanishing = 0
+    for key in keys:
+        try:
+            b_factor(2, 1, idx, ParamPoint(*key), ctx)
+        except ZeroFactor:
+            vanishing += 1
+    report = run_campaign(spec)
+    assert report.skipped == vanishing > 0 and report.all_passed
 
 
 def test_induction_points_pass():

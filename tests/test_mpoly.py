@@ -330,9 +330,10 @@ def test_extract_agrees_with_expand(case, data):
         assert ref.coefficient(fp, target) == int(poly.coefficient(target)), target
 
 
-def test_oracle_term_limit():
+def test_oracle_term_limit(monkeypatch):
     ctx = FpContext(7)
     fp = FactorProduct(ctx, 2, (
         (LinearForm.one_minus(0), 6), (LinearForm.one_minus(1), 6)))
-    with pytest.raises(CapacityExceeded):
-        sparse_expand_oracle(fp, max_terms=5)
+    monkeypatch.setenv("FP_SELBERG_MEM_BUDGET", "5")
+    with pytest.raises(CapacityExceeded, match="sparse oracle exceeded 5 terms"):
+        sparse_expand_oracle(fp)

@@ -60,9 +60,9 @@ FAULTED = {
     "relations_IS": (61, 0, None),
     "relations_II0": (61, 51, {"point": {"a": 1, "b": [2, 5], "c": 3}, "lhs": 4, "rhs": 0,
                                "classifier": "chain step i=0 nonzero"}),
-    "relations_B1": (19, 17, {"point": {"a": 1, "b": [2, 5], "c": 3}, "lhs": 1, "rhs": 6,
+    "relations_B1": (26, 23, {"point": {"a": 1, "b": [2, 5], "c": 3}, "lhs": 1, "rhs": 6,
                               "classifier": "mismatch"}),
-    "relations_B2": (16, 12, {"point": {"a": 2, "b": [1, 5], "c": 3}, "lhs": 1, "rhs": 6,
+    "relations_B2": (25, 20, {"point": {"a": 1, "b": [3, 5], "c": 3}, "lhs": 1, "rhs": 3,
                               "classifier": "mismatch"}),
     "relations_S1S2": (52, 40, {"point": {"a": 1, "b": [2, 6], "c": 3}, "lhs": 0, "rhs": 3,
                                 "classifier": "edge b2-1 mismatch"}),
@@ -79,7 +79,7 @@ FAULTED = {
 # integrals, so such a fault passes them
 SCALED = {"main": (61, 61), "beta": (49, 28), "dyson": (9, 0), "thm_3_11": (658, 658),
           "thm_4_111": (2298, 2298), "relations_IS": (61, 0), "relations_II0": (61, 0),
-          "relations_B1": (19, 0), "relations_B2": (16, 0), "relations_S1S2": (52, 0),
+          "relations_B1": (26, 0), "relations_B2": (25, 0), "relations_S1S2": (52, 0),
           "induction": (21, 0), "i000": (60, 60), "stokes": (500, 0)}
 FAULTS = {"plus_one": lambda value, ctx: value + ctx.one,
           "zero": lambda value, ctx: ctx.zero,
