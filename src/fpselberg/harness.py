@@ -11,7 +11,8 @@ and `relations_S1S2` from one `selberg_integrals` call per key list;
 `induction` from two per run of one composition (the full and the
 truncated composition); `i000`, `relations_II0`, `relations_B1` and
 `relations_B2` from one `weighted_integrals` call per allowable triple;
-`relations_IS` from one of each.  `dyson` and `stokes` read one
+`relations_IS` from one of each.  `dyson` takes one `selberg_integrals`
+call per key, on the one group of its k, and `stokes` reads one
 coefficient off one expansion per key.  `run_campaign` splits the keys
 into contiguous chunks of at most CHUNK_KEYS, and `_outcome` turns each
 chunk's results into skips, passes and failures, in key order,
@@ -130,14 +131,14 @@ def _beta_check(ctx, _k, keys):
 
 def dyson_constant_term(k: int, c: int, ctx: FpContext):
     """C.T. of prod_{i != j} (1 - x_i/x_j)^c, computed by clearing denominators:
-    it is (-1)^{c k(k-1)/2} times the balanced coefficient of prod (x_i - x_j)^{2c}.
+    it is (-1)^{c k(k-1)/2} times the balanced coefficient, at x^{(k-1)c} in
+    every variable, of prod (x_i - x_j)^{2c}.  That is the coefficient of
+    x^{p-1} in x^a prod (x_i - x_j)^{2c} for a = p-1-(k-1)c, the Selberg
+    integral of the one group k at (a, b = 0, c); so (k-1)c <= p-1.
     """
-    factors = tuple((LinearForm.diff(i, j), 2 * c)
-                    for i in range(k) for j in range(i + 1, k))
-    fp = FactorProduct(ctx, k, factors)
-    target = ((k - 1) * c,) * k
-    coeff = mpoly.extract_coefficient(fp, target)
-    return sign_pow(ctx, c * k * (k - 1) // 2) * ctx.element(coeff)
+    pt = ParamPoint(ctx.p - 1 - (k - 1) * c, (0,), c)
+    value, = selberg_integrals(KComposition((k,)), [pt], ctx)
+    return sign_pow(ctx, c * k * (k - 1) // 2) * value
 
 
 def _dyson_check(ctx, _k, keys):

@@ -34,7 +34,11 @@ variable's weight row, the coefficients of x^alpha (1-x)^beta (Lucas
 binomials, so beta >= p works; group 1 is just the outer product of its
 rows); the polynomial is reversed and contracted with the sparse block,
 which leaves the coefficient of x^T in group i as a polynomial in group
-i+1.  After block n one number per point is left.  A batch holds as many
+i+1.  With one group, block 1 leaves one number per point.  With n >= 2,
+block n would hold no factor: it is not built, and the last group's
+polynomial V is finished by its target functional instead, the sum over h
+of V[h] prod_j r_j[T - h_j] for the rows r_j of its variables
+(`mpoly.top_coefficient`), one number per point.  A batch holds as many
 points as fit under BATCH_SLOTS live slots.  A module-level cache holds the
 blocks built for the prime last asked for, of every c; asking for another
 prime drops them, so points may be evaluated in any order.
@@ -314,8 +318,9 @@ _BLOCKS = _BlockCache()
 # The live-slot cap of one batch of `selberg_integrals`.  A batch holds as
 # many points as fit: each point counts the slots of every array a chain
 # step allocates for it (its group tensor, the gathered block entries, the
-# Toeplitz matrix of its row and the next group tensor), at the step where
-# they add up to the most.  A point over the cap alone is a batch of one.
+# Toeplitz matrix of its row and the next group tensor; at the last step of
+# n >= 2, its group tensor only), at the step where they add up to the
+# most.  A point over the cap alone is a batch of one.
 BATCH_SLOTS = 2**15
 
 
@@ -339,21 +344,24 @@ def _weight_rows(ctx: FpContext, a: list[int], b: list[int], cap: int) -> np.nda
 
 def _blocks(k: KComposition, c: int, ctx: FpContext,
             lowered: frozenset[LinearForm] = frozenset()) -> list[mpoly.SparseBlock]:
-    """Blocks 1..n of k's chain, `lowered` going to block 1.  Raises
-    CapacityExceeded, before any block is built, exactly when the target
-    box exceeds the slot budget; every block and every group polynomial is
-    a sub-box of it."""
+    """The blocks k's chain contracts, `lowered` going to block 1: blocks
+    1..n-1, or block 1 alone when n = 1.  Block n of n >= 2 has no factors,
+    so it is not built (see `_chain`).  Raises CapacityExceeded, before any
+    block is built, exactly when the target box exceeds the slot budget;
+    every block and every group polynomial is a sub-box of it."""
     _check_target_box(cycle_from_composition(k).targets(ctx.p))
     return [_BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
-            for i in range(1, k.n + 1)]
+            for i in range(1, max(k.n - 1, 1) + 1)]
 
 
 def _step_slots(caps: list[int], parts: tuple[int, ...],
                 blocks: list[mpoly.SparseBlock]) -> int:
     """The slots a chain step allocates per point, at the costliest step
-    (see BATCH_SLOTS), for groups of these caps and sizes."""
-    return max((cap + 1) ** part + len(block.values) + (i > 0) * (cap + 1) ** 2 + block.ncols
-               for i, (cap, part, block) in enumerate(zip(caps, parts, blocks)))
+    (see BATCH_SLOTS), for groups of these caps and sizes.  The last step
+    of n >= 2 allocates its group tensor only."""
+    return max([(cap + 1) ** part + len(block.values) + (i > 0) * (cap + 1) ** 2 + block.ncols
+                for i, (cap, part, block) in enumerate(zip(caps, parts, blocks))]
+               + [(caps[-1] + 1) ** parts[-1]])
 
 
 def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
@@ -364,7 +372,10 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
     chain (module docstring).  Group 1 starts as the outer product of its
     rows, reduced mod p after each step, so each slot holds one product of
     two residues; later groups multiply the carried polynomial by their
-    rows along its axes.
+    rows along its axes.  With one group, block 1 leaves one slot per
+    point.  With n >= 2, block n-1 leaves the last group's polynomial, and
+    its coefficient of x^T times the group's rows is read off directly
+    (`mpoly.top_coefficient`), without forming the product.
     """
     value = rows[0][0]
     for row in rows[0][1:]:
@@ -375,7 +386,10 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
             value = mpoly.multiply_along_axes(value.reshape((-1,) + shape), rows[i], p)
         # reversing every axis of a C-ordered tensor reverses its flat slots
         value = mpoly.contract(value.reshape(len(value), -1)[:, ::-1], block, p)
-    return value[:, 0]  # the last block leaves one slot per point
+    if len(rows) == 1:
+        return value[:, 0]
+    shape = tuple(row.shape[1] for row in rows[-1])
+    return mpoly.top_coefficient(value.reshape((-1,) + shape), rows[-1], p)
 
 
 def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext,
@@ -387,8 +401,8 @@ def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext,
     batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
     lowered)`.  Raises as `_blocks`, before any point is evaluated, and
     AccumulatorOverflow as the `mpoly` kernels, whose accumulation bounds
-    (int64 for the contraction, 2^53 for the float64 row product) are per
-    point."""
+    (int64 for the contraction and the top coefficient, 2^53 for the
+    float64 row product) are per point."""
     p = ctx.p
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
     values: list[FpElement | None] = [None] * len(points)

@@ -15,28 +15,30 @@ Two engines are provided:
   differences), growing one tensor axis at a time so intermediates stay as
   small as possible.  It builds the pair blocks of the chain in
   `integrals`.  `extract_coefficient` reads one coefficient of it, for
-  `integrals.fp_integral` and the Dyson constant terms; like `expand`, it
-  refuses a cap box over the slot budget.
+  `integrals.fp_integral`; like `expand`, it refuses a cap box over the
+  slot budget.
 
 * `sparse_expand_oracle`: a deliberately simple dict-of-monomials full
   expansion used as an independent cross-check and as the slow side of the
   benchmark comparison.  It shares no code with the engine: factor powers
   come from the multinomial theorem over the integers, reduced mod p.
 
-Two steps serve evaluations that expand a point-independent block once
+Three steps serve evaluations that expand a point-independent block once
 and reuse it for a batch of points (the group chain in `integrals`); axis 0
 of their operands is the batch.  `multiply_along_axes` multiplies each
 dense tensor of a batch by its own one-variable weight row per axis,
-truncated to the axis length, and `contract` sums each vector of a batch
+truncated to the axis length; `contract` sums each vector of a batch
 against the rows of a block stored sparse, as a `SparseBlock` of its
-nonzero entries.
+nonzero entries; and `top_coefficient` reads the one coefficient at the
+top slot of every axis of such a row product without forming it.
 
 Every accumulation adds products of two residues, each at most (p-1)^2,
 before it reduces mod p, and a batch never sums across its points.  The
-engine and the contraction sum in int64: a sum of N such products is safe
-while N * (p-1)^2 < 2^63, which `check_int64_sum` enforces before each step
-(N is the number of terms of a factor in the engine, the vector length for
-a contraction).  The row product sums in float64, so that numpy runs it as
+engine, the contraction and the top coefficient sum in int64: a sum of N
+such products is safe while N * (p-1)^2 < 2^63, which `check_int64_sum`
+enforces before each step (N is the number of terms of a factor in the
+engine, the vector length for a contraction, the axis length for the top
+coefficient).  The row product sums in float64, so that numpy runs it as
 a BLAS matmul: every partial sum of its N products (N the axis length) is
 an integer of at most N * (p-1)^2, which float64 holds exactly, whatever the
 order of addition, while N * (p-1)^2 < 2^53; `check_float64_sum` enforces
@@ -331,6 +333,14 @@ def extract_coefficient(fp: FactorProduct, target: tuple[int, ...]) -> int:
     return int(expand(fp, target).coefficient(tuple(target)))
 
 
+def _check_rows(poly: np.ndarray, rows: list[np.ndarray]) -> None:
+    """Raise unless rows[j] has one row per tensor of the batch `poly`, of
+    the length of its axis j+1."""
+    if (len(rows) != poly.ndim - 1
+            or any(row.shape != (len(poly), n) for row, n in zip(rows, poly.shape[1:]))):
+        raise PreconditionViolation(f"{len(rows)} rows do not fit axes of {poly.shape}")
+
+
 def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndarray:
     """Truncated product of a batch of dense tensors with rows[j](x_j) for
     every axis j, tensor by tensor.
@@ -344,9 +354,7 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
     run in float64, exact under `check_float64_sum`, and are reduced mod p
     in int64; the result is int64.
     """
-    if (len(rows) != poly.ndim - 1
-            or any(row.shape != (len(poly), n) for row, n in zip(rows, poly.shape[1:]))):
-        raise PreconditionViolation(f"{len(rows)} rows do not fit axes of {poly.shape}")
+    _check_rows(poly, rows)
     batch = len(poly)
     for j, row in enumerate(rows):
         n = row.shape[1]
@@ -361,6 +369,25 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
         poly = product.astype(np.int64).reshape((batch,) + poly.shape[2:] + (n,))
         poly %= p
     return poly
+
+
+def top_coefficient(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndarray:
+    """The coefficient at the top slot T of every axis of the truncated
+    product of a batch of dense tensors with rows[j](x_j), tensor by
+    tensor: the sum over h of poly[t, h] prod_j rows[j][t, T_j - h_j].
+
+    Axes and rows are as in `multiply_along_axes`.  The last axis is summed
+    against its reversed row, in int64 under `check_int64_sum`, and reduced
+    mod p, until one number per tensor is left.
+    """
+    _check_rows(poly, rows)
+    batch = len(poly)
+    for row in reversed(rows):
+        n = row.shape[1]
+        check_int64_sum(n, p, "top coefficient")
+        poly = poly.reshape(batch, -1, n) @ row[:, ::-1, None]
+        poly %= p
+    return poly.reshape(batch)
 
 
 class SparseBlock(NamedTuple):

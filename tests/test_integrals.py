@@ -321,6 +321,51 @@ def test_batches_stay_under_the_slot_cap(monkeypatch):
         assert 0 < max(peaks) <= 2 * cap * 8, (k, max(peaks))
 
 
+def test_a_two_one_batch_holds_more_points_without_the_last_block(monkeypatch):
+    # the last step of (2,1) at p=13 allocates its 26-slot group tensor
+    # only, no Toeplitz matrix and no block 2, so block 1's step bounds the
+    # batch: more points than the 46 its Toeplitz step used to allow
+    ctx = FpContext(13)
+    k = KComposition((2, 1))
+    points = enumerate_admissible(k, ctx)
+    chain = integrals._chain
+    sizes = []
+
+    def recording(rows, blocks, modulus):
+        sizes.append(len(rows[0][0]))
+        return chain(rows, blocks, modulus)
+
+    monkeypatch.setattr(integrals, "_chain", recording)
+    selberg_integrals(k, points, ctx)
+    assert sum(sizes) == len(points) and max(sizes) > 46, sizes
+
+
+def _calls_per_kernel(monkeypatch, parts, p):
+    """How often one point's chain calls each `mpoly` chain kernel."""
+    counts = {}
+    for name in ("multiply_along_axes", "contract", "top_coefficient"):
+        kernel = getattr(mpoly, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            counts[name] = counts.get(name, 0) + 1
+            return kernel(*args)
+        monkeypatch.setattr(mpoly, name, counted)
+    selberg_integral(KComposition(parts), ParamPoint(1, (1,) * len(parts), 1), FpContext(p))
+    monkeypatch.undo()
+    return counts
+
+
+def test_the_last_group_is_read_by_the_top_coefficient(monkeypatch):
+    # with n >= 2 the last group's rows go to the top coefficient alone: no
+    # row product and no contraction of the last group; one group contracts
+    # its block 1, which holds the in-group factors
+    assert _calls_per_kernel(monkeypatch, (1,), 5) == {"contract": 1}
+    assert _calls_per_kernel(monkeypatch, (3,), 5) == {"contract": 1}
+    assert _calls_per_kernel(monkeypatch, (2, 1), 5) == {"contract": 1, "top_coefficient": 1}
+    assert _calls_per_kernel(monkeypatch, (3, 2, 1), 5) == {
+        "contract": 2, "multiply_along_axes": 1, "top_coefficient": 1}
+
+
 def _ones_block(nrows, ncols):
     """The all-ones nrows x ncols matrix as a sparse block."""
     return mpoly.SparseBlock(np.tile(np.arange(nrows), ncols),
@@ -330,8 +375,8 @@ def _ones_block(nrows, ncols):
 
 def test_selberg_chain_checks_int64_bounds(monkeypatch):
     # at these limits a sum of five products of residues mod 5 no longer
-    # fits, in the contraction's int64 or the row product's float64; the
-    # bound is per point, whatever the batch size
+    # fits, in the int64 of the contraction and the top coefficient or the
+    # row product's float64; the bound is per point, whatever the batch size
     monkeypatch.setattr(mpoly, "INT64_LIMIT", 5 * 4**2)
     monkeypatch.setattr(mpoly, "FLOAT64_EXACT_LIMIT", 5 * 4**2)
     ones = np.ones((3, 5), dtype=np.int64)
@@ -340,6 +385,10 @@ def test_selberg_chain_checks_int64_bounds(monkeypatch):
         mpoly.contract(ones[:1], _ones_block(5, 2), 5)
     with pytest.raises(AccumulatorOverflow):
         mpoly.multiply_along_axes(ones[:1], [ones[:1]], 5)
+    assert list(mpoly.top_coefficient(np.ones((3, 4, 4), dtype=np.int64),
+                                      [ones[:, :4]] * 2, 5)) == [1, 1, 1]  # 16 = 1 mod 5
+    with pytest.raises(AccumulatorOverflow):
+        mpoly.top_coefficient(ones[:1], [ones[:1]], 5)
     with pytest.raises(AccumulatorOverflow):
         selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
     with pytest.raises(AccumulatorOverflow):
@@ -436,9 +485,9 @@ def test_selberg_and_weighted_integrals_share_their_blocks(monkeypatch):
     monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
     k = KComposition((3, 2))
     selberg = selberg_integral(k, ParamPoint(1, (3, 1), 2), ctx)
-    assert expanded_axes == [4, 1]  # blocks 1 and 2
+    assert expanded_axes == [4]  # block 1; the last block is not built
     weighted = weighted_integral(3, 2, AllowableTriple(0, 2, 0), ParamPoint(2, (3, 2), 2), ctx)
-    assert expanded_axes == [4, 1]
+    assert expanded_axes == [4]
     assert weighted == selberg
 
 
@@ -463,15 +512,15 @@ def test_blocks_are_built_once_per_prime_in_any_point_order(monkeypatch):
         for i in range(3):
             weighted_integral(3, 2, AllowableTriple(0, i, 0), pt, ctx)
     # per c: block 1 with two, one or no lowered pairs (I_{0,0,0}, I_{0,1,0},
-    # and I_{0,2,0} on Selberg's), and block 2, expanded over one axis
+    # and I_{0,2,0} on Selberg's); the last block is not built
     cs = {pt.c for pt in points}
     assert len(cs) == 3
-    assert sorted(expanded_axes) == sorted([4, 4, 4, 1] * len(cs))
+    assert expanded_axes == [4] * (3 * len(cs))
     # the blocks of one prime only: evaluating at p=7 drops those of p=11
     expanded_axes.clear()
     selberg_integral(k, ParamPoint(1, (1, 1), 1), FpContext(7))
     selberg_integral(k, points[0], ctx)
-    assert expanded_axes == [4, 1, 4, 1]
+    assert expanded_axes == [4, 4]
 
 
 def test_block_build_requires_difference_factors(monkeypatch):
@@ -753,5 +802,29 @@ def test_a_planted_engine_fault_fails_the_chain_checks(monkeypatch, check, args)
     # the chain-versus-reference checks are independent of the engine that
     # builds the chain's blocks: a fault there fails them
     _plant_doubled_term(monkeypatch)
+    with pytest.raises(AssertionError):
+        check(*args)
+
+
+# a top coefficient that reads each row unreversed, or reversed and shifted
+# by one slot
+TOP_COEFFICIENT_FAULTS = {
+    "unreversed": lambda row: row[:, ::-1],
+    "shifted": lambda row: np.roll(row, 1, axis=1),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(TOP_COEFFICIENT_FAULTS))
+@pytest.mark.parametrize("check, args", [
+    (test_selberg_chain_matches_full_expansion, ((3, 2), 7)),
+    (test_selberg_chain_matches_full_expansion, ((3, 2, 1), 5)),
+    (test_weighted_integral_is_one_summand_of_the_full_sum, (2, 1, 7)),
+], ids=["selberg-3,2-p7", "selberg-3,2,1-p5", "weighted-2,1-p7"])
+def test_a_planted_top_coefficient_fault_fails_the_chain_checks(monkeypatch, fault, check,
+                                                               args):
+    # the reference engine shares no code with the chain's last step either
+    top_coefficient, moved = mpoly.top_coefficient, TOP_COEFFICIENT_FAULTS[fault]
+    monkeypatch.setattr(mpoly, "top_coefficient", lambda poly, rows, p: top_coefficient(
+        poly, [moved(row) for row in rows], p))
     with pytest.raises(AssertionError):
         check(*args)

@@ -17,7 +17,7 @@ from fpselberg.mpoly import (FactorProduct, LinearForm, SparseBlock,
                              check_int64_sum, contract,
                              derivative, expand, extract_coefficient,
                              multiply_along_axes, slot_budget,
-                             sparse_expand_oracle)
+                             sparse_expand_oracle, top_coefficient)
 
 
 def test_linear_form_constructors():
@@ -253,6 +253,44 @@ def test_batched_row_product_matches_per_tensor_convolution():
             assert np.array_equal(got[t], expect), (p, poly.shape, t)
     with pytest.raises(PreconditionViolation):
         multiply_along_axes(np.ones((2, 3), dtype=np.int64), [np.ones((1, 3), dtype=np.int64)], 5)
+
+
+def _top_sum(poly, rows, p):
+    """sum over h of poly[h] prod_j rows[j][T_j - h_j] mod p for one tensor,
+    T_j the top slot of axis j, by plain Python over every slot."""
+    total = 0
+    for h in itertools.product(*(range(n) for n in poly.shape)):
+        term = int(poly[h])
+        for row, h_j in zip(rows, h):
+            term *= int(row[len(row) - 1 - h_j])
+        total += term
+    return total % p
+
+
+def test_top_coefficient_matches_the_slot_sum():
+    rng = np.random.default_rng(11)
+    cases = []
+    for p in (5, 13, 101):
+        # one to three axes of different lengths, a batch of one and of several
+        for shape in ((1, 6), (4, 6), (1, 5, 3), (3, 4, 7), (1, 3, 4, 2), (5, 4, 2, 3)):
+            poly = rng.integers(0, p, size=shape)
+            # the rows differ between the variables, and between the tensors
+            rows = [rng.integers(0, p, size=(shape[0], n)) for n in shape[1:]]
+            cases.append((p, poly, rows))
+    # every entry p-1 at the largest prime: a 64-slot axis sums about 2^36
+    p = 32749
+    cases.append((p, np.full((2, 64, 64), p - 1, dtype=np.int64),
+                  [np.full((2, 64), p - 1, dtype=np.int64)] * 2))
+    for p, poly, rows in cases:
+        got = top_coefficient(poly, rows, p)
+        assert got.shape == (len(poly),)
+        for t in range(len(poly)):
+            assert got[t] == _top_sum(poly[t], [row[t] for row in rows], p), (p, poly.shape, t)
+        # the top slot of the whole truncated row product
+        product = multiply_along_axes(poly, rows, p)
+        assert np.array_equal(got, product.reshape(len(poly), -1)[:, -1]), (p, poly.shape)
+    with pytest.raises(PreconditionViolation):
+        top_coefficient(np.ones((2, 3), dtype=np.int64), [np.ones((1, 3), dtype=np.int64)], 5)
 
 
 def test_huge_exponent_raises_before_expanding():

@@ -46,13 +46,14 @@ def test_reports_match_golden_file():
 
 
 # campaign: (checked, failures, first failure) with every integral off by one;
-# dyson and stokes compute no integral through these entry points
+# stokes computes no integral through these entry points
 FAULTED = {
     "main": (61, 61, {"point": {"a": 1, "b": [2, 5], "c": 3}, "lhs": 0, "rhs": 6,
                       "classifier": "mismatch"}),
     "beta": (49, 49, {"point": {"a": 0, "b": 0, "c": None}, "lhs": 1, "rhs": 0,
                       "classifier": "mismatch"}),
-    "dyson": (9, 0, None),
+    "dyson": (9, 9, {"point": {"a": None, "b": [1], "c": 1}, "lhs": 2, "rhs": 1,
+                     "classifier": "mismatch at k=1"}),
     "thm_3_11": (658, 658, {"point": {"a": 0, "b": [0, 6], "c": 1}, "lhs": 2, "rhs": 1,
                             "classifier": "mismatch"}),
     "thm_4_111": (2298, 2298, {"point": {"a": 0, "b": [0, 0, 6], "c": 1}, "lhs": 2,
@@ -77,7 +78,7 @@ FAULTED = {
 # campaign: (checked, failures) with every integral zeroed, and the same with
 # every integral doubled; the six relation campaigns are homogeneous in the
 # integrals, so such a fault passes them
-SCALED = {"main": (61, 61), "beta": (49, 28), "dyson": (9, 0), "thm_3_11": (658, 658),
+SCALED = {"main": (61, 61), "beta": (49, 28), "dyson": (9, 9), "thm_3_11": (658, 658),
           "thm_4_111": (2298, 2298), "relations_IS": (61, 0), "relations_II0": (61, 0),
           "relations_B1": (26, 0), "relations_B2": (25, 0), "relations_S1S2": (52, 0),
           "induction": (21, 0), "i000": (60, 60), "stokes": (500, 0)}

@@ -65,17 +65,21 @@ def _callers(names: set[str]) -> set[tuple[str, str]]:
 
 def test_only_the_block_chain_runs_the_chain_kernels():
     # one evaluator: a per-point chain kept beside the batched `_chain`
-    # would be a second caller of the contraction or the row product
-    assert _callers({"contract", "multiply_along_axes"}) == {("integrals.py", "_chain")}
+    # would be a second caller of the contraction, the row product or the
+    # top coefficient that finishes it
+    for kernel in ("contract", "multiply_along_axes", "top_coefficient"):
+        assert _callers({kernel}) == {("integrals.py", "_chain")}, kernel
 
 
 def test_one_row_product_path():
     # the row product sums in float64 under its own bound, and only the
-    # engine and the contraction sum in int64; an int64 matmul kept beside
-    # the BLAS one would bring the int64 check with it
+    # engine, the contraction and the top coefficient sum in int64; an
+    # int64 matmul kept beside the BLAS one would bring the int64 check
+    # with it, and a float64 top coefficient the float64 check
     assert _callers({"check_float64_sum"}) == {("mpoly.py", "multiply_along_axes")}
     assert _callers({"check_int64_sum"}) == {("mpoly.py", "expand"),
-                                             ("mpoly.py", "contract")}
+                                             ("mpoly.py", "contract"),
+                                             ("mpoly.py", "top_coefficient")}
 
 
 def test_every_campaign_checks_a_key_list():
@@ -126,11 +130,11 @@ def test_one_batch_runner_runs_the_chain():
 def test_one_shift_table_builds_every_weight_row():
     # Selberg and weighted rows come from the batch runner's shift table;
     # no package code expands an integrand per point, and the per-point
-    # engine serves only the reference integral and the Dyson constant terms
+    # engine serves only the reference integral (the Dyson constant terms
+    # are one-group Selberg integrals)
     assert _callers({"_weight_rows"}) == {("integrals.py", "_batches")}
     assert _callers({"fp_integral"}) == set()
-    assert _callers({"extract_coefficient"}) == {("integrals.py", "fp_integral"),
-                                                 ("harness.py", "dyson_constant_term")}
+    assert _callers({"extract_coefficient"}) == {("integrals.py", "fp_integral")}
 
 
 def test_both_domains_are_walked_by_one_interval_walker():
@@ -224,15 +228,16 @@ def test_benchmark_entry_points_resolve(monkeypatch):
 
 
 def test_weighted_campaigns_need_no_per_point_expansion(monkeypatch):
-    # weighted integrals, and beta's one-group integral, run on the cached
-    # block chain; a per-point expansion would reach extract_coefficient
+    # weighted integrals, and the one-group integrals of beta and dyson, run
+    # on the cached block chain; a per-point expansion would reach
+    # extract_coefficient
     def expansion(*_args):
         raise RuntimeError("per-point expansion in a chain campaign")
 
     monkeypatch.setattr(mpoly, "extract_coefficient", expansion)
     golden = {report["campaign"]: report for report in json.loads(GOLDEN.read_text())
               if report["seed"] is None}
-    for name in ("beta", "i000", "relations_IS", "relations_II0", "relations_B1",
+    for name in ("beta", "dyson", "i000", "relations_IS", "relations_II0", "relations_B1",
                  "relations_B2"):
         k = (2, 1) if golden[name]["k"] else None
         report = harness.run_campaign(harness.CampaignSpec(name, 7, k)).as_dict()
