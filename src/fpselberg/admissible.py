@@ -14,8 +14,10 @@ picking each b_r for all prefixes at once from the intervals the table
 leaves, so it emits the points of the domain and no others.  What it emits
 is re-checked, and a point that fails raises InvariantViolation:
 `admissible_rows` compares all rows with their tables in one vector pass,
-and `enumerate_admissible_I` asks `formulas.i000_rhs`, which builds its
-arguments apart from that table, whether the closed form is defined.
+and `i000_closed_form` asks `formulas.i000_rhs`, which builds its arguments
+apart from that table, whether the closed form is defined at a point of
+`i000_rows`; `enumerate_admissible_I` asks it at every point, and the
+`i000` campaign at the points it samples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from . import formulas
 from .errors import InvariantViolation, NoPath, PreconditionViolation
-from .gf import FpContext
+from .gf import FpContext, FpElement
 from .integrals import KComposition, ParamPoint
 
 
@@ -302,17 +304,29 @@ def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> Admissi
     return _report(_i000_system(k1, k2, pt.a, pt.c, ctx.p), pt.b)
 
 
-def enumerate_admissible_I(k1: int, k2: int, ctx: FpContext) -> list[ParamPoint]:
-    """All points in the I_{0,0,0} domain, lexicographic in (a, b1, b2, c).
-    Every returned point is re-checked by `formulas.i000_rhs`, once, and a
-    point where the closed form is undefined raises InvariantViolation."""
+def i000_rows(k1: int, k2: int, ctx: FpContext) -> np.ndarray:
+    """All points in the I_{0,0,0} domain, as int64 rows (a, b1, b2, c) in
+    lexicographic order, as walked; `i000_closed_form` re-checks a point."""
     if not k1 > k2 > 0:
         raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     p = ctx.p
-    out = _points(_walk(lambda a, c: _i000_system(k1, k2, a, c, p), 2, p))
+    return _walk(lambda a, c: _i000_system(k1, k2, a, c, p), 2, p)
+
+
+def i000_closed_form(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
+    """`formulas.i000_rhs` at a point of `i000_rows`.  The table and the
+    closed form build their arguments apart, so a point where the closed
+    form is undefined is a fault of the walk and raises InvariantViolation."""
+    closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
+    if not closed_form.ok:
+        raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: "
+                                 f"{closed_form.error}")
+    return closed_form.value
+
+
+def enumerate_admissible_I(k1: int, k2: int, ctx: FpContext) -> list[ParamPoint]:
+    """The points of `i000_rows`, each re-checked by `i000_closed_form`."""
+    out = _points(i000_rows(k1, k2, ctx))
     for pt in out:
-        closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
-        if not closed_form.ok:
-            raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: "
-                                     f"{closed_form.error}")
+        i000_closed_form(k1, k2, pt, ctx)
     return out

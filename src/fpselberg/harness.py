@@ -16,7 +16,9 @@ call per key, on the one group of its k, and `stokes` reads one
 coefficient off one expansion per key.  `run_campaign` splits the keys
 into contiguous chunks of at most CHUNK_KEYS, and `_outcome` turns each
 chunk's results into skips, passes and failures, in key order,
-sequentially or in the jobs > 1 pool.  Checks look up integrals,
+sequentially or in the jobs > 1 pool.  A chunk's integrals run in batches
+per c (`integrals._batches`), and a chunk boundary cuts each c group it
+crosses into one more batch, so chunks are large.  Checks look up integrals,
 `formulas.*` and `adm.*` by module attribute at call time, so code that
 patches those attributes sees every call.  Only `bench` calls
 `selberg_integral`, and nothing calls `weighted_integral` or
@@ -264,9 +266,11 @@ def _induction_check(ctx, _k, keys):
 
 
 def _i000_check(ctx, k, keys):
+    """I_{0,0,0} against its closed form, which the keys' domain defines:
+    the closed form re-checks each key (`adm.i000_closed_form`)."""
     k1, k2 = k
     points = [ParamPoint(*key) for key in keys]
-    rhs = [_closed(formulas.i000_rhs(k1, k2, pt, ctx)) for pt in points]
+    rhs = [adm.i000_closed_form(k1, k2, pt, ctx) for pt in points]
     return _against_closed_forms(
         points, rhs, lambda pts: weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), pts, ctx))
 
@@ -399,8 +403,7 @@ def _induction_keys(spec, _ctx):
 
 
 def _i000_keys(spec, ctx):
-    points = adm.enumerate_admissible_I(*spec.k, ctx)
-    return _sampled(np.array([(pt.a, *pt.b, pt.c) for pt in points]).reshape(-1, 4), spec)
+    return _sampled(adm.i000_rows(*spec.k, ctx), spec)
 
 
 def _stokes_keys(spec, _ctx):
@@ -445,10 +448,14 @@ _CAMPAIGNS = {
 CAMPAIGNS = tuple(_CAMPAIGNS)
 
 # Checks run on contiguous chunks of the key list, of at most CHUNK_KEYS
-# keys, so that what a check holds per key stays bounded; the jobs > 1 pool
-# gets at least _CHUNKS_PER_JOB chunks per worker.
+# keys, so that what a check holds per key stays bounded: at most about
+# 1 KB of Python objects per key (points, closed forms, integrals and
+# results), so at most about 1 MB per chunk, the order of one batch's
+# arrays.  Traced, a check of a full chunk peaked at 0.3-0.55 MiB, its
+# batch arrays included (thm_3_11 and thm_4_111 at p=7, main (2,1) at
+# p=13).  The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
 _CHUNKS_PER_JOB = 4
-CHUNK_KEYS = 256
+CHUNK_KEYS = 1024
 
 
 def _outcome(campaign: str, ctx: FpContext, k, keys) -> list[tuple[str, dict | None]]:

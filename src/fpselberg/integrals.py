@@ -40,8 +40,9 @@ polynomial V is finished by its target functional instead, the sum over h
 of V[h] prod_j r_j[T - h_j] for the rows r_j of its variables
 (`mpoly.top_coefficient`), one number per point.  A batch holds as many
 points as fit under BATCH_SLOTS live slots.  A module-level cache holds the
-blocks built for the prime last asked for, of every c; asking for another
-prime drops them, so points may be evaluated in any order.
+blocks built for every prime and c, so points may be evaluated in any order;
+past CACHE_ENTRIES stored entries it drops whole primes, the least recently
+used first, but never the prime in use.
 
 Both integrals run on the same chain and blocks, through one batch runner
 (`_batches`) that groups the points by c and splits the groups under
@@ -256,11 +257,13 @@ def _dehomogenized(factors: list[tuple[LinearForm, int]],
 
 
 class _BlockCache:
-    """Sparse pair blocks of one prime, keyed by (k_{i-1}, k_i, k_{i+1}, c)
-    and the lowered pairs.
+    """Sparse pair blocks, keyed by (p, k_{i-1}, k_i, k_{i+1}, c, lowered).
 
-    Memory is bounded by the blocks built for the prime last asked for: the
-    blocks of another prime are dropped before any of the new ones is built.
+    Blocks of every prime are kept while the cache holds at most
+    CACHE_ENTRIES stored entries.  Past that, whole primes are dropped, the
+    least recently asked for first, until it fits again or only the prime
+    in use is left; that prime is never dropped, so its blocks are built
+    once however its points are ordered.
 
     A block is a product of differences, so it is homogeneous of degree D,
     the sum of its exponents.  It is expanded with its last variable set to
@@ -274,17 +277,17 @@ class _BlockCache:
     """
 
     def __init__(self):
-        self._p: int | None = None
         self._blocks: dict[tuple, mpoly.SparseBlock] = {}
+        # stored entries per prime, the least recently used prime first
+        self._entries: dict[int, int] = {}
 
     def block(self, k: KComposition, i: int, c: int, ctx: FpContext,
               lowered: frozenset[LinearForm] = frozenset()) -> mpoly.SparseBlock:
         """Block i as a matrix of the flat group-i slots times the flat
         group-(i+1) slots; the pair factors in `lowered` are one lower."""
         p = ctx.p
-        if self._p != p:
-            self._p, self._blocks = p, {}
-        key = (k.part(i - 1), k.part(i), k.part(i + 1), c, lowered)
+        self._entries[p] = self._entries.pop(p, 0)  # p is now the most recently used
+        key = (p, k.part(i - 1), k.part(i), k.part(i + 1), c, lowered)
         if key not in self._blocks:
             sizes = (k.part(i), k.part(i + 1))
             caps = (_group_cap(k, i, p),) * sizes[0] + (_group_cap(k, i + 1, p),) * sizes[1]
@@ -309,6 +312,13 @@ class _BlockCache:
             columns, starts = np.unique(col[order], return_index=True)
             self._blocks[key] = mpoly.SparseBlock(row[order], dehom[nz[order]],
                                                   columns, starts, ncols)
+            self._entries[p] += len(nz)
+            for old in list(self._entries)[:-1]:
+                if sum(self._entries.values()) <= CACHE_ENTRIES:
+                    break
+                del self._entries[old]
+                self._blocks = {held: block for held, block in self._blocks.items()
+                                if held[0] != old}
         return self._blocks[key]
 
 
@@ -322,6 +332,12 @@ _BLOCKS = _BlockCache()
 # n >= 2, its group tensor only), at the step where they add up to the
 # most.  A point over the cap alone is a batch of one.
 BATCH_SLOTS = 2**15
+
+# The bound of the block cache, in stored block entries (each an int64
+# position and an int64 value, 16 bytes, so about 16 MiB).  The blocks of
+# `main` (3,2) at p=17, c = 1..5, hold about 87 k entries (1.41 MB), and
+# the three primes of a small sweep together 33 KB.
+CACHE_ENTRIES = 2**20
 
 
 @lru_cache(maxsize=256)
@@ -379,13 +395,20 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
     """
     value = rows[0][0]
     for row in rows[0][1:]:
-        value = value[..., None] * row.reshape(row.shape[:1] + (1,) * (value.ndim - 1) + (-1,)) % p
+        # reduced in place, so that the product is the one array allocated
+        # (a broadcast product would also allocate the ufunc's buffers)
+        value = np.einsum("n...,nk->n...k", value, row)
+        value %= p
     for i, block in enumerate(blocks):
         if i:
             shape = tuple(row.shape[1] for row in rows[i])
             value = mpoly.multiply_along_axes(value.reshape((-1,) + shape), rows[i], p)
-        # reversing every axis of a C-ordered tensor reverses its flat slots
-        value = mpoly.contract(value.reshape(len(value), -1)[:, ::-1], block, p)
+        # reversing every axis of a C-ordered tensor reverses its flat slots;
+        # the block's rows are read in reverse instead, since gathering from
+        # a reversed view would first copy the whole tensor
+        value = value.reshape(len(value), -1)
+        value = mpoly.contract(
+            value, block._replace(positions=value.shape[1] - 1 - block.positions), p)
     if len(rows) == 1:
         return value[:, 0]
     shape = tuple(row.shape[1] for row in rows[-1])

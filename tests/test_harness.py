@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
-from fpselberg import harness
+from fpselberg import formulas, harness, integrals, mpoly
 from fpselberg.admissible import distinguished_point, enumerate_admissible
-from fpselberg.errors import ZeroFactor
+from fpselberg.errors import InvariantViolation, ZeroFactor
 from fpselberg.formulas import b_factor, induction_factor
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition, ParamPoint, selberg_integral
@@ -117,6 +118,32 @@ def test_sampling_indices_picks_the_keys_of_sampling_the_key_list(campaign):
     assert all(type(x) is int for a, b, c in keys for x in (a, *b, c))
 
 
+def test_sampled_i000_rechecks_its_sample_alone(monkeypatch):
+    # the I_000 domain of (3,1) at p=11 stays rows (191); the closed form,
+    # which re-checks a walked point, is asked once at each of the 30
+    # sampled keys (at all 191 points, and again at the 30, while keys were
+    # taken from `enumerate_admissible_I`)
+    asked = []
+    closed_form = formulas.i000_rhs
+
+    def counting(k1, k2, pt, ctx):
+        asked.append(pt)
+        return closed_form(k1, k2, pt, ctx)
+
+    monkeypatch.setattr(formulas, "i000_rhs", counting)
+    spec = CampaignSpec("i000", 11, (3, 1), exhaustive=False, samples=30, seed=7)
+    report = run_campaign(spec)
+    assert report.checked == report.passed == 30
+    assert len(asked) == len(set(asked)) == 30
+    # a sampled point where the closed form is undefined is a fault of the walk
+    victim = asked[5]
+    monkeypatch.setattr(formulas, "i000_rhs", lambda k1, k2, pt, ctx: (
+        formulas.FormulaResult(error="forced") if pt == victim else closed_form(k1, k2, pt, ctx)))
+    with pytest.raises(InvariantViolation,
+                       match=r"enumerated point .* has no I_000 closed form: forced"):
+        run_campaign(spec)
+
+
 def test_sampled_main_builds_points_for_its_sample_alone(monkeypatch):
     # the domain's 407 points stay rows; a ParamPoint is built only for each
     # of the 36 sampled keys (the whole domain was built, 443 in all, while
@@ -202,10 +229,48 @@ def _recorded_chunks(monkeypatch, jobs):
     return seen, expect, got, keys
 
 
+def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatch):
+    # the blocks of every prime stay cached across the primes of a sweep,
+    # and each chunk's c groups, which fit under BATCH_SLOTS, run as one
+    # batch each; at 256 keys a chunk cut thm_4_111 at p=5 (492 keys) and
+    # thm_3_11 at p=7 (980) and so their c groups into more batches
+    specs = [CampaignSpec("thm_4_111", 5), CampaignSpec("thm_3_11", 7),
+             CampaignSpec("main", 11, (2, 1))]
+    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+    first = [run_campaign(spec).as_dict() for spec in specs]
+    built, groups, batches = [], [], []
+    expand, runner, chain = mpoly.expand, integrals._batches, integrals._chain
+
+    def recording_expand(fp, caps):
+        built.append(caps)
+        return expand(fp, caps)
+
+    def recording_runner(k, points, *args):
+        groups.append(sorted(Counter(pt.c for pt in points).values()))
+        batches.append([])
+        return runner(k, points, *args)
+
+    def recording_chain(rows, blocks, p):
+        batches[-1].append(len(rows[0][0]))
+        return chain(rows, blocks, p)
+
+    monkeypatch.setattr(mpoly, "expand", recording_expand)
+    monkeypatch.setattr(integrals, "_batches", recording_runner)
+    monkeypatch.setattr(integrals, "_chain", recording_chain)
+    second = [run_campaign(spec).as_dict() for spec in specs]
+    assert built == []
+    assert len(groups) == len(specs)  # one chunk each
+    assert [sorted(sizes) for sizes in batches] == groups
+    for report in first + second:
+        report.pop("elapsed_ms")
+    assert second == first
+
+
 def test_tasks_run_in_key_order(monkeypatch):
     # thm_3_11 keys vary c fastest; the block cache keeps every c of the
     # prime, so evaluation follows the key list as it is, in contiguous
-    # key lists of at most CHUNK_KEYS
+    # key lists of at most CHUNK_KEYS (lowered below the 275 keys at p=5)
+    monkeypatch.setattr(harness, "CHUNK_KEYS", 100)
     seen, expect, got, keys = _recorded_chunks(monkeypatch, 1)
     assert [key for chunk in seen for key in chunk] == keys
     assert max(map(len, seen)) <= harness.CHUNK_KEYS < len(keys)

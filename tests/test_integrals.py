@@ -290,9 +290,12 @@ def test_batched_integrals_match_single_points(monkeypatch, p, parts, points):
 
 
 def test_batches_stay_under_the_slot_cap(monkeypatch):
-    # per batch, what the chain allocates stays within twice the cap's
-    # bytes; a c group of thm_4_111 p=7 (at most 533 points of about 70 slots)
-    # barely exceeds the default cap, so there it is lowered to 2^12
+    # per batch, what the chain allocates stays within one and a half times
+    # the cap's bytes; a c group of thm_4_111 p=7 (at most 533 points of
+    # about 70 slots) barely exceeds the default cap, so there it is lowered
+    # to 2^12.  A batch of 20 (3,1) points at p=11 peaked at 462 936 B, 1.77
+    # times the cap's bytes, while group 1's product and its residue were
+    # both live and the contraction copied the reversed group tensor
     chain = integrals._chain
     peaks = []
 
@@ -304,12 +307,14 @@ def test_batches_stay_under_the_slot_cap(monkeypatch):
         return value
 
     monkeypatch.setattr(integrals, "_chain", traced)
-    ctx7, ctx13 = FpContext(7), FpContext(13)
+    ctx7, ctx11, ctx13 = FpContext(7), FpContext(11), FpContext(13)
     _, keys = _CAMPAIGNS["thm_4_111"].keys(CampaignSpec("thm_4_111", 7), ctx7)
     for k, points, ctx, cap in (
             (KComposition((1, 1, 1)), [ParamPoint(*key) for key in keys], ctx7, 2**12),
             (KComposition((2, 1)), enumerate_admissible(KComposition((2, 1)), ctx13), ctx13,
-             integrals.BATCH_SLOTS)):
+             integrals.BATCH_SLOTS),
+            (KComposition((3, 1)), [pt for pt in enumerate_admissible(KComposition((3, 1)), ctx11)
+                                    if pt.c == 1][:20], ctx11, integrals.BATCH_SLOTS)):
         monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
         selberg_integrals(k, points[:50], ctx)  # builds the blocks untraced
         peaks.clear()
@@ -318,7 +323,7 @@ def test_batches_stay_under_the_slot_cap(monkeypatch):
             selberg_integrals(k, points, ctx)
         finally:
             tracemalloc.stop()
-        assert 0 < max(peaks) <= 2 * cap * 8, (k, max(peaks))
+        assert 0 < max(peaks) <= 3 * cap * 4, (k, max(peaks))
 
 
 def test_a_two_one_batch_holds_more_points_without_the_last_block(monkeypatch):
@@ -516,11 +521,52 @@ def test_blocks_are_built_once_per_prime_in_any_point_order(monkeypatch):
     cs = {pt.c for pt in points}
     assert len(cs) == 3
     assert expanded_axes == [4] * (3 * len(cs))
-    # the blocks of one prime only: evaluating at p=7 drops those of p=11
+    # the blocks of every prime are kept: evaluating at p=7 builds its
+    # block, and those of p=11 survive it
     expanded_axes.clear()
     selberg_integral(k, ParamPoint(1, (1, 1), 1), FpContext(7))
     selberg_integral(k, points[0], ctx)
-    assert expanded_axes == [4, 4]
+    assert expanded_axes == [4]
+
+
+def test_the_block_cache_drops_the_least_recently_used_prime(monkeypatch):
+    # past CACHE_ENTRIES stored entries, whole primes are dropped, the least
+    # recently used first; the prime in use never is, whatever the bound
+    k = KComposition((2, 1))
+    points = {p: enumerate_admissible(k, FpContext(p)) for p in (5, 7, 11)}
+    cs = {p: {pt.c for pt in pts} for p, pts in points.items()}
+    fresh = integrals._BlockCache()
+    entries = {p: sum(len(fresh.block(k, 1, c, FpContext(p)).values) for c in cs[p])
+               for p in points}
+    assert entries[5] < entries[7] < entries[11]
+    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+    expect = {p: selberg_integrals(k, pts, FpContext(p)) for p, pts in points.items()}
+    built = []
+    expand = mpoly.expand
+
+    def recording_expand(fp, caps):
+        built.append(fp.ctx.p)
+        return expand(fp, caps)
+
+    def builds(p):
+        # the blocks built to evaluate every point of p, with the values
+        # checked against those of a fresh cache
+        built.clear()
+        assert selberg_integrals(k, points[p], FpContext(p)) == expect[p], p
+        return len(built)
+
+    monkeypatch.setattr(mpoly, "expand", recording_expand)
+    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+    monkeypatch.setattr(integrals, "CACHE_ENTRIES", entries[5] + entries[11])
+    assert [builds(5), builds(7), builds(5)] == [len(cs[5]), len(cs[7]), 0]
+    # 5, 7 and 11 are over the bound: 7, the least recently used, goes
+    assert builds(11) == len(cs[11])
+    assert [builds(5), builds(11), builds(7)] == [0, 0, len(cs[7])]
+    # under a bound of no entries, each block of the prime in use is still
+    # built once; every other prime goes
+    monkeypatch.setattr(integrals, "CACHE_ENTRIES", 0)
+    assert [builds(11), builds(11), builds(7), builds(11)] == [
+        len(cs[11]), 0, len(cs[7]), len(cs[11])]
 
 
 def test_block_build_requires_difference_factors(monkeypatch):

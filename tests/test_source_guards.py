@@ -141,14 +141,19 @@ def test_both_domains_are_walked_by_one_interval_walker():
     # the admissible and the I_000 domain are each a table of intervals,
     # enumerated by the same vector walk rather than by filtering a box: only
     # `_walk` expands intervals, and campaigns take the re-checked rows of
-    # `admissible_rows` rather than a second walk
+    # `admissible_rows`, or the rows of `i000_rows` whose sampled points the
+    # `i000` check re-checks, rather than a second walk
     assert {(path, function) for path, function in _callers({"repeat"})
             if path == "admissible.py"} == {("admissible.py", "_walk")}
     assert all(function != "_b_tuples" for _, function, _ in _calls())
     assert _callers({"_walk"}) == {("admissible.py", "admissible_rows"),
-                                   ("admissible.py", "enumerate_admissible_I")}
+                                   ("admissible.py", "i000_rows")}
     assert _callers({"admissible_rows"}) == {("admissible.py", "enumerate_admissible"),
                                              ("harness.py", "_admissible")}
+    assert _callers({"i000_rows"}) == {("admissible.py", "enumerate_admissible_I"),
+                                       ("harness.py", "_i000_keys")}
+    assert _callers({"i000_closed_form"}) == {("admissible.py", "enumerate_admissible_I"),
+                                              ("harness.py", "_i000_check")}
 
 
 def test_each_ac_condition_is_written_in_its_table_alone():
