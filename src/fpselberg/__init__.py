@@ -13,14 +13,16 @@ from .errors import (AccumulatorOverflow, CapacityExceeded, FpSelbergError,
                      NegativeExponent, NoPath, NotAllowable, OutOfRange,
                      PreconditionViolation, ZeroFactor)
 from .formulas import (FormulaResult, b_factor, beta_rhs, dyson_constant,
-                       i000_rhs, induction_factor, r_value, rhs_3_11,
-                       rhs_4_111, shift_factor_b1, shift_factor_b2)
+                       i000_rhs, i000_rhs_values, induction_factor, r_value,
+                       r_values, rhs_3_11, rhs_3_11_values, rhs_4_111,
+                       rhs_4_111_values, shift_factor_b1, shift_factor_b2)
 from .gf import FpContext, FpElement, checked_factorial, sign_pow
 from .harness import CampaignSpec, VerificationReport, bench, run_campaign
 from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,
                         WeightSummand, cycle_from_composition, fp_integral,
-                        master_polynomial, selberg_integral, selberg_integrals,
-                        weight_summands, weighted_integral, weighted_integrals)
+                        master_polynomial, point_rows, row_points,
+                        selberg_integral, selberg_integrals, weight_summands,
+                        weighted_integral, weighted_integrals)
 from .mpoly import (FactorProduct, LinearForm, TruncatedPoly, derivative, expand,
                     extract_coefficient, slot_budget, sparse_expand_oracle)
 

@@ -14,10 +14,10 @@ picking each b_r for all prefixes at once from the intervals the table
 leaves, so it emits the points of the domain and no others.  What it emits
 is re-checked, and a point that fails raises InvariantViolation:
 `admissible_rows` compares all rows with their tables in one vector pass,
-and `i000_closed_form` asks `formulas.i000_rhs`, which builds its arguments
-apart from that table, whether the closed form is defined at a point of
-`i000_rows`; `enumerate_admissible_I` asks it at every point, and the
-`i000` campaign at the points it samples.
+and `i000_closed_forms` asks `formulas.i000_rhs_values`, which builds its
+arguments apart from that table, in one batch call whether the closed form
+is defined at rows of `i000_rows`; `enumerate_admissible_I` asks it at
+every row, and the `i000` campaign at the rows it samples.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ import numpy as np
 
 from . import formulas
 from .errors import InvariantViolation, NoPath, PreconditionViolation
-from .gf import FpContext, FpElement
-from .integrals import KComposition, ParamPoint
+from .gf import FpContext
+from .integrals import KComposition, ParamPoint, row_points
 
 
 @dataclass(frozen=True)
@@ -147,6 +147,14 @@ def _bounds(tables: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return np.array(s[:shape[1]]), np.array(r[:shape[1]]), lo, hi
 
 
+def _spread(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of every interval [low[t], high[t]], as (t, integer)
+    arrays, t ascending and the integers ascending within each t."""
+    counts = np.maximum(high - low + 1, 0)
+    which = np.repeat(np.arange(len(counts)), counts)
+    return which, low[which] + np.arange(len(which)) - (np.cumsum(counts) - counts)[which]
+
+
 def _walk(system: Callable[[int, int], tuple], n: int, p: int) -> np.ndarray:
     """The domain whose table at (a, c) is `system(a, c)`, as int64 rows
     (a, b_1, ..., b_n, c) in lexicographic order.  b_r is picked for every
@@ -164,9 +172,7 @@ def _walk(system: Callable[[int, int], tuple], n: int, p: int) -> np.ndarray:
         ends = [j for j, r_j in enumerate(r.tolist()) if r_j == end]
         before = sums[:, -1:] - np.take(sums, s[ends] - 1, axis=1)  # b_s + ... + b_{end-1}
         low = (np.take(lo, ends, axis=1)[which] - before).max(axis=1)
-        counts = np.maximum((np.take(hi, ends, axis=1)[which] - before).min(axis=1) - low + 1, 0)
-        prefix = np.repeat(np.arange(len(counts)), counts)
-        b = low[prefix] + np.arange(len(prefix)) - (np.cumsum(counts) - counts)[prefix]
+        prefix, b = _spread(low, (np.take(hi, ends, axis=1)[which] - before).min(axis=1))
         which, sums = which[prefix], np.column_stack([sums[prefix], sums[prefix, -1] + b])
     ac = np.array([(a, c) for a, c, _ in pairs], dtype=np.int64)[which]
     rows = np.column_stack([ac[:, 0], np.diff(sums, axis=1), ac[:, 1]])
@@ -188,10 +194,6 @@ def _outside(parts: tuple[int, ...], p: int, rows: np.ndarray) -> np.ndarray:
     return ((between < lo[which]) | (between > hi[which])).any(axis=1)
 
 
-def _points(rows: np.ndarray) -> list[ParamPoint]:
-    return [ParamPoint(row[0], tuple(row[1:-1]), row[-1]) for row in rows.tolist()]
-
-
 def admissible_rows(k: KComposition, ctx: FpContext) -> np.ndarray:
     """All admissible points, as int64 rows (a, b_1, ..., b_n, c) in
     lexicographic order, re-checked against their tables in one vector
@@ -201,7 +203,7 @@ def admissible_rows(k: KComposition, ctx: FpContext) -> np.ndarray:
     rows = _walk(lambda a, c: _b_system(k.parts, a, c, ctx.p), k.n, ctx.p)
     bad = rows[_outside(k.parts, ctx.p, rows)]
     if len(bad):
-        pt = _points(bad[:1])[0]
+        pt, = row_points(bad[:1])
         raise InvariantViolation(
             f"enumerated point {pt} violates {is_admissible(k, pt, ctx).violated}")
     return rows
@@ -209,7 +211,7 @@ def admissible_rows(k: KComposition, ctx: FpContext) -> np.ndarray:
 
 def enumerate_admissible(k: KComposition, ctx: FpContext) -> list[ParamPoint]:
     """The points of `admissible_rows`."""
-    return _points(admissible_rows(k, ctx))
+    return row_points(admissible_rows(k, ctx))
 
 
 def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> ParamPoint:
@@ -300,33 +302,35 @@ def _i000_system(k1: int, k2: int, a: int, c: int,
 
 def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
     """Domain of the I_{0,0,0} closed form: the `_i000_system` table."""
-    formulas._two_groups(k1, k2, pt)
+    formulas._two_groups(k1, k2, pt.n)
     return _report(_i000_system(k1, k2, pt.a, pt.c, ctx.p), pt.b)
 
 
 def i000_rows(k1: int, k2: int, ctx: FpContext) -> np.ndarray:
     """All points in the I_{0,0,0} domain, as int64 rows (a, b1, b2, c) in
-    lexicographic order, as walked; `i000_closed_form` re-checks a point."""
+    lexicographic order, as walked; `i000_closed_forms` re-checks rows."""
     if not k1 > k2 > 0:
         raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
     p = ctx.p
     return _walk(lambda a, c: _i000_system(k1, k2, a, c, p), 2, p)
 
 
-def i000_closed_form(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
-    """`formulas.i000_rhs` at a point of `i000_rows`.  The table and the
-    closed form build their arguments apart, so a point where the closed
-    form is undefined is a fault of the walk and raises InvariantViolation."""
-    closed_form = formulas.i000_rhs(k1, k2, pt, ctx)
-    if not closed_form.ok:
+def i000_closed_forms(k1: int, k2: int, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
+    """`formulas.i000_rhs_values` at rows of `i000_rows`, in one batch call.
+    The table and the closed form build their arguments apart, so a row
+    where the closed form is undefined is a fault of the walk and raises
+    InvariantViolation, with `formulas.i000_rhs`'s text for the first."""
+    values, first = formulas.i000_rhs_values(k1, k2, rows, ctx)
+    undefined = np.flatnonzero(first >= 0)
+    if len(undefined):
+        pt, = row_points(rows[undefined[:1]])
         raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: "
-                                 f"{closed_form.error}")
-    return closed_form.value
+                                 f"{formulas.i000_rhs(k1, k2, pt, ctx).error}")
+    return values
 
 
 def enumerate_admissible_I(k1: int, k2: int, ctx: FpContext) -> list[ParamPoint]:
-    """The points of `i000_rows`, each re-checked by `i000_closed_form`."""
-    out = _points(i000_rows(k1, k2, ctx))
-    for pt in out:
-        i000_closed_form(k1, k2, pt, ctx)
-    return out
+    """The points of `i000_rows`, re-checked by `i000_closed_forms`."""
+    rows = i000_rows(k1, k2, ctx)
+    i000_closed_forms(k1, k2, rows, ctx)
+    return row_points(rows)

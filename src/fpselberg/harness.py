@@ -3,9 +3,21 @@ by closed form (or recurrence factors), exact equality only.
 
 `_CAMPAIGNS` holds one entry per campaign: its key list (and reported total;
 `_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
-that takes a list of keys and returns one result per key, (lhs, rhs,
-mismatch classifier) or a `_Skip`, the composition length it needs, and the
-JSON form of a key in a failure record.  Checks take their integrals in
+that takes a list of keys, the composition length it needs, and the JSON
+form of a key in a failure record.  The campaigns over a domain of points,
+`main`, `thm_3_11`, `thm_4_111`, `i000` and the relation campaigns but
+`relations_S1S2`, take their keys as int64 rows (a, b_1, ..., b_n, c):
+`admissible_rows` and `i000_rows` return them, `_sampled` samples row
+indices, and the theorem key lists are built by interval expansion
+(`_thm_keys`).  `main`, `thm_3_11`, `thm_4_111`, `i000` and `relations_IS`
+keep them as rows to the verdict: their checks return `_Verdicts`, per row
+the two sides as residues and whether the row was checked, from one batch
+call of their closed form (`formulas.r_values`, `rhs_3_11_values`,
+`rhs_4_111_values`; `adm.i000_closed_forms`) and of their integrals, and
+build no point and no field element per key.  The other checks return
+one (lhs, rhs, mismatch classifier) or `_Skip` per key, building their
+points where their recurrence factors need them and converting them to
+rows where they call an integral.  Checks take their integrals in
 batches: `beta` (the one group k = (1,)), `main`, `thm_3_11`, `thm_4_111`
 and `relations_S1S2` from one `selberg_integrals` call per key list;
 `induction` from two per run of one composition (the full and the
@@ -15,10 +27,11 @@ truncated composition); `i000`, `relations_II0`, `relations_B1` and
 call per key, on the one group of its k, and `stokes` reads one
 coefficient off one expansion per key.  `run_campaign` splits the keys
 into contiguous chunks of at most CHUNK_KEYS, and `_outcome` turns each
-chunk's results into skips, passes and failures, in key order,
-sequentially or in the jobs > 1 pool.  A chunk's integrals run in batches
-per c (`integrals._batches`), and a chunk boundary cuts each c group it
-crosses into one more batch, so chunks are large.  Checks look up integrals,
+chunk's results into its count of checked keys and its failure records,
+in key order, with one array comparison for `_Verdicts`, sequentially or
+in the jobs > 1 pool.  A chunk's integrals run in batches per c
+(`integrals._batches`), and a chunk boundary cuts each c group it crosses
+into one more batch, so chunks are large.  Checks look up integrals,
 `formulas.*` and `adm.*` by module attribute at call time, so code that
 patches those attributes sees every call.  Only `bench` calls
 `selberg_integral`, and nothing calls `weighted_integral` or
@@ -34,17 +47,18 @@ import time
 from itertools import compress, groupby, repeat
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import admissible as adm
 from . import formulas, mpoly
 from .errors import CapacityExceeded, ZeroFactor
-from .gf import FpContext, sign_pow
+from .gf import FpContext, FpElement, sign_pow
 from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm,
                         ParamPoint, PCycle, cycle_from_composition, fp_integral,
-                        master_polynomial, selberg_integral, selberg_integrals,
-                        weighted_integral, weighted_integrals)
+                        master_polynomial, point_rows, row_points, selberg_integral,
+                        selberg_integrals, weighted_integral, weighted_integrals)
 
 _INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
@@ -104,29 +118,43 @@ class _Skip(Exception):
     """A check's point lies outside its identity's domain or cannot be computed."""
 
 
-def _closed(result: formulas.FormulaResult):
-    """A closed form's value, or the skip where it is undefined."""
-    return result.value if result.ok else _Skip(result.error)
+class _Verdicts(NamedTuple):
+    """The results of a check over rows: per row, its lhs and rhs residues,
+    and whether it was checked; a row not checked is a skip.  A checked row
+    whose sides differ is a "mismatch"."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    checked: np.ndarray
 
 
-def _against_closed_forms(points: list[ParamPoint], rhs: list, integrals: Callable,
-                          capacity_skips: bool = False) -> list:
-    """(integral, rhs, "mismatch") at each point whose rhs is not a _Skip,
-    the skip at the others; `integrals` maps the former points to their
-    integrals in one call.  With capacity_skips, CapacityExceeded skips
-    every point."""
+def _elements(values: np.ndarray, ctx: FpContext) -> list[FpElement]:
+    return [FpElement(value, ctx) for value in values.tolist()]
+
+
+def _against_closed_forms(rows: np.ndarray, closed_form: tuple[np.ndarray, np.ndarray],
+                          integrals: Callable, capacity_skips: bool = False) -> _Verdicts:
+    """The integrals against a closed form, (residues, first term out of
+    range) as a batch form of `formulas` returns it, at the rows where it is
+    defined; `integrals` maps those rows to their integrals in one call.
+    The other rows are skips, and with capacity_skips, CapacityExceeded
+    skips every row."""
+    rhs, first = closed_form
+    checked = first < 0
+    lhs = np.zeros(len(rows), dtype=np.int64)
     try:
-        values = iter(integrals([pt for pt, r in zip(points, rhs) if not isinstance(r, _Skip)]))
-    except CapacityExceeded as exc:
+        lhs[checked] = integrals(rows[checked])
+    except CapacityExceeded:
         if not capacity_skips:
             raise
-        return [_Skip(str(exc))] * len(points)
-    return [r if isinstance(r, _Skip) else (next(values), r, "mismatch") for r in rhs]
+        checked[:] = False
+    return _Verdicts(lhs, rhs, checked)
 
 
 def _beta_check(ctx, _k, keys):
     """x^a (1-x)^b over [1]_p: the Selberg integral of the one group k = (1,)."""
-    lhs = selberg_integrals(KComposition((1,)), [ParamPoint(a, (b,), 1) for a, b in keys], ctx)
+    rows = np.array([(a, b, 1) for a, b in keys], dtype=np.int64).reshape(len(keys), 3)
+    lhs = _elements(selberg_integrals(KComposition((1,)), rows, ctx), ctx)
     return [(value, formulas.beta_rhs(a, b, ctx), "mismatch")
             for value, (a, b) in zip(lhs, keys)]
 
@@ -139,7 +167,7 @@ def dyson_constant_term(k: int, c: int, ctx: FpContext):
     integral of the one group k at (a, b = 0, c); so (k-1)c <= p-1.
     """
     pt = ParamPoint(ctx.p - 1 - (k - 1) * c, (0,), c)
-    value, = selberg_integrals(KComposition((k,)), [pt], ctx)
+    value, = selberg_integrals(KComposition((k,)), point_rows([pt], 1), ctx).tolist()
     return sign_pow(ctx, c * k * (k - 1) // 2) * value
 
 
@@ -148,48 +176,42 @@ def _dyson_check(ctx, _k, keys):
              f"mismatch at k={kk}") for kk, c in keys]
 
 
-def _main_check(ctx, k, keys):
+def _main_check(ctx, k, rows):
     comp = KComposition(k)
-    points = [ParamPoint(*key) for key in keys]
-    rhs = [_closed(formulas.r_value(comp, pt, ctx)) for pt in points]
-    return _against_closed_forms(points, rhs, lambda pts: selberg_integrals(comp, pts, ctx),
+    return _against_closed_forms(rows, formulas.r_values(comp, rows, ctx),
+                                 lambda rows: selberg_integrals(comp, rows, ctx),
                                  capacity_skips=True)
 
 
 def _thm(n: int) -> Callable:
     """The check of Theorem 3.11 (n = 2) or 4.111 (n = 3): k = (1,)*n, one b
     per group."""
-    def check(ctx, _k, keys):
-        closed_form = formulas.rhs_3_11 if n == 2 else formulas.rhs_4_111
-        rhs = [_closed(closed_form(a, *b, c, ctx)) for a, b, c in keys]
-        return _against_closed_forms([ParamPoint(*key) for key in keys], rhs,
-                                     lambda pts: selberg_integrals(KComposition((1,) * n),
-                                                                   pts, ctx))
+    def check(ctx, _k, rows):
+        closed_form = formulas.rhs_3_11_values if n == 2 else formulas.rhs_4_111_values
+        comp = KComposition((1,) * n)
+        return _against_closed_forms(rows, closed_form(rows, ctx),
+                                     lambda rows: selberg_integrals(comp, rows, ctx))
     return check
 
 
-def _relations_is_check(ctx, k, keys):
+def _relations_is_check(ctx, k, rows):
     """I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c).  Homogeneous in the
     integrals, so a fault that zeroes or scales every integral passes it."""
     k1, k2 = k
-    points = [ParamPoint(*key) for key in keys]
-    lhs = weighted_integrals(k1, k2, AllowableTriple(0, k2, 0), points, ctx)
-    rhs = selberg_integrals(KComposition(k), [ParamPoint(pt.a - 1, (pt.b[0], pt.b[1] - 1), pt.c)
-                                              for pt in points], ctx)
-    return [(left, right, "mismatch") for left, right in zip(lhs, rhs)]
+    lhs = weighted_integrals(k1, k2, AllowableTriple(0, k2, 0), rows, ctx)
+    rhs = selberg_integrals(KComposition(k), rows - (1, 0, 1, 0), ctx)
+    return _Verdicts(lhs, rhs, np.ones(len(rows), dtype=bool))
 
 
-def _relations_ii0_check(ctx, k, keys):
+def _relations_ii0_check(ctx, k, rows):
     """(k1-k2+i+1)c I_{0,i,0} + (b2+ic) I_{0,i+1,0} = 0 for i < k2.
     Homogeneous in the integrals, so a fault that zeroes or scales every
     integral passes it."""
     k1, k2 = k
-    points = [ParamPoint(*key) for key in keys]
-    values = [weighted_integrals(k1, k2, AllowableTriple(0, i, 0), points, ctx)
+    values = [_elements(weighted_integrals(k1, k2, AllowableTriple(0, i, 0), rows, ctx), ctx)
               for i in range(k2 + 1)]
     results = []
-    for t, pt in enumerate(points):
-        b2, c = pt.b[1], pt.c
+    for t, (_, _, b2, c) in enumerate(rows.tolist()):
         for i in range(k2):
             combo = (ctx.element((k1 - k2 + i + 1) * c) * values[i][t]
                      + ctx.element(b2 + i * c) * values[i + 1][t])
@@ -211,18 +233,18 @@ def _relations_b(idx: int) -> "_Campaign":
         rows = _admissible(spec.k, ctx)
         return _sampled(rows[rows[:, 1 + idx] >= 2], spec)
 
-    def check(ctx, k, keys):
+    def check(ctx, k, rows):
         k1, k2 = k
         points, factors = [], []
-        for key in keys:
-            pt = ParamPoint(*key)
+        for pt in row_points(rows):
             try:
                 factors.append(formulas.b_factor(k1, k2, idx, pt, ctx))
                 points.append(pt)
             except ZeroFactor as exc:
                 factors.append(_Skip(str(exc)))
-        values = weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
-                                    [adm.lowered(pt, idx) for pt in points] + points, ctx)
+        values = _elements(weighted_integrals(
+            k1, k2, AllowableTriple(0, 0, 0),
+            point_rows([adm.lowered(pt, idx) for pt in points] + points, 2), ctx), ctx)
         lows, highs = iter(values[:len(points)]), iter(values[len(points):])
         return [factor if isinstance(factor, _Skip)
                 else (next(lows), factor * next(highs), "mismatch") for factor in factors]
@@ -233,11 +255,11 @@ def _relations_s1s2_check(ctx, k, keys):
     """Decrement edges: S(lower end) = shift factor * S(upper end).
     Homogeneous in the integrals, so a fault that zeroes or scales every
     integral passes it."""
-    highs = [ParamPoint(*hi_key) for hi_key, _ in keys]
+    highs = [ParamPoint(a, (b1, b2), c) for (a, b1, b2, c), _ in keys]
     factors = [(formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
         k[0], k[1], hi, ctx) for hi, (_, idx) in zip(highs, keys)]
     lows = [adm.lowered(hi, idx) for hi, (_, idx) in zip(highs, keys)]
-    values = selberg_integrals(KComposition(k), lows + highs, ctx)
+    values = _elements(selberg_integrals(KComposition(k), point_rows(lows + highs, 2), ctx), ctx)
     return [(lhs, factor * rhs, f"edge b{idx + 1}-1 mismatch")
             for lhs, factor, rhs, (_, idx) in zip(values, factors, values[len(keys):], keys)]
 
@@ -255,24 +277,22 @@ def _induction_check(ctx, _k, keys):
         pairs = [(a, c) for _, a, c in run]
         fits = [comp.part(comp.n) * c <= ctx.p - 1 for _, c in pairs]
         kept = list(compress(pairs, fits))
-        fulls = iter(selberg_integrals(
-            comp, [adm.distinguished_point(comp, a, c, ctx) for a, c in kept], ctx))
-        truncs = iter(selberg_integrals(
-            trunc, [adm.distinguished_point(trunc, a, c, ctx) for a, c in kept], ctx))
+        fulls, truncs = (iter(_elements(selberg_integrals(part, point_rows(
+            [adm.distinguished_point(part, a, c, ctx) for a, c in kept], part.n), ctx), ctx))
+            for part in (comp, trunc))
         results += [(next(fulls), formulas.induction_factor(comp, c, ctx) * next(truncs),
                      f"k={kparts} factored identity") if fit else _Skip("k_n c > p-1")
                     for (_, c), fit in zip(pairs, fits)]
     return results
 
 
-def _i000_check(ctx, k, keys):
-    """I_{0,0,0} against its closed form, which the keys' domain defines:
-    the closed form re-checks each key (`adm.i000_closed_form`)."""
+def _i000_check(ctx, k, rows):
+    """I_{0,0,0} against its closed form, which the rows' domain defines:
+    the closed form re-checks the rows (`adm.i000_closed_forms`)."""
     k1, k2 = k
-    points = [ParamPoint(*key) for key in keys]
-    rhs = [adm.i000_closed_form(k1, k2, pt, ctx) for pt in points]
-    return _against_closed_forms(
-        points, rhs, lambda pts: weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), pts, ctx))
+    rhs = adm.i000_closed_forms(k1, k2, rows, ctx)
+    return _Verdicts(weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), rows, ctx), rhs,
+                     np.ones(len(rows), dtype=bool))
 
 
 def random_factor_product(ctx: FpContext, rng: random.Random) -> tuple[FactorProduct, PCycle]:
@@ -313,15 +333,15 @@ def _stokes_check(ctx, _k, keys):
 
 # key lists: (spec, ctx) -> (total, keys); total - len(keys) points are skips
 
-def _sampled(rows: np.ndarray, spec: CampaignSpec) -> tuple[int, list]:
-    """The keys (a, (b_1, ..., b_n), c) of rows (a, b_1, ..., b_n, c) that
-    are in key order, or of a seeded sample of them.  `random.sample` reads
-    only the population's length and the items it picks, so sampling the
-    row indices picks the keys that sampling the key list would."""
+def _sampled(rows: np.ndarray, spec: CampaignSpec) -> tuple[int, np.ndarray]:
+    """The rows (a, b_1, ..., b_n, c), which are in key order, or a seeded
+    sample of them, in the same order.  `random.sample` reads only the
+    population's length and the items it picks, so sampling the row indices
+    picks the rows that sampling a list of them would."""
     if not spec.exhaustive:
         picked = random.Random(spec.seed).sample(range(len(rows)), min(spec.samples, len(rows)))
         rows = rows[sorted(picked)]
-    return len(rows), [(row[0], tuple(row[1:-1]), row[-1]) for row in rows.tolist()]
+    return len(rows), rows
 
 
 def _swept(keys: list, spec: CampaignSpec) -> tuple[int, list]:
@@ -354,30 +374,42 @@ def _dyson_keys(spec, _ctx):
                    if kk * c <= spec.p - 1], spec)
 
 
+def _thm_keys(p: int, bounds: list[Callable], order: list[int]) -> np.ndarray:
+    """Rows (a, c) for a in [0, p) and c in [1, p], extended by one column
+    per entry of bounds, each mapping the columns so far to the interval of
+    the next (each row repeated once per integer of its interval); then the
+    columns in `order`, in lexicographic order."""
+    rows = np.indices((p, p)).reshape(2, -1).T + (0, 1)
+    for bound in bounds:
+        which, values = adm._spread(*bound(*rows.T))
+        rows = np.column_stack([rows[which], values])
+    rows = rows[:, order]
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def _thm_3_11_keys(spec, _ctx):
+    """The rows (a, b1, b2, c) with c in [1, p] where `rhs_3_11`'s
+    preconditions hold: 0 <= a < p, 0 <= b2-c+1, b1+b2-c+1 < p and
+    p-1 <= a+b1+b2-c+1 < 2p-1."""
     p = spec.p
-    keys = []
-    for a in range(p):
-        for c in range(1, p + 1):
-            for b2 in range(max(c - 1, 0), p + c - 1):
-                for b1 in range(0, p + c - 1 - b2):
-                    if p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1:
-                        keys.append((a, (b1, b2), c))
-    return _swept(sorted(keys), spec)
+    return _swept(_thm_keys(p, [
+        lambda a, c: (c - 1, p + c - 2),  # b2
+        lambda a, c, b2: (np.maximum(0, p - 2 - a - b2 + c),  # b1
+                          np.minimum(p + c - 2 - b2, 2 * p - 3 - a - b2 + c)),
+    ], [0, 3, 2, 1]), spec)
 
 
 def _thm_4_111_keys(spec, _ctx):
+    """The rows (a, b1, b2, b3, c) with 0 <= a < p and c in [1, p] where
+    b3-c+1, b2+b3-c+1, b2+b3-2c+2, b1+b2+b3-2c+2 and a+b1+b2+b3-2c+3-p
+    all lie in [0, p)."""
     p = spec.p
-    keys = []
-    for c in range(1, p + 1):
-        for a in range(p):
-            # 0 <= b3-c+1, b2+b3-c+1, b2+b3-2c+2, b1+b2+b3-2c+2 < p
-            for b3 in range(c - 1, p):
-                for b2 in range(max(0, 2 * c - 2 - b3), p + c - 1 - b3):
-                    for b1 in range(0, p + 2 * c - 2 - b2 - b3):
-                        if 0 <= a + b1 + b2 + b3 - 2 * c + 3 - p < p:
-                            keys.append((a, (b1, b2, b3), c))
-    return _swept(sorted(keys), spec)
+    return _swept(_thm_keys(p, [
+        lambda a, c: (c - 1, np.full_like(c, p - 1)),  # b3
+        lambda a, c, b3: (np.maximum(0, 2 * c - 2 - b3), p + c - 2 - b3),  # b2
+        lambda a, c, b3, b2: (np.maximum(0, p - 3 - a - b2 - b3 + 2 * c),  # b1
+                              np.minimum(p - 3 - b2 - b3 + 2 * c, 2 * p - 4 - a - b2 - b3 + 2 * c)),
+    ], [0, 4, 3, 2, 1]), spec)
 
 
 def _relations_s1s2_keys(spec, ctx):
@@ -385,10 +417,9 @@ def _relations_s1s2_keys(spec, ctx):
     from the sampled points down to their distinguished points."""
     comp = KComposition(spec.k)
     edges = set()
-    for key in _admissible_keys(spec, ctx)[1]:
-        cur = ParamPoint(*key)
+    for cur in row_points(_admissible_keys(spec, ctx)[1]):
         for idx, nxt in adm.decrement_path(comp, cur, ctx):
-            edges.add(((cur.a, cur.b, cur.c), idx))
+            edges.add(((cur.a, *cur.b, cur.c), idx))
             cur = nxt
     return len(edges), sorted(edges)
 
@@ -411,15 +442,15 @@ def _stokes_keys(spec, _ctx):
     return len(keys), keys
 
 
-def _point(key) -> dict:
-    a, b, c = key
-    return {"a": a, "b": list(b), "c": c}
+def _point(row) -> dict:
+    a, *b, c = (int(x) for x in row)
+    return {"a": a, "b": b, "c": c}
 
 
 @dataclass(frozen=True)
 class _Campaign:
     keys: Callable        # (spec, ctx) -> (total, keys)
-    check: Callable       # (ctx, k, keys) -> per key (lhs, rhs, classifier) or _Skip
+    check: Callable       # (ctx, k, keys) -> _Verdicts, or per key (lhs, rhs, classifier) or _Skip
     k_len: int | None = None  # k needed: None no (induction: optional), 0 any, n length n
     point: Callable = _point  # key -> {"a", "b", "c"} of a failure record
 
@@ -448,29 +479,34 @@ _CAMPAIGNS = {
 CAMPAIGNS = tuple(_CAMPAIGNS)
 
 # Checks run on contiguous chunks of the key list, of at most CHUNK_KEYS
-# keys, so that what a check holds per key stays bounded: at most about
-# 1 KB of Python objects per key (points, closed forms, integrals and
-# results), so at most about 1 MB per chunk, the order of one batch's
-# arrays.  Traced, a check of a full chunk peaked at 0.3-0.55 MiB, its
-# batch arrays included (thm_3_11 and thm_4_111 at p=7, main (2,1) at
-# p=13).  The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
+# keys, so that what a check holds per key stays bounded: a few int64
+# arrays of a row's width for the checks over rows, and at most about 1 KB
+# of Python objects per key (points, factors, integrals and results) for
+# the others, so at most about 1 MB per chunk, the order of one batch's
+# arrays.  The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
 _CHUNKS_PER_JOB = 4
 CHUNK_KEYS = 1024
 
 
-def _outcome(campaign: str, ctx: FpContext, k, keys) -> list[tuple[str, dict | None]]:
-    """Per key, ("skip", None), ("pass", None) or ("fail", failure record)."""
+def _outcome(campaign: str, ctx: FpContext, k, keys) -> tuple[int, list[dict]]:
+    """The number of keys checked, and the failure records in key order."""
     entry = _CAMPAIGNS[campaign]
-    outcomes = []
-    for key, result in zip(keys, entry.check(ctx, k, keys), strict=True):
+    results = entry.check(ctx, k, keys)
+    if isinstance(results, _Verdicts):
+        lhs, rhs, checked = results
+        return int(checked.sum()), [
+            {"point": entry.point(keys[t]), "lhs": int(lhs[t]), "rhs": int(rhs[t]),
+             "classifier": "mismatch"} for t in np.flatnonzero(checked & (lhs != rhs)).tolist()]
+    count, failures = 0, []
+    for key, result in zip(keys, results, strict=True):
         if isinstance(result, _Skip):
-            outcomes.append(("skip", None))
             continue
+        count += 1
         lhs, rhs, classifier = result
-        outcomes.append(("pass", None) if lhs == rhs else (
-            "fail", {"point": entry.point(key), "lhs": lhs.residue, "rhs": rhs.residue,
-                     "classifier": classifier}))
-    return outcomes
+        if lhs != rhs:
+            failures.append({"point": entry.point(key), "lhs": lhs.residue, "rhs": rhs.residue,
+                             "classifier": classifier})
+    return count, failures
 
 
 def run_campaign(spec: CampaignSpec) -> VerificationReport:
@@ -496,9 +532,8 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
             results = list(pool.map(_outcome, *args))
     else:
         results = list(map(_outcome, *args))
-    outcomes = [outcome for chunk in results for outcome in chunk]
-    failures = [record for status, record in outcomes if status == "fail"]
-    checked = len(keys) - sum(status == "skip" for status, _ in outcomes)
+    checked = sum(count for count, _ in results)
+    failures = [record for _, records in results for record in records]
     return VerificationReport(
         campaign=spec.campaign, p=spec.p, k=spec.k,
         total=total, checked=checked, passed=checked - len(failures), skipped=total - checked,

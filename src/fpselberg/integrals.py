@@ -32,9 +32,10 @@ the value is carried along the chain (`_chain`) as a polynomial in one
 group, with the batch as a leading axis.  Each axis is multiplied by its
 variable's weight row, the coefficients of x^alpha (1-x)^beta (Lucas
 binomials, so beta >= p works; group 1 is just the outer product of its
-rows); the polynomial is reversed and contracted with the sparse block,
-which leaves the coefficient of x^T in group i as a polynomial in group
-i+1.  With one group, block 1 leaves one number per point.  With n >= 2,
+rows); the polynomial is reversed and
+contracted with the sparse block, which leaves the coefficient of x^T in
+group i as a polynomial in group i+1.  With one group, block 1 leaves one
+number per point.  With n >= 2,
 block n would hold no factor: it is not built, and the last group's
 polynomial V is finished by its target functional instead, the sum over h
 of V[h] prod_j r_j[T - h_j] for the rows r_j of its variables
@@ -44,25 +45,31 @@ blocks built for every prime and c, so points may be evaluated in any order;
 past CACHE_ENTRIES stored entries it drops whole primes, the least recently
 used first, but never the prime in use.
 
-Both integrals run on the same chain and blocks, through one batch runner
-(`_batches`) that groups the points by c and splits the groups under
-BATCH_SLOTS.  Its data is a shift table, one (da, db) per variable: the
-row of variable j of group i is x^{a [i=1] + da} (1-x)^{b_i + db}.
+Both integrals take their points as int64 rows (a, b_1, ..., b_n, c) and
+return int64 residues, one per row.  They raise, before any point is
+evaluated, what their batch of one would raise at the first offending
+row, from vector checks (`_raise_at_first`).  They run on the same chain
+and blocks, through one batch runner (`_batches`) that sorts the rows by c
+and splits each c group under BATCH_SLOTS.  Its data is a shift table, one
+(da, db) per variable: the row of variable j of group i is
+x^{a [i=1] + da} (1-x)^{b_i + db}, gathered for a whole batch at once from
+the padded table of the group's cap (`_padded_powers`, `_weight_rows`),
+which holds a row per distinct b_i + db asked for.
 `selberg_integrals` passes all-zero shifts (and the beta integral is its
 one group k = (1,)).  `weighted_integrals` passes the identity summand's
 shifts (argument in `weighted_integral`'s docstring), at most two distinct
 ones per group, with the cross factors of its denominator pairs one lower
 in block 1, the same for every point of one triple.  `selberg_integral`
-and `weighted_integral` are their batches of one.  `fp_integral` reads
-one coefficient of a whole integrand's `mpoly.expand`; no package code
-calls it.
+and `weighted_integral` take a `ParamPoint` and are their batches of one.
+`point_rows` and `row_points` convert between points and rows.
+`fp_integral` reads one coefficient of a whole integrand's `mpoly.expand`;
+no package code calls it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -340,22 +347,42 @@ BATCH_SLOTS = 2**15
 CACHE_ENTRIES = 2**20
 
 
-@lru_cache(maxsize=256)
-def _padded_power(ctx: FpContext, n: int, cap: int) -> tuple[int, ...]:
-    """cap + 1 zeros, then the coefficients of (1-x)^n up to x^cap; Lucas
-    binomials allow n >= p."""
-    return (0,) * (cap + 1) + tuple((-1) ** j * binom(ctx, n, j) % ctx.p if j <= n else 0
-                                    for j in range(cap + 1))
+# The padded (1-x)^n rows, one int64 table per (p, cap), and per n the
+# index of its row in it (-1 while it has none): a row holds cap + 1 zeros,
+# then the coefficients of (1-x)^n up to x^cap.  A table grows by the rows
+# of the n a call asks for that it lacks, so it holds one row per distinct
+# n asked for at its (p, cap): 2 (cap + 1) entries each, and not a row for
+# every n below the largest, which at p near 2^15 would take gigabytes.
+_PADDED: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _weight_rows(ctx: FpContext, a: list[int], b: list[int], cap: int) -> np.ndarray:
-    """Row t holds the coefficients of x^{a[t]} (1-x)^{b[t]} up to x^cap."""
-    distinct: dict[int, int] = {}
-    which = [distinct.setdefault(n, len(distinct)) for n in b]
-    padded = np.array([_padded_power(ctx, n, cap) for n in distinct], dtype=np.int64)
-    # row t starts a[t] slots before the first coefficient, in the zeros
-    start = cap + 1 - np.minimum(a, cap + 1)
-    return padded[np.array(which)[:, None], start[:, None] + np.arange(cap + 1)]
+def _padded_powers(ctx: FpContext, cap: int, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The padded table of (ctx.p, cap), and the index of the row of each n
+    of ns in it; the rows it lacks are added first (Lucas binomials, so
+    n >= p works)."""
+    p, top = ctx.p, int(ns.max())
+    index, table = _PADDED.get((p, cap)) or (np.zeros(0, dtype=np.int64),
+                                             np.zeros((0, 2 * (cap + 1)), dtype=np.int64))
+    if top < len(index) and index[ns].min() >= 0:
+        return table, index[ns]
+    index = np.append(index, np.full(max(top + 1 - len(index), 0), -1))
+    asked = np.zeros(len(index), dtype=bool)
+    asked[ns] = True
+    new = np.flatnonzero(asked & (index < 0))
+    index[new] = len(table) + np.arange(len(new))
+    rows = [[0] * (cap + 1) + [(-1) ** j * binom(ctx, n, j) % p for j in range(cap + 1)]
+            for n in new.tolist()]
+    table = np.concatenate([table, np.array(rows, dtype=np.int64)])
+    _PADDED[p, cap] = index, table
+    return table, index[ns]
+
+
+def _weight_rows(table: np.ndarray, cap: int, index: np.ndarray, e) -> np.ndarray:
+    """Row t holds the coefficients of x^{e_t} (1-x)^{n_t} up to x^cap: row
+    index[t] of the padded table of cap, that of n_t, from e_t slots before
+    its first coefficient, in the zeros.  e is one exponent per row, as a
+    column, or one for all rows."""
+    return table[index[:, None], np.arange(cap + 1, 2 * cap + 2) - np.minimum(e, cap + 1)]
 
 
 def _blocks(k: KComposition, c: int, ctx: FpContext,
@@ -415,56 +442,91 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
     return mpoly.top_coefficient(value.reshape((-1,) + shape), rows[-1], p)
 
 
-def _batches(k: KComposition, points: list[ParamPoint], ctx: FpContext,
+def _batches(k: KComposition, rows: np.ndarray, ctx: FpContext,
              shifts: list[list[tuple[int, int]]],
-             lowered: frozenset[LinearForm] = frozenset()) -> list[FpElement]:
-    """The chain's value at each point, in order, with variable j of group
-    i+1 weighted by x^{a [i=0] + da} (1-x)^{b_{i+1} + db} for (da, db) =
-    shifts[i][j].  The points are grouped by c, and each group runs in
-    batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
-    lowered)`.  Raises as `_blocks`, before any point is evaluated, and
-    AccumulatorOverflow as the `mpoly` kernels, whose accumulation bounds
-    (int64 for the contraction and the top coefficient, 2^53 for the
-    float64 row product) are per point."""
+             lowered: frozenset[LinearForm] = frozenset()) -> np.ndarray:
+    """The chain's value at each row (a, b_1, ..., b_n, c), in order, with
+    variable j of group i+1 weighted by x^{a [i=0] + da} (1-x)^{b_{i+1} + db}
+    for (da, db) = shifts[i][j].  The rows are grouped by c, and each group
+    runs in batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
+    lowered)`; a batch's weight rows are one gather per distinct shift of a
+    group from the padded table of the group's cap.  Raises as `_blocks`,
+    before any point is evaluated, and AccumulatorOverflow as the `mpoly`
+    kernels, whose accumulation bounds (int64 for the contraction and the
+    top coefficient, 2^53 for the float64 row product) are per point."""
     p = ctx.p
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
-    values: list[FpElement | None] = [None] * len(points)
-    by_c: dict[int, list[int]] = {}
-    for t, pt in enumerate(points):
-        by_c.setdefault(pt.c, []).append(t)
-    for c, members in by_c.items():
-        blocks = _blocks(k, c, ctx, lowered)
+    values = np.zeros(len(rows), dtype=np.int64)
+    if not len(rows):
+        return values
+    order = np.argsort(rows[:, -1], kind="stable")
+    rows = rows[order]
+    bounds = [0, *(np.flatnonzero(rows[1:, -1] != rows[:-1, -1]) + 1).tolist(), len(rows)]
+    # per group, its distinct shifts with their padded table and each row's
+    # index in it, and per variable the index of its own shift
+    distinct = [list(dict.fromkeys(group)) for group in shifts]
+    which = [[kinds.index(shift) for shift in group] for kinds, group in zip(distinct, shifts)]
+    padded = [[_padded_powers(ctx, cap, rows[:, 1 + i] + db) for _, db in kinds]
+              for i, (cap, kinds) in enumerate(zip(caps, distinct))]
+    for begin, end in zip(bounds, bounds[1:]):
+        blocks = _blocks(k, int(rows[begin, -1]), ctx, lowered)
         size = max(1, BATCH_SLOTS // _step_slots(caps, k.parts, blocks))
-        for start in range(0, len(members), size):
-            batch = members[start:start + size]
-            rows = []
-            for i, (cap, group) in enumerate(zip(caps, shifts)):
-                a = [points[t].a if i == 0 else 0 for t in batch]
-                b = [points[t].b[i] for t in batch]
-                # one (N, cap+1) row per distinct shift, repeated across its
+        for start in range(begin, end, size):
+            stop = min(start + size, end)
+            weights = []
+            for i, cap in enumerate(caps):
+                gathered = [_weight_rows(table, cap, index[start:stop],
+                                         rows[start:stop, :1] + da if i == 0 else da)
+                            for (da, _), (table, index) in zip(distinct[i], padded[i])]
+                # one row object per distinct shift, repeated across its
                 # variables, so that `mpoly.multiply_along_axes` reuses it
-                distinct = {(da, db): _weight_rows(ctx, [x + da for x in a],
-                                                   [y + db for y in b], cap)
-                            for da, db in dict.fromkeys(group)}
-                rows.append([distinct[shift] for shift in group])
-            for t, value in zip(batch, _chain(rows, blocks, p).tolist()):
-                values[t] = FpElement(value, ctx)
+                weights.append([gathered[t] for t in which[i]])
+            values[order[start:stop]] = _chain(weights, blocks, p)
     return values
 
 
-def selberg_integrals(k: KComposition, points: list[ParamPoint],
-                      ctx: FpContext) -> list[FpElement]:
+def point_rows(points: list[ParamPoint], n: int) -> np.ndarray:
+    """The points, whose b all have length n, as int64 rows (a, b_1, ...,
+    b_n, c)."""
+    return np.array([(pt.a, *pt.b, pt.c) for pt in points],
+                    dtype=np.int64).reshape(len(points), n + 2)
+
+
+def row_points(rows: np.ndarray) -> list[ParamPoint]:
+    """The rows (a, b_1, ..., b_n, c) as points."""
+    return [ParamPoint(row[0], tuple(row[1:-1]), row[-1]) for row in rows.tolist()]
+
+
+def _raise_at_first(rows: np.ndarray, flagged: np.ndarray, check) -> None:
+    """Run `check(a, b, c)`, which raises at exactly the rows `flagged`
+    marks, at the first of them; so a batch raises as that row would alone."""
+    if flagged.any():
+        a, *b, c = rows[flagged.argmax()].tolist()
+        check(a, tuple(b), c)
+        raise InvariantViolation(f"row {(a, *b, c)} is flagged but passes its check")
+
+
+def _invalid(rows: np.ndarray, p: int) -> np.ndarray:
+    """Per row, whether `ParamPoint` raises for it (a or a b below 0, or c
+    below 1), or c exceeds p."""
+    return (rows[:, :-1] < 0).any(axis=1) | (rows[:, -1] < 1) | (rows[:, -1] > p)
+
+
+def selberg_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
     """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
-    at each point, in order: every shift zero along the block chain, in
-    batches (`_batches`)."""
-    for pt in points:
-        _check_point(k, pt, ctx)
-    return _batches(k, points, ctx, [[(0, 0)] * part for part in k.parts])
+    at each row (a, b_1, ..., b_n, c), in order, as int64 residues: every
+    shift zero along the block chain, in batches (`_batches`).  Raises, for
+    the first offending row, as `selberg_integral` at its point."""
+    if rows.shape[1] != k.n + 2:
+        raise PreconditionViolation(f"b has length {rows.shape[1] - 2}, composition has n={k.n}")
+    _raise_at_first(rows, _invalid(rows, ctx.p),
+                    lambda a, b, c: _check_point(k, ParamPoint(a, b, c), ctx))
+    return _batches(k, rows, ctx, [[(0, 0)] * part for part in k.parts])
 
 
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
     """`selberg_integrals` at one point."""
-    return selberg_integrals(k, [pt], ctx)[0]
+    return FpElement(int(selberg_integrals(k, point_rows([pt], pt.n), ctx)[0]), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +597,19 @@ def weight_summands(k1: int, k2: int, tr: AllowableTriple) -> list[WeightSummand
             for sigma in permutations(range(k1)) for tau in permutations(range(k2))]
 
 
+def _weighted_flags(rows: np.ndarray, p: int, shifts, pairs) -> np.ndarray:
+    """Per row (a, b1, b2, c) of parameter points with c <= p, whether
+    `_check_weighted_point` raises there."""
+    a, b1, b2, c = rows.T
+    lowers = [any(shift[axis] < 0 for shift in group) for group in shifts for axis in (0, 1)]
+    negative = ((a == 0) & lowers[0]) | ((b1 == 0) & lowers[1]) | ((b2 == 0) & lowers[3])
+    return negative | ((c == p) & bool(pairs))
+
+
 def _check_weighted_point(pt: ParamPoint, p: int, shifts, pairs) -> None:
-    """Raise as the identity summand at pt would: b = (b1, b2), c <= p, no
+    """Raise as the identity summand at pt would, b = (b1, b2): c <= p, no
     negative exponent (`shifts` as in `weighted_integrals`) and, at c = p,
     no denominator pair."""
-    if pt.n != 2:
-        raise PreconditionViolation("weighted integrals take b = (b1, b2)")
     a, (b1, b2), c = pt.a, pt.b, pt.c
     if c > p:
         raise InvalidExponent(f"c={c} > p={p}")
@@ -555,9 +624,10 @@ def _check_weighted_point(pt: ParamPoint, p: int, shifts, pairs) -> None:
         raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
 
 
-def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, points: list[ParamPoint],
-                       ctx: FpContext) -> list[FpElement]:
-    """`weighted_integral` at each point, in order, in batches (`_batches`).
+def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
+                       ctx: FpContext) -> np.ndarray:
+    """`weighted_integral` at each row (a, b1, b2, c), in order, as int64
+    residues, in batches (`_batches`).
 
     The identity summand divides the integrand by prod t_i (1-t_i)
     prod (1-s_j) and by its denominator pairs, which is done symbolically by
@@ -567,8 +637,8 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, points: list[Param
     (0, -[j not in s_one_minus]) for an s, and the same denominator pairs
     are one lower in block 1 at every point.  Requires a, b_1, b_2 >= 1 so
     no exponent goes negative.  Raises for the arguments first, then,
-    before any point is evaluated, as the first offending point would
-    alone, then as `_batches`.
+    before any point is evaluated, as the first offending row would alone
+    (`_invalid` and `_weighted_flags` mark them), then as `_batches`.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
@@ -577,11 +647,14 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, points: list[Param
     sm = _summand(k1, k2, tr, tuple(range(k1)), tuple(range(k2)))
     shifts = [[(-(i not in sm.t_num), -(i not in sm.t_one_minus)) for i in range(k1)],
               [(0, -(j not in sm.s_one_minus)) for j in range(k2)]]
-    for pt in points:
-        _check_weighted_point(pt, p, shifts, sm.pairs)
+    if rows.shape[1] != 4:
+        raise PreconditionViolation("weighted integrals take b = (b1, b2)")
+    _raise_at_first(rows, _invalid(rows, p) | _weighted_flags(rows, p, shifts, sm.pairs),
+                    lambda a, b, c: _check_weighted_point(ParamPoint(a, b, c), p, shifts,
+                                                          sm.pairs))
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return _batches(KComposition((k1, k2) if k2 else (k1,)), points, ctx, shifts, lowered)
+    return _batches(KComposition((k1, k2) if k2 else (k1,)), rows, ctx, shifts, lowered)
 
 
 def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
@@ -600,4 +673,4 @@ def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,
     the same integral, and the normalized sum is any one of them.  Without
     denominator pairs it runs on the blocks of `selberg_integrals`.
     """
-    return weighted_integrals(k1, k2, tr, [pt], ctx)[0]
+    return FpElement(int(weighted_integrals(k1, k2, tr, point_rows([pt], pt.n), ctx)[0]), ctx)

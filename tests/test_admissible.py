@@ -11,9 +11,9 @@ from fpselberg.admissible import (AdmissibilityReport, decrement_path,
                                   enumerate_admissible_I, is_admissible,
                                   is_admissible_I)
 from fpselberg.errors import InvariantViolation, PreconditionViolation
-from fpselberg.formulas import r_value
+from fpselberg.formulas import r_values
 from fpselberg.gf import FpContext
-from fpselberg.integrals import KComposition, ParamPoint
+from fpselberg.integrals import KComposition, ParamPoint, point_rows, row_points
 
 
 def test_report_consistency():
@@ -127,17 +127,15 @@ def test_admissible_iff_closed_form_defined(kparts, p):
     # the enumeration emits exactly the points of the box that pass it
     ctx = FpContext(p)
     k = KComposition(kparts)
+    box = range(1, 2 * p - 1)
+    points = [ParamPoint(a, b, c) for a in box for b in product(box, repeat=k.n) for c in box]
+    defined = r_values(k, point_rows(points, k.n), ctx)[1] < 0
     passed = []
-    for a in range(1, 2 * p - 1):
-        for b in product(range(1, 2 * p - 1), repeat=k.n):
-            for c in range(1, 2 * p - 1):
-                pt = ParamPoint(a, b, c)
-                direct = bool(is_admissible(k, pt, ctx))
-                via_formula = (r_value(k, pt, ctx).ok
-                               and a + (k.part(1) - 1) * c < p - 1)
-                assert direct == via_formula
-                if direct:
-                    passed.append(pt)
+    for pt, closed_form in zip(points, defined.tolist()):
+        direct = bool(is_admissible(k, pt, ctx))
+        assert direct == (closed_form and pt.a + (k.part(1) - 1) * pt.c < p - 1)
+        if direct:
+            passed.append(pt)
     assert enumerate_admissible(k, ctx) == passed
 
 
@@ -361,26 +359,35 @@ def test_I_enumeration_equals_box_filter(k1, k2, p):
 
 @pytest.mark.parametrize("k1, k2, p", [(2, 1, 7), (3, 2, 11), (4, 1, 13)])
 def test_I_enumeration_asks_the_closed_form_once_per_point(monkeypatch, k1, k2, p):
-    # no closed form is evaluated for a rejected candidate
+    # no closed form is evaluated for a rejected candidate: one batch call
+    # over the enumerated points, each asked once
     calls = []
-    closed_form = formulas.i000_rhs
+    closed_form = formulas.i000_rhs_values
 
     def counting(*args):
-        calls.append(args[2])
+        calls.append(row_points(args[2]))
         return closed_form(*args)
 
-    monkeypatch.setattr(formulas, "i000_rhs", counting)
+    monkeypatch.setattr(formulas, "i000_rhs_values", counting)
     pts = enumerate_admissible_I(k1, k2, FpContext(p))
-    assert pts and calls == pts
+    assert pts and calls == [pts]
+
+
+def _undefined_at(victim, closed_form):
+    """closed_form with the first term out of range at the victim's row."""
+    def planted(k1, k2, rows, ctx):
+        values, first = closed_form(k1, k2, rows, ctx)
+        return values, np.where((rows == (victim.a, *victim.b, victim.c)).all(axis=1), 0, first)
+    return planted
 
 
 def test_I_enumeration_raises_where_the_closed_form_is_undefined(monkeypatch):
     ctx = FpContext(11)
     victim = enumerate_admissible_I(3, 2, ctx)[50]
-    closed_form = formulas.i000_rhs
-    monkeypatch.setattr(formulas, "i000_rhs", lambda k1, k2, pt, ctx: (
-        formulas.FormulaResult(error="forced") if pt == victim else closed_form(k1, k2, pt, ctx)))
-    with pytest.raises(InvariantViolation, match="forced"):
+    monkeypatch.setattr(formulas, "i000_rhs_values",
+                        _undefined_at(victim, formulas.i000_rhs_values))
+    with pytest.raises(InvariantViolation, match=re.escape(
+            f"enumerated point {victim} has no I_000 closed form: factorial argument")):
         enumerate_admissible_I(3, 2, ctx)
 
 
@@ -390,9 +397,10 @@ def test_admissible_I_iff_closed_form_defined(k1, k2, p):
     # k1 c < p, thmI[a]), where the domain is exactly "i000_rhs is defined":
     # the table and the a/c conditions are the closed form's ranges, written apart
     ctx = FpContext(p)
-    for a, b1, b2 in product(range(p + 2), repeat=3):
-        for c in range(1, p + 1):
-            pt = ParamPoint(a, (b1, b2), c)
-            closed_form = formulas.i000_rhs(k1, k2, pt, ctx).ok
-            candidate = min(a, b1, b2) >= 1 and a + (k1 - 1) * c < p
-            assert is_admissible_I(k1, k2, pt, ctx).admissible == (closed_form and candidate), pt
+    rows = np.array([(a, b1, b2, c) for a, b1, b2 in product(range(p + 2), repeat=3)
+                     for c in range(1, p + 1)])
+    defined = formulas.i000_rhs_values(k1, k2, rows, ctx)[1] < 0
+    for (a, b1, b2, c), closed_form in zip(rows.tolist(), defined.tolist()):
+        pt = ParamPoint(a, (b1, b2), c)
+        candidate = min(a, b1, b2) >= 1 and a + (k1 - 1) * c < p
+        assert is_admissible_I(k1, k2, pt, ctx).admissible == (closed_form and candidate), pt

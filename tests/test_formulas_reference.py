@@ -1,14 +1,20 @@
 """The table evaluators of `fpselberg.formulas` against the per-factor
 reference in `reference_formulas`: the same value, or the same error text,
-at every point tried.
+at every point tried, for the batch forms over rows and for the scalar
+forms, their batches of one.
 
 The points are every key of the campaigns the `sweep_small` benchmark
-workload runs (the whole candidate box of the I_{0,0,0} domain walk), plus
-seeded random points in and out of each domain.
+workload runs (the whole candidate box of the I_{0,0,0} domain walk), boxes
+of rows in, out of and around each domain (rows that fail a precondition
+among them), plus seeded random points in and out of each domain.  The row
+key lists of `thm_3_11` and `thm_4_111` are pinned against the nested loops
+that first wrote them.
 """
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 import reference_formulas as ref
@@ -16,7 +22,7 @@ from fpselberg import formulas, harness
 from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import PreconditionViolation, ZeroFactor
 from fpselberg.gf import FpContext
-from fpselberg.integrals import KComposition, ParamPoint
+from fpselberg.integrals import KComposition, ParamPoint, row_points
 
 PRIMES = (3, 5, 7, 11, 13, 17)
 R_COMPOSITIONS = ((1,), (2,), (2, 1), (3, 1), (3, 2), (3, 2, 1), (1, 1, 1), (4, 2, 1))
@@ -48,8 +54,7 @@ def _tally(outcomes) -> set:
 def test_r_value_on_the_sweep_main_populations():
     for p, parts in ((13, (2, 1)), (11, (3, 1))):
         ctx, k = FpContext(p), KComposition(parts)
-        for key in _keys("main", p, parts):
-            pt = ParamPoint(*key)
+        for pt in row_points(_keys("main", p, parts)):
             assert _outcome(formulas.r_value(k, pt, ctx)) == _outcome(ref.r_value(k, pt, ctx)), pt
 
 
@@ -60,9 +65,9 @@ def test_r_value_on_the_sweep_main_populations():
 def test_two_and_three_group_forms_on_the_sweep_populations(campaign, evaluate, reference):
     ctx = FpContext(7)
     outcomes = []
-    for a, b, c in _keys(campaign, 7):
-        got = _raised(evaluate, a, *b, c, ctx)
-        assert got == _raised(reference, a, *b, c, ctx), (a, b, c)
+    for row in _keys(campaign, 7).tolist():
+        got = _raised(evaluate, *row, ctx)
+        assert got == _raised(reference, *row, ctx), row
         outcomes.append(got)
     assert "value" in _tally(outcomes)
 
@@ -78,7 +83,7 @@ def test_i000_rhs_on_the_sweep_domain_walk():
                     pt = ParamPoint(a, (b1, b2), c)
                     assert (_outcome(formulas.i000_rhs(3, 1, pt, ctx))
                             == _outcome(ref.i000_rhs(3, 1, pt, ctx))), pt
-    assert all(formulas.i000_rhs(3, 1, ParamPoint(*key), ctx).ok for key in _keys("i000", 11, (3, 1)))
+    assert all(formulas.i000_rhs(3, 1, pt, ctx).ok for pt in row_points(_keys("i000", 11, (3, 1))))
 
 
 def _random_points(rng: random.Random, n: int, k1: int, p: int) -> list[ParamPoint]:
@@ -165,3 +170,134 @@ def test_ratio_products_on_random_pairs(p):
             assert got == _ratio_outcome(ref._ratio_product, ctx, labelled), pairs
             outcomes.append(got)
     assert _tally(outcomes) == {"value", "zero"}
+
+
+# the batch forms over boxes of rows
+
+def _box(*ranges) -> np.ndarray:
+    """Every row of the product of the ranges, in lexicographic order."""
+    return np.array(list(itertools.product(*ranges)), dtype=np.int64)
+
+
+def _batch_outcomes(batch, table, rows, ctx) -> list:
+    """Per row, ("value", residue) or ("error", the OutOfRange text of its
+    first argument outside [0, p)), read off one batch call."""
+    values, first = batch
+    return [_outcome(formulas._result((values[t:t + 1], first[t:t + 1]), table, rows[t:t + 1],
+                                      ctx)) for t in range(len(rows))]
+
+
+def _precondition(evaluate, *args):
+    try:
+        evaluate(*args)
+    except PreconditionViolation as exc:
+        return str(exc)
+    return None
+
+
+def _check_box(batch_form, table, reference, rows, ctx):
+    """The batch form over rows against the reference row by row: a batch
+    holding rows that fail a precondition raises the first one's error,
+    such a row alone raises its own (checked at about 50 of them, spread
+    over the box), and the other rows give the reference's residue or first
+    OutOfRange text.  Returns the kinds seen."""
+    expect = [_raised(reference, row) for row in rows.tolist()]
+    failing = [t for t, (kind, _) in enumerate(expect) if kind == "precondition"]
+    if failing:
+        assert _precondition(batch_form, rows) == expect[failing[0]][1]
+        for t in failing[::max(1, len(failing) // 50)]:
+            assert _precondition(batch_form, rows[t:t + 1]) == expect[t][1], rows[t]
+    kept = np.array([kind != "precondition" for kind, _ in expect], dtype=bool)
+    got = _batch_outcomes(batch_form(rows[kept]), table, rows[kept], ctx)
+    assert got == [outcome for outcome, keep in zip(expect, kept) if keep]
+    return _tally(expect)
+
+
+@pytest.mark.parametrize("p, compositions", [
+    (5, ((1,), (2,), (2, 1), (3, 1), (1, 1, 1), (3, 2, 1))),
+    (7, ((1,), (3,), (2, 1), (3, 2))),
+])
+def test_r_values_on_boxes(p, compositions):
+    # a, b_i in [0, p], c in [1, p]: every admissible point and the rows
+    # around it; a row of another length than k's fails the precondition
+    ctx = FpContext(p)
+    seen = set()
+    for parts in compositions:
+        k = KComposition(parts)
+        rows = _box(range(p + 1), *[range(p + 1)] * k.n, range(1, p + 1))
+        seen |= _check_box(lambda rows: formulas.r_values(k, rows, ctx),
+                           formulas._r_table(parts, p),
+                           lambda row: ref.r_value(k, ParamPoint(row[0], tuple(row[1:-1]), row[-1]),
+                                                   ctx), rows, ctx)
+        wide = _box(range(2), *[range(2)] * (k.n + 1), range(1, 2))
+        assert _precondition(formulas.r_values, k, wide, ctx) == _raised(
+            ref.r_value, k, ParamPoint(0, (0,) * (k.n + 1), 1), ctx)[1]
+    assert seen == {"value", "error"}
+
+
+@pytest.mark.parametrize("p, pairs", [(5, ((2, 1), (3, 1), (3, 2), (4, 1))),
+                                      (7, ((2, 1), (3, 2)))])
+def test_i000_rhs_values_on_boxes(p, pairs):
+    ctx = FpContext(p)
+    seen = set()
+    rows = _box(range(p + 1), range(p + 1), range(p + 1), range(1, p + 1))
+    for k1, k2 in pairs:
+        seen |= _check_box(lambda rows: formulas.i000_rhs_values(k1, k2, rows, ctx),
+                           formulas._i000_table(k1, k2, p),
+                           lambda row: ref.i000_rhs(k1, k2, ParamPoint(row[0], tuple(row[1:3]),
+                                                                       row[3]), ctx), rows, ctx)
+    assert seen == {"value", "error"}
+    # the preconditions on k and on the length of b fail the whole batch
+    for k1, k2, width in ((2, 2, 4), (1, 2, 4), (2, 1, 3)):
+        pt = ParamPoint(1, (1,) * (width - 2), 1)
+        assert _precondition(formulas.i000_rhs_values, k1, k2, np.ones((3, width), dtype=np.int64),
+                             ctx) == _raised(ref.i000_rhs, k1, k2, pt, ctx)[1] is not None
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_rhs_3_11_and_rhs_4_111_values_on_boxes(p):
+    # a, b_i and c range past their preconditions on both sides
+    ctx = FpContext(p)
+    rows = _box(range(-1, p + 1), range(-1, 2 * p), range(-1, 2 * p), range(-1, p + 2))
+    assert _check_box(lambda rows: formulas.rhs_3_11_values(rows, ctx),
+                      formulas._rhs_3_11_table(p), lambda row: ref.rhs_3_11(*row, ctx),
+                      rows, ctx) == {"value", "error", "precondition"}
+    rows = _box(range(-1, p + 1), *[range(-1, p + 2)] * 3, range(-1, p + 1))
+    assert _check_box(lambda rows: formulas.rhs_4_111_values(rows, ctx),
+                      formulas._rhs_4_111_table(p), lambda row: ref.rhs_4_111(*row, ctx),
+                      rows, ctx) == {"value", "error", "precondition"}
+
+
+def _thm_3_11_loops(p):
+    keys = []
+    for a in range(p):
+        for c in range(1, p + 1):
+            for b2 in range(max(c - 1, 0), p + c - 1):
+                for b1 in range(0, p + c - 1 - b2):
+                    if p - 1 <= a + b1 + b2 - c + 1 < 2 * p - 1:
+                        keys.append((a, (b1, b2), c))
+    return sorted(keys)
+
+
+def _thm_4_111_loops(p):
+    keys = []
+    for c in range(1, p + 1):
+        for a in range(p):
+            # 0 <= b3-c+1, b2+b3-c+1, b2+b3-2c+2, b1+b2+b3-2c+2 < p
+            for b3 in range(c - 1, p):
+                for b2 in range(max(0, 2 * c - 2 - b3), p + c - 1 - b3):
+                    for b1 in range(0, p + 2 * c - 2 - b2 - b3):
+                        if 0 <= a + b1 + b2 + b3 - 2 * c + 3 - p < p:
+                            keys.append((a, (b1, b2, b3), c))
+    return sorted(keys)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+@pytest.mark.parametrize("campaign, loops", [("thm_3_11", _thm_3_11_loops),
+                                             ("thm_4_111", _thm_4_111_loops)])
+def test_theorem_rows_are_the_nested_loop_keys(campaign, loops, p):
+    # the key lists as they were first written, by nested loops over the
+    # closed forms' preconditions, then sorted
+    rows = _keys(campaign, p)
+    assert rows.dtype == np.int64
+    assert [(a, tuple(b), c) for a, *b, c in rows.tolist()] == loops(p)

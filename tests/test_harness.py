@@ -1,16 +1,23 @@
 import dataclasses
 import json
+import os
 import random
+import re
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fpselberg import formulas, harness, integrals, mpoly
 from fpselberg.admissible import distinguished_point, enumerate_admissible
 from fpselberg.errors import InvariantViolation, ZeroFactor
 from fpselberg.formulas import b_factor, induction_factor
-from fpselberg.gf import FpContext
-from fpselberg.integrals import KComposition, ParamPoint, selberg_integral
+from fpselberg.gf import FpContext, FpElement
+from fpselberg.integrals import KComposition, ParamPoint, row_points, selberg_integral
 from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
                                run_campaign)
 
@@ -103,7 +110,8 @@ def test_different_seed_changes_sample():
 def test_sampling_indices_picks_the_keys_of_sampling_the_key_list(campaign):
     # keys are drawn as indices into the domain's rows; random.sample reads
     # only the population's length and the items it picks, so the draw is
-    # the one over the list of the enumerated points' keys
+    # the one over the list of the enumerated points' keys, and the rows
+    # are those keys
     ctx = FpContext(13)
     population = [(pt.a, pt.b, pt.c) for pt in enumerate_admissible(KComposition((3, 2)), ctx)
                   if campaign == "main" or pt.b[1] >= 2]
@@ -113,41 +121,49 @@ def test_sampling_indices_picks_the_keys_of_sampling_the_key_list(campaign):
             spec = CampaignSpec(campaign, 13, (3, 2), exhaustive=False, samples=samples,
                                 seed=seed)
             expected = sorted(random.Random(seed).sample(population, min(samples, n)))
-            total, keys = harness._CAMPAIGNS[campaign].keys(spec, ctx)
+            total, rows = harness._CAMPAIGNS[campaign].keys(spec, ctx)
+            keys = [(a, tuple(b), c) for a, *b, c in rows.tolist()]
             assert (total, keys) == (len(expected), expected), (seed, samples)
-    assert all(type(x) is int for a, b, c in keys for x in (a, *b, c))
+    assert rows.dtype == np.int64
 
 
 def test_sampled_i000_rechecks_its_sample_alone(monkeypatch):
     # the I_000 domain of (3,1) at p=11 stays rows (191); the closed form,
-    # which re-checks a walked point, is asked once at each of the 30
-    # sampled keys (at all 191 points, and again at the 30, while keys were
-    # taken from `enumerate_admissible_I`)
+    # which re-checks walked rows, is asked in one batch call over the 30
+    # sampled rows (at all 191 points, and again at the 30, while keys were
+    # taken from `enumerate_admissible_I`; then once per sampled key)
     asked = []
-    closed_form = formulas.i000_rhs
+    closed_form = formulas.i000_rhs_values
 
-    def counting(k1, k2, pt, ctx):
-        asked.append(pt)
-        return closed_form(k1, k2, pt, ctx)
+    def counting(k1, k2, rows, ctx):
+        asked.append(row_points(rows))
+        return closed_form(k1, k2, rows, ctx)
 
-    monkeypatch.setattr(formulas, "i000_rhs", counting)
+    monkeypatch.setattr(formulas, "i000_rhs_values", counting)
     spec = CampaignSpec("i000", 11, (3, 1), exhaustive=False, samples=30, seed=7)
     report = run_campaign(spec)
     assert report.checked == report.passed == 30
-    assert len(asked) == len(set(asked)) == 30
+    sample, = asked
+    assert len(sample) == len(set(sample)) == 30
     # a sampled point where the closed form is undefined is a fault of the walk
-    victim = asked[5]
-    monkeypatch.setattr(formulas, "i000_rhs", lambda k1, k2, pt, ctx: (
-        formulas.FormulaResult(error="forced") if pt == victim else closed_form(k1, k2, pt, ctx)))
+    victim = sample[5]
+
+    def undefined_at_victim(k1, k2, rows, ctx):
+        values, first = closed_form(k1, k2, rows, ctx)
+        return values, np.where([pt == victim for pt in row_points(rows)], 0, first)
+
+    monkeypatch.setattr(formulas, "i000_rhs_values", undefined_at_victim)
     with pytest.raises(InvariantViolation,
-                       match=r"enumerated point .* has no I_000 closed form: forced"):
+                       match=rf"enumerated point {re.escape(str(victim))} has no I_000 closed "
+                             "form: factorial argument"):
         run_campaign(spec)
 
 
 def test_sampled_main_builds_points_for_its_sample_alone(monkeypatch):
-    # the domain's 407 points stay rows; a ParamPoint is built only for each
-    # of the 36 sampled keys (the whole domain was built, 443 in all, while
-    # keys were taken from the public enumerator's points)
+    # the domain's 407 points stay rows from the key list to the verdict,
+    # and a passing run builds no ParamPoint (36, one per sampled key, while
+    # keys were tuples; 443 in all while they were taken from the public
+    # enumerator's points)
     built = []
     post_init = harness.ParamPoint.__post_init__
 
@@ -157,7 +173,40 @@ def test_sampled_main_builds_points_for_its_sample_alone(monkeypatch):
 
     monkeypatch.setattr(harness.ParamPoint, "__post_init__", counting)
     report = run_campaign(CampaignSpec("main", 13, (3, 2), exhaustive=False, samples=36, seed=1))
-    assert report.checked == 36 and len(built) == 36
+    assert report.checked == report.passed == 36 and len(built) == 0
+
+
+def _objects_built(monkeypatch, spec) -> tuple[VerificationReport, Counter]:
+    """The report of a run, and how many ParamPoints, FpElements and
+    FormulaResults it built."""
+    built = Counter()
+    for cls, name in ((ParamPoint, "__post_init__"), (FpElement, "__init__"),
+                      (formulas.FormulaResult, "__init__")):
+        def counting(self, *args, original=getattr(cls, name), cls=cls, **kwargs):
+            built[cls.__name__] += 1
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counting)
+    report = run_campaign(spec)
+    monkeypatch.undo()
+    return report, built
+
+
+@pytest.mark.parametrize("small, large", [
+    (CampaignSpec("main", 7, (2, 1)), CampaignSpec("main", 13, (2, 1))),
+    (CampaignSpec("thm_3_11", 5), CampaignSpec("thm_3_11", 7)),
+    (CampaignSpec("thm_4_111", 5), CampaignSpec("thm_4_111", 7)),
+    (CampaignSpec("i000", 7, (2, 1)), CampaignSpec("i000", 11, (3, 1))),
+], ids=lambda spec: f"{spec.campaign}-p{spec.p}")
+def test_row_campaigns_build_no_objects_per_key(monkeypatch, small, large):
+    # main, thm_3_11, thm_4_111 and i000 keep their keys as int64 rows from
+    # the key list to the verdict: a passing run builds no ParamPoint, and
+    # as many FpElements and FormulaResults however many keys it checks
+    # (a ParamPoint, a FormulaResult and two FpElements per key while keys
+    # were tuples: 890, 890 and 1 780 for main (2,1) at p=13)
+    (few, at_few), (many, at_many) = (_objects_built(monkeypatch, spec) for spec in (small, large))
+    assert few.all_passed and many.all_passed and 0 < few.checked < many.checked
+    assert at_few["ParamPoint"] == at_many["ParamPoint"] == 0
+    assert at_few == at_many
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -206,7 +255,7 @@ def _recorded_chunks(monkeypatch, jobs):
     seen = []
     if jobs == 1:
         def recording(ctx, k, chunk):
-            seen.append(list(chunk))
+            seen.append(chunk)
             return entry.check(ctx, k, chunk)
 
         monkeypatch.setitem(harness._CAMPAIGNS, "thm_3_11",
@@ -245,10 +294,10 @@ def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatc
         built.append(caps)
         return expand(fp, caps)
 
-    def recording_runner(k, points, *args):
-        groups.append(sorted(Counter(pt.c for pt in points).values()))
+    def recording_runner(k, rows, *args):
+        groups.append(sorted(Counter(rows[:, -1].tolist()).values()))
         batches.append([])
-        return runner(k, points, *args)
+        return runner(k, rows, *args)
 
     def recording_chain(rows, blocks, p):
         batches[-1].append(len(rows[0][0]))
@@ -272,7 +321,7 @@ def test_tasks_run_in_key_order(monkeypatch):
     # key lists of at most CHUNK_KEYS (lowered below the 275 keys at p=5)
     monkeypatch.setattr(harness, "CHUNK_KEYS", 100)
     seen, expect, got, keys = _recorded_chunks(monkeypatch, 1)
-    assert [key for chunk in seen for key in chunk] == keys
+    assert np.array_equal(np.concatenate(seen), keys)
     assert max(map(len, seen)) <= harness.CHUNK_KEYS < len(keys)
     assert got == expect
 
@@ -280,7 +329,7 @@ def test_tasks_run_in_key_order(monkeypatch):
 def test_pool_chunks_run_in_key_order(monkeypatch):
     # the pool hands each worker several contiguous chunks, in key order
     seen, expect, got, keys = _recorded_chunks(monkeypatch, 2)
-    assert [key for chunk in seen for key in chunk] == keys
+    assert np.array_equal(np.concatenate(seen), keys)
     assert len(seen) >= harness._CHUNKS_PER_JOB * 2
     assert got == expect
 
@@ -312,16 +361,16 @@ def test_campaigns_without_k_reject_one(campaign, k):
 def test_relations_s1s2_edges_pass():
     # edges from points one b1-step and one b2-step above the distinguished point
     ctx = FpContext(11)
-    keys = [((2, (6, 5), 3), 0), ((2, (5, 6), 3), 1)]
-    assert harness._outcome("relations_S1S2", ctx, (2, 1), keys) == [("pass", None)] * 2
+    keys = [((2, 6, 5, 3), 0), ((2, 5, 6, 3), 1)]
+    assert harness._outcome("relations_S1S2", ctx, (2, 1), keys) == (2, [])
 
 
-@pytest.mark.parametrize("campaign, key", [("relations_B1", (1, (2, 6), 3)),
-                                           ("relations_B2", (1, (3, 5), 3))])
+@pytest.mark.parametrize("campaign, key", [("relations_B1", (1, 2, 6, 3)),
+                                           ("relations_B2", (1, 3, 5, 3))])
 def test_b_relations_check_where_only_the_other_factor_vanishes(campaign, key):
     # at p = 7, k = (2, 1): B2's first-ratio numerator vanishes at the B1
     # key, B1's first-product numerator at the B2 key
-    assert harness._outcome(campaign, FpContext(7), (2, 1), [key]) == [("pass", None)]
+    assert harness._outcome(campaign, FpContext(7), (2, 1), np.array([key])) == (1, [])
 
 
 @pytest.mark.parametrize("p", [7, 11])
@@ -331,9 +380,9 @@ def test_b_relations_skip_exactly_where_their_factor_vanishes(p, idx):
     ctx = FpContext(p)
     _, keys = harness._CAMPAIGNS[spec.campaign].keys(spec, ctx)
     vanishing = 0
-    for key in keys:
+    for pt in row_points(keys):
         try:
-            b_factor(2, 1, idx, ParamPoint(*key), ctx)
+            b_factor(2, 1, idx, pt, ctx)
         except ZeroFactor:
             vanishing += 1
     report = run_campaign(spec)
@@ -342,14 +391,14 @@ def test_b_relations_skip_exactly_where_their_factor_vanishes(p, idx):
 
 def test_induction_points_pass():
     for p, key in ((7, ((2, 1), 1, 1)), (7, ((3, 2, 1), 1, 1)), (11, ((2, 1), 2, 3))):
-        assert harness._outcome("induction", FpContext(p), None, [key]) == [("pass", None)]
+        assert harness._outcome("induction", FpContext(p), None, [key]) == (1, [])
 
 
 def test_induction_runner_skips_oversized_last_group():
     key = ((3, 2), 1, 4)
     skip, = harness._CAMPAIGNS["induction"].check(FpContext(7), None, [key])
     assert isinstance(skip, harness._Skip) and "k_n c" in str(skip)
-    assert harness._outcome("induction", FpContext(7), None, [key]) == [("skip", None)]
+    assert harness._outcome("induction", FpContext(7), None, [key]) == (0, [])
 
 
 def test_induction_batches_each_run_of_one_composition():
@@ -391,17 +440,29 @@ def test_induction_takes_two_integral_calls_per_composition(monkeypatch):
                      "selberg_integral": 0}
 
 
-def test_outcomes_follow_the_keys_through_skips():
-    # one key list mixing passes and a main skip (r_value undefined), with
-    # a key repeated: one outcome per key, in key order
+def test_outcomes_follow_the_keys_through_skips(monkeypatch):
+    # one row list mixing passes and a main skip (r_value undefined), with
+    # a row repeated: one verdict per row, in row order
     ctx = FpContext(7)
-    keys = [(1, (2, 5), 3), (0, (0, 0), 1), (2, (3, 5), 3), (1, (2, 5), 3)]
-    outcomes = harness._outcome("main", ctx, (2, 1), keys)
-    assert [status for status, _ in outcomes] == ["pass", "skip", "pass", "pass"]
-    checks = harness._CAMPAIGNS["main"].check(ctx, (2, 1), keys)
-    assert isinstance(checks[1], harness._Skip)
-    assert [lhs for lhs, _, _ in checks[:1] + checks[2:]] == harness.selberg_integrals(
-        KComposition((2, 1)), [ParamPoint(*key) for key in keys[:1] + keys[2:]], ctx)
+    rows = np.array([(1, 2, 5, 3), (0, 0, 0, 1), (2, 3, 5, 3), (1, 2, 5, 3)])
+    assert harness._outcome("main", ctx, (2, 1), rows) == (3, [])
+    lhs, rhs, checked = harness._CAMPAIGNS["main"].check(ctx, (2, 1), rows)
+    assert checked.tolist() == [True, False, True, True]
+    assert lhs[checked].tolist() == rhs[checked].tolist() == harness.selberg_integrals(
+        KComposition((2, 1)), rows[checked], ctx).tolist()
+    # a closed form off by one where a = 1 fails the repeated row twice, in
+    # row order, and nothing else
+    r_values = formulas.r_values
+
+    def off_at_a_one(k, rows, ctx):
+        values, first = r_values(k, rows, ctx)
+        return np.where(rows[:, 0] == 1, (values + 1) % ctx.p, values), first
+
+    monkeypatch.setattr(formulas, "r_values", off_at_a_one)
+    count, failures = harness._outcome("main", ctx, (2, 1), rows)
+    assert count == 3
+    assert [(f["point"], (f["lhs"] + 1) % 7 == f["rhs"]) for f in failures] == [
+        ({"a": 1, "b": [2, 5], "c": 3}, True)] * 2
 
 
 def test_stokes_campaign_runs_clean():
@@ -417,3 +478,32 @@ def test_bench_reports_comparison():
     assert out["oracle_status"] == "completed" or out["oracle_status"].startswith("aborted")
     if out["oracle_status"] == "completed":
         assert out["oracle_agrees"] is True
+
+
+def test_the_benchmark_workloads_leave_numpy_ma_unimported():
+    # numpy 2.4 imports numpy.ma the first time np.unique runs without
+    # return_index, which adds about 1.3 MB to a process that runs main
+    # (3,2,1) at p=11; the campaigns of every benchmark workload, run in a
+    # fresh interpreter, must not import it
+    bench = Path(__file__).resolve().parents[1] / "campaignbench"
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {str(bench)!r})
+        import suite
+        from fpselberg import harness
+        for workload in suite.WORKLOADS.values():
+            for c in workload.full:
+                report = harness.run_campaign(harness.CampaignSpec(
+                    c.name, c.p, c.k, exhaustive=c.samples is None, samples=c.samples or 0,
+                    seed=1))
+                assert report.checked > 0 and report.all_passed, report
+        print(sorted(name for name in sys.modules
+                     if name == "numpy.ma" or name.startswith("numpy.ma.")))
+    """)
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,13 +13,14 @@ from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               InvariantViolation, NegativeExponent,
                               NotAllowable, PreconditionViolation)
+from fpselberg.formulas import beta_rhs
 from fpselberg.gf import FpContext
 from fpselberg.harness import _CAMPAIGNS, CampaignSpec
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
                                  PCycle, cycle_from_composition, fp_integral,
-                                 master_polynomial, selberg_integral,
-                                 selberg_integrals, weight_summands,
-                                 weighted_integral)
+                                 master_polynomial, point_rows, row_points,
+                                 selberg_integral, selberg_integrals,
+                                 weight_summands, weighted_integral)
 from fpselberg.mpoly import FactorProduct, LinearForm
 
 
@@ -157,7 +159,7 @@ def test_selberg_chain_matches_full_expansion(parts, p):
         # c = p, a = 0 and b_i >= p
         name = {2: "thm_3_11", 3: "thm_4_111"}[k.n]
         _, keys = _CAMPAIGNS[name].keys(CampaignSpec(name, p), ctx)
-        points = [ParamPoint(*key) for key in keys]
+        points = row_points(keys)
     points += _edge_points(k.n, p)
     for pt in points:
         assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx), pt
@@ -201,9 +203,9 @@ POINT_COUNT_CASES = [((1, 1), 7, 1456), ((1, 1), 11, 10120), ((1, 1, 1), 5, 1080
 
 def _chain_against_point_counts(parts, p):
     counts = _point_counts(parts, p)
-    values = selberg_integrals(KComposition(parts), [ParamPoint(*key) for key in counts],
-                               FpContext(p))
-    return [int(value) for value in values], list(counts.values())
+    rows = np.array([(a, *b, c) for a, b, c in counts])
+    values = selberg_integrals(KComposition(parts), rows, FpContext(p))
+    return values.tolist(), list(counts.values())
 
 
 @pytest.mark.parametrize("parts, p, size", POINT_COUNT_CASES)
@@ -234,10 +236,11 @@ def test_selberg_capacity_fires_exactly_above_target_box(monkeypatch, p, parts):
     with pytest.raises(CapacityExceeded):
         selberg_integral(k, pt, ctx)
     with pytest.raises(CapacityExceeded):
-        selberg_integrals(k, points, ctx)
+        selberg_integrals(k, point_rows(points, k.n), ctx)
     monkeypatch.setenv("FP_SELBERG_MEM_BUDGET", str(box))
     assert selberg_integral(k, pt, ctx) == _full_expansion(k, pt, ctx)
-    assert selberg_integrals(k, points, ctx) == [_full_expansion(k, q, ctx) for q in points]
+    assert selberg_integrals(k, point_rows(points, k.n), ctx).tolist() == [
+        int(_full_expansion(k, q, ctx)) for q in points]
 
 
 def _batch_cases():
@@ -248,7 +251,7 @@ def _batch_cases():
     for p in (5, 7):
         for name, n in (("thm_3_11", 2), ("thm_4_111", 3)):
             _, keys = _CAMPAIGNS[name].keys(CampaignSpec(name, p), FpContext(p))
-            cases.append((p, (1,) * n, [ParamPoint(*key) for key in keys]))
+            cases.append((p, (1,) * n, row_points(keys)))
     for p, parts in ((7, (2, 1)), (7, (3, 1)), (7, (3, 2)), (5, (3, 2, 1))):
         cases.append((p, parts, enumerate_admissible(KComposition(parts), FpContext(p))))
     return [(p, parts, points + _edge_points(len(parts), p)) for p, parts, points in cases]
@@ -276,7 +279,8 @@ def test_batched_integrals_match_single_points(monkeypatch, p, parts, points):
     for cap, count in ((1, 200), (2**12, len(points)), (integrals.BATCH_SLOTS, len(points))):
         monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
         batches.clear()
-        assert selberg_integrals(k, points[:count], ctx) == expect[:count], cap
+        assert selberg_integrals(k, point_rows(points[:count], k.n), ctx).tolist() == [
+            int(value) for value in expect[:count]], cap
         assert sum(size for _, size in batches) == len(points[:count])
         if cap == 1:
             assert all(size == 1 for _, size in batches)
@@ -310,17 +314,18 @@ def test_batches_stay_under_the_slot_cap(monkeypatch):
     ctx7, ctx11, ctx13 = FpContext(7), FpContext(11), FpContext(13)
     _, keys = _CAMPAIGNS["thm_4_111"].keys(CampaignSpec("thm_4_111", 7), ctx7)
     for k, points, ctx, cap in (
-            (KComposition((1, 1, 1)), [ParamPoint(*key) for key in keys], ctx7, 2**12),
+            (KComposition((1, 1, 1)), row_points(keys), ctx7, 2**12),
             (KComposition((2, 1)), enumerate_admissible(KComposition((2, 1)), ctx13), ctx13,
              integrals.BATCH_SLOTS),
             (KComposition((3, 1)), [pt for pt in enumerate_admissible(KComposition((3, 1)), ctx11)
                                     if pt.c == 1][:20], ctx11, integrals.BATCH_SLOTS)):
         monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
-        selberg_integrals(k, points[:50], ctx)  # builds the blocks untraced
+        rows = point_rows(points, k.n)
+        selberg_integrals(k, rows[:50], ctx)  # builds the blocks untraced
         peaks.clear()
         tracemalloc.start()
         try:
-            selberg_integrals(k, points, ctx)
+            selberg_integrals(k, rows, ctx)
         finally:
             tracemalloc.stop()
         assert 0 < max(peaks) <= 3 * cap * 4, (k, max(peaks))
@@ -341,7 +346,7 @@ def test_a_two_one_batch_holds_more_points_without_the_last_block(monkeypatch):
         return chain(rows, blocks, modulus)
 
     monkeypatch.setattr(integrals, "_chain", recording)
-    selberg_integrals(k, points, ctx)
+    selberg_integrals(k, point_rows(points, k.n), ctx)
     assert sum(sizes) == len(points) and max(sizes) > 46, sizes
 
 
@@ -397,7 +402,7 @@ def test_selberg_chain_checks_int64_bounds(monkeypatch):
     with pytest.raises(AccumulatorOverflow):
         selberg_integral(KComposition((2, 1)), ParamPoint(1, (3, 2), 1), FpContext(5))
     with pytest.raises(AccumulatorOverflow):
-        selberg_integrals(KComposition((2, 1)), [ParamPoint(1, (3, 2), 1)] * 4, FpContext(5))
+        selberg_integrals(KComposition((2, 1)), np.array([(1, 3, 2, 1)] * 4), FpContext(5))
 
 
 def _full_box_block(k, i, c, ctx, lowered=frozenset()):
@@ -475,6 +480,24 @@ def test_weighted_block_stays_small():
     assert peak < 16 * 2**20
 
 
+def test_the_padded_table_holds_the_rows_asked_for(monkeypatch):
+    # one row per distinct exponent of 1-x asked for at a (p, cap), not one
+    # for every exponent below the largest: at p = 32749 a table of every
+    # n <= 20000 would hold 1.3 G entries
+    monkeypatch.setattr(integrals, "_PADDED", {})
+    ctx = FpContext(32749)
+    value = selberg_integral(KComposition((1,)), ParamPoint(20000, (20000,), 1), ctx)
+    assert value == beta_rhs(20000, 20000, ctx) != ctx.zero
+    (key, (index, table)), = integrals._PADDED.items()
+    assert key == (32749, 32748) and table.shape == (1, 2 * 32749)
+    # a call adds the rows of the exponents the table lacks, each once
+    ctx = FpContext(7)
+    values = selberg_integrals(KComposition((1,)), np.array([(4, 3, 1), (2, 9, 1), (5, 3, 1)]), ctx)
+    assert [values[0], values[2]] == [int(beta_rhs(4, 3, ctx)), int(beta_rhs(5, 3, ctx))]
+    index, table = integrals._PADDED[7, 6]
+    assert len(table) == 2 and index[[3, 9]].tolist() == [0, 1]
+
+
 def test_selberg_and_weighted_integrals_share_their_blocks(monkeypatch):
     # a weighted integral without denominator pairs runs on the Selberg
     # blocks: I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c), one build each
@@ -533,14 +556,14 @@ def test_the_block_cache_drops_the_least_recently_used_prime(monkeypatch):
     # past CACHE_ENTRIES stored entries, whole primes are dropped, the least
     # recently used first; the prime in use never is, whatever the bound
     k = KComposition((2, 1))
-    points = {p: enumerate_admissible(k, FpContext(p)) for p in (5, 7, 11)}
-    cs = {p: {pt.c for pt in pts} for p, pts in points.items()}
+    points = {p: point_rows(enumerate_admissible(k, FpContext(p)), k.n) for p in (5, 7, 11)}
+    cs = {p: set(rows[:, -1].tolist()) for p, rows in points.items()}
     fresh = integrals._BlockCache()
     entries = {p: sum(len(fresh.block(k, 1, c, FpContext(p)).values) for c in cs[p])
                for p in points}
     assert entries[5] < entries[7] < entries[11]
     monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
-    expect = {p: selberg_integrals(k, pts, FpContext(p)) for p, pts in points.items()}
+    expect = {p: selberg_integrals(k, rows, FpContext(p)).tolist() for p, rows in points.items()}
     built = []
     expand = mpoly.expand
 
@@ -552,7 +575,7 @@ def test_the_block_cache_drops_the_least_recently_used_prime(monkeypatch):
         # the blocks built to evaluate every point of p, with the values
         # checked against those of a fresh cache
         built.clear()
-        assert selberg_integrals(k, points[p], FpContext(p)) == expect[p], p
+        assert selberg_integrals(k, points[p], FpContext(p)).tolist() == expect[p], p
         return len(built)
 
     monkeypatch.setattr(mpoly, "expand", recording_expand)
@@ -773,46 +796,84 @@ def test_batched_weighted_integrals_match_single_points(monkeypatch, k1, k2):
         batches.append(len(rows[0][0]))
         return chain(rows, blocks, modulus)
 
+    rows = point_rows(points, 2)
     for tr in _allowable_triples(k1, k2):
-        expect = [weighted_integral(k1, k2, tr, pt, ctx) for pt in points]
+        expect = [int(weighted_integral(k1, k2, tr, pt, ctx)) for pt in points]
         monkeypatch.setattr(integrals, "_chain", recording)
         for cap in (1, 2**12, integrals.BATCH_SLOTS):
             monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
             batches.clear()
-            assert integrals.weighted_integrals(k1, k2, tr, points, ctx) == expect, (tr, cap)
+            assert integrals.weighted_integrals(k1, k2, tr, rows, ctx).tolist() == expect, (
+                tr, cap)
             assert sum(batches) == len(points)
             assert (max(batches) == 1) == (cap == 1), (tr, cap, batches)
         monkeypatch.undo()
-    assert integrals.weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), [], ctx) == []
+    assert integrals.weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
+                                        np.zeros((0, 4), dtype=np.int64), ctx).tolist() == []
 
 
 @pytest.mark.parametrize("k1, k2, tr, bad", [
     # a = 0 under a bare t, b1 = 0 under a bare 1-t, b2 = 0 under a bare 1-s
-    (2, 1, AllowableTriple(0, 1, 0), [ParamPoint(0, (2, 2), 1), ParamPoint(1, (2, 0), 1)]),
-    (3, 2, AllowableTriple(1, 1, 0), [ParamPoint(1, (0, 3), 1), ParamPoint(1, (2, 0), 1)]),
-    (3, 0, AllowableTriple(2, 0, 0), [ParamPoint(1, (0, 0), 1), ParamPoint(0, (1, 0), 1)]),
-    # a denominator pair at c = p; c > p; b of the wrong length
-    (3, 2, AllowableTriple(1, 1, 1), [ParamPoint(2, (2, 2), 7), ParamPoint(2, (2, 2), 8),
-                                      ParamPoint(2, (2,), 1)]),
+    (2, 1, AllowableTriple(0, 1, 0), [(0, 2, 2, 1), (1, 2, 0, 1)]),
+    (3, 2, AllowableTriple(1, 1, 0), [(1, 0, 3, 1), (1, 2, 0, 1)]),
+    (3, 0, AllowableTriple(2, 0, 0), [(1, 0, 0, 1), (0, 1, 0, 1)]),
+    # a denominator pair at c = p; c > p; a row that is not a parameter point
+    (3, 2, AllowableTriple(1, 1, 1), [(2, 2, 2, 7), (2, 2, 2, 8), (2, 2, -1, 1)]),
 ])
 def test_weighted_integrals_raise_as_the_first_offending_point(monkeypatch, k1, k2, tr, bad):
     # whatever the order, the batch raises what weighted_integral raises at
-    # its first offending point, before any point is evaluated
+    # its first offending row's point, before any point is evaluated
     ctx = FpContext(7)
-    good = _weighted_points(k1, k2, 7)[:3]
+    good = point_rows(_weighted_points(k1, k2, 7)[:3], 2).tolist()
     errors = []
-    for pt in bad:
+    for a, b1, b2, c in bad:
         with pytest.raises(Exception) as info:
-            weighted_integral(k1, k2, tr, pt, ctx)
+            weighted_integral(k1, k2, tr, ParamPoint(a, (b1, b2), c), ctx)
         errors.append(info.value)
     evaluated = []
     monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
     for order in itertools.permutations(range(len(bad))):
-        points = good[:1] + [bad[i] for i in order] + good[1:]
+        rows = good[:1] + [bad[i] for i in order] + good[1:]
         first = errors[order[0]]
         with pytest.raises(type(first)) as info:
-            integrals.weighted_integrals(k1, k2, tr, points, ctx)
+            integrals.weighted_integrals(k1, k2, tr, np.array(rows), ctx)
         assert str(info.value) == str(first), order
+    # b of the wrong length, as weighted_integral raises for it
+    with pytest.raises(PreconditionViolation, match=r"^weighted integrals take b = \(b1, b2\)$"):
+        weighted_integral(k1, k2, tr, ParamPoint(2, (2,), 1), ctx)
+    with pytest.raises(PreconditionViolation, match=r"^weighted integrals take b = \(b1, b2\)$"):
+        integrals.weighted_integrals(k1, k2, tr, np.array([(2, 2, 1)]), ctx)
+    assert evaluated == []
+
+
+@pytest.mark.parametrize("parts, bad", [
+    # c > p; a row that is not a parameter point (a, a b or c too low)
+    ((2, 1), [(1, 2, 2, 8), (-1, 2, 2, 1), (1, 2, -3, 1), (1, 2, 2, 0)]),
+    ((1,), [(0, 0, 9), (2, -1, 1)]),
+])
+def test_selberg_integrals_raise_as_the_first_offending_row(monkeypatch, parts, bad):
+    # whatever the order, the batch raises what selberg_integral raises at
+    # its first offending row's point, before any point is evaluated
+    ctx, k = FpContext(7), KComposition(parts)
+    good = point_rows(enumerate_admissible(k, ctx)[:3], k.n).tolist()
+    errors = []
+    for a, *b, c in bad:
+        with pytest.raises(Exception) as info:
+            selberg_integral(k, ParamPoint(a, tuple(b), c), ctx)
+        errors.append(info.value)
+    evaluated = []
+    monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
+    for order in itertools.permutations(range(len(bad))):
+        rows = good[:1] + [bad[i] for i in order] + good[1:]
+        first = errors[order[0]]
+        with pytest.raises(type(first)) as info:
+            selberg_integrals(k, np.array(rows), ctx)
+        assert str(info.value) == str(first), order
+    # b of the wrong length, as selberg_integral raises for it
+    with pytest.raises(PreconditionViolation) as info:
+        selberg_integral(k, ParamPoint(1, (1,) * (k.n + 1), 1), ctx)
+    with pytest.raises(PreconditionViolation, match=f"^{re.escape(str(info.value))}$"):
+        selberg_integrals(k, np.ones((2, k.n + 3), dtype=np.int64), ctx)
     assert evaluated == []
 
 

@@ -8,7 +8,7 @@ table.  A change that alters any report fails here; if the change is meant,
 regenerate the file from `GOLDEN_SPECS` and say why.
 
 The failure path is pinned the same way: with every integral the checks
-compute shifted by one (each value of a `selberg_integrals` or
+compute shifted by one (each residue of a `selberg_integrals` or
 `weighted_integrals` batch too), each campaign's checked count, failure
 count and first failure record are frozen; with every integral zeroed or
 doubled, its checked and failure counts.
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from fpselberg import formulas, harness, mpoly
+from fpselberg.gf import FpElement
 from fpselberg.harness import CAMPAIGNS, CampaignSpec, run_campaign
 from fpselberg.integrals import KComposition, cycle_from_composition
 
@@ -82,9 +83,10 @@ SCALED = {"main": (61, 61), "beta": (49, 28), "dyson": (9, 9), "thm_3_11": (658,
           "thm_4_111": (2298, 2298), "relations_IS": (61, 0), "relations_II0": (61, 0),
           "relations_B1": (26, 0), "relations_B2": (25, 0), "relations_S1S2": (52, 0),
           "induction": (21, 0), "i000": (60, 60), "stokes": (500, 0)}
-FAULTS = {"plus_one": lambda value, ctx: value + ctx.one,
-          "zero": lambda value, ctx: ctx.zero,
-          "double": lambda value, ctx: value + value}
+# each acts on an int64 array of residues mod p
+FAULTS = {"plus_one": lambda values, p: (values + 1) % p,
+          "zero": lambda values, p: values * 0,
+          "double": lambda values, p: values * 2 % p}
 
 
 @pytest.mark.parametrize("fault, spec", [
@@ -94,12 +96,12 @@ def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
     planted = FAULTS[fault]
     for name in ("selberg_integral", "weighted_integral", "fp_integral"):
         integral = getattr(harness, name)
-        monkeypatch.setattr(harness, name,
-                            lambda *args, integral=integral: planted(integral(*args), args[-1]))
+        monkeypatch.setattr(harness, name, lambda *args, integral=integral: FpElement(
+            int(planted(np.array([int(integral(*args))]), args[-1].p)[0]), args[-1]))
     for name in ("selberg_integrals", "weighted_integrals"):
         batched = getattr(harness, name)
-        monkeypatch.setattr(harness, name, lambda *args, batched=batched: [
-            planted(value, args[-1]) for value in batched(*args)])
+        monkeypatch.setattr(harness, name, lambda *args, batched=batched: planted(
+            batched(*args), args[-1].p))
     report = run_campaign(spec)
     if fault == "plus_one":
         checked, failed, first = FAULTED[spec.campaign]
@@ -127,20 +129,20 @@ def test_stokes_passes_whatever_the_engine_returns(monkeypatch):
     assert (report.checked, len(report.failures), len(expanded)) == (500, 0, 500)
 
 
-CLOSED_FORMS = {"main": "r_value", "thm_3_11": "rhs_3_11", "thm_4_111": "rhs_4_111",
-                "i000": "i000_rhs"}
+CLOSED_FORMS = {"main": "r_values", "thm_3_11": "rhs_3_11_values",
+                "thm_4_111": "rhs_4_111_values", "i000": "i000_rhs_values"}
 
 
 @pytest.mark.parametrize("campaign", sorted(CLOSED_FORMS))
 def test_a_planted_closed_form_fault_fails_every_check(monkeypatch, campaign):
-    # the campaigns (and the benchmark's injected-mismatch self-test) look the
-    # closed forms up by module attribute; a fault planted there reaches every check
+    # the campaigns look the closed forms' batch forms up by module
+    # attribute; a fault planted there reaches every check
     for name in CLOSED_FORMS.values():
         closed_form = getattr(formulas, name)
 
         def off_by_one(*args, closed_form=closed_form):
-            result = closed_form(*args)
-            return formulas.FormulaResult(value=result.value + 1) if result.ok else result
+            values, first = closed_form(*args)
+            return np.where(first < 0, (values + 1) % args[-1].p, values), first
         monkeypatch.setattr(formulas, name, off_by_one)
     golden = next(report for report in json.loads(GOLDEN.read_text())
                   if report["campaign"] == campaign and report["seed"] is None)

@@ -83,12 +83,15 @@ def test_one_row_product_path():
 
 
 def test_every_campaign_checks_a_key_list():
-    # one check shape: a second, per-key shape would bring back an adapter,
-    # and with it the per-point integrals that only `bench` still times
+    # every check takes a key list (rows, for the campaigns over a domain of
+    # rows): a per-key check would bring back an adapter, and with it the
+    # per-point integrals that only `bench` still times
     assert not hasattr(harness, "_per_key")
+    ctx = FpContext(7)
     for name, entry in harness._CAMPAIGNS.items():
         k = None if entry.k_len is None else (2, 1)
-        assert entry.check(FpContext(7), k, []) == [], name
+        _, keys = entry.keys(harness.CampaignSpec(name, 7, k), ctx)
+        assert harness._outcome(name, ctx, k, keys[:0]) == (0, []), name
 
     def in_harness(names):
         return {caller for caller in _callers(names) if caller[0] == "harness.py"}
@@ -133,6 +136,7 @@ def test_one_shift_table_builds_every_weight_row():
     # engine serves only the reference integral (the Dyson constant terms
     # are one-group Selberg integrals)
     assert _callers({"_weight_rows"}) == {("integrals.py", "_batches")}
+    assert _callers({"_padded_powers"}) == {("integrals.py", "_batches")}
     assert _callers({"fp_integral"}) == set()
     assert _callers({"extract_coefficient"}) == {("integrals.py", "fp_integral")}
 
@@ -140,11 +144,13 @@ def test_one_shift_table_builds_every_weight_row():
 def test_both_domains_are_walked_by_one_interval_walker():
     # the admissible and the I_000 domain are each a table of intervals,
     # enumerated by the same vector walk rather than by filtering a box: only
-    # `_walk` expands intervals, and campaigns take the re-checked rows of
-    # `admissible_rows`, or the rows of `i000_rows` whose sampled points the
-    # `i000` check re-checks, rather than a second walk
+    # `_spread` expands intervals, for `_walk` and the harness's theorem key
+    # lists, and campaigns take the re-checked rows of `admissible_rows`, or
+    # the rows of `i000_rows` whose sampled rows the `i000` check
+    # re-checks, rather than a second walk
     assert {(path, function) for path, function in _callers({"repeat"})
-            if path == "admissible.py"} == {("admissible.py", "_walk")}
+            if path == "admissible.py"} == {("admissible.py", "_spread")}
+    assert _callers({"_spread"}) == {("admissible.py", "_walk"), ("harness.py", "_thm_keys")}
     assert all(function != "_b_tuples" for _, function, _ in _calls())
     assert _callers({"_walk"}) == {("admissible.py", "admissible_rows"),
                                    ("admissible.py", "i000_rows")}
@@ -152,8 +158,8 @@ def test_both_domains_are_walked_by_one_interval_walker():
                                              ("harness.py", "_admissible")}
     assert _callers({"i000_rows"}) == {("admissible.py", "enumerate_admissible_I"),
                                        ("harness.py", "_i000_keys")}
-    assert _callers({"i000_closed_form"}) == {("admissible.py", "enumerate_admissible_I"),
-                                              ("harness.py", "_i000_check")}
+    assert _callers({"i000_closed_forms"}) == {("admissible.py", "enumerate_admissible_I"),
+                                               ("harness.py", "_i000_check")}
 
 
 def test_each_ac_condition_is_written_in_its_table_alone():
@@ -183,18 +189,20 @@ def test_each_ac_condition_is_written_in_its_table_alone():
 
 
 def test_closed_forms_evaluate_through_the_factorial_product():
-    # r_value, rhs_3_11, rhs_4_111 and i000_rhs take one product over their
-    # factorial terms; a per-factor evaluator beside it would call
+    # the batch forms of r_value, rhs_3_11, rhs_4_111 and i000_rhs each
+    # evaluate one term table, a product of factorials, through the one
+    # evaluator, and the scalar forms are their batches of one; a
+    # per-factor or per-point evaluator beside it would call
     # checked_factorial or build its own FormulaResult
     assert _callers({"checked_factorial"}) == {
         ("formulas.py", "beta_rhs"), ("formulas.py", "dyson_constant"),
         ("formulas.py", "induction_factor")}
-    assert _callers({"FormulaResult"}) == {("formulas.py", "_factorial_product")}
-    assert _callers({"_factorial_product"}) == {
-        ("formulas.py", "_table_product"), ("formulas.py", "rhs_3_11"),
-        ("formulas.py", "rhs_4_111")}
-    assert _callers({"_table_product"}) == {("formulas.py", "r_value"),
-                                            ("formulas.py", "i000_rhs")}
+    assert _callers({"FormulaResult"}) == {("formulas.py", "_result")}
+    assert _callers({"_evaluate"}) == {
+        ("formulas.py", name) for name in ("r_values", "rhs_3_11_values", "rhs_4_111_values",
+                                           "i000_rhs_values")}
+    assert _callers({"_result"}) == {
+        ("formulas.py", name) for name in ("r_value", "rhs_3_11", "rhs_4_111", "i000_rhs")}
 
 
 def test_package_imports_only_stdlib_and_numpy():
