@@ -1,42 +1,39 @@
 """Verification campaigns: left sides by coefficient extraction, right sides
 by closed form (or recurrence factors), exact equality only.
 
-`_CAMPAIGNS` holds one entry per campaign: its key list (and reported total;
-`_sampled` draws a seeded sample, `_swept` rejects a sampled spec), a check
-that takes a list of keys, the composition length it needs, and the JSON
-form of a key in a failure record.  The campaigns over a domain of points,
-`main`, `thm_3_11`, `thm_4_111`, `i000` and the relation campaigns but
-`relations_S1S2`, take their keys as int64 rows (a, b_1, ..., b_n, c):
+`_CAMPAIGNS` holds one entry per campaign: its key list (and reported
+total; `_sampled` draws a seeded sample, `_swept` rejects a sampled spec),
+a check that takes a list of keys, the composition length it needs, and the
+JSON form of a key in a failure record.  The campaigns over a domain of
+points, `main`, `thm_3_11`, `thm_4_111`, `i000` and the relation campaigns
+but `relations_S1S2`, take their keys as int64 rows (a, b_1, ..., b_n, c):
 `admissible_rows` and `i000_rows` return them, `_sampled` samples row
 indices, and the theorem key lists are built by interval expansion
-(`_thm_keys`).  `main`, `thm_3_11`, `thm_4_111`, `i000` and `relations_IS`
-keep them as rows to the verdict: their checks return `_Verdicts`, per row
-the two sides as residues and whether the row was checked, from one batch
-call of their closed form (`formulas.r_values`, `rhs_3_11_values`,
-`rhs_4_111_values`; `adm.i000_closed_forms`) and of their integrals, and
-build no point and no field element per key.  The other checks return
-one (lhs, rhs, mismatch classifier) or `_Skip` per key, building their
-points where their recurrence factors need them and converting them to
-rows where they call an integral.  Checks take their integrals in
-batches: `beta` (the one group k = (1,)), `main`, `thm_3_11`, `thm_4_111`
-and `relations_S1S2` from one `selberg_integrals` call per key list;
-`induction` from two per run of one composition (the full and the
-truncated composition); `i000`, `relations_II0`, `relations_B1` and
+(`_thm_keys`).  Every check returns one `_Verdicts`: per key, the two sides
+as int64 residues, whether the key was checked (a key not checked is a
+skip), and its failure classifier.  `main`, `thm_3_11`, `thm_4_111` and
+`i000` evaluate their closed forms over the rows in one batch call
+(`formulas.r_values`, `rhs_3_11_values`, `rhs_4_111_values`;
+`adm.i000_closed_forms`) and build no point and no field element per key;
+the other closed forms and the recurrence factors are field elements per
+key, turned into residues.  Checks take their integrals in batches: `beta`
+(the one group k = (1,)), `main`, `thm_3_11`, `thm_4_111` and
+`relations_S1S2` from one `selberg_integrals` call per key list, `dyson`
+from one per k; `induction` from two per run of one composition (the full
+and the truncated composition); `i000`, `relations_II0`, `relations_B1` and
 `relations_B2` from one `weighted_integrals` call per allowable triple;
-`relations_IS` from one of each.  `dyson` takes one `selberg_integrals`
-call per key, on the one group of its k, and `stokes` reads one
-coefficient off one expansion per key.  `run_campaign` splits the keys
-into contiguous chunks of at most CHUNK_KEYS, and `_outcome` turns each
-chunk's results into its count of checked keys and its failure records,
-in key order, with one array comparison for `_Verdicts`, sequentially or
-in the jobs > 1 pool.  A chunk's integrals run in batches per c
-(`integrals._batches`), and a chunk boundary cuts each c group it crosses
-into one more batch, so chunks are large.  Checks look up integrals,
-`formulas.*` and `adm.*` by module attribute at call time, so code that
-patches those attributes sees every call.  Only `bench` calls
-`selberg_integral`, and nothing calls `weighted_integral` or
-`fp_integral`; they stay imported, as module attributes that the campaign
-benchmark's tracer wraps.
+`relations_IS` from one of each.  `stokes` reads one coefficient off one
+expansion per key.  `run_campaign` splits the keys into contiguous chunks
+of at most CHUNK_KEYS, and `_outcome` turns each chunk's verdicts into its
+count of checked keys and its failure records, in key order, with one array
+comparison, sequentially or in the jobs > 1 pool.  A chunk's integrals run
+in batches per c (`integrals._batches`), and a chunk boundary cuts each c
+group it crosses into one more batch, so chunks are large.  Checks look up
+integrals, `formulas.*` and `adm.*` by module attribute at call time, so
+code that patches those attributes sees every call.  Only `bench` calls
+`selberg_integral`, and nothing calls `weighted_integral` or `fp_integral`;
+they stay imported, as module attributes that the campaign benchmark's
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from itertools import compress, groupby, repeat
+from itertools import groupby, repeat
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -54,9 +51,9 @@ import numpy as np
 from . import admissible as adm
 from . import formulas, mpoly
 from .errors import CapacityExceeded, ZeroFactor
-from .gf import FpContext, FpElement, sign_pow
+from .gf import FpContext
 from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm,
-                        ParamPoint, PCycle, cycle_from_composition, fp_integral,
+                        PCycle, cycle_from_composition, fp_integral,
                         master_polynomial, point_rows, row_points, selberg_integral,
                         selberg_integrals, weighted_integral, weighted_integrals)
 
@@ -114,22 +111,27 @@ class VerificationReport:
         return not self.failures
 
 
-class _Skip(Exception):
-    """A check's point lies outside its identity's domain or cannot be computed."""
-
-
 class _Verdicts(NamedTuple):
-    """The results of a check over rows: per row, its lhs and rhs residues,
-    and whether it was checked; a row not checked is a skip.  A checked row
-    whose sides differ is a "mismatch"."""
+    """A check's results over its keys: per key, its lhs and rhs residues
+    (int64) and whether it was checked (bool), a key not checked being a
+    skip; and the classifier of a failure, one for every key or a list of
+    one per key.  A checked key fails where its two sides differ."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     checked: np.ndarray
+    classifiers: str | list[str] = "mismatch"
 
 
-def _elements(values: np.ndarray, ctx: FpContext) -> list[FpElement]:
-    return [FpElement(value, ctx) for value in values.tolist()]
+def _everywhere(lhs: np.ndarray, rhs: np.ndarray,
+                classifiers: str | list[str] = "mismatch") -> _Verdicts:
+    """The verdicts of a check that checks every key."""
+    return _Verdicts(lhs, rhs, np.ones(len(lhs), dtype=bool), classifiers)
+
+
+def _residues(elements) -> np.ndarray:
+    """Field elements, or ints, as an int64 array."""
+    return np.array([int(value) for value in elements], dtype=np.int64)
 
 
 def _against_closed_forms(rows: np.ndarray, closed_form: tuple[np.ndarray, np.ndarray],
@@ -154,26 +156,27 @@ def _against_closed_forms(rows: np.ndarray, closed_form: tuple[np.ndarray, np.nd
 def _beta_check(ctx, _k, keys):
     """x^a (1-x)^b over [1]_p: the Selberg integral of the one group k = (1,)."""
     rows = np.array([(a, b, 1) for a, b in keys], dtype=np.int64).reshape(len(keys), 3)
-    lhs = _elements(selberg_integrals(KComposition((1,)), rows, ctx), ctx)
-    return [(value, formulas.beta_rhs(a, b, ctx), "mismatch")
-            for value, (a, b) in zip(lhs, keys)]
-
-
-def dyson_constant_term(k: int, c: int, ctx: FpContext):
-    """C.T. of prod_{i != j} (1 - x_i/x_j)^c, computed by clearing denominators:
-    it is (-1)^{c k(k-1)/2} times the balanced coefficient, at x^{(k-1)c} in
-    every variable, of prod (x_i - x_j)^{2c}.  That is the coefficient of
-    x^{p-1} in x^a prod (x_i - x_j)^{2c} for a = p-1-(k-1)c, the Selberg
-    integral of the one group k at (a, b = 0, c); so (k-1)c <= p-1.
-    """
-    pt = ParamPoint(ctx.p - 1 - (k - 1) * c, (0,), c)
-    value, = selberg_integrals(KComposition((k,)), point_rows([pt], 1), ctx).tolist()
-    return sign_pow(ctx, c * k * (k - 1) // 2) * value
+    return _everywhere(selberg_integrals(KComposition((1,)), rows, ctx),
+                       _residues(formulas.beta_rhs(a, b, ctx) for a, b in keys))
 
 
 def _dyson_check(ctx, _k, keys):
-    return [(dyson_constant_term(kk, c, ctx), formulas.dyson_constant(kk, c, ctx),
-             f"mismatch at k={kk}") for kk, c in keys]
+    """C.T. of prod_{i != j} (1 - x_i/x_j)^c, computed by clearing
+    denominators: it is (-1)^{c k(k-1)/2} times the balanced coefficient, at
+    x^{(k-1)c} in every variable, of prod (x_i - x_j)^{2c}.  That is the
+    coefficient of x^{p-1} in x^a prod (x_i - x_j)^{2c} for a = p-1-(k-1)c,
+    the Selberg integral of the one group k at (a, b = 0, c), so (k-1)c <=
+    p-1: one `selberg_integrals` call per k."""
+    kc = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
+    lhs = np.zeros(len(keys), dtype=np.int64)
+    for kk in dict.fromkeys(kc[:, 0].tolist()):
+        at = kc[:, 0] == kk
+        c = kc[at, 1]
+        values = selberg_integrals(KComposition((kk,)), np.column_stack(
+            [ctx.p - 1 - (kk - 1) * c, np.zeros_like(c), c]), ctx)
+        lhs[at] = np.where(c * kk * (kk - 1) // 2 % 2, -values % ctx.p, values)
+    return _everywhere(lhs, _residues(formulas.dyson_constant(kk, c, ctx) for kk, c in keys),
+                       [f"mismatch at k={kk}" for kk, _ in keys])
 
 
 def _main_check(ctx, k, rows):
@@ -198,29 +201,25 @@ def _relations_is_check(ctx, k, rows):
     """I_{0,k2,0}(a, b1, b2, c) = S(a-1, b1, b2-1, c).  Homogeneous in the
     integrals, so a fault that zeroes or scales every integral passes it."""
     k1, k2 = k
-    lhs = weighted_integrals(k1, k2, AllowableTriple(0, k2, 0), rows, ctx)
-    rhs = selberg_integrals(KComposition(k), rows - (1, 0, 1, 0), ctx)
-    return _Verdicts(lhs, rhs, np.ones(len(rows), dtype=bool))
+    return _everywhere(weighted_integrals(k1, k2, AllowableTriple(0, k2, 0), rows, ctx),
+                       selberg_integrals(KComposition(k), rows - (1, 0, 1, 0), ctx))
 
 
 def _relations_ii0_check(ctx, k, rows):
-    """(k1-k2+i+1)c I_{0,i,0} + (b2+ic) I_{0,i+1,0} = 0 for i < k2.
-    Homogeneous in the integrals, so a fault that zeroes or scales every
-    integral passes it."""
+    """(k1-k2+i+1)c I_{0,i,0} + (b2+ic) I_{0,i+1,0} = 0 for i < k2; a row
+    reports its first nonzero step as lhs, against rhs 0.  Homogeneous in
+    the integrals, so a fault that zeroes or scales every integral passes
+    it."""
     k1, k2 = k
-    values = [_elements(weighted_integrals(k1, k2, AllowableTriple(0, i, 0), rows, ctx), ctx)
-              for i in range(k2 + 1)]
-    results = []
-    for t, (_, _, b2, c) in enumerate(rows.tolist()):
-        for i in range(k2):
-            combo = (ctx.element((k1 - k2 + i + 1) * c) * values[i][t]
-                     + ctx.element(b2 + i * c) * values[i + 1][t])
-            if combo != ctx.zero:
-                results.append((combo, ctx.zero, f"chain step i={i} nonzero"))
-                break
-        else:
-            results.append((ctx.zero, ctx.zero, None))
-    return results
+    p = ctx.p
+    values = np.stack([weighted_integrals(k1, k2, AllowableTriple(0, i, 0), rows, ctx)
+                       for i in range(k2 + 1)])
+    i, b2, c = np.arange(k2)[:, None], rows[:, 2], rows[:, 3]
+    steps = ((k1 - k2 + i + 1) * c % p * values[:-1] + (b2 + i * c) % p * values[1:]) % p
+    first = (steps != 0).argmax(axis=0)
+    lhs = steps[first, np.arange(len(rows))]
+    labels = [f"chain step i={step} nonzero" for step in range(k2)]
+    return _everywhere(lhs, np.zeros_like(lhs), [labels[step] for step in first.tolist()])
 
 
 def _relations_b(idx: int) -> "_Campaign":
@@ -235,19 +234,21 @@ def _relations_b(idx: int) -> "_Campaign":
 
     def check(ctx, k, rows):
         k1, k2 = k
-        points, factors = [], []
-        for pt in row_points(rows):
+        factors = np.zeros(len(rows), dtype=np.int64)
+        checked = np.ones(len(rows), dtype=bool)
+        for t, pt in enumerate(row_points(rows)):
             try:
-                factors.append(formulas.b_factor(k1, k2, idx, pt, ctx))
-                points.append(pt)
-            except ZeroFactor as exc:
-                factors.append(_Skip(str(exc)))
-        values = _elements(weighted_integrals(
-            k1, k2, AllowableTriple(0, 0, 0),
-            point_rows([adm.lowered(pt, idx) for pt in points] + points, 2), ctx), ctx)
-        lows, highs = iter(values[:len(points)]), iter(values[len(points):])
-        return [factor if isinstance(factor, _Skip)
-                else (next(lows), factor * next(highs), "mismatch") for factor in factors]
+                factors[t] = int(formulas.b_factor(k1, k2, idx, pt, ctx))
+            except ZeroFactor:
+                checked[t] = False
+        highs = rows[checked]
+        lows = highs - np.eye(4, dtype=np.int64)[1 + idx]
+        values = weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
+                                    np.concatenate([lows, highs]), ctx)
+        lhs, rhs = np.zeros((2, len(rows)), dtype=np.int64)
+        lhs[checked] = values[:len(highs)]
+        rhs[checked] = factors[checked] * values[len(highs):] % ctx.p
+        return _Verdicts(lhs, rhs, checked)
     return _Campaign(keys, check, 2)
 
 
@@ -255,44 +256,40 @@ def _relations_s1s2_check(ctx, k, keys):
     """Decrement edges: S(lower end) = shift factor * S(upper end).
     Homogeneous in the integrals, so a fault that zeroes or scales every
     integral passes it."""
-    highs = [ParamPoint(a, (b1, b2), c) for (a, b1, b2, c), _ in keys]
-    factors = [(formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
-        k[0], k[1], hi, ctx) for hi, (_, idx) in zip(highs, keys)]
-    lows = [adm.lowered(hi, idx) for hi, (_, idx) in zip(highs, keys)]
-    values = _elements(selberg_integrals(KComposition(k), point_rows(lows + highs, 2), ctx), ctx)
-    return [(lhs, factor * rhs, f"edge b{idx + 1}-1 mismatch")
-            for lhs, factor, rhs, (_, idx) in zip(values, factors, values[len(keys):], keys)]
+    highs = np.array([row for row, _ in keys], dtype=np.int64).reshape(len(keys), 4)
+    idxs = np.array([idx for _, idx in keys], dtype=np.int64)
+    factors = _residues((formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
+        k[0], k[1], hi, ctx) for hi, idx in zip(row_points(highs), idxs.tolist()))
+    lows = highs - np.eye(4, dtype=np.int64)[1 + idxs]
+    values = selberg_integrals(KComposition(k), np.concatenate([lows, highs]), ctx)
+    return _everywhere(values[:len(keys)], factors * values[len(keys):] % ctx.p,
+                       [f"edge b{idx + 1}-1 mismatch" for idx in idxs.tolist()])
 
 
 def _induction_check(ctx, _k, keys):
     """Factored identity at the distinguished point: the n-group integral
     equals induction_factor times the (n-1)-group integral, each side of a
-    run of keys of one composition from one `selberg_integrals` call.
-    Homogeneous in the integrals, so a fault that zeroes or scales every
-    integral passes it."""
-    results = []
-    for kparts, run in groupby(keys, key=lambda key: key[0]):
-        comp = KComposition(kparts)
-        trunc = comp.truncated()
-        pairs = [(a, c) for _, a, c in run]
-        fits = [comp.part(comp.n) * c <= ctx.p - 1 for _, c in pairs]
-        kept = list(compress(pairs, fits))
-        fulls, truncs = (iter(_elements(selberg_integrals(part, point_rows(
-            [adm.distinguished_point(part, a, c, ctx) for a, c in kept], part.n), ctx), ctx))
-            for part in (comp, trunc))
-        results += [(next(fulls), formulas.induction_factor(comp, c, ctx) * next(truncs),
-                     f"k={kparts} factored identity") if fit else _Skip("k_n c > p-1")
-                    for (_, c), fit in zip(pairs, fits)]
-    return results
+    run of checked keys of one composition from one `selberg_integrals`
+    call; a key with k_n c > p-1 is not checked.  Homogeneous in the
+    integrals, so a fault that zeroes or scales every integral passes it."""
+    lhs, rhs = np.zeros((2, len(keys)), dtype=np.int64)
+    checked = np.array([kparts[-1] * c <= ctx.p - 1 for kparts, _, c in keys], dtype=bool)
+    for kparts, run in groupby(np.flatnonzero(checked).tolist(), key=lambda t: keys[t][0]):
+        comp, run = KComposition(kparts), list(run)
+        full, trunc = (selberg_integrals(part, point_rows(
+            [adm.distinguished_point(part, *keys[t][1:], ctx) for t in run], part.n), ctx)
+            for part in (comp, comp.truncated()))
+        factors = _residues(formulas.induction_factor(comp, keys[t][2], ctx) for t in run)
+        lhs[run], rhs[run] = full, factors * trunc % ctx.p
+    return _Verdicts(lhs, rhs, checked, [f"k={key[0]} factored identity" for key in keys])
 
 
 def _i000_check(ctx, k, rows):
     """I_{0,0,0} against its closed form, which the rows' domain defines:
     the closed form re-checks the rows (`adm.i000_closed_forms`)."""
     k1, k2 = k
-    rhs = adm.i000_closed_forms(k1, k2, rows, ctx)
-    return _Verdicts(weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), rows, ctx), rhs,
-                     np.ones(len(rows), dtype=bool))
+    return _everywhere(weighted_integrals(k1, k2, AllowableTriple(0, 0, 0), rows, ctx),
+                       adm.i000_closed_forms(k1, k2, rows, ctx))
 
 
 def random_factor_product(ctx: FpContext, rng: random.Random) -> tuple[FactorProduct, PCycle]:
@@ -318,17 +315,17 @@ def _stokes_check(ctx, _k, keys):
     of x^T in d f / d x_v is (T_v + 1) [x^(T + e_v)] f, and T_v + 1 = l_v p
     is 0 mod p, whatever `mpoly.expand` returns for f.
     """
-    results = []
+    lhs, classifiers = [], []
     for seed, index in keys:
         rng = random.Random(seed * 1_000_003 + index)
         fp, cycle = random_factor_product(ctx, rng)
         var = rng.randrange(fp.num_vars)
         targets = cycle.targets(ctx.p)
         caps = tuple(t + 1 if v == var else t for v, t in enumerate(targets))
-        deriv = mpoly.derivative(mpoly.expand(fp, caps), var)
-        results.append((deriv.coefficient(targets), ctx.zero,
-                        f"derivative in x{var+1} has nonzero integral"))
-    return results
+        lhs.append(mpoly.derivative(mpoly.expand(fp, caps), var).coefficient(targets))
+        classifiers.append(f"derivative in x{var+1} has nonzero integral")
+    lhs = _residues(lhs)
+    return _everywhere(lhs, np.zeros_like(lhs), classifiers)
 
 
 # key lists: (spec, ctx) -> (total, keys); total - len(keys) points are skips
@@ -450,7 +447,7 @@ def _point(row) -> dict:
 @dataclass(frozen=True)
 class _Campaign:
     keys: Callable        # (spec, ctx) -> (total, keys)
-    check: Callable       # (ctx, k, keys) -> _Verdicts, or per key (lhs, rhs, classifier) or _Skip
+    check: Callable       # (ctx, k, keys) -> _Verdicts
     k_len: int | None = None  # k needed: None no (induction: optional), 0 any, n length n
     point: Callable = _point  # key -> {"a", "b", "c"} of a failure record
 
@@ -480,10 +477,10 @@ CAMPAIGNS = tuple(_CAMPAIGNS)
 
 # Checks run on contiguous chunks of the key list, of at most CHUNK_KEYS
 # keys, so that what a check holds per key stays bounded: a few int64
-# arrays of a row's width for the checks over rows, and at most about 1 KB
-# of Python objects per key (points, factors, integrals and results) for
-# the others, so at most about 1 MB per chunk, the order of one batch's
-# arrays.  The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
+# arrays of a row's width, at most one classifier string and, for the
+# checks with recurrence factors, one point and a few field elements per
+# key, so at most about 1 MB per chunk, the order of one batch's arrays.
+# The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
 _CHUNKS_PER_JOB = 4
 CHUNK_KEYS = 1024
 
@@ -491,22 +488,11 @@ CHUNK_KEYS = 1024
 def _outcome(campaign: str, ctx: FpContext, k, keys) -> tuple[int, list[dict]]:
     """The number of keys checked, and the failure records in key order."""
     entry = _CAMPAIGNS[campaign]
-    results = entry.check(ctx, k, keys)
-    if isinstance(results, _Verdicts):
-        lhs, rhs, checked = results
-        return int(checked.sum()), [
-            {"point": entry.point(keys[t]), "lhs": int(lhs[t]), "rhs": int(rhs[t]),
-             "classifier": "mismatch"} for t in np.flatnonzero(checked & (lhs != rhs)).tolist()]
-    count, failures = 0, []
-    for key, result in zip(keys, results, strict=True):
-        if isinstance(result, _Skip):
-            continue
-        count += 1
-        lhs, rhs, classifier = result
-        if lhs != rhs:
-            failures.append({"point": entry.point(key), "lhs": lhs.residue, "rhs": rhs.residue,
-                             "classifier": classifier})
-    return count, failures
+    lhs, rhs, checked, classifiers = entry.check(ctx, k, keys)
+    labels = np.broadcast_to(np.asarray(classifiers), lhs.shape)
+    return int(checked.sum()), [
+        {"point": entry.point(keys[t]), "lhs": int(lhs[t]), "rhs": int(rhs[t]),
+         "classifier": str(labels[t])} for t in np.flatnonzero(checked & (lhs != rhs)).tolist()]
 
 
 def run_campaign(spec: CampaignSpec) -> VerificationReport:

@@ -165,13 +165,13 @@ def test_sampled_main_builds_points_for_its_sample_alone(monkeypatch):
     # keys were tuples; 443 in all while they were taken from the public
     # enumerator's points)
     built = []
-    post_init = harness.ParamPoint.__post_init__
+    post_init = ParamPoint.__post_init__
 
     def counting(self):
         built.append(self)
         post_init(self)
 
-    monkeypatch.setattr(harness.ParamPoint, "__post_init__", counting)
+    monkeypatch.setattr(ParamPoint, "__post_init__", counting)
     report = run_campaign(CampaignSpec("main", 13, (3, 2), exhaustive=False, samples=36, seed=1))
     assert report.checked == report.passed == 36 and len(built) == 0
 
@@ -395,30 +395,32 @@ def test_induction_points_pass():
 
 
 def test_induction_runner_skips_oversized_last_group():
+    # k_n c = 8 > p - 1: an unchecked row
     key = ((3, 2), 1, 4)
-    skip, = harness._CAMPAIGNS["induction"].check(FpContext(7), None, [key])
-    assert isinstance(skip, harness._Skip) and "k_n c" in str(skip)
+    verdicts = harness._CAMPAIGNS["induction"].check(FpContext(7), None, [key])
+    assert verdicts.checked.tolist() == [False]
     assert harness._outcome("induction", FpContext(7), None, [key]) == (0, [])
 
 
 def test_induction_batches_each_run_of_one_composition():
     # two runs of (2,1) around one of (3,2,1), a repeated key, and a key
-    # whose last group is too large for its c: one result per key, in key
+    # whose last group is too large for its c: one row per key, in key
     # order, each side equal to the integral at its distinguished point
     ctx = FpContext(11)
     keys = [((2, 1), 2, 3), ((2, 1), 1, 1), ((2, 1), 2, 3), ((3, 2, 1), 1, 1),
             ((3, 2, 1), 1, 11), ((3, 2, 1), 2, 2), ((2, 1), 3, 2)]
-    results = harness._CAMPAIGNS["induction"].check(ctx, None, keys)
-    assert len(results) == len(keys)
-    assert isinstance(results[4], harness._Skip) and "k_n c" in str(results[4])
-    for (kparts, a, c), result in zip(keys[:4] + keys[5:], results[:4] + results[5:]):
+    lhs, rhs, checked, classifiers = harness._CAMPAIGNS["induction"].check(ctx, None, keys)
+    assert len(lhs) == len(rhs) == len(classifiers) == len(keys)
+    assert checked.tolist() == [True] * 4 + [False] + [True] * 2
+    rows = list(zip(lhs.tolist(), rhs.tolist(), classifiers))
+    for (kparts, a, c), row in zip(keys[:4] + keys[5:], rows[:4] + rows[5:]):
         comp = KComposition(kparts)
         trunc = comp.truncated()
-        lhs = selberg_integral(comp, distinguished_point(comp, a, c, ctx), ctx)
-        rhs = induction_factor(comp, c, ctx) * selberg_integral(
+        full = selberg_integral(comp, distinguished_point(comp, a, c, ctx), ctx)
+        factored = induction_factor(comp, c, ctx) * selberg_integral(
             trunc, distinguished_point(trunc, a, c, ctx), ctx)
-        assert result == (lhs, rhs, f"k={kparts} factored identity")
-    assert results[0] == results[2]
+        assert row == (full.residue, factored.residue, f"k={kparts} factored identity")
+    assert rows[0] == rows[2]
 
 
 def test_induction_takes_two_integral_calls_per_composition(monkeypatch):
@@ -446,7 +448,8 @@ def test_outcomes_follow_the_keys_through_skips(monkeypatch):
     ctx = FpContext(7)
     rows = np.array([(1, 2, 5, 3), (0, 0, 0, 1), (2, 3, 5, 3), (1, 2, 5, 3)])
     assert harness._outcome("main", ctx, (2, 1), rows) == (3, [])
-    lhs, rhs, checked = harness._CAMPAIGNS["main"].check(ctx, (2, 1), rows)
+    lhs, rhs, checked, classifiers = harness._CAMPAIGNS["main"].check(ctx, (2, 1), rows)
+    assert classifiers == "mismatch"
     assert checked.tolist() == [True, False, True, True]
     assert lhs[checked].tolist() == rhs[checked].tolist() == harness.selberg_integrals(
         KComposition((2, 1)), rows[checked], ctx).tolist()

@@ -11,7 +11,9 @@ The failure path is pinned the same way: with every integral the checks
 compute shifted by one (each residue of a `selberg_integrals` or
 `weighted_integrals` batch too), each campaign's checked count, failure
 count and first failure record are frozen; with every integral zeroed or
-doubled, its checked and failure counts.
+doubled, its checked and failure counts.  A campaign's failure records do
+not depend on how its keys are cut into chunks, and the relation campaigns'
+and `induction`'s counts of nontrivial checks (sides not both 0) are frozen.
 """
 
 import json
@@ -22,9 +24,9 @@ import numpy as np
 import pytest
 
 from fpselberg import formulas, harness, mpoly
-from fpselberg.gf import FpElement
+from fpselberg.gf import FpContext, FpElement
 from fpselberg.harness import CAMPAIGNS, CampaignSpec, run_campaign
-from fpselberg.integrals import KComposition, cycle_from_composition
+from fpselberg.integrals import AllowableTriple, KComposition, cycle_from_composition
 
 NEEDS_K = {"main", "relations_IS", "relations_II0", "relations_B1", "relations_B2",
            "relations_S1S2", "i000"}
@@ -89,11 +91,8 @@ FAULTS = {"plus_one": lambda values, p: (values + 1) % p,
           "double": lambda values, p: values * 2 % p}
 
 
-@pytest.mark.parametrize("fault, spec", [
-    pytest.param(fault, spec, id=spec.campaign if fault == "plus_one" else f"{fault}-{spec.campaign}")
-    for fault in FAULTS for spec in GOLDEN_SPECS[:len(CAMPAIGNS)]])
-def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
-    planted = FAULTS[fault]
+def _plant(monkeypatch, planted):
+    """Apply a fault of FAULTS to every integral the checks compute."""
     for name in ("selberg_integral", "weighted_integral", "fp_integral"):
         integral = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *args, integral=integral: FpElement(
@@ -102,6 +101,13 @@ def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
         batched = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *args, batched=batched: planted(
             batched(*args), args[-1].p))
+
+
+@pytest.mark.parametrize("fault, spec", [
+    pytest.param(fault, spec, id=spec.campaign if fault == "plus_one" else f"{fault}-{spec.campaign}")
+    for fault in FAULTS for spec in GOLDEN_SPECS[:len(CAMPAIGNS)]])
+def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
+    _plant(monkeypatch, FAULTS[fault])
     report = run_campaign(spec)
     if fault == "plus_one":
         checked, failed, first = FAULTED[spec.campaign]
@@ -110,6 +116,66 @@ def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
         checked, failed = SCALED[spec.campaign]
     assert (report.checked, len(report.failures)) == (checked, failed)
     assert report.passed == checked - failed
+
+
+@pytest.mark.parametrize("spec", GOLDEN_SPECS,
+                         ids=lambda spec: spec.campaign if spec.exhaustive else "main-sampled")
+def test_failure_records_do_not_depend_on_chunking(monkeypatch, spec):
+    # the runner cuts the keys into chunks (smaller ones under --jobs), and
+    # a per-key classifier list is local to its chunk: the whole key list
+    # and its 7-key slices give the same count and records, in key order
+    _plant(monkeypatch, FAULTS["plus_one"])
+    ctx = FpContext(spec.p)
+    _, keys = harness._CAMPAIGNS[spec.campaign].keys(spec, ctx)
+    parts = [harness._outcome(spec.campaign, ctx, spec.k, keys[start:start + 7])
+             for start in range(0, len(keys), 7)]
+    assert harness._outcome(spec.campaign, ctx, spec.k, keys) == (
+        sum(count for count, _ in parts), [record for _, records in parts for record in records])
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_relations_ii0_reports_each_rows_first_nonzero_step(monkeypatch, p):
+    # the chain steps as arrays against a loop over field elements; at
+    # (3, 2) there are two steps, and a row can fail at the second alone
+    _plant(monkeypatch, FAULTS["plus_one"])
+    ctx, (k1, k2) = FpContext(p), (3, 2)
+    spec = CampaignSpec("relations_II0", p, (k1, k2))
+    _, rows = harness._CAMPAIGNS[spec.campaign].keys(spec, ctx)
+    values = [harness.weighted_integrals(k1, k2, AllowableTriple(0, i, 0), rows, ctx).tolist()
+              for i in range(k2 + 1)]
+    expected = []
+    for t, (a, b1, b2, c) in enumerate(rows.tolist()):
+        for i in range(k2):
+            step = (ctx.element((k1 - k2 + i + 1) * c) * values[i][t]
+                    + ctx.element(b2 + i * c) * values[i + 1][t])
+            if step != ctx.zero:
+                expected.append({"point": {"a": a, "b": [b1, b2], "c": c}, "lhs": step.residue,
+                                 "rhs": 0, "classifier": f"chain step i={i} nonzero"})
+                break
+    assert harness._outcome(spec.campaign, ctx, spec.k, rows) == (len(rows), expected)
+    assert "chain step i=1 nonzero" in {record["classifier"] for record in expected}
+
+
+# campaign: (nontrivial, checked) at its golden spec, a checked row being
+# trivial where both its sides are 0; relations_II0 reports (0, 0) at every
+# passing row, so its count is of the rows where some I_{0,i,0} is nonzero
+NONTRIVIAL = {"relations_IS": (15, 61), "relations_II0": (15, 61), "relations_B1": (5, 26),
+              "relations_B2": (5, 25), "relations_S1S2": (52, 52), "induction": (21, 21)}
+
+
+@pytest.mark.parametrize("campaign", sorted(NONTRIVIAL))
+def test_nontrivial_check_counts(campaign):
+    spec = next(spec for spec in GOLDEN_SPECS if spec.campaign == campaign)
+    ctx = FpContext(spec.p)
+    entry = harness._CAMPAIGNS[campaign]
+    _, keys = entry.keys(spec, ctx)
+    lhs, rhs, checked, _ = entry.check(ctx, spec.k, keys)
+    if campaign == "relations_II0":
+        k1, k2 = spec.k
+        lhs = np.stack([harness.weighted_integrals(k1, k2, AllowableTriple(0, i, 0), keys, ctx)
+                        for i in range(k2 + 1)]).any(axis=0)
+    nontrivial = checked & ((lhs != 0) | (rhs != 0))
+    assert (int(nontrivial.sum()), int(checked.sum())) == NONTRIVIAL[campaign]
 
 
 def test_stokes_passes_whatever_the_engine_returns(monkeypatch):

@@ -1,9 +1,12 @@
 import ast
 import functools
 import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import fpselberg
 from fpselberg import harness, mpoly
@@ -85,13 +88,23 @@ def test_one_row_product_path():
 def test_every_campaign_checks_a_key_list():
     # every check takes a key list (rows, for the campaigns over a domain of
     # rows): a per-key check would bring back an adapter, and with it the
-    # per-point integrals that only `bench` still times
+    # per-point integrals that only `bench` still times; and every check
+    # returns one result shape, so `_outcome` has one path
     assert not hasattr(harness, "_per_key")
+    assert not hasattr(harness, "_Skip") and not hasattr(harness, "_elements")
+    assert "isinstance" not in inspect.getsource(harness._outcome)
     ctx = FpContext(7)
     for name, entry in harness._CAMPAIGNS.items():
         k = None if entry.k_len is None else (2, 1)
         _, keys = entry.keys(harness.CampaignSpec(name, 7, k), ctx)
         assert harness._outcome(name, ctx, k, keys[:0]) == (0, []), name
+        verdicts = entry.check(ctx, k, keys[:5])
+        assert isinstance(verdicts, harness._Verdicts), name
+        assert [(side.dtype, side.shape) for side in verdicts[:3]] == [
+            (np.int64, (5,)), (np.int64, (5,)), (np.bool_, (5,))], name
+        classifiers = verdicts.classifiers
+        assert isinstance(classifiers, str) or (
+            isinstance(classifiers, list) and len(classifiers) == 5), name
 
     def in_harness(names):
         return {caller for caller in _callers(names) if caller[0] == "harness.py"}
