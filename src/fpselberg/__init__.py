@@ -23,7 +23,7 @@ from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,
                         master_polynomial, point_rows, row_points,
                         selberg_integral, selberg_integrals, weight_summands,
                         weighted_integral, weighted_integrals)
-from .mpoly import (FactorProduct, LinearForm, TruncatedPoly, derivative, expand,
+from .mpoly import (FactorProduct, LinearForm, TruncatedPoly, expand,
                     extract_coefficient, slot_budget, sparse_expand_oracle)
 
 __version__ = "0.1.0"

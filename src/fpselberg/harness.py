@@ -5,35 +5,36 @@ by closed form (or recurrence factors), exact equality only.
 total; `_sampled` draws a seeded sample, `_swept` rejects a sampled spec),
 a check that takes a list of keys, the composition length it needs, and the
 JSON form of a key in a failure record.  The campaigns over a domain of
-points, `main`, `thm_3_11`, `thm_4_111`, `i000` and the relation campaigns
-but `relations_S1S2`, take their keys as int64 rows (a, b_1, ..., b_n, c):
-`admissible_rows` and `i000_rows` return them, `_sampled` samples row
-indices, and the theorem key lists are built by interval expansion
-(`_thm_keys`).  Every check returns one `_Verdicts`: per key, the two sides
-as int64 residues, whether the key was checked (a key not checked is a
-skip), and its failure classifier.  `main`, `thm_3_11`, `thm_4_111` and
-`i000` evaluate their closed forms over the rows in one batch call
-(`formulas.r_values`, `rhs_3_11_values`, `rhs_4_111_values`;
-`adm.i000_closed_forms`) and build no point and no field element per key;
-the other closed forms and the recurrence factors are field elements per
-key, turned into residues.  Checks take their integrals in batches: `beta`
+points, `main`, `thm_3_11`, `thm_4_111`, `i000`, `stokes` and the relation
+campaigns but `relations_S1S2`, take their keys as int64 rows (a, b_1, ...,
+b_n, c): `admissible_rows` and `i000_rows` return them, `stokes` takes the
+box a, b_i, c in [1, p), `_sampled` samples row indices, and the theorem
+key lists are built by interval expansion (`_thm_keys`).  Every check
+returns one `_Verdicts`: per key, the two sides as int64 residues, whether
+the key was checked (a key not checked is a skip), and its failure
+classifier.  `main`, `thm_3_11`, `thm_4_111` and `i000` evaluate their
+closed forms over the rows in one batch call (`formulas.r_values`,
+`rhs_3_11_values`, `rhs_4_111_values`; `adm.i000_closed_forms`) and build
+no point and no field element per key; the other closed forms and the
+recurrence factors are field elements per key, turned into residues.  Checks take their integrals in batches: `beta`
 (the one group k = (1,)), `main`, `thm_3_11`, `thm_4_111` and
 `relations_S1S2` from one `selberg_integrals` call per key list, `dyson`
 from one per k; `induction` from two per run of one composition (the full
 and the truncated composition); `i000`, `relations_II0`, `relations_B1` and
 `relations_B2` from one `weighted_integrals` call per allowable triple;
-`relations_IS` from one of each.  `stokes` reads one coefficient off one
-expansion per key.  `run_campaign` splits the keys into contiguous chunks
-of at most CHUNK_KEYS, and `_outcome` turns each chunk's verdicts into its
-count of checked keys and its failure records, in key order, with one array
-comparison, sequentially or in the jobs > 1 pool.  A chunk's integrals run
-in batches per c (`integrals._batches`), and a chunk boundary cuts each c
-group it crosses into one more batch, so chunks are large.  Checks look up
-integrals, `formulas.*` and `adm.*` by module attribute at call time, so
-code that patches those attributes sees every call.  Only `bench` calls
-`selberg_integral`, and nothing calls `weighted_integral` or `fp_integral`;
-they stay imported, as module attributes that the campaign benchmark's
-tracer wraps.
+`relations_IS` from one of each; `stokes` from at most four calls of the
+batch runner `chain_integrals`, whose other callers are `selberg_integrals`
+and `weighted_integrals`.  `run_campaign` splits the keys into contiguous
+chunks of at most CHUNK_KEYS, and `_outcome` turns each chunk's verdicts
+into its count of checked keys and its failure records, in key order, with
+one array comparison, sequentially or in the jobs > 1 pool.  A chunk's
+integrals run in batches per c (`chain_integrals`), and a chunk boundary
+cuts each c group it crosses into one more batch, so chunks are large.
+Checks look up integrals, `formulas.*` and `adm.*` by module attribute at
+call time, so code that patches those attributes sees every call.  Only
+`bench` calls `selberg_integral`, and nothing calls `weighted_integral` or
+`fp_integral`; they stay imported, as module attributes that the campaign
+benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ from . import admissible as adm
 from . import formulas, mpoly
 from .errors import CapacityExceeded, ZeroFactor
 from .gf import FpContext
-from .integrals import (AllowableTriple, FactorProduct, KComposition, LinearForm,
-                        PCycle, cycle_from_composition, fp_integral,
-                        master_polynomial, point_rows, row_points, selberg_integral,
-                        selberg_integrals, weighted_integral, weighted_integrals)
+from .integrals import (AllowableTriple, KComposition, LinearForm, chain_integrals,
+                        cycle_from_composition, fp_integral, master_polynomial,
+                        point_rows, row_points, selberg_integral, selberg_integrals,
+                        weighted_integral, weighted_integrals)
 
 _INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
@@ -77,8 +78,7 @@ class CampaignSpec:
             raise ValueError(f"samples must be at least 0, got {self.samples}")
         if not self.exhaustive and self.samples == 0:
             raise ValueError("a sampled run needs at least 1 sample")
-        # stokes reads samples as its point count in both modes
-        if self.exhaustive and self.samples and self.campaign != "stokes":
+        if self.exhaustive and self.samples:
             raise ValueError(f"an exhaustive {self.campaign} run takes no samples, "
                              f"got {self.samples}")
         if self.jobs < 1:
@@ -292,40 +292,35 @@ def _i000_check(ctx, k, rows):
                        adm.i000_closed_forms(k1, k2, rows, ctx))
 
 
-def random_factor_product(ctx: FpContext, rng: random.Random) -> tuple[FactorProduct, PCycle]:
-    """A random product of x, 1-x, and difference factors in 1 to 3 variables, with a cycle."""
-    nv = rng.randint(1, 3)
-    factors = []
-    for v in range(nv):
-        factors.append((LinearForm.var(v), rng.randint(0, ctx.p)))
-        factors.append((LinearForm.one_minus(v), rng.randint(0, ctx.p)))
-    for i in range(nv):
-        for j in range(i + 1, nv):
-            if rng.random() < 0.6:
-                factors.append((LinearForm.diff(i, j), rng.randint(1, ctx.p // 2 + 1)))
-    scalar = rng.randint(1, ctx.p - 1)
-    lengths = tuple(rng.randint(1, 2) for _ in range(nv))
-    return FactorProduct(ctx, nv, tuple(factors), scalar), PCycle(lengths)
+def _stokes_check(ctx, k, rows):
+    """Stokes' identity in t_1, the first variable of group 1: the integral
+    of d Phi / d t_1 is 0, since the coefficient of x^T in a derivative in
+    x_1 is (T_1 + 1) = l_1 p = 0 times one of Phi.  By the product rule,
 
+        a I[t_1^{a-1}] + 2c (k_1-1) I[(t_1-t_2) lowered]
+            = b_1 I[(1-t_1)^{b_1-1}] + (p-c) k_2 I[(s_1-t_1) lowered],
 
-def _stokes_check(ctx, _k, keys):
-    """The integral of a partial derivative of a random product is 0.
-
-    No fault in the expansion engine can fail this check: the coefficient
-    of x^T in d f / d x_v is (T_v + 1) [x^(T + e_v)] f, and T_v + 1 = l_v p
-    is 0 mod p, whatever `mpoly.expand` returns for f.
-    """
-    lhs, classifiers = [], []
-    for seed, index in keys:
-        rng = random.Random(seed * 1_000_003 + index)
-        fp, cycle = random_factor_product(ctx, rng)
-        var = rng.randrange(fp.num_vars)
-        targets = cycle.targets(ctx.p)
-        caps = tuple(t + 1 if v == var else t for v, t in enumerate(targets))
-        lhs.append(mpoly.derivative(mpoly.expand(fp, caps), var).coefficient(targets))
-        classifiers.append(f"derivative in x{var+1} has nonzero integral")
-    lhs = _residues(lhs)
-    return _everywhere(lhs, np.zeros_like(lhs), classifiers)
+    each I one `chain_integrals` call, a shift on t_1 or a pair lowered in
+    block 1.  The sums over the other t's of group 1 and over the s's of
+    group 2 are k_1-1 and k_2 times one term, by symmetry within a group
+    (as in `weighted_integral`).  The in-group term is 0, as swapping t_1
+    and t_2 negates it, so it checks the lowered in-group block alone.
+    Homogeneous in the integrals, so a fault that zeroes or scales every
+    integral passes it."""
+    comp, p = KComposition(k), ctx.p
+    k1, c = comp.part(1), rows[:, -1]
+    # (side, coefficient, shift of t_1, lowered pairs)
+    terms = [(0, rows[:, 0], (-1, 0), frozenset()), (1, rows[:, 1], (0, -1), frozenset())]
+    if k1 > 1:
+        terms.append((0, 2 * c * (k1 - 1), (0, 0), frozenset({LinearForm.diff(0, 1)})))
+    if comp.n > 1:
+        terms.append((1, (p - c) * comp.part(2), (0, 0), frozenset({LinearForm.diff(k1, 0)})))
+    sides = np.zeros((2, len(rows)), dtype=np.int64)
+    for side, coefficient, shift, lowered in terms:
+        shifts = [[shift] + [(0, 0)] * (k1 - 1)] + [[(0, 0)] * part for part in comp.parts[1:]]
+        sides[side] += coefficient % p * chain_integrals(comp, rows, ctx, shifts, lowered)
+        sides[side] %= p
+    return _everywhere(*sides)
 
 
 # key lists: (spec, ctx) -> (total, keys); total - len(keys) points are skips
@@ -435,8 +430,10 @@ def _i000_keys(spec, ctx):
 
 
 def _stokes_keys(spec, _ctx):
-    keys = [(spec.seed, i) for i in range(spec.samples or 500)]
-    return len(keys), keys
+    """The box a, b_i, c in [1, p) as rows (a, b_1, ..., b_n, c), in
+    lexicographic order."""
+    width = KComposition(spec.k).n + 2
+    return _sampled(np.indices((spec.p - 1,) * width).reshape(width, -1).T + 1, spec)
 
 
 def _point(row) -> dict:
@@ -469,8 +466,7 @@ _CAMPAIGNS = {
     "induction": _Campaign(_induction_keys, _induction_check,
                            point=lambda key: {"a": key[1], "b": None, "c": key[2]}),
     "i000": _Campaign(_i000_keys, _i000_check, 2),
-    "stokes": _Campaign(_stokes_keys, _stokes_check,
-                        point=lambda key: {"a": None, "b": None, "c": None}),
+    "stokes": _Campaign(_stokes_keys, _stokes_check, 0),
 }
 
 CAMPAIGNS = tuple(_CAMPAIGNS)
@@ -524,7 +520,7 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
         campaign=spec.campaign, p=spec.p, k=spec.k,
         total=total, checked=checked, passed=checked - len(failures), skipped=total - checked,
         failures=failures, elapsed_ms=int((time.monotonic() - t0) * 1000),
-        seed=None if spec.exhaustive and spec.campaign != "stokes" else spec.seed,
+        seed=None if spec.exhaustive else spec.seed,
     )
 
 

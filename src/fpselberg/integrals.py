@@ -49,18 +49,21 @@ Both integrals take their points as int64 rows (a, b_1, ..., b_n, c) and
 return int64 residues, one per row.  They raise, before any point is
 evaluated, what their batch of one would raise at the first offending
 row, from vector checks (`_raise_at_first`).  They run on the same chain
-and blocks, through one batch runner (`_batches`) that sorts the rows by c
-and splits each c group under BATCH_SLOTS.  Its data is a shift table, one
-(da, db) per variable: the row of variable j of group i is
+and blocks, through one batch runner (`chain_integrals`) that sorts the
+rows by c and splits each c group under BATCH_SLOTS.  Its data is a shift
+table, one (da, db) per variable: the row of variable j of group i is
 x^{a [i=1] + da} (1-x)^{b_i + db}, gathered for a whole batch at once from
 the padded table of the group's cap (`_padded_powers`, `_weight_rows`),
-which holds a row per distinct b_i + db asked for.
+which holds a row per distinct b_i + db asked for; and a set of pair
+factors one lower in block 1.  It has three callers.
 `selberg_integrals` passes all-zero shifts (and the beta integral is its
 one group k = (1,)).  `weighted_integrals` passes the identity summand's
 shifts (argument in `weighted_integral`'s docstring), at most two distinct
 ones per group, with the cross factors of its denominator pairs one lower
-in block 1, the same for every point of one triple.  `selberg_integral`
-and `weighted_integral` take a `ParamPoint` and are their batches of one.
+in block 1, the same for every point of one triple.  The `stokes` check of
+`harness` passes the terms of the product rule in t_1: a shift on t_1, or
+one pair through t_1 lowered.  `selberg_integral` and `weighted_integral`
+take a `ParamPoint` and are their batches of one.
 `point_rows` and `row_points` convert between points and rows.
 `fp_integral` reads one coefficient of a whole integrand's `mpoly.expand`;
 no package code calls it.
@@ -442,16 +445,17 @@ def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
     return mpoly.top_coefficient(value.reshape((-1,) + shape), rows[-1], p)
 
 
-def _batches(k: KComposition, rows: np.ndarray, ctx: FpContext,
-             shifts: list[list[tuple[int, int]]],
-             lowered: frozenset[LinearForm] = frozenset()) -> np.ndarray:
+def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
+                    shifts: list[list[tuple[int, int]]],
+                    lowered: frozenset[LinearForm] = frozenset()) -> np.ndarray:
     """The chain's value at each row (a, b_1, ..., b_n, c), in order, with
     variable j of group i+1 weighted by x^{a [i=0] + da} (1-x)^{b_{i+1} + db}
     for (da, db) = shifts[i][j].  The rows are grouped by c, and each group
     runs in batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
     lowered)`; a batch's weight rows are one gather per distinct shift of a
-    group from the padded table of the group's cap.  Raises as `_blocks`,
-    before any point is evaluated, and AccumulatorOverflow as the `mpoly`
+    group from the padded table of the group's cap.  Raises, before any
+    point is evaluated, NegativeExponent where a shift takes an exponent
+    below 0, then as `_blocks`; and AccumulatorOverflow as the `mpoly`
     kernels, whose accumulation bounds (int64 for the contraction and the
     top coefficient, 2^53 for the float64 row product) are per point."""
     p = ctx.p
@@ -459,6 +463,14 @@ def _batches(k: KComposition, rows: np.ndarray, ctx: FpContext,
     values = np.zeros(len(rows), dtype=np.int64)
     if not len(rows):
         return values
+    for i, group in enumerate(shifts[:k.n]):
+        # the lowest exponents of x and of 1-x in group i+1, per row
+        lowest = np.column_stack([rows[:, 0] * (i == 0), rows[:, 1 + i]]) + np.min(group, axis=0)
+        if lowest.min() < 0:
+            t, axis = divmod(int(lowest.argmin()), 2)
+            raise NegativeExponent(f"row {tuple(rows[t].tolist())}: a shift takes the exponent "
+                                   f"of {('x', '1-x')[axis]} in group {i + 1} to "
+                                   f"{int(lowest[t, axis])}")
     order = np.argsort(rows[:, -1], kind="stable")
     rows = rows[order]
     bounds = [0, *(np.flatnonzero(rows[1:, -1] != rows[:-1, -1]) + 1).tolist(), len(rows)]
@@ -515,13 +527,14 @@ def _invalid(rows: np.ndarray, p: int) -> np.ndarray:
 def selberg_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
     """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
     at each row (a, b_1, ..., b_n, c), in order, as int64 residues: every
-    shift zero along the block chain, in batches (`_batches`).  Raises, for
-    the first offending row, as `selberg_integral` at its point."""
+    shift zero along the block chain, in batches (`chain_integrals`).
+    Raises, for the first offending row, as `selberg_integral` at its
+    point."""
     if rows.shape[1] != k.n + 2:
         raise PreconditionViolation(f"b has length {rows.shape[1] - 2}, composition has n={k.n}")
     _raise_at_first(rows, _invalid(rows, ctx.p),
                     lambda a, b, c: _check_point(k, ParamPoint(a, b, c), ctx))
-    return _batches(k, rows, ctx, [[(0, 0)] * part for part in k.parts])
+    return chain_integrals(k, rows, ctx, [[(0, 0)] * part for part in k.parts])
 
 
 def selberg_integral(k: KComposition, pt: ParamPoint, ctx: FpContext) -> FpElement:
@@ -627,18 +640,18 @@ def _check_weighted_point(pt: ParamPoint, p: int, shifts, pairs) -> None:
 def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
                        ctx: FpContext) -> np.ndarray:
     """`weighted_integral` at each row (a, b1, b2, c), in order, as int64
-    residues, in batches (`_batches`).
+    residues, in batches (`chain_integrals`).
 
     The identity summand divides the integrand by prod t_i (1-t_i)
     prod (1-s_j) and by its denominator pairs, which is done symbolically by
     lowering exponents by one; its numerator factors raise them back
     selectively.  So variable j of group i gets the shift (da, db) of
-    `_batches`: (-[j not in t_num], -[j not in t_one_minus]) for a t and
-    (0, -[j not in s_one_minus]) for an s, and the same denominator pairs
-    are one lower in block 1 at every point.  Requires a, b_1, b_2 >= 1 so
-    no exponent goes negative.  Raises for the arguments first, then,
+    `chain_integrals`: (-[j not in t_num], -[j not in t_one_minus]) for a t
+    and (0, -[j not in s_one_minus]) for an s, and the same denominator
+    pairs are one lower in block 1 at every point.  Requires a, b_1, b_2 >=
+    1 so no exponent goes negative.  Raises for the arguments first, then,
     before any point is evaluated, as the first offending row would alone
-    (`_invalid` and `_weighted_flags` mark them), then as `_batches`.
+    (`_invalid` and `_weighted_flags` mark them), then as `chain_integrals`.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
@@ -654,7 +667,7 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
                                                           sm.pairs))
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return _batches(KComposition((k1, k2) if k2 else (k1,)), rows, ctx, shifts, lowered)
+    return chain_integrals(KComposition((k1, k2) if k2 else (k1,)), rows, ctx, shifts, lowered)
 
 
 def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,

@@ -193,22 +193,6 @@ class TruncatedPoly:
         return f"TruncatedPoly(p={self.ctx.p}, caps={self.caps}, nnz={self.nonzero_count()})"
 
 
-def derivative(poly: TruncatedPoly, var: int) -> TruncatedPoly:
-    """Partial derivative along one variable, same caps (top slot zeroed)."""
-    if var < 0 or var >= len(poly.caps):
-        raise PreconditionViolation(f"variable {var} outside caps {poly.caps}")
-    out = np.zeros_like(poly.coeffs)
-    n = poly.caps[var]
-    if n > 0:
-        shape = [1] * len(poly.caps)
-        shape[var] = n
-        mult = np.arange(1, n + 1, dtype=np.int64).reshape(shape)
-        src = tuple(slice(1, None) if i == var else slice(None) for i in range(len(poly.caps)))
-        dst = tuple(slice(0, n) if i == var else slice(None) for i in range(len(poly.caps)))
-        out[dst] = poly.coeffs[src] * mult % poly.ctx.p
-    return TruncatedPoly(poly.ctx, poly.caps, out)
-
-
 # ---------------------------------------------------------------------------
 # expansion engine
 # ---------------------------------------------------------------------------

@@ -201,7 +201,7 @@ def test_criterion_09_weighted_closed_form():
 
 def test_criterion_10_property_suites():
     t0 = time.monotonic()
-    stokes = _green(CampaignSpec("stokes", 7, samples=500, seed=3))
+    stokes = _green(CampaignSpec("stokes", 7, (3, 2), exhaustive=False, samples=500, seed=3))
     assert stokes.checked == 500
 
     # group-internal transpositions leave the integral unchanged

@@ -122,7 +122,7 @@ def test_jobs_below_one_exits_2(capsys):
 
 def test_negative_samples_exit_2(capsys):
     # a negative count used to print "total": -3 (stokes) or fail in the sampler (main)
-    for argv in (["stokes", "--p", "7"], ["main", "--p", "7", "--k", "2,1"]):
+    for argv in (["stokes", "--p", "7", "--k", "2,1"], ["main", "--p", "7", "--k", "2,1"]):
         with pytest.raises(SystemExit) as exc:
             main(["check", *argv, "--samples", "-3", "--json"])
         assert exc.value.code == 2
@@ -134,7 +134,7 @@ def test_samples_on_a_campaign_without_sampler_exit_2(capsys):
                          "--seed", "9", "--json")
     assert code == 2 and out == ""
     assert "beta sweeps every point" in err
-    code, out, _ = run(capsys, "check", "stokes", "--p", "5", "--samples", "3",
+    code, out, _ = run(capsys, "check", "stokes", "--p", "5", "--k", "2,1", "--samples", "3",
                        "--seed", "9", "--json")
     assert code == 0
     assert (json.loads(out)["total"], json.loads(out)["seed"]) == (3, 9)

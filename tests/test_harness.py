@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from fpselberg.errors import InvariantViolation, ZeroFactor
 from fpselberg.formulas import b_factor, induction_factor
 from fpselberg.gf import FpContext, FpElement
 from fpselberg.integrals import KComposition, ParamPoint, row_points, selberg_integral
+from fpselberg.mpoly import LinearForm
 from fpselberg.harness import (CAMPAIGNS, CampaignSpec, VerificationReport, bench,
                                run_campaign)
 
@@ -31,10 +33,10 @@ def test_campaign_spec_validation():
     spec = CampaignSpec("main", 7, [2, 1])
     assert spec.k == (2, 1)
     with pytest.raises(ValueError, match="samples must be at least 0"):
-        CampaignSpec("stokes", 7, samples=-3)
+        CampaignSpec("stokes", 7, (2, 1), samples=-3)
     # a sample count on an exhaustive spec used to be ignored: the whole
     # domain was swept and the report said seed None
-    for campaign in ("i000", "main", "beta"):
+    for campaign in ("i000", "main", "beta", "stokes"):
         with pytest.raises(ValueError, match="exhaustive .* takes no samples"):
             CampaignSpec(campaign, 7, (2, 1), samples=3, seed=4)
     # a worker count below 1 used to run silently in this process
@@ -55,9 +57,12 @@ def test_sampled_spec_needs_a_sample():
     # a sampled run of 0 points used to report total 0, checked 0: a pass
     with pytest.raises(ValueError, match="at least 1 sample"):
         CampaignSpec("main", 7, (2, 1), exhaustive=False, samples=0, seed=4)
-    # stokes takes its point count from samples, sampled or not
-    assert CampaignSpec("stokes", 7, samples=500, seed=3).exhaustive
-    assert run_campaign(CampaignSpec("stokes", 5, exhaustive=False, samples=3)).total == 3
+    # stokes used to take its point count from samples, sampled or not; it
+    # samples its box as main samples its domain
+    with pytest.raises(ValueError, match="exhaustive stokes run takes no samples"):
+        CampaignSpec("stokes", 7, (2, 1), samples=500, seed=3)
+    report = run_campaign(CampaignSpec("stokes", 5, (2, 1), exhaustive=False, samples=3, seed=6))
+    assert (report.total, report.checked, report.seed) == (3, 3, 6)
 
 
 def test_report_schema_and_key_order():
@@ -77,7 +82,7 @@ ACCOUNTING_SPECS = {
     "relations_B1": CampaignSpec("relations_B1", 7, (2, 1), exhaustive=False,
                                  samples=10, seed=1),
     "relations_B2": CampaignSpec("relations_B2", 7, (2, 1)),
-    "stokes": CampaignSpec("stokes", 5, samples=20, seed=2),
+    "stokes": CampaignSpec("stokes", 5, (3, 2, 1), exhaustive=False, samples=20, seed=2),
 }
 
 
@@ -288,7 +293,7 @@ def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatc
     monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
     first = [run_campaign(spec).as_dict() for spec in specs]
     built, groups, batches = [], [], []
-    expand, runner, chain = mpoly.expand, integrals._batches, integrals._chain
+    expand, runner, chain = mpoly.expand, integrals.chain_integrals, integrals._chain
 
     def recording_expand(fp, caps):
         built.append(caps)
@@ -304,7 +309,7 @@ def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatc
         return chain(rows, blocks, p)
 
     monkeypatch.setattr(mpoly, "expand", recording_expand)
-    monkeypatch.setattr(integrals, "_batches", recording_runner)
+    monkeypatch.setattr(integrals, "chain_integrals", recording_runner)
     monkeypatch.setattr(integrals, "_chain", recording_chain)
     second = [run_campaign(spec).as_dict() for spec in specs]
     assert built == []
@@ -344,14 +349,15 @@ def test_failures_populate_all_passed():
 
 
 def test_campaigns_requiring_k_reject_its_absence():
-    with pytest.raises(ValueError):
-        run_campaign(CampaignSpec("main", 7))
+    for campaign in ("main", "stokes"):
+        with pytest.raises(ValueError, match="needs a composition k"):
+            run_campaign(CampaignSpec(campaign, 7))
     with pytest.raises(ValueError):
         run_campaign(CampaignSpec("relations_IS", 7, (2, 1, 1)))
 
 
 @pytest.mark.parametrize("campaign, k", [("beta", (2, 1)), ("dyson", (2,)), ("thm_3_11", (1, 1)),
-                                         ("thm_4_111", (1, 1, 1)), ("stokes", (7,))])
+                                         ("thm_4_111", (1, 1, 1))])
 def test_campaigns_without_k_reject_one(campaign, k):
     # these never read a composition: the report used to echo it anyway
     with pytest.raises(ValueError, match="takes no composition k"):
@@ -469,9 +475,37 @@ def test_outcomes_follow_the_keys_through_skips(monkeypatch):
 
 
 def test_stokes_campaign_runs_clean():
-    r = run_campaign(CampaignSpec("stokes", 7, samples=25, seed=4))
+    r = run_campaign(CampaignSpec("stokes", 7, (3, 2), exhaustive=False, samples=25, seed=4))
     assert r.total == r.checked == r.passed == 25
     assert r.seed == 4
+    # the keys are the box a, b_i, c in [1, p), in lexicographic order
+    total, rows = harness._CAMPAIGNS["stokes"].keys(CampaignSpec("stokes", 7, (3, 2)),
+                                                    FpContext(7))
+    assert total == 6 ** 4 and rows.tolist() == [list(row) for row in product(range(1, 7),
+                                                                             repeat=4)]
+
+
+def test_stokes_identity_holds_over_the_whole_box():
+    # beyond the golden (2, 1) at p=7: one group with and without its
+    # in-group term, and cross terms through a third group
+    for parts, p in (((1,), 7), ((3,), 7), ((3, 2), 7), ((2, 1, 1), 5), ((3, 2, 1), 5)):
+        report = run_campaign(CampaignSpec("stokes", p, parts))
+        assert report.checked == report.passed == (p - 1) ** (len(parts) + 2), parts
+    # the in-group and cross sums of the product rule are k_1 - 1 and k_2
+    # times one of their terms, a lowered (t_1 - t_j) or (s_m - t_1), by
+    # symmetry within a group; unshifted, the in-group term is 0, since
+    # swapping t_1 and t_j negates it, and with t_1^{a-1} it is not
+    ctx, comp = FpContext(7), KComposition((3, 2))
+    _, rows = harness._CAMPAIGNS["stokes"].keys(CampaignSpec("stokes", 7, (3, 2)), ctx)
+    lowered = {(pair, shift): integrals.chain_integrals(
+        comp, rows, ctx, [[shift, (0, 0), (0, 0)], [(0, 0)] * 2],
+        frozenset({LinearForm.diff(*pair)}))
+        for pair in ((0, 1), (0, 2), (3, 0), (4, 0)) for shift in ((0, 0), (-1, 0))}
+    assert not lowered[(0, 1), (0, 0)].any() and not lowered[(0, 2), (0, 0)].any()
+    for first, other, shift in (((0, 1), (0, 2), (-1, 0)), ((3, 0), (4, 0), (0, 0)),
+                                ((3, 0), (4, 0), (-1, 0))):
+        assert lowered[first, shift].any(), (first, shift)
+        assert np.array_equal(lowered[first, shift], lowered[other, shift]), (first, shift)
 
 
 def test_bench_reports_comparison():

@@ -877,6 +877,22 @@ def test_selberg_integrals_raise_as_the_first_offending_row(monkeypatch, parts, 
     assert evaluated == []
 
 
+@pytest.mark.parametrize("bad, shift, message", [
+    ((2, 0, 3, 2), (0, -1), r"row \(2, 0, 3, 2\): .* of 1-x in group 1 to -1"),
+    ((0, 2, 3, 2), (-1, 0), r"row \(0, 2, 3, 2\): .* of x in group 1 to -1"),
+], ids=["db-at-b1-0", "da-at-a-0"])
+def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, message):
+    # db = -1 at b_1 = 0 used to read the padded row of index -1, that of
+    # the largest b, and return 6 at this row; da = -1 at a = 0 raised a
+    # bare IndexError
+    evaluated = []
+    monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
+    with pytest.raises(NegativeExponent, match=message):
+        integrals.chain_integrals(KComposition((2, 1)), np.array([(2, 1, 3, 2), bad]),
+                                  FpContext(7), [[shift, (0, 0)], [(0, 0)]])
+    assert evaluated == []
+
+
 def _plant_doubled_term(monkeypatch):
     """Plant an engine fault: in every power form**e with e >= 3 that the
     package expands, double the term with d = 1, the one in which the

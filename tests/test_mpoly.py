@@ -13,9 +13,8 @@ from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition
 from fpselberg.mpoly import (FactorProduct, LinearForm, SparseBlock,
-                             TruncatedPoly, check_float64_sum,
-                             check_int64_sum, contract,
-                             derivative, expand, extract_coefficient,
+                             check_float64_sum, check_int64_sum, contract,
+                             expand, extract_coefficient,
                              multiply_along_axes, slot_budget,
                              sparse_expand_oracle, top_coefficient)
 
@@ -128,29 +127,6 @@ def test_combined_product_matches_oracle_over_cap_box():
     full = sparse_expand_oracle(combined)
     for mono in itertools.product(*(range(c + 1) for c in caps)):
         assert int(poly.coefficient(mono)) == full.get(mono, 0), mono
-
-
-def test_derivative_known():
-    ctx = FpContext(7)
-    coeffs = np.zeros((4, 3), dtype=np.int64)
-    coeffs[3, 1], coeffs[1, 0] = 2, 5  # 2 x^3 y + 5 x
-    poly = TruncatedPoly(ctx, (3, 2), coeffs)
-    d0 = derivative(poly, 0)
-    assert int(d0.coefficient((2, 1))) == 6
-    assert int(d0.coefficient((0, 0))) == 5
-    # the top slot along the derived axis has no incoming term and reads 0
-    assert int(d0.coefficient((3, 1))) == 0
-
-
-def test_derivative_frobenius_and_missing_variable():
-    ctx = FpContext(5)
-    x5 = expand(FactorProduct(ctx, 1, ((LinearForm.var(0), 5),)), (5,))
-    assert derivative(x5, 0).nonzero_count() == 0  # d/dx x^5 = 5x^4 = 0
-    # x (x + 3) = x^2 + 3x does not involve y
-    x_only = expand(FactorProduct(ctx, 2, ((LinearForm.var(0), 1),
-                                           (LinearForm(3, ((0, 1),)), 1))), (3, 3))
-    assert x_only.nonzero_count() == 2
-    assert derivative(x_only, 1).nonzero_count() == 0
 
 
 def test_budget_env_override(monkeypatch):

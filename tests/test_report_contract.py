@@ -8,12 +8,15 @@ table.  A change that alters any report fails here; if the change is meant,
 regenerate the file from `GOLDEN_SPECS` and say why.
 
 The failure path is pinned the same way: with every integral the checks
-compute shifted by one (each residue of a `selberg_integrals` or
-`weighted_integrals` batch too), each campaign's checked count, failure
-count and first failure record are frozen; with every integral zeroed or
-doubled, its checked and failure counts.  A campaign's failure records do
-not depend on how its keys are cut into chunks, and the relation campaigns'
-and `induction`'s counts of nontrivial checks (sides not both 0) are frozen.
+compute shifted by one (each residue of a `selberg_integrals`,
+`weighted_integrals` or `chain_integrals` batch too), each campaign's
+checked count, failure count and first failure record are frozen; with
+every integral zeroed or doubled, its checked and failure counts.  The
+`stokes` identity is homogeneous too, and a fault in the chain or in the
+engine that builds its blocks fails it.  A campaign's failure records do
+not depend on how its keys are cut into chunks, and the relation
+campaigns', `induction`'s and `stokes`'s counts of nontrivial checks (sides
+not both 0) are frozen.
 """
 
 import json
@@ -23,13 +26,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fpselberg import formulas, harness, mpoly
+from fpselberg import formulas, harness, integrals
 from fpselberg.gf import FpContext, FpElement
 from fpselberg.harness import CAMPAIGNS, CampaignSpec, run_campaign
 from fpselberg.integrals import AllowableTriple, KComposition, cycle_from_composition
+from test_integrals import _plant_doubled_term
 
 NEEDS_K = {"main", "relations_IS", "relations_II0", "relations_B1", "relations_B2",
-           "relations_S1S2", "i000"}
+           "relations_S1S2", "i000", "stokes"}
 GOLDEN_SPECS = [CampaignSpec(name, 7, (2, 1) if name in NEEDS_K else None)
                 for name in CAMPAIGNS]
 GOLDEN_SPECS.append(CampaignSpec("main", 7, (2, 1), exhaustive=False, samples=10, seed=5))
@@ -48,8 +52,7 @@ def test_reports_match_golden_file():
     assert text == GOLDEN.read_text()
 
 
-# campaign: (checked, failures, first failure) with every integral off by one;
-# stokes computes no integral through these entry points
+# campaign: (checked, failures, first failure) with every integral off by one
 FAULTED = {
     "main": (61, 61, {"point": {"a": 1, "b": [2, 5], "c": 3}, "lhs": 0, "rhs": 6,
                       "classifier": "mismatch"}),
@@ -74,17 +77,18 @@ FAULTED = {
                            "classifier": "k=(2, 1) factored identity"}),
     "i000": (60, 60, {"point": {"a": 1, "b": [3, 6], "c": 3}, "lhs": 2, "rhs": 1,
                       "classifier": "mismatch"}),
-    "stokes": (500, 0, None),
+    "stokes": (1296, 1116, {"point": {"a": 1, "b": [1, 1], "c": 1}, "lhs": 3, "rhs": 0,
+                            "classifier": "mismatch"}),
 }
 
 
 # campaign: (checked, failures) with every integral zeroed, and the same with
-# every integral doubled; the six relation campaigns are homogeneous in the
-# integrals, so such a fault passes them
+# every integral doubled; the six relation campaigns and stokes are
+# homogeneous in the integrals, so such a fault passes them
 SCALED = {"main": (61, 61), "beta": (49, 28), "dyson": (9, 9), "thm_3_11": (658, 658),
           "thm_4_111": (2298, 2298), "relations_IS": (61, 0), "relations_II0": (61, 0),
           "relations_B1": (26, 0), "relations_B2": (25, 0), "relations_S1S2": (52, 0),
-          "induction": (21, 0), "i000": (60, 60), "stokes": (500, 0)}
+          "induction": (21, 0), "i000": (60, 60), "stokes": (1296, 0)}
 # each acts on an int64 array of residues mod p
 FAULTS = {"plus_one": lambda values, p: (values + 1) % p,
           "zero": lambda values, p: values * 0,
@@ -97,10 +101,10 @@ def _plant(monkeypatch, planted):
         integral = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *args, integral=integral: FpElement(
             int(planted(np.array([int(integral(*args))]), args[-1].p)[0]), args[-1]))
-    for name in ("selberg_integrals", "weighted_integrals"):
+    for name in ("selberg_integrals", "weighted_integrals", "chain_integrals"):
         batched = getattr(harness, name)
         monkeypatch.setattr(harness, name, lambda *args, batched=batched: planted(
-            batched(*args), args[-1].p))
+            batched(*args), next(arg.p for arg in args if isinstance(arg, FpContext))))
 
 
 @pytest.mark.parametrize("fault, spec", [
@@ -160,7 +164,8 @@ def test_relations_ii0_reports_each_rows_first_nonzero_step(monkeypatch, p):
 # trivial where both its sides are 0; relations_II0 reports (0, 0) at every
 # passing row, so its count is of the rows where some I_{0,i,0} is nonzero
 NONTRIVIAL = {"relations_IS": (15, 61), "relations_II0": (15, 61), "relations_B1": (5, 26),
-              "relations_B2": (5, 25), "relations_S1S2": (52, 52), "induction": (21, 21)}
+              "relations_B2": (5, 25), "relations_S1S2": (52, 52), "induction": (21, 21),
+              "stokes": (165, 1296)}
 
 
 @pytest.mark.parametrize("campaign", sorted(NONTRIVIAL))
@@ -178,21 +183,19 @@ def test_nontrivial_check_counts(campaign):
     assert (int(nontrivial.sum()), int(checked.sum())) == NONTRIVIAL[campaign]
 
 
-def test_stokes_passes_whatever_the_engine_returns(monkeypatch):
-    # the coefficient of x^T in d f / d x_v is (T_v + 1) [x^(T + e_v)] f and
-    # T_v + 1 = l_v p = 0 mod p, so `stokes` cannot see an engine fault, as
-    # SCALED records the relation campaigns' blind spots
-    rng = np.random.default_rng(7)
-    expanded = []
-
-    def random_residues(fp, caps):
-        expanded.append(caps)
-        shape = tuple(cap + 1 for cap in caps)
-        return mpoly.TruncatedPoly(fp.ctx, caps, rng.integers(0, fp.ctx.p, shape))
-
-    monkeypatch.setattr(mpoly, "expand", random_residues)
-    report = run_campaign(CampaignSpec("stokes", 7))
-    assert (report.checked, len(report.failures), len(expanded)) == (500, 0, 500)
+@pytest.mark.parametrize("fault", ["chain_plus_one", "doubled_term"])
+def test_a_planted_chain_or_engine_fault_fails_stokes(monkeypatch, fault):
+    # Stokes' identity reads four integrals of the chain, so a fault in the
+    # chain or in the engine that builds its blocks leaves a residual
+    if fault == "chain_plus_one":
+        chain = integrals._chain
+        monkeypatch.setattr(integrals, "_chain",
+                            lambda rows, blocks, p: (chain(rows, blocks, p) + 1) % p)
+    else:
+        _plant_doubled_term(monkeypatch)
+    report = run_campaign(CampaignSpec("stokes", 7, (2, 1)))
+    assert (report.checked, len(report.failures)) == (
+        1296, {"chain_plus_one": 1116, "doubled_term": 78}[fault])
 
 
 CLOSED_FORMS = {"main": "r_values", "thm_3_11": "rhs_3_11_values",

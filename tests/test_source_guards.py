@@ -136,11 +136,12 @@ def test_reference_engine_shares_no_package_code():
 
 
 def test_one_batch_runner_runs_the_chain():
-    # Selberg and weighted integrals share the batch runner; a second
+    # Selberg and weighted integrals and `stokes` share the batch runner; a second
     # caller of `_chain` would be a second evaluator to keep in step
-    assert _callers({"_chain"}) == {("integrals.py", "_batches")}
-    assert _callers({"_batches"}) == {("integrals.py", "selberg_integrals"),
-                                      ("integrals.py", "weighted_integrals")}
+    assert _callers({"_chain"}) == {("integrals.py", "chain_integrals")}
+    assert _callers({"chain_integrals"}) == {("integrals.py", "selberg_integrals"),
+                                             ("integrals.py", "weighted_integrals"),
+                                             ("harness.py", "_stokes_check")}
 
 
 def test_one_shift_table_builds_every_weight_row():
@@ -148,8 +149,8 @@ def test_one_shift_table_builds_every_weight_row():
     # no package code expands an integrand per point, and the per-point
     # engine serves only the reference integral (the Dyson constant terms
     # are one-group Selberg integrals)
-    assert _callers({"_weight_rows"}) == {("integrals.py", "_batches")}
-    assert _callers({"_padded_powers"}) == {("integrals.py", "_batches")}
+    assert _callers({"_weight_rows"}) == {("integrals.py", "chain_integrals")}
+    assert _callers({"_padded_powers"}) == {("integrals.py", "chain_integrals")}
     assert _callers({"fp_integral"}) == set()
     assert _callers({"extract_coefficient"}) == {("integrals.py", "fp_integral")}
 
