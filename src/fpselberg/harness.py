@@ -28,8 +28,9 @@ and `weighted_integrals`.  `run_campaign` splits the keys into contiguous
 chunks of at most CHUNK_KEYS, and `_outcome` turns each chunk's verdicts
 into its count of checked keys and its failure records, in key order, with
 one array comparison, sequentially or in the jobs > 1 pool.  A chunk's
-integrals run in batches per c (`chain_integrals`), and a chunk boundary
-cuts each c group it crosses into one more batch, so chunks are large.
+integrals run per c group (`chain_integrals`), and a chunk boundary cuts
+each c group it crosses in two, which then evaluate their shared prefixes
+twice, so chunks are large.
 Checks look up integrals, `formulas.*` and `adm.*` by module attribute at
 call time, so code that patches those attributes sees every call.  Only
 `bench` calls `selberg_integral`, and nothing calls `weighted_integral` or

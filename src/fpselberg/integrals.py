@@ -26,34 +26,40 @@ the coefficient at exponents g of those axes belongs at exponent D - |g| of
 the last one and is dropped when that falls outside its cap (3.3 M slots
 become 85.7 k for block 1 of (3,2) at p=13).  The cache stores only the
 nonzero slots, as a `mpoly.SparseBlock` (5 697 of 3 341 637 for that block
-at c=1; see `_BlockCache`); no dense block is ever allocated.  Points run
-in batches that share k, c and p, and so every block: per point of a batch,
-the value is carried along the chain (`_chain`) as a polynomial in one
-group, with the batch as a leading axis.  Each axis is multiplied by its
-variable's weight row, the coefficients of x^alpha (1-x)^beta (Lucas
-binomials, so beta >= p works; group 1 is just the outer product of its
-rows); the polynomial is reversed and
-contracted with the sparse block, which leaves the coefficient of x^T in
-group i as a polynomial in group i+1.  With one group, block 1 leaves one
-number per point.  With n >= 2,
-block n would hold no factor: it is not built, and the last group's
-polynomial V is finished by its target functional instead, the sum over h
-of V[h] prod_j r_j[T - h_j] for the rows r_j of its variables
-(`mpoly.top_coefficient`), one number per point.  A batch holds as many
-points as fit under BATCH_SLOTS live slots.  A module-level cache holds the
-blocks built for every prime and c, so points may be evaluated in any order;
-past CACHE_ENTRIES stored entries it drops whole primes, the least recently
-used first, but never the prime in use.
+at c=1; see `_BlockCache`); no dense block is ever allocated.
+
+Points that share k, c and p share every block.  The value is carried along
+the chain as a polynomial in one group, and after block i it depends only
+on the prefix (c, a, b_1, ..., b_i) of the point: the weight rows of groups
+1..i are all it has read of the point.  So the chain runs stage by stage
+(`_prefix_chain`): stage i contracts block i once per distinct prefix, with
+the prefixes of a batch as a leading axis.  Stage 1 starts from the outer
+product of group 1's weight rows, the coefficients of x^alpha (1-x)^beta
+(Lucas binomials, so beta >= p works); a later stage gathers each prefix's
+parent polynomial from the stage before and multiplies each axis by its
+variable's weight row.  The contraction with the sparse block leaves the
+coefficient of x^T in group i as a polynomial in group i+1.  With one
+group, block 1 leaves one number per prefix.  With n >= 2, block n would
+hold no factor: it is not built, and per point the last group's polynomial
+V is finished by its target functional instead, the sum over h of V[h]
+prod_j r_j[T - h_j] for the rows r_j of its variables
+(`mpoly.top_coefficient`).  Each stage runs in batches under BATCH_SLOTS
+live slots, and the polynomials carried from one stage to the next stay
+under the same cap (`_runs`).  A module-level cache holds the blocks built
+for every prime and c, so points may be evaluated in any order; past
+CACHE_ENTRIES stored entries it drops whole primes, the least recently used
+first, but never the prime in use.
 
 Both integrals take their points as int64 rows (a, b_1, ..., b_n, c) and
 return int64 residues, one per row.  They raise, before any point is
 evaluated, what their batch of one would raise at the first offending
 row, from vector checks (`_raise_at_first`).  They run on the same chain
 and blocks, through one batch runner (`chain_integrals`) that sorts the
-rows by c and splits each c group under BATCH_SLOTS.  Its data is a shift
-table, one (da, db) per variable: the row of variable j of group i is
-x^{a [i=1] + da} (1-x)^{b_i + db}, gathered for a whole batch at once from
-the padded table of the group's cap (`_padded_powers`, `_weight_rows`),
+rows by c and then by their prefixes, and cuts each c group into runs.
+Its data is a shift table, one (da, db) per variable: the row of variable
+j of group i is x^{a [i=1] + da} (1-x)^{b_i + db}, gathered for a whole
+stage batch at once from the padded table of the group's cap
+(`_padded_powers`, `_weight_rows`),
 which holds a row per distinct b_i + db asked for; and a set of pair
 factors one lower in block 1.  It has three callers.
 `selberg_integrals` passes all-zero shifts (and the beta integral is its
@@ -73,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -283,7 +290,11 @@ class _BlockCache:
     nonzero of the expansion is one entry of the block, at last exponent D
     less the sum of its others, unless that falls outside the last cap.
     They are stored as a `mpoly.SparseBlock`; the full block box is never
-    allocated.
+    allocated.  Its positions are reversed against the group-i box: the
+    entry of block row r is stored at R - 1 - r, for R block rows.  That is
+    the slot of the flat group tensor it multiplies, since the coefficient
+    of x^T pairs exponent T - h of the tensor with exponent h of the block,
+    and reversing every axis of a C-ordered box reverses its flat slots.
     """
 
     def __init__(self):
@@ -315,12 +326,12 @@ class _BlockCache:
                 exponent -= e
             keep = (exponent >= 0) & (exponent <= caps[-1])
             nz = nz[keep]
-            ncols = (_group_cap(k, i + 1, p) + 1) ** sizes[1]
+            nrows, ncols = (caps[0] + 1) ** sizes[0], (caps[-1] + 1) ** sizes[1]
             # the flat index in the block box, split into row and column
             row, col = np.divmod(nz * (caps[-1] + 1) + exponent[keep], ncols)
             order = np.argsort(col, kind="stable")
             columns, starts = np.unique(col[order], return_index=True)
-            self._blocks[key] = mpoly.SparseBlock(row[order], dehom[nz[order]],
+            self._blocks[key] = mpoly.SparseBlock(nrows - 1 - row[order], dehom[nz[order]],
                                                   columns, starts, ncols)
             self._entries[p] += len(nz)
             for old in list(self._entries)[:-1]:
@@ -335,12 +346,20 @@ class _BlockCache:
 _BLOCKS = _BlockCache()
 
 
-# The live-slot cap of one batch of `selberg_integrals`.  A batch holds as
-# many points as fit: each point counts the slots of every array a chain
-# step allocates for it (its group tensor, the gathered block entries, the
-# Toeplitz matrix of its row and the next group tensor; at the last step of
-# n >= 2, its group tensor only), at the step where they add up to the
-# most.  A point over the cap alone is a batch of one.
+# The live-slot cap of one batch of a chain stage, and of each array carried
+# from one stage to the next.  A stage batch holds as many prefixes (rows,
+# at the last stage of n >= 2) as fit: each counts the slots of every array
+# the stage allocates for it (`_stage_slots`: its group tensor, its weight
+# rows, the gathered block entries, the Toeplitz matrix of its rows after
+# stage 1 and the next group tensor; at the last stage of n >= 2, its group
+# tensor and weight rows only).  A prefix over the cap alone is a batch of
+# one, and what a batch allocates stays within one and a half times the
+# cap.  The array carried out of a stage holds the distinct prefixes of its
+# run times the block's ncols slots, and `_runs` cuts each c group, at
+# stage-1 prefixes only, so that every carried array stays within the cap,
+# unless one stage-1 prefix alone exceeds it.  Two carried arrays and one
+# batch are live at once, so a run allocates at most about 3.5 times the
+# cap's 256 KiB of int64 slots.
 BATCH_SLOTS = 2**15
 
 # The bound of the block cache, in stored block entries (each an int64
@@ -388,61 +407,97 @@ def _weight_rows(table: np.ndarray, cap: int, index: np.ndarray, e) -> np.ndarra
     return table[index[:, None], np.arange(cap + 1, 2 * cap + 2) - np.minimum(e, cap + 1)]
 
 
-def _blocks(k: KComposition, c: int, ctx: FpContext,
-            lowered: frozenset[LinearForm] = frozenset()) -> list[mpoly.SparseBlock]:
-    """The blocks k's chain contracts, `lowered` going to block 1: blocks
-    1..n-1, or block 1 alone when n = 1.  Block n of n >= 2 has no factors,
-    so it is not built (see `_chain`).  Raises CapacityExceeded, before any
-    block is built, exactly when the target box exceeds the slot budget;
-    every block and every group polynomial is a sub-box of it."""
-    _check_target_box(cycle_from_composition(k).targets(ctx.p))
-    return [_BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
-            for i in range(1, max(k.n - 1, 1) + 1)]
+def _stage_slots(caps: list[int], parts: tuple[int, ...],
+                 blocks: list[mpoly.SparseBlock]) -> list[int]:
+    """The slots each stage allocates per prefix (see BATCH_SLOTS), for
+    groups of these caps and sizes and the blocks the stages contract; the
+    last stage of n >= 2 contracts no block and allocates, per row, its
+    group tensor and weight rows only."""
+    rows = [part * (cap + 1) for cap, part in zip(caps, parts)]  # at most one per variable
+    slots = [(cap + 1) ** part + rows[i] + len(block.values) + (i > 0) * (cap + 1) ** 2
+             + block.ncols for i, (cap, part, block) in enumerate(zip(caps, parts, blocks))]
+    return slots + [(caps[-1] + 1) ** parts[-1] + rows[-1]] * (len(parts) > 1)
 
 
-def _step_slots(caps: list[int], parts: tuple[int, ...],
-                blocks: list[mpoly.SparseBlock]) -> int:
-    """The slots a chain step allocates per point, at the costliest step
-    (see BATCH_SLOTS), for groups of these caps and sizes.  The last step
-    of n >= 2 allocates its group tensor only."""
-    return max([(cap + 1) ** part + len(block.values) + (i > 0) * (cap + 1) ** 2 + block.ncols
-                for i, (cap, part, block) in enumerate(zip(caps, parts, blocks))]
-               + [(caps[-1] + 1) ** parts[-1]])
+def _runs(new: np.ndarray, ncols: list[int]) -> list[tuple[int, int]]:
+    """Cut the rows, sorted by prefix, into runs of consecutive rows of one
+    c group, where new[t, 0] marks row t as the first of its c group and
+    new[t, i+2] as the first of its stage-(i+1) prefix.  A c group is cut
+    at stage-1 prefixes only: a run holds as many whole stage-1 prefixes as
+    keep every array carried out of a stage, its distinct prefixes times
+    ncols[i] slots, within BATCH_SLOTS; a stage-1 prefix over the cap alone
+    is a run of its own."""
+    bounds = np.append(np.flatnonzero(new[:, 0]), len(new))
+    stages = new[:, 2:]
+    whole = np.add.reduceat(stages, bounds[:-1], axis=0, dtype=np.int64) * ncols <= BATCH_SLOTS
+    runs = []
+    for begin, end, fits in zip(bounds[:-1].tolist(), bounds[1:].tolist(), whole.all(axis=1)):
+        if fits:
+            runs.append((begin, end))
+            continue
+        group = stages[begin:end]
+        cuts = np.append(np.flatnonzero(group[:, 0]), len(group))
+        # per cut, the carried slots of the prefixes that start before it
+        carried = np.cumsum(np.vstack([np.zeros_like(group[:1]), group]), axis=0)[cuts] * ncols
+        at = [0]
+        while at[-1] < len(cuts) - 1:
+            # the cuts within reach of the last are a prefix of the list
+            reach = ((carried - carried[at[-1]]) <= BATCH_SLOTS).all(axis=1)
+            at.append(max(at[-1] + 1, int(reach.sum()) - 1))
+        runs += zip((begin + cuts[at[:-1]]).tolist(), (begin + cuts[at[1:]]).tolist())
+    return runs
 
 
-def _chain(rows: list[list[np.ndarray]], blocks: list[mpoly.SparseBlock],
-           p: int) -> np.ndarray:
-    """For each point t of a batch (axis 0 of every row), the integral over
-    a composition's cycle of the product of its blocks (`_blocks`) and
-    rows[i][j][t](x) for the j-th variable x of group i+1, along the group
-    chain (module docstring).  Group 1 starts as the outer product of its
-    rows, reduced mod p after each step, so each slot holds one product of
-    two residues; later groups multiply the carried polynomial by their
-    rows along its axes.  With one group, block 1 leaves one slot per
-    point.  With n >= 2, block n-1 leaves the last group's polynomial, and
-    its coefficient of x^T times the group's rows is read off directly
-    (`mpoly.top_coefficient`), without forming the product.
-    """
-    value = rows[0][0]
-    for row in rows[0][1:]:
-        # reduced in place, so that the product is the one array allocated
-        # (a broadcast product would also allocate the ufunc's buffers)
-        value = np.einsum("n...,nk->n...k", value, row)
-        value %= p
+def _prefix_chain(new: np.ndarray, weights, blocks: list[mpoly.SparseBlock],
+                  slots: list[int], p: int) -> np.ndarray:
+    """The chain's value at each row of one run (`_runs`), stage by stage
+    along the group chain (module docstring).  Stage i+1 contracts block
+    i+1 once per distinct prefix, those whose first rows new[:, i] marks;
+    weights(i, at) are the rows of group i+1's variables at the run's rows
+    `at`, one array per variable with a row per prefix.  Stage 1 starts
+    from the outer product of its rows, reduced mod p after each factor,
+    so each slot holds one product of two residues; a later stage gathers
+    each prefix's parent polynomial and multiplies it by its rows along its
+    axes.  Each stage runs in batches under BATCH_SLOTS, by its own slots
+    per prefix (`_stage_slots`).  With one group, block 1 leaves one slot
+    per prefix.  With n >= 2, the last stage reads, per row, the
+    coefficient of x^T of the last group's polynomial times its rows
+    (`mpoly.top_coefficient`), without forming the product."""
+    ids = np.cumsum(new, axis=0) - 1  # per row, the index of its prefix at each stage
     for i, block in enumerate(blocks):
-        if i:
-            shape = tuple(row.shape[1] for row in rows[i])
-            value = mpoly.multiply_along_axes(value.reshape((-1,) + shape), rows[i], p)
-        # reversing every axis of a C-ordered tensor reverses its flat slots;
-        # the block's rows are read in reverse instead, since gathering from
-        # a reversed view would first copy the whole tensor
-        value = value.reshape(len(value), -1)
-        value = mpoly.contract(
-            value, block._replace(positions=value.shape[1] - 1 - block.positions), p)
-    if len(rows) == 1:
-        return value[:, 0]
-    shape = tuple(row.shape[1] for row in rows[-1])
-    return mpoly.top_coefficient(value.reshape((-1,) + shape), rows[-1], p)
+        first = np.flatnonzero(new[:, i])
+        size = max(1, BATCH_SLOTS // slots[i])
+        carried = np.empty((len(first), block.ncols), dtype=np.int64)
+        for start in range(0, len(first), size):
+            at = first[start:start + size]
+            rows = weights(i, at)
+            if i:
+                shape = tuple(row.shape[1] for row in rows)
+                poly = mpoly.multiply_along_axes(value[ids[at, i - 1]].reshape((-1,) + shape),
+                                                 rows, p)
+            else:
+                poly = rows[0]
+                for row in rows[1:]:
+                    # reduced in place, so that the product is the one array
+                    # allocated (a broadcast product would also allocate the
+                    # ufunc's buffers)
+                    poly = np.einsum("n...,nk->n...k", poly, row)
+                    poly %= p
+            # the block's positions are stored reversed against the group
+            # box, so the flat group tensor is read as it is
+            carried[start:start + size] = mpoly.contract(poly.reshape(len(at), -1), block, p)
+        value = carried
+    if len(slots) == len(blocks):
+        return value[ids[:, 0], 0]
+    size = max(1, BATCH_SLOTS // slots[-1])
+    values = np.empty(len(new), dtype=np.int64)
+    for start in range(0, len(new), size):
+        at = np.arange(start, min(start + size, len(new)))
+        rows = weights(len(blocks), at)
+        shape = tuple(row.shape[1] for row in rows)
+        values[start:start + size] = mpoly.top_coefficient(
+            value[ids[at, -1]].reshape((-1,) + shape), rows, p)
+    return values
 
 
 def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
@@ -450,20 +505,33 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
                     lowered: frozenset[LinearForm] = frozenset()) -> np.ndarray:
     """The chain's value at each row (a, b_1, ..., b_n, c), in order, with
     variable j of group i+1 weighted by x^{a [i=0] + da} (1-x)^{b_{i+1} + db}
-    for (da, db) = shifts[i][j].  The rows are grouped by c, and each group
-    runs in batches under BATCH_SLOTS on the blocks of `_blocks(k, c, ctx,
-    lowered)`; a batch's weight rows are one gather per distinct shift of a
-    group from the padded table of the group's cap.  Raises, before any
-    point is evaluated, NegativeExponent where a shift takes an exponent
-    below 0, then as `_blocks`; and AccumulatorOverflow as the `mpoly`
-    kernels, whose accumulation bounds (int64 for the contraction and the
-    top coefficient, 2^53 for the float64 row product) are per point."""
+    for (da, db) = shifts[i][j].  After block i a value depends only on
+    the prefix (c, a, b_1, ..., b_i), so the rows are sorted by the prefix
+    of the last stage that contracts a block, (c, a, b_1, ..., b_{n-1}), or
+    (c, a, b_1) when n = 1, which makes the rows of every stage's prefix
+    adjacent; each c group is cut into runs (`_runs`), and each run goes
+    stage by stage (`_prefix_chain`) on the blocks of c: blocks 1..n-1, or
+    block 1 alone when n = 1, `lowered` going to block 1 (block n of n >= 2
+    has no factors, so it is not built).  A stage's weight rows are one
+    gather per distinct shift of a group from the padded table of the
+    group's cap.  Raises PreconditionViolation unless the rows have width
+    k.n + 2 and shifts holds k.n groups.  Then, before any point is
+    evaluated, it raises NegativeExponent where a shift takes an exponent
+    below 0, and CapacityExceeded, before any block is built, exactly when
+    the target box exceeds the slot budget; every block and every group
+    polynomial is a sub-box of it.  It raises AccumulatorOverflow as the
+    `mpoly` kernels, whose accumulation bounds (int64 for the contraction
+    and the top coefficient, 2^53 for the float64 row product) are per
+    point."""
+    if rows.shape[1] != k.n + 2 or len(shifts) != k.n:
+        raise PreconditionViolation(f"rows of width {rows.shape[1]} and {len(shifts)} shift "
+                                    f"groups for a composition of n={k.n}")
     p = ctx.p
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
     values = np.zeros(len(rows), dtype=np.int64)
     if not len(rows):
         return values
-    for i, group in enumerate(shifts[:k.n]):
+    for i, group in enumerate(shifts):
         # the lowest exponents of x and of 1-x in group i+1, per row
         lowest = np.column_stack([rows[:, 0] * (i == 0), rows[:, 1 + i]]) + np.min(group, axis=0)
         if lowest.min() < 0:
@@ -471,29 +539,41 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
             raise NegativeExponent(f"row {tuple(rows[t].tolist())}: a shift takes the exponent "
                                    f"of {('x', '1-x')[axis]} in group {i + 1} to "
                                    f"{int(lowest[t, axis])}")
-    order = np.argsort(rows[:, -1], kind="stable")
-    rows = rows[order]
-    bounds = [0, *(np.flatnonzero(rows[1:, -1] != rows[:-1, -1]) + 1).tolist(), len(rows)]
+    _check_target_box(cycle_from_composition(k).targets(p))
+    stages = max(k.n - 1, 1)  # the stages that contract a block
+    keys = rows[:, [-1, *range(stages + 1)]]  # (c, a, b_1, ..., b_stages)
+    order = np.lexsort(keys.T[::-1])
+    rows, keys = rows[order], keys[order]
+    # new[t, j]: row t is the first of its keys[t, :j+1]; column 0 starts a
+    # c group, and column i+1 a prefix (c, a, b_1, ..., b_i) of stage i
+    new = np.ones(keys.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
     # per group, its distinct shifts with their padded table and each row's
     # index in it, and per variable the index of its own shift
     distinct = [list(dict.fromkeys(group)) for group in shifts]
     which = [[kinds.index(shift) for shift in group] for kinds, group in zip(distinct, shifts)]
     padded = [[_padded_powers(ctx, cap, rows[:, 1 + i] + db) for _, db in kinds]
               for i, (cap, kinds) in enumerate(zip(caps, distinct))]
-    for begin, end in zip(bounds, bounds[1:]):
-        blocks = _blocks(k, int(rows[begin, -1]), ctx, lowered)
-        size = max(1, BATCH_SLOTS // _step_slots(caps, k.parts, blocks))
-        for start in range(begin, end, size):
-            stop = min(start + size, end)
-            weights = []
-            for i, cap in enumerate(caps):
-                gathered = [_weight_rows(table, cap, index[start:stop],
-                                         rows[start:stop, :1] + da if i == 0 else da)
-                            for (da, _), (table, index) in zip(distinct[i], padded[i])]
-                # one row object per distinct shift, repeated across its
-                # variables, so that `mpoly.multiply_along_axes` reuses it
-                weights.append([gathered[t] for t in which[i]])
-            values[order[start:stop]] = _chain(weights, blocks, p)
+
+    def group_rows(offset, i, at):
+        """The rows of group i+1's variables at the rows offset + at."""
+        at = offset + at
+        gathered = [_weight_rows(table, caps[i], index[at], rows[at, :1] + da if i == 0 else da)
+                    for (da, _), (table, index) in zip(distinct[i], padded[i])]
+        # one row object per distinct shift, repeated across its variables,
+        # so that `mpoly.multiply_along_axes` reuses it
+        return [gathered[t] for t in which[i]]
+
+    # the slots of a polynomial carried out of each stage, those of the next
+    # group (one slot when n = 1)
+    ncols = [(cap + 1) ** part for cap, part in zip(caps[1:], k.parts[1:])] or [1]
+    for start, stop in _runs(new, ncols):
+        c = int(rows[start, -1])
+        blocks = [_BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
+                  for i in range(1, stages + 1)]
+        values[order[start:stop]] = _prefix_chain(
+            new[start:stop, 2:], partial(group_rows, start), blocks,
+            _stage_slots(caps, k.parts, blocks), p)
     return values
 
 
@@ -667,7 +747,9 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
                                                           sm.pairs))
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
-    return chain_integrals(KComposition((k1, k2) if k2 else (k1,)), rows, ctx, shifts, lowered)
+    if not k2:  # the one group (k1,): no s variable, so b2 is not read
+        return chain_integrals(KComposition((k1,)), rows[:, [0, 1, 3]], ctx, shifts[:1])
+    return chain_integrals(KComposition((k1, k2)), rows, ctx, shifts, lowered)
 
 
 def weighted_integral(k1: int, k2: int, tr: AllowableTriple, pt: ParamPoint,

@@ -286,14 +286,16 @@ def _recorded_chunks(monkeypatch, jobs):
 def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatch):
     # the blocks of every prime stay cached across the primes of a sweep,
     # and each chunk's c groups, which fit under BATCH_SLOTS, run as one
-    # batch each; at 256 keys a chunk cut thm_4_111 at p=5 (492 keys) and
-    # thm_3_11 at p=7 (980) and so their c groups into more batches
+    # run each, and each stage of a run as one batch; at 256 keys a chunk
+    # cut thm_4_111 at p=5 (492 keys) and thm_3_11 at p=7 (980) and so
+    # their c groups into more batches
     specs = [CampaignSpec("thm_4_111", 5), CampaignSpec("thm_3_11", 7),
              CampaignSpec("main", 11, (2, 1))]
     monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
     first = [run_campaign(spec).as_dict() for spec in specs]
-    built, groups, batches = [], [], []
-    expand, runner, chain = mpoly.expand, integrals.chain_integrals, integrals._chain
+    built, groups, runs = [], [], []
+    expand, runner, chain = mpoly.expand, integrals.chain_integrals, integrals._prefix_chain
+    contract, top = mpoly.contract, mpoly.top_coefficient
 
     def recording_expand(fp, caps):
         built.append(caps)
@@ -301,20 +303,30 @@ def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatc
 
     def recording_runner(k, rows, *args):
         groups.append(sorted(Counter(rows[:, -1].tolist()).values()))
-        batches.append([])
+        runs.append([])
         return runner(k, rows, *args)
 
-    def recording_chain(rows, blocks, p):
-        batches[-1].append(len(rows[0][0]))
-        return chain(rows, blocks, p)
+    def recording_chain(new, weights, blocks, slots, p):
+        # (rows of the run, stages, kernel calls)
+        runs[-1].append([len(new), len(slots), 0])
+        return chain(new, weights, blocks, slots, p)
+
+    def counted(kernel):
+        def call(*args):
+            runs[-1][-1][2] += 1
+            return kernel(*args)
+        return call
 
     monkeypatch.setattr(mpoly, "expand", recording_expand)
     monkeypatch.setattr(integrals, "chain_integrals", recording_runner)
-    monkeypatch.setattr(integrals, "_chain", recording_chain)
+    monkeypatch.setattr(integrals, "_prefix_chain", recording_chain)
+    monkeypatch.setattr(mpoly, "contract", counted(contract))
+    monkeypatch.setattr(mpoly, "top_coefficient", counted(top))
     second = [run_campaign(spec).as_dict() for spec in specs]
     assert built == []
     assert len(groups) == len(specs)  # one chunk each
-    assert [sorted(sizes) for sizes in batches] == groups
+    assert [sorted(size for size, _, _ in call) for call in runs] == groups
+    assert all(stages == calls for call in runs for _, stages, calls in call)
     for report in first + second:
         report.pop("elapsed_ms")
     assert second == first

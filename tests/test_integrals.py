@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 import random
 import re
 import tracemalloc
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from fpselberg import integrals, mpoly
+from fpselberg import harness, integrals, mpoly
 from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               InvariantViolation, NegativeExponent,
@@ -219,8 +220,8 @@ def test_selberg_chain_matches_point_counts(parts, p, size):
 
 
 def test_a_planted_chain_fault_fails_the_point_counts(monkeypatch):
-    chain = integrals._chain
-    monkeypatch.setattr(integrals, "_chain", lambda *args: chain(*args) + 1)
+    chain = integrals._prefix_chain
+    monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: chain(*args) + 1)
     values, counts = _chain_against_point_counts((1, 1), 7)
     assert all(value != count for value, count in zip(values, counts))
 
@@ -257,6 +258,34 @@ def _batch_cases():
     return [(p, parts, points + _edge_points(len(parts), p)) for p, parts, points in cases]
 
 
+def _record_stages(monkeypatch):
+    """Record each batch of the stage path as (run, stage, size, ncols):
+    run counts the `_prefix_chain` calls, whose blocks are in runs[run];
+    stage i < len(blocks) contracts block i+1 on `size` prefixes into
+    `ncols` slots each, and stage len(blocks), the top coefficient of
+    n >= 2, reads `size` rows (ncols 0).  Stage n-1 is the last."""
+    calls, runs = [], []
+    prefix_chain, contract, top = integrals._prefix_chain, mpoly.contract, mpoly.top_coefficient
+
+    def run(new, weights, blocks, slots, p):
+        runs.append(blocks)
+        return prefix_chain(new, weights, blocks, slots, p)
+
+    def contracting(vectors, block, p):
+        stage = [held is block for held in runs[-1]].index(True)
+        calls.append((len(runs) - 1, stage, len(vectors), block.ncols))
+        return contract(vectors, block, p)
+
+    def reading(poly, rows, p):
+        calls.append((len(runs) - 1, len(runs[-1]), len(poly), 0))
+        return top(poly, rows, p)
+
+    monkeypatch.setattr(integrals, "_prefix_chain", run)
+    monkeypatch.setattr(mpoly, "contract", contracting)
+    monkeypatch.setattr(mpoly, "top_coefficient", reading)
+    return calls, runs
+
+
 @pytest.mark.parametrize("p, parts, points", _batch_cases(),
                          ids=lambda value: str(value) if isinstance(value, (int, tuple)) else "")
 def test_batched_integrals_match_single_points(monkeypatch, p, parts, points):
@@ -264,43 +293,47 @@ def test_batched_integrals_match_single_points(monkeypatch, p, parts, points):
     # shuffled, so that c changes from point to point
     points = random.Random(p).sample(points, len(points))
     expect = [selberg_integral(k, pt, ctx) for pt in points]
-    batches = []
-    chain = integrals._chain
-
-    def recording(rows, blocks, modulus):
-        # blocks are cached per c, so block 1 names the batch's c group
-        batches.append((id(blocks[0]), len(rows[0][0])))
-        return chain(rows, blocks, modulus)
-
-    monkeypatch.setattr(integrals, "_chain", recording)
-    # the minimum cap evaluates each point alone (on the first 200 points,
-    # which mix every c); 2^12 slots split the c groups of (1,1,1) and (2,1)
-    # into batches of several points
-    for cap, count in ((1, 200), (2**12, len(points)), (integrals.BATCH_SLOTS, len(points))):
+    calls, runs = _record_stages(monkeypatch)
+    # the minimum cap evaluates each prefix of every stage alone (on the
+    # first 200 points, which mix every c); 2^9 slots split a stage of a c
+    # group of (1,1,1) and (2,1) into batches of several prefixes
+    for cap, count in ((1, 200), (2**9, len(points)), (2**12, len(points)),
+                       (integrals.BATCH_SLOTS, len(points))):
         monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
-        batches.clear()
+        calls.clear()
+        runs.clear()
         assert selberg_integrals(k, point_rows(points[:count], k.n), ctx).tolist() == [
             int(value) for value in expect[:count]], cap
-        assert sum(size for _, size in batches) == len(points[:count])
+        # blocks are cached per c, so block 1 names a run's c group
+        batches = [(id(runs[run][0]), stage, size) for run, stage, size, _ in calls]
+        assert sum(size for _, stage, size in batches if stage == k.n - 1) == len(points[:count])
         if cap == 1:
-            assert all(size == 1 for _, size in batches)
-        if cap == 2**12 and parts in ((1, 1, 1), (2, 1)):
-            groups = [group for group, _ in batches]
-            assert any(groups.count(group) > 1 for group in groups)
-            assert any(size > 1 for _, size in batches)
+            assert all(size == 1 for _, _, size in batches)
+        if cap == 2**9 and parts in ((1, 1, 1), (2, 1)):
+            stages = [(group, stage) for group, stage, _ in batches]
+            assert any(stages.count(stage) > 1 for stage in stages)
+            assert any(size > 1 for _, _, size in batches)
     # the first points against one expansion of the whole integrand
     for pt, value in list(zip(points, expect))[:3]:
         assert value == _full_expansion(k, pt, ctx), pt
 
 
+def _box(parts, p, cs):
+    """Every row (a, b_1, ..., b_n, c) with a and the b_i in [1, p) and c
+    in cs, as `stokes` checks them."""
+    return np.array([(a, *b, c) for a, *b in itertools.product(range(1, p), repeat=len(parts) + 1)
+                     for c in cs], dtype=np.int64)
+
+
 def test_batches_stay_under_the_slot_cap(monkeypatch):
-    # per batch, what the chain allocates stays within one and a half times
-    # the cap's bytes; a c group of thm_4_111 p=7 (at most 533 points of
-    # about 70 slots) barely exceeds the default cap, so there it is lowered
-    # to 2^12.  A batch of 20 (3,1) points at p=11 peaked at 462 936 B, 1.77
-    # times the cap's bytes, while group 1's product and its residue were
-    # both live and the contraction copied the reversed group tensor
-    chain = integrals._chain
+    # per run, what the stage path allocates stays within 3.5 times the
+    # cap's bytes: two arrays carried between stages, each within the cap,
+    # and one stage batch, within one and a half times it.  A c group of
+    # thm_4_111 p=7 (at most 533 points of about 70 slots) barely exceeds
+    # the default cap, so there it is lowered to 2^12.  The (3,2) box at
+    # p=11 has 100 stage-1 prefixes per c, whose carried polynomials of 1089
+    # slots would take 3.3 times the cap, so its runs are cut by the cap
+    chain = integrals._prefix_chain
     peaks = []
 
     def traced(*args):
@@ -310,17 +343,18 @@ def test_batches_stay_under_the_slot_cap(monkeypatch):
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
         return value
 
-    monkeypatch.setattr(integrals, "_chain", traced)
+    monkeypatch.setattr(integrals, "_prefix_chain", traced)
     ctx7, ctx11, ctx13 = FpContext(7), FpContext(11), FpContext(13)
     _, keys = _CAMPAIGNS["thm_4_111"].keys(CampaignSpec("thm_4_111", 7), ctx7)
-    for k, points, ctx, cap in (
-            (KComposition((1, 1, 1)), row_points(keys), ctx7, 2**12),
-            (KComposition((2, 1)), enumerate_admissible(KComposition((2, 1)), ctx13), ctx13,
+    for k, rows, ctx, cap in (
+            (KComposition((1, 1, 1)), keys, ctx7, 2**12),
+            (KComposition((2, 1)),
+             point_rows(enumerate_admissible(KComposition((2, 1)), ctx13), 2), ctx13,
              integrals.BATCH_SLOTS),
-            (KComposition((3, 1)), [pt for pt in enumerate_admissible(KComposition((3, 1)), ctx11)
-                                    if pt.c == 1][:20], ctx11, integrals.BATCH_SLOTS)):
+            (KComposition((3, 1)), point_rows([pt for pt in enumerate_admissible(
+                KComposition((3, 1)), ctx11) if pt.c == 1][:20], 2), ctx11, integrals.BATCH_SLOTS),
+            (KComposition((3, 2)), _box((3, 2), 11, (1,)), ctx11, integrals.BATCH_SLOTS)):
         monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
-        rows = point_rows(points, k.n)
         selberg_integrals(k, rows[:50], ctx)  # builds the blocks untraced
         peaks.clear()
         tracemalloc.start()
@@ -328,26 +362,139 @@ def test_batches_stay_under_the_slot_cap(monkeypatch):
             selberg_integrals(k, rows, ctx)
         finally:
             tracemalloc.stop()
-        assert 0 < max(peaks) <= 3 * cap * 4, (k, max(peaks))
+        assert 0 < max(peaks) <= 3.5 * cap * 8, (k, max(peaks))
 
 
 def test_a_two_one_batch_holds_more_points_without_the_last_block(monkeypatch):
-    # the last step of (2,1) at p=13 allocates its 26-slot group tensor
-    # only, no Toeplitz matrix and no block 2, so block 1's step bounds the
-    # batch: more points than the 46 its Toeplitz step used to allow
+    # the last stage of (2,1) at p=13 allocates, per row, its 26-slot group
+    # tensor only, no Toeplitz matrix and no block 2, so its batches hold
+    # more points than the 46 a Toeplitz step used to allow, and more than
+    # the 168 that block 1's step allowed while every point ran every step
     ctx = FpContext(13)
     k = KComposition((2, 1))
     points = enumerate_admissible(k, ctx)
-    chain = integrals._chain
-    sizes = []
-
-    def recording(rows, blocks, modulus):
-        sizes.append(len(rows[0][0]))
-        return chain(rows, blocks, modulus)
-
-    monkeypatch.setattr(integrals, "_chain", recording)
+    calls, _ = _record_stages(monkeypatch)
     selberg_integrals(k, point_rows(points, k.n), ctx)
-    assert sum(sizes) == len(points) and max(sizes) > 46, sizes
+    sizes = [size for _, stage, size, _ in calls if stage == 1]
+    assert sum(sizes) == len(points) and max(sizes) > 168, sizes
+
+
+@pytest.mark.parametrize("parts, p, samples, size, prefixes", [
+    ((3, 1), 11, None, 192, [64]),
+    ((2, 1), 13, None, 890, [245]),
+    ((3, 2, 1), 11, 96, 96, [38, 78]),  # the `main_chain` benchmark sample, seed 1
+])
+def test_each_stage_contracts_each_distinct_prefix_once(monkeypatch, parts, p, samples, size,
+                                                        prefixes):
+    # after block i a value depends only on (c, a, b_1, ..., b_i), so stage
+    # i contracts its block once per distinct prefix, not once per row
+    ctx, k = FpContext(p), KComposition(parts)
+    spec = CampaignSpec("main", p, parts, exhaustive=samples is None, samples=samples or 0,
+                        seed=1)
+    _, keys = _CAMPAIGNS["main"].keys(spec, ctx)
+    calls, _ = _record_stages(monkeypatch)
+    selberg_integrals(k, keys, ctx)
+    assert len(keys) == size
+    assert [sum(size for _, stage, size, _ in calls if stage == i)
+            for i in range(len(prefixes))] == prefixes
+    assert [len(np.unique(keys[:, [-1, *range(i + 2)]], axis=0))
+            for i in range(len(prefixes))] == prefixes
+
+
+def test_the_arrays_carried_between_stages_stay_under_the_cap(monkeypatch):
+    # a run carries out of stage i its distinct prefixes times block i's
+    # ncols slots; runs are cut at stage-1 prefixes only, so each prefix is
+    # still contracted once, and every carried array stays within
+    # BATCH_SLOTS unless its run holds one stage-1 prefix, which exceeds the
+    # smaller cap alone (1089 slots for (3,2) at p=11, 225 for (3,2,1) at
+    # p=5, whose stage 2 carries 10 slots per prefix)
+    calls, _ = _record_stages(monkeypatch)
+    for parts, p, cs, caps in (((3, 2), 11, (1, 2), (2**10, integrals.BATCH_SLOTS)),
+                               ((3, 2, 1), 5, (1, 2, 3), (2**7, 2**11))):
+        k, ctx = KComposition(parts), FpContext(p)
+        rows = _box(parts, p, cs)
+        distinct = len(np.unique(rows[:, [-1, 0, 1]], axis=0))
+        expect = selberg_integrals(k, rows, ctx).tolist()
+        for cap in caps:
+            monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
+            calls.clear()
+            assert selberg_integrals(k, rows, ctx).tolist() == expect, (parts, cap)
+            carried, firsts = Counter(), Counter()
+            for run, stage, size, ncols in calls:
+                carried[run, stage] += size * ncols
+                firsts[run] += size * (stage == 0)
+            assert sum(firsts.values()) == distinct, (parts, cap)
+            assert all(slots <= cap or firsts[run] == 1
+                       for (run, _), slots in carried.items()), (parts, cap, carried)
+            # the cap, not the c groups alone, cuts the runs
+            assert len(firsts) > len(cs), (parts, cap)
+        assert max(carried.values()) > cap // 2, parts
+
+
+def _chain_callers(ctx):
+    """Each caller of the batch runner, at (3,2), as a function of rows."""
+    k = KComposition((3, 2))
+    return {
+        "selberg": lambda rows: selberg_integrals(k, rows, ctx),
+        # two denominator pairs lowered in block 1
+        "weighted": lambda rows: integrals.weighted_integrals(3, 2, AllowableTriple(1, 1, 1),
+                                                              rows, ctx),
+        "stokes": lambda rows: harness._stokes_check(ctx, k.parts, rows),
+    }
+
+
+@pytest.mark.parametrize("caller", ["selberg", "weighted", "stokes"])
+def test_chain_values_do_not_depend_on_row_order_or_batch_cap(monkeypatch, caller):
+    # every `chain_integrals` call of each caller gives each row the same
+    # value with its rows shuffled and under a cap of 1 slot, where every
+    # stage runs one prefix at a time
+    ctx = FpContext(7)
+    evaluate = _chain_callers(ctx)[caller]
+    runner, values = integrals.chain_integrals, []
+
+    def recording(*args):
+        values.append(runner(*args))
+        return values[-1]
+
+    monkeypatch.setattr(integrals, "chain_integrals", recording)
+    monkeypatch.setattr(harness, "chain_integrals", recording)
+    rows = _box((3, 2), 7, range(1, 7))
+    evaluate(rows)
+    expect = values[:]
+    values.clear()
+    order = np.random.default_rng(5).permutation(len(rows))
+    monkeypatch.setattr(integrals, "BATCH_SLOTS", 1)
+    evaluate(rows[order])
+    assert len(values) == len(expect) == {"selberg": 1, "weighted": 1, "stokes": 4}[caller]
+    for got, want in zip(values, expect):
+        assert np.array_equal(got, want[order])
+
+
+def test_the_chain_runner_rejects_rows_or_shifts_that_do_not_fit_k(monkeypatch):
+    # rows of a width other than n+2, or shifts of other than n groups, do
+    # not fit the composition; the one-group weighted integrals (k2 = 0)
+    # hand the runner (k1,)'s own rows (a, b1, c) and its one shift group
+    runner, seen = integrals.chain_integrals, []
+
+    def recording(k, rows, ctx, shifts, *args):
+        seen.append((k.parts, rows.shape[1], len(shifts)))
+        return runner(k, rows, ctx, shifts, *args)
+
+    monkeypatch.setattr(integrals, "chain_integrals", recording)
+    ctx = FpContext(7)
+    rows = np.array([(2, 1, 3, 2), (3, 2, 2, 1)])
+    values = integrals.weighted_integrals(3, 0, AllowableTriple(2, 0, 0), rows, ctx)
+    assert seen == [((3,), 3, 1)]
+    assert values.tolist() == [int(weighted_integral(3, 0, AllowableTriple(2, 0, 0),
+                                                     ParamPoint(a, (b1, b2), c), ctx))
+                               for a, b1, b2, c in rows.tolist()]
+    evaluated = []
+    monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
+    for rows, shifts in ((np.array([(2, 1, 3, 2)]), [[(0, 0)] * 3]),
+                         (np.array([(2, 1, 2)]), [[(0, 0)] * 3, []])):
+        with pytest.raises(PreconditionViolation, match=r"n=1$"):
+            runner(KComposition((3,)), rows, ctx, shifts)
+    assert evaluated == []
 
 
 def _calls_per_kernel(monkeypatch, parts, p):
@@ -420,10 +567,12 @@ def _full_box_block(k, i, c, ctx, lowered=frozenset()):
 
 
 def _dense(block, nrows):
-    """A sparse block as a dense nrows x block.ncols matrix."""
+    """A sparse block as a dense nrows x block.ncols matrix; the cache
+    stores its positions reversed against the nrows slots of its group."""
     ends = np.append(block.starts[1:], len(block.values))
     dense = np.zeros((nrows, block.ncols), dtype=np.int64)
-    dense[block.positions, np.repeat(block.columns, ends - block.starts)] = block.values
+    dense[nrows - 1 - block.positions, np.repeat(block.columns, ends - block.starts)] = (
+        block.values)
     return dense
 
 
@@ -789,24 +938,20 @@ def test_batched_weighted_integrals_match_single_points(monkeypatch, k1, k2):
     ctx = FpContext(7)
     points = random.Random(k1 * 10 + k2).sample(_weighted_points(k1, k2, 7),
                                                 len(_weighted_points(k1, k2, 7)))
-    chain = integrals._chain
-    batches = []
-
-    def recording(rows, blocks, modulus):
-        batches.append(len(rows[0][0]))
-        return chain(rows, blocks, modulus)
-
     rows = point_rows(points, 2)
+    n = 1 + (k2 > 0)
     for tr in _allowable_triples(k1, k2):
         expect = [int(weighted_integral(k1, k2, tr, pt, ctx)) for pt in points]
-        monkeypatch.setattr(integrals, "_chain", recording)
+        calls, _ = _record_stages(monkeypatch)
         for cap in (1, 2**12, integrals.BATCH_SLOTS):
             monkeypatch.setattr(integrals, "BATCH_SLOTS", cap)
-            batches.clear()
+            calls.clear()
             assert integrals.weighted_integrals(k1, k2, tr, rows, ctx).tolist() == expect, (
                 tr, cap)
-            assert sum(batches) == len(points)
-            assert (max(batches) == 1) == (cap == 1), (tr, cap, batches)
+            # every point is its own last-stage prefix (b2 = a when k2 = 0)
+            assert sum(size for _, stage, size, _ in calls if stage == n - 1) == len(points)
+            sizes = [size for _, _, size, _ in calls]
+            assert (max(sizes) == 1) == (cap == 1), (tr, cap, calls)
         monkeypatch.undo()
     assert integrals.weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
                                         np.zeros((0, 4), dtype=np.int64), ctx).tolist() == []
@@ -831,7 +976,7 @@ def test_weighted_integrals_raise_as_the_first_offending_point(monkeypatch, k1, 
             weighted_integral(k1, k2, tr, ParamPoint(a, (b1, b2), c), ctx)
         errors.append(info.value)
     evaluated = []
-    monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
     for order in itertools.permutations(range(len(bad))):
         rows = good[:1] + [bad[i] for i in order] + good[1:]
         first = errors[order[0]]
@@ -862,7 +1007,7 @@ def test_selberg_integrals_raise_as_the_first_offending_row(monkeypatch, parts, 
             selberg_integral(k, ParamPoint(a, tuple(b), c), ctx)
         errors.append(info.value)
     evaluated = []
-    monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
     for order in itertools.permutations(range(len(bad))):
         rows = good[:1] + [bad[i] for i in order] + good[1:]
         first = errors[order[0]]
@@ -886,7 +1031,7 @@ def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, me
     # the largest b, and return 6 at this row; da = -1 at a = 0 raised a
     # bare IndexError
     evaluated = []
-    monkeypatch.setattr(integrals, "_chain", lambda *args: evaluated.append(args))
+    monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
     with pytest.raises(NegativeExponent, match=message):
         integrals.chain_integrals(KComposition((2, 1)), np.array([(2, 1, 3, 2), bad]),
                                   FpContext(7), [[shift, (0, 0)], [(0, 0)]])

@@ -188,9 +188,9 @@ def test_a_planted_chain_or_engine_fault_fails_stokes(monkeypatch, fault):
     # Stokes' identity reads four integrals of the chain, so a fault in the
     # chain or in the engine that builds its blocks leaves a residual
     if fault == "chain_plus_one":
-        chain = integrals._chain
-        monkeypatch.setattr(integrals, "_chain",
-                            lambda rows, blocks, p: (chain(rows, blocks, p) + 1) % p)
+        chain = integrals._prefix_chain
+        monkeypatch.setattr(integrals, "_prefix_chain",
+                            lambda *args: (chain(*args) + 1) % args[-1])
     else:
         _plant_doubled_term(monkeypatch)
     report = run_campaign(CampaignSpec("stokes", 7, (2, 1)))

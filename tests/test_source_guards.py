@@ -67,11 +67,11 @@ def _callers(names: set[str]) -> set[tuple[str, str]]:
 
 
 def test_only_the_block_chain_runs_the_chain_kernels():
-    # one evaluator: a per-point chain kept beside the batched `_chain`
-    # would be a second caller of the contraction, the row product or the
-    # top coefficient that finishes it
+    # one evaluator: a per-point chain kept beside the stage path
+    # `_prefix_chain` would be a second caller of the contraction, the row
+    # product or the top coefficient that finishes it
     for kernel in ("contract", "multiply_along_axes", "top_coefficient"):
-        assert _callers({kernel}) == {("integrals.py", "_chain")}, kernel
+        assert _callers({kernel}) == {("integrals.py", "_prefix_chain")}, kernel
 
 
 def test_one_row_product_path():
@@ -137,8 +137,8 @@ def test_reference_engine_shares_no_package_code():
 
 def test_one_batch_runner_runs_the_chain():
     # Selberg and weighted integrals and `stokes` share the batch runner; a second
-    # caller of `_chain` would be a second evaluator to keep in step
-    assert _callers({"_chain"}) == {("integrals.py", "chain_integrals")}
+    # caller of the stage path would be a second evaluator to keep in step
+    assert _callers({"_prefix_chain"}) == {("integrals.py", "chain_integrals")}
     assert _callers({"chain_integrals"}) == {("integrals.py", "selberg_integrals"),
                                              ("integrals.py", "weighted_integrals"),
                                              ("harness.py", "_stokes_check")}
@@ -149,7 +149,9 @@ def test_one_shift_table_builds_every_weight_row():
     # no package code expands an integrand per point, and the per-point
     # engine serves only the reference integral (the Dyson constant terms
     # are one-group Selberg integrals)
-    assert _callers({"_weight_rows"}) == {("integrals.py", "chain_integrals")}
+    # (`group_rows` is the runner's own nested gather, counted for it too)
+    assert _callers({"_weight_rows"}) == {("integrals.py", "chain_integrals"),
+                                          ("integrals.py", "group_rows")}
     assert _callers({"_padded_powers"}) == {("integrals.py", "chain_integrals")}
     assert _callers({"fp_integral"}) == set()
     assert _callers({"extract_coefficient"}) == {("integrals.py", "fp_integral")}
