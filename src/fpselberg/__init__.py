@@ -12,10 +12,10 @@ from .errors import (AccumulatorOverflow, CapacityExceeded, FpSelbergError,
                      IndexOutOfCaps, InvalidExponent, InvariantViolation,
                      NegativeExponent, NoPath, NotAllowable, OutOfRange,
                      PreconditionViolation, ZeroFactor)
-from .formulas import (FormulaResult, b_factor, beta_rhs, dyson_constant,
-                       i000_rhs, i000_rhs_values, induction_factor, r_value,
-                       r_values, rhs_3_11, rhs_3_11_values, rhs_4_111,
-                       rhs_4_111_values, shift_factor_b1, shift_factor_b2)
+from .formulas import (FormulaResult, b_factor_values, beta_values,
+                       dyson_values, i000_rhs, i000_rhs_values,
+                       induction_values, r_value, r_values, rhs_3_11,
+                       rhs_3_11_values, rhs_4_111_values, shift_factor_values)
 from .gf import FpContext, FpElement, checked_factorial, sign_pow
 from .harness import CampaignSpec, VerificationReport, bench, run_campaign
 from .integrals import (AllowableTriple, KComposition, ParamPoint, PCycle,

@@ -4,8 +4,8 @@ Everything downstream works over F_p for a small odd prime p (3 <= p < 2^15).
 An `FpContext` owns the modulus and a full factorial table; `FpElement` is a
 thin residue wrapper so formula code can be written with ordinary operators.
 Factorials are only ever taken of integers in [0, p) -- `checked_factorial`
-raises `OutOfRange` otherwise, which is how product-formula evaluators detect
-that a parameter point has left the valid region.
+raises `OutOfRange` otherwise.  It and `sign_pow` serve the tests' per-factor
+reference closed forms; `formulas` evaluates its products as term tables.
 """
 
 from __future__ import annotations

@@ -12,16 +12,17 @@ box a, b_i, c in [1, p), `_sampled` samples row indices, and the theorem
 key lists are built by interval expansion (`_thm_keys`).  Every check
 returns one `_Verdicts`: per key, the two sides as int64 residues, whether
 the key was checked (a key not checked is a skip), and its failure
-classifier.  `main`, `thm_3_11`, `thm_4_111` and `i000` evaluate their
-closed forms over the rows in one batch call (`formulas.r_values`,
-`rhs_3_11_values`, `rhs_4_111_values`; `adm.i000_closed_forms`) and build
-no point and no field element per key; the other closed forms and the
-recurrence factors are field elements per key, turned into residues.  Checks take their integrals in batches: `beta`
-(the one group k = (1,)), `main`, `thm_3_11`, `thm_4_111` and
-`relations_S1S2` from one `selberg_integrals` call per key list, `dyson`
-from one per k; `induction` from two per run of one composition (the full
-and the truncated composition); `i000`, `relations_II0`, `relations_B1` and
-`relations_B2` from one `weighted_integrals` call per allowable triple;
+classifier.  Every closed form and recurrence factor is a residue array
+from one batch form call of `formulas` per chunk (or per k, lowered b or
+composition in it).  A key where a closed form or a B factor is undefined
+is a skip (`beta` reads 0); where the key list defines a factor, an
+undefined one raises InvariantViolation (`_defined`).
+Checks take their integrals in batches: `beta` (the one group k = (1,)),
+`main`, `thm_3_11`, `thm_4_111` and `relations_S1S2` from one
+`selberg_integrals` call per key list, `dyson` from one per k; `induction`
+from two per run of one composition (the full and the truncated
+composition); `i000`, `relations_II0`, `relations_B1` and `relations_B2`
+from one `weighted_integrals` call per allowable triple;
 `relations_IS` from one of each; `stokes` from at most four calls of the
 batch runner `chain_integrals`, whose other callers are `selberg_integrals`
 and `weighted_integrals`.  `run_campaign` splits the keys into contiguous
@@ -52,7 +53,7 @@ import numpy as np
 
 from . import admissible as adm
 from . import formulas, mpoly
-from .errors import CapacityExceeded, ZeroFactor
+from .errors import CapacityExceeded, InvariantViolation
 from .gf import FpContext
 from .integrals import (AllowableTriple, KComposition, LinearForm, chain_integrals,
                         cycle_from_composition, fp_integral, master_polynomial,
@@ -130,9 +131,17 @@ def _everywhere(lhs: np.ndarray, rhs: np.ndarray,
     return _Verdicts(lhs, rhs, np.ones(len(lhs), dtype=bool), classifiers)
 
 
-def _residues(elements) -> np.ndarray:
-    """Field elements, or ints, as an int64 array."""
-    return np.array([int(value) for value in elements], dtype=np.int64)
+def _defined(batch: tuple[np.ndarray, np.ndarray], table, rows: np.ndarray, keys: list,
+             p: int) -> np.ndarray:
+    """The residues of a batch form's table at the rows of keys that define
+    it: InvariantViolation names a key where it is undefined, and the term."""
+    values, first = batch
+    undefined = np.flatnonzero(first >= 0)
+    if len(undefined):
+        t = int(undefined[0])
+        raise InvariantViolation(f"key {keys[t]} has an undefined factor: "
+                                 f"{formulas._failure(table, rows[t], int(first[t]), p)}")
+    return values
 
 
 def _against_closed_forms(rows: np.ndarray, closed_form: tuple[np.ndarray, np.ndarray],
@@ -158,7 +167,7 @@ def _beta_check(ctx, _k, keys):
     """x^a (1-x)^b over [1]_p: the Selberg integral of the one group k = (1,)."""
     rows = np.array([(a, b, 1) for a, b in keys], dtype=np.int64).reshape(len(keys), 3)
     return _everywhere(selberg_integrals(KComposition((1,)), rows, ctx),
-                       _residues(formulas.beta_rhs(a, b, ctx) for a, b in keys))
+                       formulas.beta_values(rows, ctx)[0])
 
 
 def _dyson_check(ctx, _k, keys):
@@ -167,17 +176,20 @@ def _dyson_check(ctx, _k, keys):
     x^{(k-1)c} in every variable, of prod (x_i - x_j)^{2c}.  That is the
     coefficient of x^{p-1} in x^a prod (x_i - x_j)^{2c} for a = p-1-(k-1)c,
     the Selberg integral of the one group k at (a, b = 0, c), so (k-1)c <=
-    p-1: one `selberg_integrals` call per k."""
+    p-1: one `selberg_integrals` and one `formulas.dyson_values` call per
+    k, whose product the key list's kc <= p-1 defines."""
+    p = ctx.p
     kc = np.array(keys, dtype=np.int64).reshape(len(keys), 2)
-    lhs = np.zeros(len(keys), dtype=np.int64)
+    lhs, rhs = np.zeros((2, len(keys)), dtype=np.int64)
     for kk in dict.fromkeys(kc[:, 0].tolist()):
-        at = kc[:, 0] == kk
+        at = np.flatnonzero(kc[:, 0] == kk)
         c = kc[at, 1]
-        values = selberg_integrals(KComposition((kk,)), np.column_stack(
-            [ctx.p - 1 - (kk - 1) * c, np.zeros_like(c), c]), ctx)
-        lhs[at] = np.where(c * kk * (kk - 1) // 2 % 2, -values % ctx.p, values)
-    return _everywhere(lhs, _residues(formulas.dyson_constant(kk, c, ctx) for kk, c in keys),
-                       [f"mismatch at k={kk}" for kk, _ in keys])
+        rows = np.column_stack([p - 1 - (kk - 1) * c, np.zeros_like(c), c])
+        values = selberg_integrals(KComposition((kk,)), rows, ctx)
+        lhs[at] = np.where(c * kk * (kk - 1) // 2 % 2, -values % p, values)
+        rhs[at] = _defined(formulas.dyson_values(kk, rows, ctx), formulas._dyson_table(kk, p),
+                           rows, [keys[t] for t in at.tolist()], p)
+    return _everywhere(lhs, rhs, [f"mismatch at k={kk}" for kk, _ in keys])
 
 
 def _main_check(ctx, k, rows):
@@ -224,24 +236,19 @@ def _relations_ii0_check(ctx, k, rows):
 
 
 def _relations_b(idx: int) -> "_Campaign":
-    """I_{0,0,0} at b_{idx+1} - 1 = `formulas.b_factor(k1, k2, idx, ...)`
-    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays positive;
-    a point is skipped only where a ratio of its own factor vanishes.
-    Homogeneous in the integrals, so a fault that zeroes or scales every
-    integral passes it."""
+    """I_{0,0,0} at b_{idx+1} - 1 = B1 or B2 (`formulas.b_factor_values`)
+    times I_{0,0,0}, at admissible points where b_{idx+1} - 1 stays
+    positive; a point is skipped only where a ratio of its own factor
+    vanishes.  Homogeneous in the integrals, so a fault that zeroes or
+    scales every integral passes it."""
     def keys(spec, ctx):
         rows = _admissible(spec.k, ctx)
         return _sampled(rows[rows[:, 1 + idx] >= 2], spec)
 
     def check(ctx, k, rows):
         k1, k2 = k
-        factors = np.zeros(len(rows), dtype=np.int64)
-        checked = np.ones(len(rows), dtype=bool)
-        for t, pt in enumerate(row_points(rows)):
-            try:
-                factors[t] = int(formulas.b_factor(k1, k2, idx, pt, ctx))
-            except ZeroFactor:
-                checked[t] = False
+        factors, first = formulas.b_factor_values(k1, k2, idx, rows, ctx)
+        checked = first < 0
         highs = rows[checked]
         lows = highs - np.eye(4, dtype=np.int64)[1 + idx]
         values = weighted_integrals(k1, k2, AllowableTriple(0, 0, 0),
@@ -254,13 +261,18 @@ def _relations_b(idx: int) -> "_Campaign":
 
 
 def _relations_s1s2_check(ctx, k, keys):
-    """Decrement edges: S(lower end) = shift factor * S(upper end).
-    Homogeneous in the integrals, so a fault that zeroes or scales every
-    integral passes it."""
+    """Decrement edges: S(lower end) = shift factor * S(upper end), the
+    factors from one `formulas.shift_factor_values` call per lowered b,
+    which the decrement paths define.  Homogeneous in the integrals, so a
+    fault that zeroes or scales every integral passes it."""
     highs = np.array([row for row, _ in keys], dtype=np.int64).reshape(len(keys), 4)
     idxs = np.array([idx for _, idx in keys], dtype=np.int64)
-    factors = _residues((formulas.shift_factor_b1 if idx == 0 else formulas.shift_factor_b2)(
-        k[0], k[1], hi, ctx) for hi, idx in zip(row_points(highs), idxs.tolist()))
+    factors = np.zeros(len(keys), dtype=np.int64)
+    for idx in (0, 1):
+        at = np.flatnonzero(idxs == idx)
+        factors[at] = _defined(formulas.shift_factor_values(*k, idx, highs[at], ctx),
+                               formulas._ratio_table(*k, idx, 1, ctx.p), highs[at],
+                               [keys[t] for t in at.tolist()], ctx.p)
     lows = highs - np.eye(4, dtype=np.int64)[1 + idxs]
     values = selberg_integrals(KComposition(k), np.concatenate([lows, highs]), ctx)
     return _everywhere(values[:len(keys)], factors * values[len(keys):] % ctx.p,
@@ -269,20 +281,22 @@ def _relations_s1s2_check(ctx, k, keys):
 
 def _induction_check(ctx, _k, keys):
     """Factored identity at the distinguished point: the n-group integral
-    equals induction_factor times the (n-1)-group integral, each side of a
-    run of checked keys of one composition from one `selberg_integrals`
-    call; a key with k_n c > p-1 is not checked.  Homogeneous in the
-    integrals, so a fault that zeroes or scales every integral passes it."""
+    equals the induction factor times the (n-1)-group integral, over a run
+    of keys of one composition, each side from one `selberg_integrals` call
+    and the factors from one `formulas.induction_values` call, which the
+    point's k_n c <= k_1 c < p defines.  Homogeneous in the integrals, so a
+    fault that zeroes or scales every integral passes it."""
     lhs, rhs = np.zeros((2, len(keys)), dtype=np.int64)
-    checked = np.array([kparts[-1] * c <= ctx.p - 1 for kparts, _, c in keys], dtype=bool)
-    for kparts, run in groupby(np.flatnonzero(checked).tolist(), key=lambda t: keys[t][0]):
+    for kparts, run in groupby(range(len(keys)), key=lambda t: keys[t][0]):
         comp, run = KComposition(kparts), list(run)
-        full, trunc = (selberg_integrals(part, point_rows(
-            [adm.distinguished_point(part, *keys[t][1:], ctx) for t in run], part.n), ctx)
-            for part in (comp, comp.truncated()))
-        factors = _residues(formulas.induction_factor(comp, keys[t][2], ctx) for t in run)
-        lhs[run], rhs[run] = full, factors * trunc % ctx.p
-    return _Verdicts(lhs, rhs, checked, [f"k={key[0]} factored identity" for key in keys])
+        full, trunc = (point_rows([adm.distinguished_point(part, *keys[t][1:], ctx)
+                                   for t in run], part.n) for part in (comp, comp.truncated()))
+        factors = _defined(formulas.induction_values(comp, full, ctx),
+                           formulas._induction_table(kparts, ctx.p), full,
+                           [keys[t] for t in run], ctx.p)
+        lhs[run] = selberg_integrals(comp, full, ctx)
+        rhs[run] = factors * selberg_integrals(comp.truncated(), trunc, ctx) % ctx.p
+    return _everywhere(lhs, rhs, [f"k={key[0]} factored identity" for key in keys])
 
 
 def _i000_check(ctx, k, rows):
@@ -474,9 +488,9 @@ CAMPAIGNS = tuple(_CAMPAIGNS)
 
 # Checks run on contiguous chunks of the key list, of at most CHUNK_KEYS
 # keys, so that what a check holds per key stays bounded: a few int64
-# arrays of a row's width, at most one classifier string and, for the
-# checks with recurrence factors, one point and a few field elements per
-# key, so at most about 1 MB per chunk, the order of one batch's arrays.
+# arrays of a row's width, at most one classifier string and, for
+# `induction`, one point per key, so at most about 1 MB per chunk, the
+# order of one batch's arrays.
 # The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
 _CHUNKS_PER_JOB = 4
 CHUNK_KEYS = 1024

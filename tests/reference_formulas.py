@@ -3,8 +3,10 @@ one field operation per factor.
 
 Reference for tests/test_formulas_reference.py, which requires the table
 evaluators of `fpselberg.formulas` to give the same value or the same error
-text.  `_ratio_product` is the per-factor form of the ratio products behind
-`b_factor` and the shift factors.
+text.  `_ratio_product` is the per-factor form of the ratio products, and
+`b_factor`, `shift_factor_b1` and `shift_factor_b2` list their pairs.
+`beta_rhs`, `dyson_constant` and `induction_factor` are one field element
+per point, raising OutOfRange where a factorial is undefined.
 """
 
 from fpselberg.errors import OutOfRange, PreconditionViolation, ZeroFactor
@@ -154,3 +156,78 @@ def i000_rhs(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FormulaResult:
         return FormulaResult(value=val)
     except OutOfRange as exc:
         return FormulaResult(error=str(exc))
+
+
+def beta_rhs(a: int, b: int, ctx: FpContext) -> FpElement:
+    """-a! b!/(a+b+1-p)! when a+b >= p-1, else 0."""
+    p = ctx.p
+    if not (0 <= a < p and 0 <= b < p):
+        raise PreconditionViolation(f"a={a}, b={b} must lie in [0, {p})")
+    if a + b < p - 1:
+        return ctx.zero
+    num = checked_factorial(ctx, a) * checked_factorial(ctx, b)
+    return -(num / checked_factorial(ctx, a + b + 1 - p))
+
+
+def dyson_constant(k: int, c: int, ctx: FpContext) -> FpElement:
+    """(kc)!/(c!)^k; the constant term of prod (1-x_i/x_j)^c over i != j."""
+    if k < 1 or c < 1:
+        raise PreconditionViolation(f"need k, c >= 1, got k={k}, c={c}")
+    num = checked_factorial(ctx, k * c, "kc")
+    return num / checked_factorial(ctx, c, "c") ** k
+
+
+def induction_factor(k: KComposition, c: int, ctx: FpContext) -> FpElement:
+    """The scalar relating the n-group integral at b_n = (k_{n-1}-k_n+1)c - 1
+    to the (n-1)-group integral: (-1)^{b_n k_n + c k_n(k_n-1)/2} (k_n c)!/(c!)^{k_n}.
+    """
+    if k.n < 2:
+        raise PreconditionViolation("induction factor needs n >= 2")
+    if c < 1:
+        raise PreconditionViolation("c must be positive")
+    kn = k.part(k.n)
+    bn = (k.part(k.n - 1) - kn + 1) * c - 1
+    sign = sign_pow(ctx, bn * kn + c * kn * (kn - 1) // 2)
+    return sign * checked_factorial(ctx, kn * c, "k_n c") / checked_factorial(ctx, c, "c") ** kn
+
+
+def b_factor(k1: int, k2: int, idx: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
+    """The contiguous-relation factor B1 (idx 0) or B2 (idx 1); ZeroFactor
+    names the first of its own pairs that vanishes."""
+    a, (b1, b2), c = pt.a, pt.b, pt.c
+    if idx == 0:
+        pairs = [(a + b1 + (i + k1 - 2) * c, b1 + (i - 1) * c, f"B1 first product at i={i}")
+                 for i in range(1, k1 - k2 + 1)]
+        pairs += [(a + b1 + b2 + (i + k1 - 3) * c, b1 + b2 + (i - 2) * c,
+                   f"B1 second product at i={i}") for i in range(1, k2 + 1)]
+    else:
+        pairs = []
+        for i in range(1, k2 + 1):
+            pairs.append((b2 + (i + k2 - k1 - 2) * c, b2 + (i - 1) * c, f"B2 first ratio at i={i}"))
+            pairs.append((a + b1 + b2 + (i + k1 - 3) * c, b1 + b2 + (i - 2) * c,
+                          f"B2 second ratio at i={i}"))
+    return _ratio_product(ctx, pairs)
+
+
+def shift_factor_b1(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
+    """Factor F with S(a, b1-1, b2, c) = F * S(a, b1, b2, c), evaluated at pt."""
+    a, (b1, b2), c = pt.a, pt.b, pt.c
+    p = ctx.p
+    pairs = [(1 + a + b1 + (i + k1 - 2) * c - p, b1 + (i - 1) * c,
+              f"b1-shift first product at i={i}") for i in range(1, k1 - k2 + 1)]
+    pairs += [(2 + a + b1 + b2 + (i + k1 - 3) * c - p, 1 + b1 + b2 + (i - 2) * c,
+               f"b1-shift second product at i={i}") for i in range(1, k2 + 1)]
+    return _ratio_product(ctx, pairs)
+
+
+def shift_factor_b2(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> FpElement:
+    """Factor F with S(a, b1, b2-1, c) = F * S(a, b1, b2, c), evaluated at pt."""
+    a, (b1, b2), c = pt.a, pt.b, pt.c
+    p = ctx.p
+    pairs = []
+    for i in range(1, k2 + 1):
+        pairs.append((1 + b2 + (i + k2 - k1 - 2) * c, b2 + (i - 1) * c,
+                      f"b2-shift first ratio at i={i}"))
+        pairs.append((2 + a + b1 + b2 + (i + k1 - 3) * c - p, 1 + b1 + b2 + (i - 2) * c,
+                      f"b2-shift second ratio at i={i}"))
+    return _ratio_product(ctx, pairs)

@@ -10,12 +10,13 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 import reference_engine as ref
 from fpselberg.admissible import (distinguished_point, enumerate_admissible,
                                   enumerate_admissible_I, is_admissible)
-from fpselberg.formulas import beta_rhs, i000_rhs, r_value
+from fpselberg.formulas import beta_values, i000_rhs, r_value
 from fpselberg.gf import FpContext, checked_factorial, sign_pow
 from fpselberg.harness import CampaignSpec, run_campaign, bench
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
@@ -39,8 +40,9 @@ def test_criterion_01_beta_exhaustive():
         report = _green(CampaignSpec("beta", p))
         assert report.total == p * p
         ctx = FpContext(p)
-        values = [int(beta_rhs(a, b, ctx)) for a in range(p) for b in range(p)]
-        assert values.count(0) > 0 and len(values) - values.count(0) > 0
+        rows = np.array([(a, b, 1) for a in range(p) for b in range(p)], dtype=np.int64)
+        values, first = beta_values(rows, ctx)
+        assert ((values == 0) == (first >= 0)).all() and 0 < (values == 0).sum() < len(values)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0
     print(f"\nPASS criterion 1: beta exhaustive p in {{5,7,11,13}}, both branches, {elapsed:.2f}s")

@@ -1,16 +1,51 @@
 from functools import partial
 
+import numpy as np
 import pytest
 
+from fpselberg import formulas
 from fpselberg.admissible import (decrement_path, distinguished_point,
                                   enumerate_admissible, enumerate_admissible_I)
 from fpselberg.errors import OutOfRange, PreconditionViolation, ZeroFactor
-from fpselberg.formulas import (FormulaResult, b_factor, beta_rhs,
-                                dyson_constant, i000_rhs, induction_factor,
-                                r_value, rhs_3_11, rhs_4_111,
-                                shift_factor_b1, shift_factor_b2)
+from fpselberg.formulas import (FormulaResult, b_factor_values, beta_values,
+                                dyson_values, i000_rhs, induction_values,
+                                r_value, rhs_3_11, rhs_4_111_values,
+                                shift_factor_values)
 from fpselberg.gf import FpContext, checked_factorial, sign_pow
 from fpselberg.integrals import KComposition, ParamPoint
+
+
+# the batch forms at one row: (its residue, its first undefined term's
+# error or None); table() is the batch form's term table
+
+def _one(batch_form, table, *args, row, ctx):
+    row = np.array([row], dtype=np.int64)
+    values, first = batch_form(*args, row, ctx)
+    j = int(first[0])
+    return int(values[0]), None if j < 0 else formulas._failure(table(), row[0], j, ctx.p)
+
+
+def _beta(a, b, ctx):
+    return _one(beta_values, lambda: formulas._beta_table(ctx.p), row=(a, b, 1), ctx=ctx)
+
+
+def _dyson(k, c, ctx):
+    return _one(dyson_values, lambda: formulas._dyson_table(k, ctx.p), k, row=(0, 0, c), ctx=ctx)
+
+
+def _induction(k, c, ctx):
+    return _one(induction_values, lambda: formulas._induction_table(k.parts, ctx.p), k,
+                row=(0,) * (k.n + 1) + (c,), ctx=ctx)
+
+
+def _b_factor(k1, k2, idx, pt, ctx):
+    return _one(b_factor_values, lambda: formulas._ratio_table(k1, k2, idx, 0, ctx.p), k1, k2, idx,
+                row=(pt.a, *pt.b, pt.c), ctx=ctx)
+
+
+def _shift_factor(k1, k2, idx, pt, ctx):
+    return _one(shift_factor_values, lambda: formulas._ratio_table(k1, k2, idx, 1, ctx.p), k1, k2, idx,
+                row=(pt.a, *pt.b, pt.c), ctx=ctx)
 
 
 def test_formula_result_exactly_one_side():
@@ -25,28 +60,29 @@ def test_formula_result_exactly_one_side():
 
 def test_beta_rhs_branches():
     ctx = FpContext(5)
-    # below the threshold a+b >= p-1 the integral is 0
-    assert int(beta_rhs(1, 1, ctx)) == 0
-    assert int(beta_rhs(0, 0, ctx)) == 0
+    # below the threshold a+b >= p-1 the integral is 0: (a+b+1-p)! is undefined
+    for a, b in ((1, 1), (0, 0)):
+        value, error = _beta(a, b, ctx)
+        assert value == 0 and isinstance(error, OutOfRange) and error.what == "a+b+1-p"
     # at a=b=2, p=5: -2!2!/1! = -4 = 1
-    assert int(beta_rhs(2, 2, ctx)) == 1
-    assert int(beta_rhs(4, 4, ctx)) == int(-ctx.element(24 * 24) / ctx.element(24))
-    assert int(beta_rhs(6, 6, FpContext(7))) == 1  # -6!6!/6! = -6! = 1
+    assert _beta(2, 2, ctx) == (1, None)
+    assert _beta(4, 4, ctx) == (int(-ctx.element(24 * 24) / ctx.element(24)), None)
+    assert _beta(6, 6, FpContext(7)) == (1, None)  # -6!6!/6! = -6! = 1
     with pytest.raises(PreconditionViolation):
-        beta_rhs(5, 0, ctx)
+        _beta(5, 0, ctx)
     with pytest.raises(PreconditionViolation):
-        beta_rhs(-1, 0, ctx)
+        _beta(-1, 0, ctx)
 
 
 def test_dyson_constant_values():
     ctx = FpContext(7)
-    assert int(dyson_constant(1, 1, ctx)) == 1
-    assert int(dyson_constant(2, 1, ctx)) == 2
-    assert int(dyson_constant(3, 1, ctx)) == 6
-    assert int(dyson_constant(2, 2, ctx)) == 6  # 4!/2!2! = 6
-    assert int(dyson_constant(1, 5, ctx)) == 1
-    with pytest.raises(OutOfRange):
-        dyson_constant(4, 2, ctx)  # kc = 8 > p-1
+    assert _dyson(1, 1, ctx) == (1, None)
+    assert _dyson(2, 1, ctx) == (2, None)
+    assert _dyson(3, 1, ctx) == (6, None)
+    assert _dyson(2, 2, ctx) == (6, None)  # 4!/2!2! = 6
+    assert _dyson(1, 5, ctx) == (1, None)
+    value, error = _dyson(4, 2, ctx)  # kc = 8 > p-1
+    assert value == 0 and isinstance(error, OutOfRange) and (error.argument, error.what) == (8, "kc")
 
 
 def test_r_value_known():
@@ -143,66 +179,89 @@ def test_rhs_3_11_out_of_range_is_a_result():
     assert "outside [0, p)" in got.error
 
 
+@pytest.mark.parametrize("batch_form, row", [(formulas.rhs_3_11_values, (1, 3, 2, 2)),
+                                             (formulas.rhs_4_111_values, (2, 1, 1, 1, 1))])
+def test_theorem_forms_reject_rows_of_another_width(batch_form, row):
+    # such rows once raised numpy's own ValueError: "too many values to
+    # unpack" for rhs_3_11_values, a matmul core dimension for rhs_4_111_values
+    ctx, width = FpContext(5), len(row)
+    for rows in (np.ones((3, width - 1), dtype=np.int64), np.ones((3, width + 1), dtype=np.int64),
+                 np.ones(width, dtype=np.int64)):
+        with pytest.raises(PreconditionViolation,
+                           match=f"b has length {rows.shape[-1] - 2}, Theorem .* has n={width - 2}"):
+            batch_form(rows, ctx)
+    values, first = batch_form(np.array([row] * 3, dtype=np.int64), ctx)
+    assert (first == -1).all() and len(set(values.tolist())) == 1
+
+
 def test_rhs_4_111_value_against_integral():
     from fpselberg.integrals import selberg_integral
     ctx = FpContext(5)
     k = KComposition((1, 1, 1))
     # one interior point, checked end to end
     a, b1, b2, b3, c = 2, 1, 1, 1, 1
-    got = rhs_4_111(a, b1, b2, b3, c, ctx)
-    assert got.ok
-    assert selberg_integral(k, ParamPoint(a, (b1, b2, b3), c), ctx) == got.value
+    value, error = _one(rhs_4_111_values, lambda: formulas._rhs_4_111_table(5), row=(a, b1, b2, b3, c),
+                        ctx=ctx)
+    assert error is None
+    assert selberg_integral(k, ParamPoint(a, (b1, b2, b3), c), ctx).residue == value
 
 
 def test_b_factor_known_point():
     ctx = FpContext(11)
     pt = ParamPoint(2, (5, 5), 3)
-    assert int(b_factor(2, 1, 0, pt, ctx)) == 5
-    assert int(b_factor(2, 1, 1, pt, ctx)) == 5
+    assert _b_factor(2, 1, 0, pt, ctx) == (5, None)
+    assert _b_factor(2, 1, 1, pt, ctx) == (5, None)
     with pytest.raises(PreconditionViolation, match="idx must be 0"):
-        b_factor(2, 1, 2, pt, ctx)
+        _b_factor(2, 1, 2, pt, ctx)
 
 
 def test_b_factor_zero_denominator():
     ctx = FpContext(11)
     # b1 + b2 - c = 0 mod 11 kills the second-product denominator both share
     for idx in (0, 1):
-        with pytest.raises(ZeroFactor):
-            b_factor(2, 1, idx, ParamPoint(1, (5, 6), 11), ctx)
+        value, error = _b_factor(2, 1, idx, ParamPoint(1, (5, 6), 11), ctx)
+        assert value == 0 and isinstance(error, ZeroFactor)
+        assert str(error).startswith("denominator") and "second" in str(error)
 
 
 def test_b_factor_raises_only_for_its_own_pairs():
     ctx = FpContext(7)
     # only B2's first-ratio numerator b2 + (1 + k2 - k1 - 2)c vanishes
     pt = ParamPoint(1, (2, 6), 3)
-    assert int(b_factor(2, 1, 0, pt, ctx)) != 0
-    with pytest.raises(ZeroFactor, match="numerator B2 first ratio at i=1"):
-        b_factor(2, 1, 1, pt, ctx)
+    value, error = _b_factor(2, 1, 0, pt, ctx)
+    assert value != 0 and error is None
+    value, error = _b_factor(2, 1, 1, pt, ctx)
+    assert value == 0 and isinstance(error, ZeroFactor)
+    assert str(error).startswith("numerator B2 first ratio at i=1")
     # only B1's first-product numerator a + b1 + (1 + k1 - 2)c vanishes
     pt = ParamPoint(1, (3, 5), 3)
-    assert int(b_factor(2, 1, 1, pt, ctx)) != 0
-    with pytest.raises(ZeroFactor, match="numerator B1 first product at i=1"):
-        b_factor(2, 1, 0, pt, ctx)
+    value, error = _b_factor(2, 1, 1, pt, ctx)
+    assert value != 0 and error is None
+    value, error = _b_factor(2, 1, 0, pt, ctx)
+    assert value == 0 and isinstance(error, ZeroFactor)
+    assert str(error).startswith("numerator B1 first product at i=1")
 
 
 @pytest.mark.parametrize("k, b", [((2, 1), (2,)), ((2, 2), (2, 2)), ((1, 2), (2, 2))])
 def test_two_group_factors_check_their_input(k, b):
     ctx = FpContext(7)
-    for factor in (partial(b_factor, *k, 0), partial(b_factor, *k, 1),
-                   partial(shift_factor_b1, *k), partial(shift_factor_b2, *k),
-                   partial(i000_rhs, *k)):
+    rows = np.array([(1, *b, 3)], dtype=np.int64)
+    for factor in (partial(b_factor_values, *k, 0), partial(b_factor_values, *k, 1),
+                   partial(shift_factor_values, *k, 0), partial(shift_factor_values, *k, 1)):
         with pytest.raises(PreconditionViolation):
-            factor(ParamPoint(1, b, 3), ctx)
+            factor(rows, ctx)
+    with pytest.raises(PreconditionViolation):
+        i000_rhs(*k, ParamPoint(1, b, 3), ctx)
 
 
 def test_induction_factor_values():
     ctx = FpContext(11)
-    assert int(induction_factor(KComposition((2, 1)), 3, ctx)) == 10
-    assert int(induction_factor(KComposition((3, 2)), 1, ctx)) == 9
+    assert _induction(KComposition((2, 1)), 3, ctx) == (10, None)
+    assert _induction(KComposition((3, 2)), 1, ctx) == (9, None)
     with pytest.raises(PreconditionViolation):
-        induction_factor(KComposition((2,)), 1, ctx)
-    with pytest.raises(OutOfRange):
-        induction_factor(KComposition((3, 2)), 9, ctx)  # k_n * c = 18 > p-1
+        _induction(KComposition((2,)), 1, ctx)
+    value, error = _induction(KComposition((3, 2)), 9, ctx)  # k_n * c = 18 > p-1
+    assert value == 0 and isinstance(error, OutOfRange) and error.argument == 18
 
 
 def test_induction_factor_single_bottom_group():
@@ -211,7 +270,7 @@ def test_induction_factor_single_bottom_group():
     for c in (1, 2, 3):
         bn = (2 - 1 + 1) * c - 1
         expect = ctx.element((-1) ** (bn % 2))
-        assert induction_factor(KComposition((2, 1)), c, ctx) == expect
+        assert _induction(KComposition((2, 1)), c, ctx) == (expect.residue, None)
 
 
 def test_i000_rhs_defined_on_its_domain():
@@ -232,14 +291,16 @@ def test_shift_factors_along_a_path():
     assert len(path) >= 2
     cur = frm
     for idx, nxt in path:
-        factor = (shift_factor_b1 if idx == 0 else shift_factor_b2)(2, 1, cur, ctx)
+        factor, error = _shift_factor(2, 1, idx, cur, ctx)
+        assert error is None
         assert selberg_integral(k, nxt, ctx) == factor * selberg_integral(k, cur, ctx)
         cur = nxt
     assert cur == distinguished_point(k, frm.a, frm.c, ctx)
 
 
 # (function, k, point, ZeroFactor text): for each ratio pair of the four
-# factors (B1 and B2 are `b_factor` at idx 0 and 1), and each side of it,
+# factors (B1 and B2 are `b_factor_values` at idx 0 and 1, the shift
+# factors `shift_factor_values` at idx 0 and 1), and each side of it,
 # the first point of a sweep (k = (3,2), (3,1) and (2,1) in turn; p = 7;
 # c-major over c <= p, then a, b1, b2 < 2p) where it is the pair that raises.
 PINNED_ZERO_FACTORS = [
@@ -295,11 +356,11 @@ PINNED_ZERO_FACTORS = [
 
 
 def test_zero_factor_texts_name_the_vanishing_pair():
-    functions = {"B1": lambda k1, k2, pt, ctx: b_factor(k1, k2, 0, pt, ctx),
-                 "B2": lambda k1, k2, pt, ctx: b_factor(k1, k2, 1, pt, ctx),
-                 "shift_factor_b1": shift_factor_b1, "shift_factor_b2": shift_factor_b2}
+    functions = {"B1": partial(_b_factor, idx=0), "B2": partial(_b_factor, idx=1),
+                 "shift_factor_b1": partial(_shift_factor, idx=0),
+                 "shift_factor_b2": partial(_shift_factor, idx=1)}
     ctx = FpContext(7)
     for name, (k1, k2), (a, b, c), text in PINNED_ZERO_FACTORS:
-        with pytest.raises(ZeroFactor) as info:
-            functions[name](k1, k2, ParamPoint(a, b, c), ctx)
-        assert str(info.value) == text, (name, (k1, k2), (a, b, c))
+        value, error = functions[name](k1, k2, pt=ParamPoint(a, b, c), ctx=ctx)
+        assert value == 0 and isinstance(error, ZeroFactor), (name, (k1, k2), (a, b, c))
+        assert str(error) == text, (name, (k1, k2), (a, b, c))

@@ -1,7 +1,8 @@
 """The table evaluators of `fpselberg.formulas` against the per-factor
 reference in `reference_formulas`: the same value, or the same error text,
 at every point tried, for the batch forms over rows and for the scalar
-forms, their batches of one.
+forms, their batches of one.  The recurrence factors' ratio tables give the
+reference's residue, or the ZeroFactor text of their first vanishing term.
 
 The points are every key of the campaigns the `sweep_small` benchmark
 workload runs (the whole candidate box of the I_{0,0,0} domain walk), boxes
@@ -20,7 +21,7 @@ import pytest
 import reference_formulas as ref
 from fpselberg import formulas, harness
 from fpselberg.admissible import enumerate_admissible
-from fpselberg.errors import PreconditionViolation, ZeroFactor
+from fpselberg.errors import OutOfRange, PreconditionViolation, ZeroFactor
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition, ParamPoint, row_points
 
@@ -35,11 +36,22 @@ def _outcome(result: formulas.FormulaResult):
 
 
 def _raised(evaluate, *args):
-    """The outcome of a closed form, or the PreconditionViolation it raised."""
+    """The outcome of a closed form, a FormulaResult or a field element, or
+    the OutOfRange or PreconditionViolation it raised."""
     try:
-        return _outcome(evaluate(*args))
+        result = evaluate(*args)
+    except OutOfRange as exc:
+        return ("error", str(exc))
     except PreconditionViolation as exc:
         return ("precondition", str(exc))
+    return _outcome(result) if isinstance(result, formulas.FormulaResult) else ("value", int(result))
+
+
+def rhs_4_111(a, b1, b2, b3, c, ctx) -> formulas.FormulaResult:
+    """`rhs_4_111_values` at one point, as a FormulaResult."""
+    row = np.array([[a, b1, b2, b3, c]], dtype=np.int64)
+    return formulas._result(formulas.rhs_4_111_values(row, ctx), formulas._rhs_4_111_table(ctx.p),
+                            row, ctx)
 
 
 def _keys(campaign, p, k=None):
@@ -60,7 +72,7 @@ def test_r_value_on_the_sweep_main_populations():
 
 @pytest.mark.parametrize("campaign, evaluate, reference", [
     ("thm_3_11", formulas.rhs_3_11, ref.rhs_3_11),
-    ("thm_4_111", formulas.rhs_4_111, ref.rhs_4_111),
+    ("thm_4_111", rhs_4_111, ref.rhs_4_111),
 ])
 def test_two_and_three_group_forms_on_the_sweep_populations(campaign, evaluate, reference):
     ctx = FpContext(7)
@@ -143,33 +155,47 @@ def test_rhs_3_11_and_rhs_4_111_on_random_points(p):
         got = _raised(formulas.rhs_3_11, a, b[0], b[1], c, ctx)
         assert got == _raised(ref.rhs_3_11, a, b[0], b[1], c, ctx), (a, b[:2], c)
         outcomes.append(got)
-        got = _raised(formulas.rhs_4_111, a, *b, c, ctx)
+        got = _raised(rhs_4_111, a, *b, c, ctx)
         assert got == _raised(ref.rhs_4_111, a, *b, c, ctx), (a, b, c)
         outcomes.append(got)
     assert _tally(outcomes) == {"value", "error", "precondition"}
 
 
-def _ratio_outcome(ratio_product, ctx, pairs):
+def _ratio_outcome(factor, *args):
     try:
-        return ("value", int(ratio_product(ctx, pairs)))
+        return ("value", int(factor(*args)))
     except ZeroFactor as exc:
         return ("zero", str(exc))
 
 
+# name: (batch form, idx, shift, reference), the four ratio tables
+RATIO_TABLES = {
+    "B1": (formulas.b_factor_values, 0, 0, lambda k1, k2, pt, ctx: ref.b_factor(k1, k2, 0, pt, ctx)),
+    "B2": (formulas.b_factor_values, 1, 0, lambda k1, k2, pt, ctx: ref.b_factor(k1, k2, 1, pt, ctx)),
+    "b1-shift": (formulas.shift_factor_values, 0, 1, ref.shift_factor_b1),
+    "b2-shift": (formulas.shift_factor_values, 1, 1, ref.shift_factor_b2),
+}
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_ratio_products_on_random_pairs(p):
+    # rows far outside the domain as well as in it: a, b_i from 0 to 3p and
+    # c from 1 to 2p, where the ratios' arguments range past 0 and p on both
+    # sides, and each side of each ratio vanishes somewhere
     ctx, rng = FpContext(p), random.Random(4000 + p)
-    outcomes = []
-    for size in range(5):
-        for _ in range(RANDOM_POINTS // 5):
-            # the program's pairs carry (name, i) and label a pair "name at i=<i>"
-            pairs = [(rng.randint(-p, 3 * p), rng.randint(-p, 3 * p), "term", j)
-                     for j in range(size)]
-            got = _ratio_outcome(formulas._ratio_product, ctx, pairs)
-            labelled = [(n, d, f"{name} at i={j}") for n, d, name, j in pairs]
-            assert got == _ratio_outcome(ref._ratio_product, ctx, labelled), pairs
-            outcomes.append(got)
-    assert _tally(outcomes) == {"value", "zero"}
+    rows = np.array([[rng.randint(0, 3 * p) for _ in range(3)] + [rng.randint(1, 2 * p)]
+                     for _ in range(RANDOM_POINTS)], dtype=np.int64)
+    for k1, k2 in I000_PAIRS:
+        for name, (batch_form, idx, shift, reference) in RATIO_TABLES.items():
+            table = formulas._ratio_table(k1, k2, idx, shift, p)
+            values, first = batch_form(k1, k2, idx, rows, ctx)
+            got = [("value", int(values[t])) if first[t] < 0 else
+                   ("zero", str(formulas._failure(table, rows[t], int(first[t]), p)))
+                   for t in range(len(rows))]
+            expect = [_ratio_outcome(reference, k1, k2, ParamPoint(a, (b1, b2), c), ctx)
+                      for a, b1, b2, c in rows.tolist()]
+            assert got == expect, (name, k1, k2)
+            assert _tally(got) == {"value", "zero"}, (name, k1, k2)
 
 
 # the batch forms over boxes of rows
@@ -266,6 +292,61 @@ def test_rhs_3_11_and_rhs_4_111_values_on_boxes(p):
     assert _check_box(lambda rows: formulas.rhs_4_111_values(rows, ctx),
                       formulas._rhs_4_111_table(p), lambda row: ref.rhs_4_111(*row, ctx),
                       rows, ctx) == {"value", "error", "precondition"}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_beta_values_on_boxes(p):
+    # a, b in [-1, p]: the rows where a+b < p-1, where a+b >= p-1 and where
+    # a or b fails its precondition; an undefined row, (a+b+1-p)! outside
+    # [0, p), is the reference's 0 branch
+    ctx = FpContext(p)
+    rows = _box(range(-1, p + 1), range(-1, p + 1), range(1, 2))
+    expect = [_raised(ref.beta_rhs, a, b, ctx) for a, b, _ in rows.tolist()]
+    kept = np.array([kind != "precondition" for kind, _ in expect], dtype=bool)
+    failing = np.flatnonzero(~kept)
+    assert _precondition(formulas.beta_values, rows, ctx) == expect[failing[0]][1]
+    for t in failing:
+        assert _precondition(formulas.beta_values, rows[t:t + 1], ctx) == expect[t][1]
+    values, first = formulas.beta_values(rows[kept], ctx)
+    assert [("value", value) for value in values.tolist()] == [
+        outcome for outcome, keep in zip(expect, kept) if keep]
+    a, b = rows[kept, 0], rows[kept, 1]
+    assert ((first >= 0) == (a + b < p - 1)).all()
+    assert (first[a + b < p - 1] == 2).all() and (values[a + b >= p - 1] != 0).all()
+
+
+@pytest.mark.parametrize("p", [5, 7, 13])
+def test_dyson_values_on_boxes(p):
+    # k from 0 to 5 and c in [-1, p + 1]: rows where kc < p, where kc or c
+    # reaches p, and where k or c fails its precondition; a and b do not
+    # enter, and vary
+    ctx = FpContext(p)
+    seen = set()
+    rows = _box(range(2), range(2), range(-1, p + 2))
+    for k in range(6):
+        seen |= _check_box(lambda rows: formulas.dyson_values(k, rows, ctx),
+                           formulas._dyson_table(k, p),
+                           lambda row: ref.dyson_constant(k, row[-1], ctx), rows, ctx)
+    assert seen == {"value", "error", "precondition"}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_induction_values_on_boxes(p):
+    # c in [-1, p + 1], of both parities, for last groups k_n of both
+    # parities; the rest of the row does not enter, and varies
+    ctx = FpContext(p)
+    seen = set()
+    for parts in ((2, 1), (3, 1), (3, 2), (2, 2), (4, 3), (3, 2, 1), (4, 2, 2), (5, 3, 1, 1)):
+        k = KComposition(parts)
+        rows = _box(range(2), *[range(2)] * k.n, range(-1, p + 2))
+        seen |= _check_box(lambda rows: formulas.induction_values(k, rows, ctx),
+                           formulas._induction_table(parts, p),
+                           lambda row: ref.induction_factor(k, row[-1], ctx), rows, ctx)
+    assert seen == {"value", "error", "precondition"}
+    # one group has no induction factor, and a row must be (a, b_1, ..., b_n, c)
+    for parts, width in (((2,), 3), ((2, 1), 3), ((2, 1), 5)):
+        assert _precondition(formulas.induction_values, KComposition(parts),
+                             np.ones((2, width), dtype=np.int64), ctx) is not None
 
 
 def _thm_3_11_loops(p):

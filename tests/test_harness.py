@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference_formulas as ref
 from fpselberg import formulas, harness, integrals, mpoly
 from fpselberg.admissible import distinguished_point, enumerate_admissible
-from fpselberg.errors import InvariantViolation, ZeroFactor
-from fpselberg.formulas import b_factor, induction_factor
+from fpselberg.errors import InvariantViolation, PreconditionViolation, ZeroFactor
 from fpselberg.gf import FpContext, FpElement
 from fpselberg.integrals import KComposition, ParamPoint, row_points, selberg_integral
 from fpselberg.mpoly import LinearForm
@@ -201,17 +201,43 @@ def _objects_built(monkeypatch, spec) -> tuple[VerificationReport, Counter]:
     (CampaignSpec("thm_3_11", 5), CampaignSpec("thm_3_11", 7)),
     (CampaignSpec("thm_4_111", 5), CampaignSpec("thm_4_111", 7)),
     (CampaignSpec("i000", 7, (2, 1)), CampaignSpec("i000", 11, (3, 1))),
+    (CampaignSpec("beta", 5), CampaignSpec("beta", 13)),
+    (CampaignSpec("dyson", 5), CampaignSpec("dyson", 13)),
+    (CampaignSpec("relations_B1", 7, (2, 1)), CampaignSpec("relations_B1", 13, (3, 2))),
+    (CampaignSpec("relations_B2", 7, (2, 1)), CampaignSpec("relations_B2", 13, (3, 2))),
+    (CampaignSpec("relations_IS", 7, (2, 1)), CampaignSpec("relations_IS", 11, (3, 2))),
+    (CampaignSpec("relations_II0", 7, (2, 1)), CampaignSpec("relations_II0", 11, (3, 2))),
+    (CampaignSpec("stokes", 5, (2, 1)), CampaignSpec("stokes", 7, (2, 1))),
 ], ids=lambda spec: f"{spec.campaign}-p{spec.p}")
 def test_row_campaigns_build_no_objects_per_key(monkeypatch, small, large):
-    # main, thm_3_11, thm_4_111 and i000 keep their keys as int64 rows from
-    # the key list to the verdict: a passing run builds no ParamPoint, and
-    # as many FpElements and FormulaResults however many keys it checks
-    # (a ParamPoint, a FormulaResult and two FpElements per key while keys
-    # were tuples: 890, 890 and 1 780 for main (2,1) at p=13)
+    # every campaign but relations_S1S2 and induction keeps its keys as
+    # int64 rows from the key list to the verdict: a passing
+    # run builds no ParamPoint, and as many FpElements and FormulaResults
+    # however many keys it checks (a ParamPoint, a FormulaResult and two
+    # FpElements per key while keys were tuples: 890, 890 and 1 780 for
+    # main (2,1) at p=13; 624 FpElements for beta at p=13, and 382
+    # ParamPoints and 267 FpElements for relations_B1 (3,2) at p=13, while
+    # their right sides were field elements per key)
     (few, at_few), (many, at_many) = (_objects_built(monkeypatch, spec) for spec in (small, large))
     assert few.all_passed and many.all_passed and 0 < few.checked < many.checked
     assert at_few["ParamPoint"] == at_many["ParamPoint"] == 0
     assert at_few == at_many
+
+
+@pytest.mark.parametrize("small, large", [
+    (CampaignSpec("relations_S1S2", 7, (2, 1)), CampaignSpec("relations_S1S2", 13, (3, 2))),
+    (CampaignSpec("induction", 5), CampaignSpec("induction", 13)),
+], ids=lambda spec: f"{spec.campaign}-p{spec.p}")
+def test_factor_campaigns_build_no_field_element_per_key(monkeypatch, small, large):
+    # relations_S1S2 walks its keys' decrement paths, and induction builds
+    # its keys' distinguished points, as ParamPoints; their factors come
+    # from one batch call per chunk, so as many FpElements and
+    # FormulaResults however many keys they check
+    (few, at_few), (many, at_many) = (_objects_built(monkeypatch, spec) for spec in (small, large))
+    assert few.all_passed and many.all_passed and 0 < few.checked < many.checked
+    assert 0 < at_few["ParamPoint"] < at_many["ParamPoint"]
+    assert (at_few["FpElement"], at_few["FormulaResult"]) == (
+        at_many["FpElement"], at_many["FormulaResult"])
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -400,7 +426,7 @@ def test_b_relations_skip_exactly_where_their_factor_vanishes(p, idx):
     vanishing = 0
     for pt in row_points(keys):
         try:
-            b_factor(2, 1, idx, pt, ctx)
+            ref.b_factor(2, 1, idx, pt, ctx)
         except ZeroFactor:
             vanishing += 1
     report = run_campaign(spec)
@@ -412,33 +438,55 @@ def test_induction_points_pass():
         assert harness._outcome("induction", FpContext(p), None, [key]) == (1, [])
 
 
-def test_induction_runner_skips_oversized_last_group():
-    # k_n c = 8 > p - 1: an unchecked row
-    key = ((3, 2), 1, 4)
-    verdicts = harness._CAMPAIGNS["induction"].check(FpContext(7), None, [key])
-    assert verdicts.checked.tolist() == [False]
-    assert harness._outcome("induction", FpContext(7), None, [key]) == (0, [])
+def test_induction_rejects_a_key_outside_its_domain():
+    # k_1 c = 12 > p - 1: no distinguished point, and so no key of the list
+    with pytest.raises(PreconditionViolation, match=r"\(a, c\) = \(1, 4\) violates"):
+        harness._CAMPAIGNS["induction"].check(FpContext(7), None, [((3, 2), 1, 4)])
 
 
 def test_induction_batches_each_run_of_one_composition():
-    # two runs of (2,1) around one of (3,2,1), a repeated key, and a key
-    # whose last group is too large for its c: one row per key, in key
-    # order, each side equal to the integral at its distinguished point
+    # two runs of (2,1) around two of (3,2,1), and a repeated key: one row
+    # per key, in key order, each side equal to the integral at its
+    # distinguished point, the factor from the reference
     ctx = FpContext(11)
     keys = [((2, 1), 2, 3), ((2, 1), 1, 1), ((2, 1), 2, 3), ((3, 2, 1), 1, 1),
-            ((3, 2, 1), 1, 11), ((3, 2, 1), 2, 2), ((2, 1), 3, 2)]
+            ((3, 2, 1), 2, 2), ((2, 1), 3, 2)]
     lhs, rhs, checked, classifiers = harness._CAMPAIGNS["induction"].check(ctx, None, keys)
     assert len(lhs) == len(rhs) == len(classifiers) == len(keys)
-    assert checked.tolist() == [True] * 4 + [False] + [True] * 2
+    assert checked.tolist() == [True] * len(keys)
     rows = list(zip(lhs.tolist(), rhs.tolist(), classifiers))
-    for (kparts, a, c), row in zip(keys[:4] + keys[5:], rows[:4] + rows[5:]):
+    for (kparts, a, c), row in zip(keys, rows):
         comp = KComposition(kparts)
         trunc = comp.truncated()
         full = selberg_integral(comp, distinguished_point(comp, a, c, ctx), ctx)
-        factored = induction_factor(comp, c, ctx) * selberg_integral(
+        factored = ref.induction_factor(comp, c, ctx) * selberg_integral(
             trunc, distinguished_point(trunc, a, c, ctx), ctx)
         assert row == (full.residue, factored.residue, f"k={kparts} factored identity")
     assert rows[0] == rows[2]
+
+
+@pytest.mark.parametrize("spec, batch_form, text", [
+    (CampaignSpec("relations_S1S2", 7, (2, 1)), "shift_factor_values",
+     r"key \(\(1, 3, 5, 3\), 0\) has an undefined factor: numerator b1-shift first product"
+     r" at i=1 = 1 vanishes mod 7"),
+    (CampaignSpec("induction", 7), "induction_values",
+     r"key \(\(2, 1\), 1, 1\) has an undefined factor: factorial argument 1 outside "
+     r"\[0, p\) \(k_n c\)"),
+    (CampaignSpec("dyson", 7), "dyson_values",
+     r"key \(1, 1\) has an undefined factor: factorial argument 1 outside \[0, p\) \(kc\)"),
+], ids=["relations_S1S2", "induction", "dyson"])
+def test_an_undefined_factor_on_a_defined_key_raises(monkeypatch, spec, batch_form, text):
+    # these key lists define their factors (no shift factor vanishes on a
+    # decrement edge, k_n c <= k_1 c < p, kc < p), so an undefined one is a
+    # fault and raises, naming the key and the term, never a skip; the fault
+    # marks the first term of each call's first row undefined
+    def first_row_undefined(*args, batch_form=getattr(formulas, batch_form)):
+        values, first = batch_form(*args)
+        values[:1], first[:1] = 0, 0
+        return values, first
+    monkeypatch.setattr(formulas, batch_form, first_row_undefined)
+    with pytest.raises(InvariantViolation, match=text):
+        run_campaign(spec)
 
 
 def test_induction_takes_two_integral_calls_per_composition(monkeypatch):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
+from reference_formulas import beta_rhs
 from fpselberg import harness, integrals, mpoly
 from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               InvariantViolation, NegativeExponent,
                               NotAllowable, PreconditionViolation)
-from fpselberg.formulas import beta_rhs
 from fpselberg.gf import FpContext
 from fpselberg.harness import _CAMPAIGNS, CampaignSpec
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,

@@ -205,20 +205,24 @@ def test_each_ac_condition_is_written_in_its_table_alone():
 
 
 def test_closed_forms_evaluate_through_the_factorial_product():
-    # the batch forms of r_value, rhs_3_11, rhs_4_111 and i000_rhs each
-    # evaluate one term table, a product of factorials, through the one
-    # evaluator, and the scalar forms are their batches of one; a
-    # per-factor or per-point evaluator beside it would call
-    # checked_factorial or build its own FormulaResult
-    assert _callers({"checked_factorial"}) == {
-        ("formulas.py", "beta_rhs"), ("formulas.py", "dyson_constant"),
-        ("formulas.py", "induction_factor")}
-    assert _callers({"FormulaResult"}) == {("formulas.py", "_result")}
+    # every closed form and recurrence factor the campaigns check is one
+    # term table, evaluated through the one evaluator by its batch form, and
+    # the scalar forms left are batches of one; a per-factor or per-point
+    # evaluator beside it would call checked_factorial or sign_pow, which
+    # only the test oracle uses, or build its own FormulaResult
     assert _callers({"_evaluate"}) == {
-        ("formulas.py", name) for name in ("r_values", "rhs_3_11_values", "rhs_4_111_values",
-                                           "i000_rhs_values")}
+        ("formulas.py", name) for name in (
+            "r_values", "rhs_3_11_values", "rhs_4_111_values", "i000_rhs_values", "beta_values",
+            "dyson_values", "induction_values", "b_factor_values", "shift_factor_values")}
+    assert {path for path, _ in _callers({"checked_factorial", "sign_pow"})} <= {"gf.py"}
+    assert _callers({"FormulaResult"}) == {("formulas.py", "_result")}
     assert _callers({"_result"}) == {
-        ("formulas.py", name) for name in ("r_value", "rhs_3_11", "rhs_4_111", "i000_rhs")}
+        ("formulas.py", name) for name in ("r_value", "rhs_3_11", "i000_rhs")}
+    # the checks take their sides as residue arrays from the batch forms
+    # and the integrals: no check turns its rows into points or builds a
+    # field element, and only the S1S2 key list walks points
+    assert {function for path, function in _callers({"row_points", "FpElement"})
+            if path == "harness.py"} == {"_relations_s1s2_keys"}
 
 
 def test_package_imports_only_stdlib_and_numpy():
