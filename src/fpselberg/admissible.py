@@ -319,13 +319,15 @@ def i000_closed_forms(k1: int, k2: int, rows: np.ndarray, ctx: FpContext) -> np.
     """`formulas.i000_rhs_values` at rows of `i000_rows`, in one batch call.
     The table and the closed form build their arguments apart, so a row
     where the closed form is undefined is a fault of the walk and raises
-    InvariantViolation, with `formulas.i000_rhs`'s text for the first."""
+    InvariantViolation, naming the first such row and its undefined term."""
     values, first = formulas.i000_rhs_values(k1, k2, rows, ctx)
     undefined = np.flatnonzero(first >= 0)
     if len(undefined):
-        pt, = row_points(rows[undefined[:1]])
-        raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: "
-                                 f"{formulas.i000_rhs(k1, k2, pt, ctx).error}")
+        t = int(undefined[0])
+        pt, = row_points(rows[t:t + 1])
+        error = formulas._failure(formulas._i000_table(k1, k2, ctx.p), rows[t], int(first[t]),
+                                  ctx.p)
+        raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: {error}")
     return values
 
 

@@ -455,14 +455,15 @@ def _prefix_chain(new: np.ndarray, weights, blocks: list[mpoly.SparseBlock],
     i+1 once per distinct prefix, those whose first rows new[:, i] marks;
     weights(i, at) are the rows of group i+1's variables at the run's rows
     `at`, one array per variable with a row per prefix.  Stage 1 starts
-    from the outer product of its rows, reduced mod p after each factor,
-    so each slot holds one product of two residues; a later stage gathers
-    each prefix's parent polynomial and multiplies it by its rows along its
-    axes.  Each stage runs in batches under BATCH_SLOTS, by its own slots
-    per prefix (`_stage_slots`).  With one group, block 1 leaves one slot
-    per prefix.  With n >= 2, the last stage reads, per row, the
-    coefficient of x^T of the last group's polynomial times its rows
-    (`mpoly.top_coefficient`), without forming the product."""
+    from the outer product of its rows, reduced only where block 1's
+    contraction (`mpoly.contract`) could not sum its entries in int64; a
+    later stage gathers each prefix's parent polynomial and multiplies it
+    by its rows along its axes.  Each stage runs in
+    batches under BATCH_SLOTS, by its own slots per prefix
+    (`_stage_slots`).  With one group, block 1 leaves one slot per prefix.
+    With n >= 2, the last stage reads, per row, the coefficient of x^T of
+    the last group's polynomial times its rows (`mpoly.top_coefficient`),
+    without forming the product."""
     ids = np.cumsum(new, axis=0) - 1  # per row, the index of its prefix at each stage
     for i, block in enumerate(blocks):
         first = np.flatnonzero(new[:, i])
@@ -476,13 +477,20 @@ def _prefix_chain(new: np.ndarray, weights, blocks: list[mpoly.SparseBlock],
                 poly = mpoly.multiply_along_axes(value[ids[at, i - 1]].reshape((-1,) + shape),
                                                  rows, p)
             else:
-                poly = rows[0]
+                # every slot of the outer product is a product of residues,
+                # one per variable; an einsum product is the one array
+                # allocated (a broadcast product would also allocate the
+                # ufunc's buffers)
+                poly, top = rows[0], p - 1  # top bounds the entries of poly
+                terms = math.prod(row.shape[1] for row in rows)
                 for row in rows[1:]:
-                    # reduced in place, so that the product is the one array
-                    # allocated (a broadcast product would also allocate the
-                    # ufunc's buffers)
                     poly = np.einsum("n...,nk->n...k", poly, row)
-                    poly %= p
+                    top *= p - 1
+                    # so that the contraction's sums, and the next product,
+                    # stay within int64 (`mpoly.contract` relies on it)
+                    if terms * top * (p - 1) >= mpoly.INT64_LIMIT:
+                        top = p - 1
+                        mpoly.reduce_mod(poly, p)
             # the block's positions are stored reversed against the group
             # box, so the flat group tensor is read as it is
             carried[start:start + size] = mpoly.contract(poly.reshape(len(at), -1), block, p)

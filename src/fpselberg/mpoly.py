@@ -32,18 +32,33 @@ against the rows of a block stored sparse, as a `SparseBlock` of its
 nonzero entries; and `top_coefficient` reads the one coefficient at the
 top slot of every axis of such a row product without forming it.
 
-Every accumulation adds products of two residues, each at most (p-1)^2,
-before it reduces mod p, and a batch never sums across its points.  The
-engine, the contraction and the top coefficient sum in int64: a sum of N
-such products is safe while N * (p-1)^2 < 2^63, which `check_int64_sum`
-enforces before each step (N is the number of terms of a factor in the
-engine, the vector length for a contraction, the axis length for the top
-coefficient).  The row product sums in float64, so that numpy runs it as
-a BLAS matmul: every partial sum of its N products (N the axis length) is
-an integer of at most N * (p-1)^2, which float64 holds exactly, whatever the
-order of addition, while N * (p-1)^2 < 2^53; `check_float64_sum` enforces
-this.  The product is then converted back to int64 and reduced there.
-Both checks raise AccumulatorOverflow.
+Every accumulation adds products of an entry and a residue mod p, and a
+batch never sums across its points.  A sum of N products of entries at most
+`top` and residues is exact in int64 while N * top * (p-1) < 2^63, and in
+float64, whatever the order of addition, while it is below 2^53, where
+float64 stops holding every integer.  Each kernel checks, before each step,
+that the step fits with its operand reduced (top = p-1), and raises
+AccumulatorOverflow otherwise (`check_int64_sum`, `check_float64_sum`).
+
+* `expand`, the expansion engine of block builds: int64, N the terms of a
+  factor power; each factor's product is reduced with `%` at once (see its
+  docstring).
+
+The three chain kernels reduce mod p only where a step would not fit with
+its operand as it is (delayed reduction), and by floor division
+(`reduce_mod`):
+
+* `multiply_along_axes`: float64, so that numpy runs each axis as a BLAS
+  matmul; N the axis length, top the bound on the operand's entries (the
+  residues it takes, then N * top * (p-1) after each axis).  It is reduced
+  before an axis only where that axis would reach 2^53, and converted to
+  int64 and reduced once at the end.
+* `top_coefficient`: int64, N the axis length, the same bound and
+  reductions as the row product against 2^63.
+* `contract`: int64, N the vector length.  Its caller keeps
+  N * top * (p-1) < 2^63 for the bound top on the vectors' entries
+  (residues, or group 1's unreduced outer product, which `integrals`
+  reduces where the bound needs it); it reduces only the column sums.
 
 The coefficient-slot budget (default 2^30 slots) can be overridden with the
 FP_SELBERG_MEM_BUDGET environment variable.
@@ -98,6 +113,18 @@ def check_float64_sum(terms: int, p: int, what: str) -> None:
     if terms * (p - 1) ** 2 >= FLOAT64_EXACT_LIMIT:
         raise AccumulatorOverflow(
             f"{what}: {terms} products of residues mod {p} can exceed float64's exact integers")
+
+
+def reduce_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """Reduce x mod p in place, as x - (x // p) p, and return it: the residue
+    in [0, p) that `%` gives, for every int64 (the product may wrap, but the
+    difference fits, so it comes out right) and every float64 integer below
+    2^53.  Numpy divides int64 by a scalar with a multiply and a shift,
+    where `%` divides in hardware per element."""
+    quotient = x // p
+    quotient *= p
+    x -= quotient
+    return x
 
 
 @dataclass(frozen=True)
@@ -273,6 +300,12 @@ def expand(fp: FactorProduct, caps: tuple[int, ...]) -> TruncatedPoly:
     factor's variables have grown to their full length, so an axis takes
     its cap length only when its first factor is multiplied in.  Raises
     CapacityExceeded when the cap box itself is over budget.
+
+    Each factor's product is reduced with `%` as soon as it is formed.
+    `reduce_mod` would allocate a quotient as large as the product, the
+    largest array of a block build (through it, the peak RSS of the
+    `main_chain` benchmark workload rose by 0.1-0.55 MB, up to 1.6 %), and
+    blocks are built once per cache entry, not per point.
     """
     ctx, p = fp.ctx, fp.ctx.p
     caps = tuple(caps)
@@ -329,17 +362,21 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
     """Truncated product of a batch of dense tensors with rows[j](x_j) for
     every axis j, tensor by tensor.
 
-    Axis 0 of `poly` is the batch; rows[j] holds one row per tensor, the
-    coefficients of a one-variable polynomial, one per slot of axis j+1.
-    Each axis is one product with the stack of upper-triangular Toeplitz
-    matrices of its rows, taken over axis 1 with the new axis appended
-    last, so the axes are back in their original order after ndim-1 steps.
-    A rows object repeated on the next axis reuses its stack.  The products
-    run in float64, exact under `check_float64_sum`, and are reduced mod p
-    in int64; the result is int64.
+    Axis 0 of `poly` is the batch, of residues; rows[j] holds one row per
+    tensor, the residues of a one-variable polynomial's coefficients, one
+    per slot of axis j+1.  Each axis is one product with the stack of
+    upper-triangular Toeplitz matrices of its rows, taken over axis 1 with
+    the new axis appended last, so the axes are back in their original
+    order after ndim-1 steps.  A rows object repeated on the next axis
+    reuses its stack.  The products run in float64, exact while every sum
+    of an axis stays below 2^53: top bounds the entries, residues at first
+    and N * top * (p-1) after an axis of length N, and the tensors are
+    reduced before an axis only where that bound would reach 2^53.  The
+    result is converted to int64 and reduced once, so it holds residues.
     """
     _check_rows(poly, rows)
     batch = len(poly)
+    poly, top = poly.astype(np.float64), p - 1
     for j, row in enumerate(rows):
         n = row.shape[1]
         if j == 0 or row is not rows[j - 1]:
@@ -349,10 +386,13 @@ def multiply_along_axes(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.
             slots = np.arange(n)
             # [t, i, l] = row[t, l - i]
             toeplitz = padded[:, n - 1 + slots[None, :] - slots[:, None]]
-        product = poly.reshape(batch, n, -1).transpose(0, 2, 1).astype(np.float64) @ toeplitz
-        poly = product.astype(np.int64).reshape((batch,) + poly.shape[2:] + (n,))
-        poly %= p
-    return poly
+        if n * top * (p - 1) >= FLOAT64_EXACT_LIMIT:
+            top = p - 1
+            reduce_mod(poly, p)
+        product = poly.reshape(batch, n, -1).transpose(0, 2, 1) @ toeplitz
+        poly = product.reshape((batch,) + poly.shape[2:] + (n,))
+        top *= n * (p - 1)
+    return reduce_mod(poly.astype(np.int64), p)
 
 
 def top_coefficient(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndarray:
@@ -361,17 +401,22 @@ def top_coefficient(poly: np.ndarray, rows: list[np.ndarray], p: int) -> np.ndar
     tensor: the sum over h of poly[t, h] prod_j rows[j][t, T_j - h_j].
 
     Axes and rows are as in `multiply_along_axes`.  The last axis is summed
-    against its reversed row, in int64 under `check_int64_sum`, and reduced
-    mod p, until one number per tensor is left.
+    against its reversed row in int64, until one number per tensor is left,
+    with the entry bound and the reductions of the row product, against
+    2^63; the result is reduced once at the end.
     """
     _check_rows(poly, rows)
     batch = len(poly)
+    top = p - 1
     for row in reversed(rows):
         n = row.shape[1]
         check_int64_sum(n, p, "top coefficient")
+        if n * top * (p - 1) >= INT64_LIMIT:
+            top = p - 1
+            reduce_mod(poly, p)
         poly = poly.reshape(batch, -1, n) @ row[:, ::-1, None]
-        poly %= p
-    return poly.reshape(batch)
+        top *= n * (p - 1)
+    return reduce_mod(poly.reshape(batch), p)
 
 
 class SparseBlock(NamedTuple):
@@ -389,15 +434,16 @@ class SparseBlock(NamedTuple):
 
 def contract(vectors: np.ndarray, block: SparseBlock, p: int) -> np.ndarray:
     """vectors @ block mod p, one row of `vectors` per result row.  A column
-    holds each block row at most once, so it sums at most vectors.shape[1]
-    products; the empty columns are 0."""
+    holds each block row at most once, so it sums at most
+    N = vectors.shape[1] products of an entry of `vectors` and a residue;
+    the caller keeps N * entry * (p-1) < 2^63, so the sums of the nonempty
+    columns are exact and reduced once; the empty columns are 0."""
     check_int64_sum(vectors.shape[1], p, "contraction")
     # np.take along the axis gathers a batch of one as fast as 1-D indexing
     entries = np.take(vectors, block.positions, axis=1)
     entries *= block.values
     out = np.zeros((len(vectors), block.ncols), dtype=np.int64)
-    out[:, block.columns] = np.add.reduceat(entries, block.starts, axis=1)
-    out %= p
+    out[:, block.columns] = reduce_mod(np.add.reduceat(entries, block.starts, axis=1), p)
     return out
 
 

@@ -386,8 +386,11 @@ def test_I_enumeration_raises_where_the_closed_form_is_undefined(monkeypatch):
     victim = enumerate_admissible_I(3, 2, ctx)[50]
     monkeypatch.setattr(formulas, "i000_rhs_values",
                         _undefined_at(victim, formulas.i000_rhs_values))
+    # the text is that of the scalar closed form at the victim, whole
+    error = formulas.i000_rhs(3, 2, victim, ctx).error
+    assert error.startswith("factorial argument")
     with pytest.raises(InvariantViolation, match=re.escape(
-            f"enumerated point {victim} has no I_000 closed form: factorial argument")):
+            f"enumerated point {victim} has no I_000 closed form: {error}") + "$"):
         enumerate_admissible_I(3, 2, ctx)
 
 

@@ -552,6 +552,46 @@ def test_selberg_chain_checks_int64_bounds(monkeypatch):
         selberg_integrals(KComposition((2, 1)), np.array([(1, 3, 2, 1)] * 4), FpContext(5))
 
 
+@pytest.mark.parametrize("p, parts", [(7, (3, 2)), (5, (3, 2, 1))])
+def test_delayed_reductions_leave_the_chain_values_unchanged(monkeypatch, p, parts):
+    # the longest sum of the chain is the contraction of its largest group
+    # tensor (the last group's is read by the top coefficient); at the
+    # smallest limits that its check accepts, group 1's outer product, the
+    # row product and the top coefficient reduce after every factor or axis,
+    # and the values are those of the real limits, where none reduces early
+    # at these primes; at every limit, the entries the contraction sums
+    # keep within the bound that it leaves to its caller
+    ctx, k = FpContext(p), KComposition(parts)
+    rows = point_rows(enumerate_admissible(k, ctx), k.n)
+    terms = max((integrals._group_cap(k, i, p) + 1) ** part
+                for i, part in enumerate(parts[:-1], 1))
+    reductions = []
+    reduce_mod, contract = mpoly.reduce_mod, mpoly.contract
+
+    def counting(x, modulus):
+        reductions.append(x.shape)
+        return reduce_mod(x, modulus)
+
+    def bounded(vectors, block, modulus):
+        out = contract(vectors, block, modulus)
+        assert vectors.shape[1] * int(vectors.max()) * (modulus - 1) < mpoly.INT64_LIMIT
+        return out
+
+    monkeypatch.setattr(mpoly, "reduce_mod", counting)
+    monkeypatch.setattr(mpoly, "contract", bounded)
+    expect = selberg_integrals(k, rows, ctx)
+    at_real_limits = len(reductions)
+    smallest = terms * (p - 1)**2 + 1
+    monkeypatch.setattr(mpoly, "INT64_LIMIT", smallest)
+    monkeypatch.setattr(mpoly, "FLOAT64_EXACT_LIMIT", smallest)
+    reductions.clear()
+    assert np.array_equal(selberg_integrals(k, rows, ctx), expect)
+    assert len(reductions) > at_real_limits
+    monkeypatch.setattr(mpoly, "INT64_LIMIT", smallest - 1)
+    with pytest.raises(AccumulatorOverflow):
+        selberg_integrals(k, rows, ctx)
+
+
 def _full_box_block(k, i, c, ctx, lowered=frozenset()):
     """Block i as first built: the pair factors, those in `lowered` one
     lower, expanded over the whole block box, as a dense matrix of the flat

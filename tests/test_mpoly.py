@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_engine as ref
-from fpselberg import integrals
+from fpselberg import integrals, mpoly
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
                               IndexOutOfCaps, InvalidExponent,
                               PreconditionViolation)
@@ -15,7 +15,7 @@ from fpselberg.integrals import KComposition
 from fpselberg.mpoly import (FactorProduct, LinearForm, SparseBlock,
                              check_float64_sum, check_int64_sum, contract,
                              expand, extract_coefficient,
-                             multiply_along_axes, slot_budget,
+                             multiply_along_axes, reduce_mod, slot_budget,
                              sparse_expand_oracle, top_coefficient)
 
 
@@ -267,6 +267,109 @@ def test_top_coefficient_matches_the_slot_sum():
         assert np.array_equal(got, product.reshape(len(poly), -1)[:, -1]), (p, poly.shape)
     with pytest.raises(PreconditionViolation):
         top_coefficient(np.ones((2, 3), dtype=np.int64), [np.ones((1, 3), dtype=np.int64)], 5)
+
+
+@pytest.mark.parametrize("p", (3, 13, 251, 32749))
+def test_reduce_mod_gives_the_residue_of_every_int64(p):
+    rng = np.random.default_rng(p)
+    info = np.iinfo(np.int64)
+    x = np.concatenate([
+        rng.integers(info.min, info.max, size=10_000, endpoint=True),
+        rng.integers(-2**62 - 1000, -2**62 + 1000, size=1000),
+        rng.integers(2**62 - 1000, 2**62 + 1000, size=1000),
+        np.array([info.min, info.min + 1, -p - 1, -p, -1, 0, 1, p, p + 1, info.max])])
+    got = x.copy()
+    assert reduce_mod(got, p) is got
+    assert np.array_equal(got, x % p)
+    # and the float64 integers below 2^53 that the row product holds
+    y = rng.integers(-2**53 + 1, 2**53, size=10_000)
+    assert np.array_equal(reduce_mod(y.astype(np.float64), p), (y % p).astype(np.float64))
+
+
+def _eager_row_product(poly, rows, p):
+    """`multiply_along_axes` by schoolbook, reducing after every product
+    and every sum: slot l of an axis adds slot i of the tensor times slot
+    l - i of its row, for every i <= l."""
+    for axis, row in enumerate(rows, start=1):
+        n = row.shape[1]
+        moved = np.moveaxis(poly, axis, -1)
+        row = row.reshape((len(row),) + (1,) * (moved.ndim - 2) + (n,))
+        out = np.zeros_like(moved)
+        for i in range(n):
+            out[..., i:] = (out[..., i:] + moved[..., i:i + 1] * row[..., :n - i] % p) % p
+        poly = np.moveaxis(out, -1, axis)
+    return poly
+
+
+def _counting_reductions(monkeypatch) -> list:
+    """Record the shape of every array the kernels hand `reduce_mod`."""
+    calls = []
+
+    def counting(x, p):
+        calls.append(x.shape)
+        return reduce_mod(x, p)
+
+    monkeypatch.setattr(mpoly, "reduce_mod", counting)
+    return calls
+
+
+# (p, axes, slots per axis): up to the group caps, k p slots for the group
+# after a group of k, and capped at p=32749, where two axes of 15 slots keep
+# the unreduced product below 2^53
+@pytest.mark.parametrize("p, axes, n", [(3, 3, 9), (13, 2, 39), (13, 3, 39), (251, 2, 251),
+                                        (251, 3, 50), (32749, 1, 64), (32749, 2, 15)])
+def test_delayed_row_kernels_match_the_eager_reference(monkeypatch, p, axes, n):
+    rng = np.random.default_rng(p * axes)
+    poly = rng.integers(0, p, size=(3,) + (n,) * axes)
+    rows = [rng.integers(0, p, size=(3, n)) for _ in range(axes)]
+    poly[0] = p - 1  # the largest residues, in one tensor and its rows
+    for row in rows:
+        row[0] = p - 1
+    expect = _eager_row_product(poly, rows, p)
+    reductions = _counting_reductions(monkeypatch)
+    # after j axes the entries are at most n^j (p-1)^(j+1); each limit
+    # passes the kernels' checks, n (p-1)^2 < limit, and makes them reduce
+    # before every axis but the first, before the third alone, or never
+    # until the end
+    delayed = min(axes, 2)
+    for limit, early in ((n * (p - 1)**2 + 1, axes - 1),
+                         (n**delayed * (p - 1)**(delayed + 1) + 1, int(axes == 3)),
+                         (n**axes * (p - 1)**(axes + 1) + 1, 0)):
+        assert limit <= 2**53
+        monkeypatch.setattr(mpoly, "INT64_LIMIT", limit)
+        monkeypatch.setattr(mpoly, "FLOAT64_EXACT_LIMIT", limit)
+        reductions.clear()
+        assert np.array_equal(multiply_along_axes(poly, rows, p), expect), limit
+        assert len(reductions) == early + 1, limit
+        reductions.clear()
+        assert np.array_equal(top_coefficient(poly, rows, p),
+                              expect.reshape(len(poly), -1)[:, -1]), limit
+        assert len(reductions) == early + 1, limit
+
+
+# (p, vector length, bound on the vectors' entries): group 1's outer
+# product of three variables leaves entries up to (p-1)^3; at p=32749 the
+# bound is (p-1)^2, so that the unreduced sums still fit in int64
+@pytest.mark.parametrize("p, terms, top", [(3, 27, 2**3), (13, 13**3, 12**3),
+                                           (251, 500, 250**3), (32749, 1000, 32748**2)])
+def test_delayed_contraction_matches_the_eager_reference(monkeypatch, p, terms, top):
+    rng = np.random.default_rng(p)
+    dense = rng.integers(1, p, size=(terms, 40)) * (rng.random((terms, 40)) < 0.3)
+    dense[:, 7] = 0  # an empty column
+    vectors = rng.integers(0, top, size=(3, terms), endpoint=True)
+    vectors[0] = top
+    assert terms * top * (p - 1) < 2**63
+    expect = np.zeros((3, 40), dtype=np.int64)
+    for r in range(terms):  # reduced after every product and every sum
+        expect = (expect + vectors[:, r:r + 1] % p * dense[r] % p) % p
+    block = _sparse(dense)
+    reductions = _counting_reductions(monkeypatch)
+    # reduced or not, the entries are summed as they are, and the column
+    # sums reduced once
+    for entries in (vectors % p, vectors):
+        reductions.clear()
+        assert np.array_equal(contract(entries, block, p), expect)
+        assert len(reductions) == 1
 
 
 def test_huge_exponent_raises_before_expanding():

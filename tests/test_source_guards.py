@@ -85,6 +85,28 @@ def test_one_row_product_path():
                                              ("mpoly.py", "top_coefficient")}
 
 
+def test_the_chain_kernels_reduce_by_floor_division_alone():
+    # the chain's kernels reduce through `reduce_mod` (a multiply and a
+    # shift where `%` is a hardware division per element), and only where
+    # their stated bounds need it; a `%` on an array, or another reduction,
+    # would bring back a reduction per product
+    reductions = {"mod", "remainder", "fmod", "divmod", "reduce_mod"}
+    kernels = {("mpoly.py", "contract"), ("mpoly.py", "multiply_along_axes"),
+               ("mpoly.py", "top_coefficient"), ("integrals.py", "_prefix_chain")}
+    found = set()
+    for path in SOURCES:
+        for function in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(function, ast.FunctionDef)
+                    and (path.name, function.name) in kernels):
+                found.add((path.name, function.name))
+                assert not [node for node in ast.walk(function)
+                            if isinstance(node, (ast.BinOp, ast.AugAssign))
+                            and isinstance(node.op, ast.Mod)], function.name
+    assert found == kernels
+    assert all(called & reductions == {"reduce_mod"}
+               for path, function, called in _calls() if (path, function) in kernels)
+
+
 def test_every_campaign_checks_a_key_list():
     # every check takes a key list (rows, for the campaigns over a domain of
     # rows): a per-key check would bring back an adapter, and with it the
