@@ -13,8 +13,8 @@ key lists are built by interval expansion (`_thm_keys`).  Every check
 returns one `_Verdicts`: per key, the two sides as int64 residues, whether
 the key was checked (a key not checked is a skip), and its failure
 classifier.  Every closed form and recurrence factor is a residue array
-from one batch form call of `formulas` per chunk (or per k, lowered b or
-composition in it).  A key where a closed form or a B factor is undefined
+from one batch form call of `formulas` per key list (or per k, lowered b
+or composition in it).  A key where a closed form or a B factor is undefined
 is a skip (`beta` reads 0); where the key list defines a factor, an
 undefined one raises InvariantViolation (`_defined`).
 Checks take their integrals in batches: `beta` (the one group k = (1,)),
@@ -25,13 +25,11 @@ composition); `i000`, `relations_II0`, `relations_B1` and `relations_B2`
 from one `weighted_integrals` call per allowable triple;
 `relations_IS` from one of each; `stokes` from at most four calls of the
 batch runner `chain_integrals`, whose other callers are `selberg_integrals`
-and `weighted_integrals`.  `run_campaign` splits the keys into contiguous
-chunks of at most CHUNK_KEYS, and `_outcome` turns each chunk's verdicts
-into its count of checked keys and its failure records, in key order, with
-one array comparison, sequentially or in the jobs > 1 pool.  A chunk's
-integrals run per c group (`chain_integrals`), and a chunk boundary cuts
-each c group it crosses in two, which then evaluate their shared prefixes
-twice, so chunks are large.
+and `weighted_integrals`.  `_outcome` turns a key list's verdicts into its
+count of checked keys and its failure records, in key order, with one array
+comparison.  `run_campaign` hands a check the whole key list, and only the
+jobs > 1 pool splits it, into contiguous chunks; cutting work under a memory
+cap is left to `chain_integrals`.
 Checks look up integrals, `formulas.*` and `adm.*` by module attribute at
 call time, so code that patches those attributes sees every call.  Only
 `bench` calls `selberg_integral`, and nothing calls `weighted_integral` or
@@ -486,14 +484,8 @@ _CAMPAIGNS = {
 
 CAMPAIGNS = tuple(_CAMPAIGNS)
 
-# Checks run on contiguous chunks of the key list, of at most CHUNK_KEYS
-# keys, so that what a check holds per key stays bounded: a few int64
-# arrays of a row's width, at most one classifier string and, for
-# `induction`, one point per key, so at most about 1 MB per chunk, the
-# order of one batch's arrays.
-# The jobs > 1 pool gets at least _CHUNKS_PER_JOB chunks per worker.
+# The jobs > 1 pool gets at least _CHUNKS_PER_JOB contiguous chunks per worker.
 _CHUNKS_PER_JOB = 4
-CHUNK_KEYS = 1024
 
 
 def _outcome(campaign: str, ctx: FpContext, k, keys) -> tuple[int, list[dict]]:
@@ -517,18 +509,16 @@ def run_campaign(spec: CampaignSpec) -> VerificationReport:
         raise ValueError(f"campaign {spec.campaign} takes no composition k, got {spec.k}")
     t0 = time.monotonic()
     total, keys = entry.keys(spec, ctx)
-    size = CHUNK_KEYS
     if spec.jobs > 1:
-        size = max(1, min(size, -(-len(keys) // (_CHUNKS_PER_JOB * spec.jobs))))
-    chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
-    args = (repeat(spec.campaign), repeat(ctx), repeat(spec.k), chunks)
-    if spec.jobs > 1:
+        size = max(1, -(-len(keys) // (_CHUNKS_PER_JOB * spec.jobs)))
+        chunks = [keys[start:start + size] for start in range(0, len(keys), size)]
         # imported here: the pool machinery costs about a tenth of start-up
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(pool.map(_outcome, *args))
+            results = list(pool.map(_outcome, repeat(spec.campaign), repeat(ctx),
+                                    repeat(spec.k), chunks))
     else:
-        results = list(map(_outcome, *args))
+        results = [_outcome(spec.campaign, ctx, spec.k, keys)]
     checked = sum(count for count, _ in results)
     failures = [record for _, records in results for record in records]
     return VerificationReport(

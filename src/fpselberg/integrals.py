@@ -524,17 +524,20 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
     gather per distinct shift of a group from the padded table of the
     group's cap.  Raises PreconditionViolation unless the rows have width
     k.n + 2 and shifts holds k.n groups.  Then, before any point is
-    evaluated, it raises NegativeExponent where a shift takes an exponent
-    below 0, and CapacityExceeded, before any block is built, exactly when
-    the target box exceeds the slot budget; every block and every group
-    polynomial is a sub-box of it.  It raises AccumulatorOverflow as the
-    `mpoly` kernels, whose accumulation bounds (int64 for the contraction
-    and the top coefficient, 2^53 for the float64 row product) are per
-    point."""
+    evaluated: as `selberg_integral` at the first row that is no parameter
+    point with c <= p (`_invalid`); NegativeExponent where a shift takes an
+    exponent below 0, or at c = p with a cross pair in `lowered` (p - c = 0);
+    and, before any block is built, CapacityExceeded exactly when the target
+    box, of which every block and group polynomial is a sub-box, exceeds the
+    slot budget.  It raises AccumulatorOverflow as the `mpoly` kernels, whose
+    accumulation bounds (int64 for the contraction and the top coefficient,
+    2^53 for the float64 row product) are per point."""
     if rows.shape[1] != k.n + 2 or len(shifts) != k.n:
         raise PreconditionViolation(f"rows of width {rows.shape[1]} and {len(shifts)} shift "
                                     f"groups for a composition of n={k.n}")
     p = ctx.p
+    _raise_at_first(rows, _invalid(rows, p),
+                    lambda a, b, c: _check_point(k, ParamPoint(a, b, c), ctx))
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
     values = np.zeros(len(rows), dtype=np.int64)
     if not len(rows):
@@ -547,6 +550,14 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
             raise NegativeExponent(f"row {tuple(rows[t].tolist())}: a shift takes the exponent "
                                    f"of {('x', '1-x')[axis]} in group {i + 1} to "
                                    f"{int(lowest[t, axis])}")
+    # the pairs of block 1 (at c < p), and those _pair_factors keeps at c = p, the in-group ones
+    block, kept = ({f for f, _ in _pair_factors(k.parts[:2], c, p)} for c in (1, p))
+    cross = sorted(f.variables() for f in (lowered & block) - kept)
+    if cross and (rows[:, -1] == p).any():
+        (u, v), t = cross[0], int((rows[:, -1] == p).argmax())
+        names = [f"t{j + 1}" for j in range(k.part(1))] + [f"s{j + 1}" for j in range(k.part(2))]
+        raise NegativeExponent(f"row {tuple(rows[t].tolist())}: the lowered cross pair "
+                               f"{names[u]}-{names[v]} takes its exponent p - c = 0 to -1")
     _check_target_box(cycle_from_composition(k).targets(p))
     stages = max(k.n - 1, 1)  # the stages that contract a block
     keys = rows[:, [-1, *range(stages + 1)]]  # (c, a, b_1, ..., b_stages)
@@ -614,14 +625,11 @@ def _invalid(rows: np.ndarray, p: int) -> np.ndarray:
 
 def selberg_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
     """The integral of master_polynomial(k, pt) over cycle_from_composition(k)
-    at each row (a, b_1, ..., b_n, c), in order, as int64 residues: every
-    shift zero along the block chain, in batches (`chain_integrals`).
-    Raises, for the first offending row, as `selberg_integral` at its
-    point."""
+    at each row (a, b_1, ..., b_n, c), in order, as int64 residues: one
+    `chain_integrals` call with every shift zero, which raises as
+    `selberg_integral` at the first offending row's point."""
     if rows.shape[1] != k.n + 2:
         raise PreconditionViolation(f"b has length {rows.shape[1] - 2}, composition has n={k.n}")
-    _raise_at_first(rows, _invalid(rows, ctx.p),
-                    lambda a, b, c: _check_point(k, ParamPoint(a, b, c), ctx))
     return chain_integrals(k, rows, ctx, [[(0, 0)] * part for part in k.parts])
 
 

@@ -231,7 +231,7 @@ def test_row_campaigns_build_no_objects_per_key(monkeypatch, small, large):
 def test_factor_campaigns_build_no_field_element_per_key(monkeypatch, small, large):
     # relations_S1S2 walks its keys' decrement paths, and induction builds
     # its keys' distinguished points, as ParamPoints; their factors come
-    # from one batch call per chunk, so as many FpElements and
+    # from one batch call per key list, so as many FpElements and
     # FormulaResults however many keys they check
     (few, at_few), (many, at_many) = (_objects_built(monkeypatch, spec) for spec in (small, large))
     assert few.all_passed and many.all_passed and 0 < few.checked < many.checked
@@ -276,13 +276,13 @@ def test_parallel_matches_sequential_on_selberg_campaigns(spec):
     assert seq == par
 
 
-def _recorded_chunks(monkeypatch, jobs):
-    """The key lists thm_3_11 at p=5 hands its check, the report with and
+def _recorded_chunks(monkeypatch, jobs, p=5):
+    """The key lists thm_3_11 at p hands its check, the report with and
     without the recording, and the campaign's key list."""
-    spec = CampaignSpec("thm_3_11", 5)
+    spec = CampaignSpec("thm_3_11", p)
     entry = harness._CAMPAIGNS["thm_3_11"]
     expect = run_campaign(spec).as_dict()
-    _, keys = entry.keys(spec, FpContext(5))
+    _, keys = entry.keys(spec, FpContext(p))
     seen = []
     if jobs == 1:
         def recording(ctx, k, chunk):
@@ -311,12 +311,11 @@ def _recorded_chunks(monkeypatch, jobs):
 
 def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatch):
     # the blocks of every prime stay cached across the primes of a sweep,
-    # and each chunk's c groups, which fit under BATCH_SLOTS, run as one
-    # run each, and each stage of a run as one batch; at 256 keys a chunk
-    # cut thm_4_111 at p=5 (492 keys) and thm_3_11 at p=7 (980) and so
-    # their c groups into more batches
+    # and each key list's c groups, which fit under BATCH_SLOTS, run as one
+    # run each, and each stage of a run as one batch, also where c changes
+    # from key to key, as in thm_4_111 at p=7 (2 298 keys, 7 c groups)
     specs = [CampaignSpec("thm_4_111", 5), CampaignSpec("thm_3_11", 7),
-             CampaignSpec("main", 11, (2, 1))]
+             CampaignSpec("main", 11, (2, 1)), CampaignSpec("thm_4_111", 7)]
     monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
     first = [run_campaign(spec).as_dict() for spec in specs]
     built, groups, runs = [], [], []
@@ -350,7 +349,7 @@ def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatc
     monkeypatch.setattr(mpoly, "top_coefficient", counted(top))
     second = [run_campaign(spec).as_dict() for spec in specs]
     assert built == []
-    assert len(groups) == len(specs)  # one chunk each
+    assert len(groups) == len(specs)  # one runner call each
     assert [sorted(size for size, _, _ in call) for call in runs] == groups
     assert all(stages == calls for call in runs for _, stages, calls in call)
     for report in first + second:
@@ -358,14 +357,29 @@ def test_a_second_pass_builds_no_block_and_runs_one_batch_per_c_group(monkeypatc
     assert second == first
 
 
+def test_each_prefix_is_contracted_once_per_runner_call(monkeypatch):
+    # exhaustive stokes (2,1) at p=7 makes four runner calls over its 1 296
+    # keys, and each contracts block 1 once per distinct stage-1 prefix
+    # (c, a, b_1), 6^3 = 216 of them, so that none is evaluated twice
+    contracted, contract = [], mpoly.contract
+
+    def counted(vectors, block, p):
+        contracted.append(len(vectors))
+        return contract(vectors, block, p)
+
+    monkeypatch.setattr(mpoly, "contract", counted)
+    report = run_campaign(CampaignSpec("stokes", 7, (2, 1)))
+    assert report.checked == report.passed == 1296
+    assert sum(contracted) == 4 * 216
+
+
 def test_tasks_run_in_key_order(monkeypatch):
     # thm_3_11 keys vary c fastest; the block cache keeps every c of the
-    # prime, so evaluation follows the key list as it is, in contiguous
-    # key lists of at most CHUNK_KEYS (lowered below the 275 keys at p=5)
-    monkeypatch.setattr(harness, "CHUNK_KEYS", 100)
-    seen, expect, got, keys = _recorded_chunks(monkeypatch, 1)
-    assert np.array_equal(np.concatenate(seen), keys)
-    assert max(map(len, seen)) <= harness.CHUNK_KEYS < len(keys)
+    # prime, so at jobs = 1 the check gets the key list once, whole and in
+    # key order (5 566 keys at p=11), and only the chain runner cuts work
+    seen, expect, got, keys = _recorded_chunks(monkeypatch, 1, p=11)
+    assert len(seen) == 1 and np.array_equal(seen[0], keys)
+    assert len(keys) == 5566
     assert got == expect
 
 

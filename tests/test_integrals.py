@@ -12,7 +12,7 @@ import reference_engine as ref
 from reference_formulas import beta_rhs
 from fpselberg import harness, integrals, mpoly
 from fpselberg.admissible import enumerate_admissible
-from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded,
+from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded, InvalidExponent,
                               InvariantViolation, NegativeExponent,
                               NotAllowable, PreconditionViolation)
 from fpselberg.gf import FpContext
@@ -1062,19 +1062,29 @@ def test_selberg_integrals_raise_as_the_first_offending_row(monkeypatch, parts, 
     assert evaluated == []
 
 
-@pytest.mark.parametrize("bad, shift, message", [
-    ((2, 0, 3, 2), (0, -1), r"row \(2, 0, 3, 2\): .* of 1-x in group 1 to -1"),
-    ((0, 2, 3, 2), (-1, 0), r"row \(0, 2, 3, 2\): .* of x in group 1 to -1"),
-], ids=["db-at-b1-0", "da-at-a-0"])
-def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, message):
+@pytest.mark.parametrize("bad, shift, lowered, error, message", [
+    ((2, 0, 3, 2), (0, -1), (), NegativeExponent,
+     r"row \(2, 0, 3, 2\): .* of 1-x in group 1 to -1"),
+    ((0, 2, 3, 2), (-1, 0), (), NegativeExponent, r"row \(0, 2, 3, 2\): .* of x in group 1 to -1"),
+    ((2, 1, 3, 0), (0, 0), (), PreconditionViolation, r"^bad parameter point \(2, \(1, 3\), 0\)$"),
+    ((2, 1, 3, 8), (0, 0), (), InvalidExponent, r"^c=8 > p=7 makes the cross exponent negative$"),
+    ((2, 1, 3, 7), (0, 0), ((2, 0),), NegativeExponent,
+     r"^row \(2, 1, 3, 7\): the lowered cross pair s1-t1 takes its exponent p - c = 0 to -1$"),
+], ids=["db-at-b1-0", "da-at-a-0", "c-0", "c-above-p", "cross-pair-at-c-p"])
+def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, lowered, error,
+                                                     message):
     # db = -1 at b_1 = 0 used to read the padded row of index -1, that of
     # the largest b, and return 6 at this row; da = -1 at a = 0 raised a
-    # bare IndexError
+    # bare IndexError.  The runner also rejects, as selberg_integral does,
+    # rows that are not parameter points with c <= p, and a lowered cross
+    # pair (s_1 - t_1) at c = p, where p - c = 0 leaves the cross factors out
+    # of the block, so that there is nothing to lower
     evaluated = []
     monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
-    with pytest.raises(NegativeExponent, match=message):
+    with pytest.raises(error, match=message):
         integrals.chain_integrals(KComposition((2, 1)), np.array([(2, 1, 3, 2), bad]),
-                                  FpContext(7), [[shift, (0, 0)], [(0, 0)]])
+                                  FpContext(7), [[shift, (0, 0)], [(0, 0)]],
+                                  frozenset(LinearForm.diff(*pair) for pair in lowered))
     assert evaluated == []
 
 

@@ -125,8 +125,8 @@ def test_failure_records_under_a_planted_fault(monkeypatch, fault, spec):
 @pytest.mark.parametrize("spec", GOLDEN_SPECS,
                          ids=lambda spec: spec.campaign if spec.exhaustive else "main-sampled")
 def test_failure_records_do_not_depend_on_chunking(monkeypatch, spec):
-    # the runner cuts the keys into chunks (smaller ones under --jobs), and
-    # a per-key classifier list is local to its chunk: the whole key list
+    # the jobs > 1 pool cuts the keys into chunks, and a per-key
+    # classifier list is local to its chunk: the whole key list
     # and its 7-key slices give the same count and records, in key order
     _plant(monkeypatch, FAULTS["plus_one"])
     ctx = FpContext(spec.p)
