@@ -25,8 +25,12 @@ homogeneous of degree D (the sum of its exponents), so it is expanded by
 the coefficient at exponents g of those axes belongs at exponent D - |g| of
 the last one and is dropped when that falls outside its cap (3.3 M slots
 become 85.7 k for block 1 of (3,2) at p=13).  The cache stores only the
-nonzero slots, as a `mpoly.SparseBlock` (5 697 of 3 341 637 for that block
-at c=1; see `_BlockCache`); no dense block is ever allocated.
+nonzero slots, as a `mpoly.SparseBlock` (see `_BlockCache`); no dense block
+is ever allocated.  The integrand is symmetric in the variables of each
+group, so a block is also folded over a group that one runner call weights
+alike and lowers no pair of: it keeps the entries whose exponents in that
+group are non-decreasing, times the sizes of their orbits (5 697 of
+3 341 637 slots for that block at c=1 become 553).
 
 Points that share k, c and p share every block.  The value is carried along
 the chain as a polynomial in one group, and after block i it depends only
@@ -273,8 +277,33 @@ def _dehomogenized(factors: list[tuple[LinearForm, int]],
     return out, degree
 
 
+def _orbit_sizes(tuples: np.ndarray) -> np.ndarray:
+    """Per row of non-decreasing exponent tuples, the size of its orbit
+    under permuting the tuple's entries: k! over the product of the
+    factorials of the multiplicities.  Equal entries are adjacent, so an
+    entry that is the m-th of its run counts m, and a run of length m
+    contributes m! to the product."""
+    run = product = np.ones(len(tuples), dtype=np.int64)
+    for j in range(1, tuples.shape[1]):
+        run = np.where(tuples[:, j] == tuples[:, j - 1], run + 1, 1)
+        product = product * run
+    return math.factorial(tuples.shape[1]) // product
+
+
+def _fold_weights(index: np.ndarray, size: int, cap: int) -> np.ndarray:
+    """Per flat slot in the box of a group of `size` variables of this cap,
+    its weight in a block folded over the group: the size of its exponent
+    tuple's orbit where the tuple is non-decreasing, else 0."""
+    tuples = np.stack(np.unravel_index(index, (cap + 1,) * size), axis=1)
+    weights = np.zeros(len(index), dtype=np.int64)
+    kept = (np.diff(tuples, axis=1) >= 0).all(axis=1)
+    weights[kept] = _orbit_sizes(tuples[kept])
+    return weights
+
+
 class _BlockCache:
-    """Sparse pair blocks, keyed by (p, k_{i-1}, k_i, k_{i+1}, c, lowered).
+    """Sparse pair blocks, keyed by (p, k_{i-1}, k_i, k_{i+1}, c, lowered,
+    folds).
 
     Blocks of every prime are kept while the cache holds at most
     CACHE_ENTRIES stored entries.  Past that, whole primes are dropped, the
@@ -295,6 +324,17 @@ class _BlockCache:
     the slot of the flat group tensor it multiplies, since the coefficient
     of x^T pairs exponent T - h of the tensor with exponent h of the block,
     and reversing every axis of a C-ordered box reverses its flat slots.
+
+    folds = (rows, columns) folds the block over the permutations of group
+    i's exponents, or of group i+1's: of the entries, it keeps those whose
+    exponent tuple in that group is non-decreasing, times the size of the
+    tuple's orbit (`_fold_weights`), mod p, and drops those that become 0
+    (p divides the orbit size).  The pair factors of a group whose
+    variables no pair in `lowered` names are symmetric in them (the
+    in-group exponent 2c is even, and the cross factors run over all
+    pairs), so the block takes one value on each orbit, and a functional
+    symmetric in the group reads the same sum from the folded block
+    (`chain_integrals` says when the chain's are).
     """
 
     def __init__(self):
@@ -303,12 +343,14 @@ class _BlockCache:
         self._entries: dict[int, int] = {}
 
     def block(self, k: KComposition, i: int, c: int, ctx: FpContext,
-              lowered: frozenset[LinearForm] = frozenset()) -> mpoly.SparseBlock:
+              lowered: frozenset[LinearForm] = frozenset(),
+              folds: tuple[bool, bool] = (False, False)) -> mpoly.SparseBlock:
         """Block i as a matrix of the flat group-i slots times the flat
-        group-(i+1) slots; the pair factors in `lowered` are one lower."""
+        group-(i+1) slots; the pair factors in `lowered` are one lower, and
+        its rows and columns are folded as `folds` says."""
         p = ctx.p
         self._entries[p] = self._entries.pop(p, 0)  # p is now the most recently used
-        key = (p, k.part(i - 1), k.part(i), k.part(i + 1), c, lowered)
+        key = (p, k.part(i - 1), k.part(i), k.part(i + 1), c, lowered, folds)
         if key not in self._blocks:
             sizes = (k.part(i), k.part(i + 1))
             caps = (_group_cap(k, i, p),) * sizes[0] + (_group_cap(k, i + 1, p),) * sizes[1]
@@ -329,11 +371,17 @@ class _BlockCache:
             nrows, ncols = (caps[0] + 1) ** sizes[0], (caps[-1] + 1) ** sizes[1]
             # the flat index in the block box, split into row and column
             row, col = np.divmod(nz * (caps[-1] + 1) + exponent[keep], ncols)
+            values = dehom[nz]
+            for fold, index, size, cap in zip(folds, (row, col), sizes, (caps[0], caps[-1])):
+                if fold:
+                    values = values * _fold_weights(index, size, cap) % p
+            kept = np.flatnonzero(values)
+            row, col, values = row[kept], col[kept], values[kept]
             order = np.argsort(col, kind="stable")
             columns, starts = np.unique(col[order], return_index=True)
-            self._blocks[key] = mpoly.SparseBlock(nrows - 1 - row[order], dehom[nz[order]],
+            self._blocks[key] = mpoly.SparseBlock(nrows - 1 - row[order], values[order],
                                                   columns, starts, ncols)
-            self._entries[p] += len(nz)
+            self._entries[p] += len(values)
             for old in list(self._entries)[:-1]:
                 if sum(self._entries.values()) <= CACHE_ENTRIES:
                     break
@@ -363,9 +411,9 @@ _BLOCKS = _BlockCache()
 BATCH_SLOTS = 2**15
 
 # The bound of the block cache, in stored block entries (each an int64
-# position and an int64 value, 16 bytes, so about 16 MiB).  The blocks of
-# `main` (3,2) at p=17, c = 1..5, hold about 87 k entries (1.41 MB), and
-# the three primes of a small sweep together 33 KB.
+# position and an int64 value, 16 bytes, so about 16 MiB).  The folded
+# blocks of `main` (3,2) at p=17, c = 1..5, hold about 8.4 k entries
+# (134 KB), and the three primes of a small sweep together 17 KB.
 CACHE_ENTRIES = 2**20
 
 
@@ -508,6 +556,17 @@ def _prefix_chain(new: np.ndarray, weights, blocks: list[mpoly.SparseBlock],
     return values
 
 
+def _symmetric_groups(k: KComposition, shifts: list[list[tuple[int, int]]],
+                      lowered: frozenset[LinearForm]) -> list[bool]:
+    """Per group, whether `chain_integrals` folds it (`_BlockCache`): all its
+    variables share one shift, and no pair in `lowered` names any of
+    them."""
+    named = {v for form in lowered for v in form.variables()}
+    return [len(set(group)) == 1
+            and named.isdisjoint(range(_flat_index(k, i, 1), _flat_index(k, i + 1, 1)))
+            for i, group in enumerate(shifts, 1)]
+
+
 def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
                     shifts: list[list[tuple[int, int]]],
                     lowered: frozenset[LinearForm] = frozenset()) -> np.ndarray:
@@ -522,10 +581,22 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
     block 1 alone when n = 1, `lowered` going to block 1 (block n of n >= 2
     has no factors, so it is not built).  A stage's weight rows are one
     gather per distinct shift of a group from the padded table of the
-    group's cap.  Raises PreconditionViolation unless the rows have width
-    k.n + 2 and shifts holds k.n groups.  Then, before any point is
-    evaluated: as `selberg_integral` at the first row that is no parameter
-    point with c <= p (`_invalid`); NegativeExponent where a shift takes an
+    group's cap.
+
+    Each symmetric group (`_symmetric_groups`) is folded once
+    (`_BlockCache`): group 1 on block 1's rows, group i+1 on block i's
+    columns.  What reads a folded side is symmetric in its group: group 1's
+    outer product of identical weight rows; a middle group's product with
+    its identical rows, then block i+1's rows, which no lowered pair
+    touches; the last group's top coefficient.  So the sum over the group's
+    box equals the orbit-weighted sum over the non-decreasing tuples, and
+    the values are those of unfolded blocks.
+
+    Raises PreconditionViolation unless the rows have width k.n + 2, shifts
+    holds k.n groups and every pair in `lowered` is a pair factor of block
+    1 (at c < p).  Then, before any point is evaluated: as
+    `selberg_integral` at the first row that is no parameter point with
+    c <= p (`_invalid`); NegativeExponent where a shift takes an
     exponent below 0, or at c = p with a cross pair in `lowered` (p - c = 0);
     and, before any block is built, CapacityExceeded exactly when the target
     box, of which every block and group polynomial is a sub-box, exceeds the
@@ -536,6 +607,14 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
         raise PreconditionViolation(f"rows of width {rows.shape[1]} and {len(shifts)} shift "
                                     f"groups for a composition of n={k.n}")
     p = ctx.p
+    names = [f"t{j + 1}" for j in range(k.part(1))] + [f"s{j + 1}" for j in range(k.part(2))]
+    # the pairs of block 1 (at c < p), and those _pair_factors keeps at c = p, the in-group ones
+    block, kept = ({f for f, _ in _pair_factors(k.parts[:2], c, p)} for c in (1, p))
+    unknown = sorted(f.variables() for f in lowered - block)
+    if unknown:
+        pair = "-".join(names[v] if v < len(names) else f"variable {v}" for v in unknown[0])
+        raise PreconditionViolation(f"the lowered pair {pair} is no pair factor of block 1")
+    cross = sorted(f.variables() for f in lowered - kept)
     _raise_at_first(rows, _invalid(rows, p),
                     lambda a, b, c: _check_point(k, ParamPoint(a, b, c), ctx))
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
@@ -550,12 +629,8 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
             raise NegativeExponent(f"row {tuple(rows[t].tolist())}: a shift takes the exponent "
                                    f"of {('x', '1-x')[axis]} in group {i + 1} to "
                                    f"{int(lowest[t, axis])}")
-    # the pairs of block 1 (at c < p), and those _pair_factors keeps at c = p, the in-group ones
-    block, kept = ({f for f, _ in _pair_factors(k.parts[:2], c, p)} for c in (1, p))
-    cross = sorted(f.variables() for f in (lowered & block) - kept)
     if cross and (rows[:, -1] == p).any():
         (u, v), t = cross[0], int((rows[:, -1] == p).argmax())
-        names = [f"t{j + 1}" for j in range(k.part(1))] + [f"s{j + 1}" for j in range(k.part(2))]
         raise NegativeExponent(f"row {tuple(rows[t].tolist())}: the lowered cross pair "
                                f"{names[u]}-{names[v]} takes its exponent p - c = 0 to -1")
     _check_target_box(cycle_from_composition(k).targets(p))
@@ -586,9 +661,12 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
     # the slots of a polynomial carried out of each stage, those of the next
     # group (one slot when n = 1)
     ncols = [(cap + 1) ** part for cap, part in zip(caps[1:], k.parts[1:])] or [1]
+    symmetric = _symmetric_groups(k, shifts, lowered)
+    # per block i, whether it folds its rows (group 1, at i = 1 only) and its columns
+    folds = [(i == 1 and symmetric[0], i < k.n and symmetric[i]) for i in range(1, stages + 1)]
     for start, stop in _runs(new, ncols):
         c = int(rows[start, -1])
-        blocks = [_BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset())
+        blocks = [_BLOCKS.block(k, i, c, ctx, lowered if i == 1 else frozenset(), folds[i - 1])
                   for i in range(1, stages + 1)]
         values[order[start:stop]] = _prefix_chain(
             new[start:stop, 2:], partial(group_rows, start), blocks,

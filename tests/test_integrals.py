@@ -470,6 +470,46 @@ def test_chain_values_do_not_depend_on_row_order_or_batch_cap(monkeypatch, calle
         assert np.array_equal(got, want[order])
 
 
+def test_folded_blocks_leave_every_chain_value_unchanged(monkeypatch):
+    # every `chain_integrals` call over whole boxes: `selberg_integrals` over
+    # those of (2,1) and (3,2) at p=7 and of (3,2,1) at p=5, each of the four
+    # terms of `stokes` at (3,2), p=7, and `weighted_integrals` at every
+    # allowable triple of (3,2), p=7, gives the same values with its
+    # symmetric groups folded as with none folded; with every orbit size
+    # taken as 1, some value differs, so the comparison can fail
+    runner, values = integrals.chain_integrals, []
+
+    def recording(*args):
+        values.append(runner(*args))
+        return values[-1]
+
+    monkeypatch.setattr(integrals, "chain_integrals", recording)
+    monkeypatch.setattr(harness, "chain_integrals", recording)
+    ctx = FpContext(7)
+    rows = _box((3, 2), 7, range(1, 7))
+    triples = [AllowableTriple(l1, l2, m) for l2 in range(3) for l1 in range(2 + l2)
+               for m in range(min(l1, l2) + 1)]
+
+    def evaluate():
+        monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
+        values.clear()
+        for parts, p in (((2, 1), 7), ((3, 2), 7), ((3, 2, 1), 5)):
+            selberg_integrals(KComposition(parts), _box(parts, p, range(1, p + 1)), FpContext(p))
+        harness._stokes_check(ctx, (3, 2), rows)
+        for tr in triples:
+            integrals.weighted_integrals(3, 2, tr, rows, ctx)
+        return values[:]
+
+    folded = evaluate()
+    assert len(folded) == 3 + 4 + 16
+    symmetric = integrals._symmetric_groups
+    monkeypatch.setattr(integrals, "_symmetric_groups", lambda k, shifts, lowered: [False] * k.n)
+    assert all(np.array_equal(got, want) for got, want in zip(folded, evaluate(), strict=True))
+    monkeypatch.setattr(integrals, "_symmetric_groups", symmetric)
+    monkeypatch.setattr(integrals, "_orbit_sizes", lambda tuples: np.ones(len(tuples), np.int64))
+    assert not all(np.array_equal(got, want) for got, want in zip(folded, evaluate(), strict=True))
+
+
 def test_the_chain_runner_rejects_rows_or_shifts_that_do_not_fit_k(monkeypatch):
     # rows of a width other than n+2, or shifts of other than n groups, do
     # not fit the composition; the one-group weighted integrals (k2 = 0)
@@ -616,8 +656,25 @@ def _dense(block, nrows):
     return dense
 
 
+def _orbit_weights(size, cap, fold):
+    """Per flat slot of a group of `size` variables of this cap, its weight
+    in a block folded over the group: the number of distinct orderings of
+    its exponent tuple where that is non-decreasing, else 0; all 1 unfolded."""
+    weights = []
+    for tup in itertools.product(range(cap + 1), repeat=size):
+        orderings = math.factorial(size)
+        for count in Counter(tup).values():
+            orderings //= math.factorial(count)
+        weights.append(1 if not fold else orderings if list(tup) == sorted(tup) else 0)
+    return np.array(weights, dtype=np.int64)
+
+
 @pytest.mark.parametrize("p", [5, 7])
 def test_dehomogenized_blocks_match_full_box_expansion(monkeypatch, p):
+    # every block, with every lowered set and fold pattern the runner asks
+    # for, against the whole block box expanded at once: folded over a
+    # group, a block keeps the non-decreasing tuples of that group, times
+    # their orbit sizes, mod p
     ctx = FpContext(p)
     expanded_axes = []
     expand = mpoly.expand
@@ -627,29 +684,42 @@ def test_dehomogenized_blocks_match_full_box_expansion(monkeypatch, p):
         return expand(fp, caps)
 
     monkeypatch.setattr(mpoly, "expand", recording_expand)
-    keys = set()
+    keys, patterns = set(), set()
     cache = integrals._BlockCache()  # one cache: blocks of every c coexist
     for c in range(1, p + 1):  # c = p: no cross factors
         for parts in [(1,), (1, 1), (1, 1, 1), (2, 1), (3, 1), (3, 2), (3, 2, 1)]:
             k = KComposition(parts)
             for i in range(1, k.n + 1):
-                variants = [frozenset()]
+                # (lowered, whether group i may fold, whether group i+1 may);
+                # the runner folds group i on block i's rows at i = 1 only,
+                # and builds no block n of n >= 2, whose columns are empty
+                variants = [(frozenset(), i == 1, i < k.n)]
                 if k.n == 2 and i == 1:
                     # the weighted integrals' block 1: the pair (s_1, t_1) one lower
-                    variants.append(frozenset({LinearForm.diff(k.part(1), 0)}))
-                for lowered in variants:
-                    expanded_axes.clear()
-                    block = cache.block(k, i, c, ctx, lowered)
-                    # built one axis smaller than the block, or taken from the cache
-                    assert expanded_axes in ([], [k.part(i) + k.part(i + 1) - 1])
-                    keys.add((k.part(i - 1), k.part(i), k.part(i + 1)))
-                    ref_matrix = _full_box_block(k, i, c, ctx, lowered)
-                    where = (parts, i, c, lowered)
-                    assert np.array_equal(_dense(block, len(ref_matrix)), ref_matrix), where
-                    # no zero is stored, and no slot twice
-                    assert len(block.values) == np.count_nonzero(ref_matrix), where
-    # the single-variable last block of (3,2,1)
+                    variants.append((frozenset({LinearForm.diff(k.part(1), 0)}), False, False))
+                if i == 1 < k.part(1):
+                    # stokes' in-group term: the pair (t_1, t_2) one lower
+                    variants.append((frozenset({LinearForm.diff(0, 1)}), False, i < k.n))
+                for lowered, rows_fold, columns_fold in variants:
+                    for folds in itertools.product(*({False, rows_fold}, {False, columns_fold})):
+                        expanded_axes.clear()
+                        block = cache.block(k, i, c, ctx, lowered, folds)
+                        # built one axis smaller than the block, or taken from the cache
+                        assert expanded_axes in ([], [k.part(i) + k.part(i + 1) - 1])
+                        keys.add((k.part(i - 1), k.part(i), k.part(i + 1)))
+                        patterns.add(folds)
+                        rows, columns = (_orbit_weights(k.part(j), integrals._group_cap(k, j, p),
+                                                        fold)
+                                         for j, fold in zip((i, i + 1), folds))
+                        expect = (_full_box_block(k, i, c, ctx, lowered)
+                                  * rows[:, None] * columns[None, :] % p)
+                        where = (parts, i, c, lowered, folds)
+                        assert np.array_equal(_dense(block, len(expect)), expect), where
+                        # no zero is stored, and no slot twice
+                        assert len(block.values) == np.count_nonzero(expect), where
+    # the single-variable last block of (3,2,1), and every fold pattern
     assert (2, 1, 0) in keys
+    assert patterns == set(itertools.product((False, True), repeat=2))
 
 
 def test_weighted_block_stays_small():
@@ -747,12 +817,14 @@ def test_the_block_cache_drops_the_least_recently_used_prime(monkeypatch):
     k = KComposition((2, 1))
     points = {p: point_rows(enumerate_admissible(k, FpContext(p)), k.n) for p in (5, 7, 11)}
     cs = {p: set(rows[:, -1].tolist()) for p, rows in points.items()}
-    fresh = integrals._BlockCache()
-    entries = {p: sum(len(fresh.block(k, 1, c, FpContext(p)).values) for c in cs[p])
-               for p in points}
+    # the entries of the blocks the runner stores for every point of p
+    expect, entries = {}, {}
+    for p, rows in points.items():
+        fresh = integrals._BlockCache()
+        monkeypatch.setattr(integrals, "_BLOCKS", fresh)
+        expect[p] = selberg_integrals(k, rows, FpContext(p)).tolist()
+        entries[p] = sum(len(block.values) for block in fresh._blocks.values())
     assert entries[5] < entries[7] < entries[11]
-    monkeypatch.setattr(integrals, "_BLOCKS", integrals._BlockCache())
-    expect = {p: selberg_integrals(k, rows, FpContext(p)).tolist() for p, rows in points.items()}
     built = []
     expand = mpoly.expand
 
@@ -1070,7 +1142,12 @@ def test_selberg_integrals_raise_as_the_first_offending_row(monkeypatch, parts, 
     ((2, 1, 3, 8), (0, 0), (), InvalidExponent, r"^c=8 > p=7 makes the cross exponent negative$"),
     ((2, 1, 3, 7), (0, 0), ((2, 0),), NegativeExponent,
      r"^row \(2, 1, 3, 7\): the lowered cross pair s1-t1 takes its exponent p - c = 0 to -1$"),
-], ids=["db-at-b1-0", "da-at-a-0", "c-0", "c-above-p", "cross-pair-at-c-p"])
+    ((2, 1, 3, 2), (0, 0), ((0, 2),), PreconditionViolation,
+     r"^the lowered pair t1-s1 is no pair factor of block 1$"),
+    ((2, 1, 3, 2), (0, 0), ((2, 0), (9, 0)), PreconditionViolation,
+     r"^the lowered pair variable 9-t1 is no pair factor of block 1$"),
+], ids=["db-at-b1-0", "da-at-a-0", "c-0", "c-above-p", "cross-pair-at-c-p", "reversed-pair",
+        "pair-of-no-variable"])
 def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, lowered, error,
                                                      message):
     # db = -1 at b_1 = 0 used to read the padded row of index -1, that of
@@ -1078,7 +1155,10 @@ def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, lo
     # bare IndexError.  The runner also rejects, as selberg_integral does,
     # rows that are not parameter points with c <= p, and a lowered cross
     # pair (s_1 - t_1) at c = p, where p - c = 0 leaves the cross factors out
-    # of the block, so that there is nothing to lower
+    # of the block, so that there is nothing to lower.  A lowered pair that
+    # is no pair factor of block 1, the reversed t_1 - s_1 or one naming
+    # variable 9 of (2,1), used to be ignored; it would also decide which
+    # groups fold
     evaluated = []
     monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
     with pytest.raises(error, match=message):
