@@ -31,9 +31,9 @@ from math import inf
 import numpy as np
 
 from . import formulas
-from .errors import InvariantViolation, NoPath, PreconditionViolation
+from .errors import InvariantViolation, NoPath, PreconditionViolation, raise_first
 from .gf import FpContext
-from .integrals import KComposition, ParamPoint, row_points
+from .integrals import KComposition, ParamPoint, row_point, row_points
 
 
 @dataclass(frozen=True)
@@ -201,11 +201,9 @@ def admissible_rows(k: KComposition, ctx: FpContext) -> np.ndarray:
     naming what `is_admissible` reports for the first failing row."""
     _require_strict(k)
     rows = _walk(lambda a, c: _b_system(k.parts, a, c, ctx.p), k.n, ctx.p)
-    bad = rows[_outside(k.parts, ctx.p, rows)]
-    if len(bad):
-        pt, = row_points(bad[:1])
-        raise InvariantViolation(
-            f"enumerated point {pt} violates {is_admissible(k, pt, ctx).violated}")
+    raise_first(rows, [(_outside(k.parts, ctx.p, rows), lambda *row: InvariantViolation(
+        f"enumerated point {row_point(row)} violates "
+        f"{is_admissible(k, row_point(row), ctx).violated}"))])
     return rows
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `raise_first`."""
+
+import numpy as np
 
 
 class FpSelbergError(Exception):
@@ -59,3 +61,23 @@ class InvariantViolation(FpSelbergError):
 class AccumulatorOverflow(FpSelbergError):
     """A sum of products of residues could leave the range its accumulator
     holds exactly: 2^63 for int64, 2^53 for the float64 row product."""
+
+
+def raise_first(rows: np.ndarray, conditions) -> None:
+    """Raise what the first offending row of rows would raise alone.
+
+    conditions are (flags, error) pairs in the order a row is checked:
+    flags marks the rows that fail it (a bool: all or none), and
+    error(*entries) of such a row returns its exception, or raises it as a
+    scalar check; a scalar check that returns raises InvariantViolation."""
+    flags = np.zeros((len(conditions), len(rows)), dtype=bool)
+    for i, (flag, _) in enumerate(conditions):
+        flags[i] = flag
+    offending = flags.any(axis=0)
+    if offending.any():
+        t = int(offending.argmax())
+        row = rows[t].tolist()
+        error = conditions[int(flags[:, t].argmax())][1](*row)
+        if isinstance(error, Exception):
+            raise error
+        raise InvariantViolation(f"row {tuple(row)} is flagged but passes its check")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import FpSelbergError, OutOfRange, PreconditionViolation, ZeroFactor
+from .errors import FpSelbergError, OutOfRange, PreconditionViolation, ZeroFactor, raise_first
 from .gf import FpContext, FpElement
 from .integrals import KComposition, ParamPoint, point_rows
 
@@ -150,16 +150,10 @@ def _width(rows: np.ndarray, n: int, form: str) -> None:
 
 
 def _require(rows: np.ndarray, conditions) -> None:
-    """Raise PreconditionViolation at the first row that fails one of the
-    conditions, (holds per row, message) pairs in the order a row is
-    checked, with the message, given that row's entries, of the first one
-    it fails."""
-    holds = np.array([held for held, _ in conditions]).reshape(len(conditions), len(rows))
-    failing = np.flatnonzero(~holds.all(axis=0))
-    if len(failing):
-        t = failing[0]
-        _, message = conditions[int(np.argmin(holds[:, t]))]
-        raise PreconditionViolation(message(*rows[t].tolist()))
+    """`raise_first` for (holds per row, message of a row's entries)
+    conditions, raising PreconditionViolation with the message."""
+    raise_first(rows, [(~held, lambda *row, message=message: PreconditionViolation(message(*row)))
+                       for held, message in conditions])
 
 
 @lru_cache(maxsize=64)

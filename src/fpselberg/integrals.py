@@ -57,9 +57,10 @@ first, but never the prime in use.
 Both integrals take their points as int64 rows (a, b_1, ..., b_n, c) and
 return int64 residues, one per row.  They raise, before any point is
 evaluated, what their batch of one would raise at the first offending
-row, from vector checks (`_raise_at_first`).  They run on the same chain
-and blocks, through one batch runner (`chain_integrals`) that sorts the
-rows by c and then by their prefixes, and cuts each c group into runs.
+row: each, and the batch runner, hands its conditions in the order a row
+is checked to `errors.raise_first`.  They run on the same chain and
+blocks, through one batch runner (`chain_integrals`) that sorts the rows
+by c and then by their prefixes, and cuts each c group into runs.
 Its data is a shift table, one (da, db) per variable: the row of variable
 j of group i is x^{a [i=1] + da} (1-x)^{b_i + db}, gathered for a whole
 stage batch at once from the padded table of the group's cap
@@ -90,7 +91,7 @@ import numpy as np
 
 from . import mpoly
 from .errors import (CapacityExceeded, InvalidExponent, InvariantViolation,
-                     NegativeExponent, NotAllowable, PreconditionViolation)
+                     NegativeExponent, NotAllowable, PreconditionViolation, raise_first)
 from .gf import FpContext, FpElement, binom
 from .mpoly import FactorProduct, LinearForm
 
@@ -594,45 +595,52 @@ def chain_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext,
 
     Raises PreconditionViolation unless the rows have width k.n + 2, shifts
     holds k.n groups and every pair in `lowered` is a pair factor of block
-    1 (at c < p).  Then, before any point is evaluated: as
-    `selberg_integral` at the first row that is no parameter point with
-    c <= p (`_invalid`); NegativeExponent where a shift takes an
-    exponent below 0, or at c = p with a cross pair in `lowered` (p - c = 0);
-    and, before any block is built, CapacityExceeded exactly when the target
-    box, of which every block and group polynomial is a sub-box, exceeds the
-    slot budget.  It raises AccumulatorOverflow as the `mpoly` kernels, whose
-    accumulation bounds (int64 for the contraction and the top coefficient,
-    2^53 for the float64 row product) are per point."""
+    1 (at c < p).  Then, before any point is evaluated, it raises what the
+    first offending row raises alone (`errors.raise_first`), checking in
+    turn whether the row is no parameter point with c <= p (as
+    `selberg_integral`), a shift takes an exponent below 0 (groups in
+    order, x before 1-x), or c = p and a cross pair in `lowered` has
+    p - c = 0 (both NegativeExponent).  Before any block is built,
+    CapacityExceeded exactly when the target box, of which every block and
+    group polynomial is a sub-box, exceeds the slot budget.  It raises
+    AccumulatorOverflow as the `mpoly` kernels, whose accumulation bounds
+    (int64 for the contraction and the top coefficient, 2^53 for the
+    float64 row product) are per point."""
     if rows.shape[1] != k.n + 2 or len(shifts) != k.n:
         raise PreconditionViolation(f"rows of width {rows.shape[1]} and {len(shifts)} shift "
                                     f"groups for a composition of n={k.n}")
     p = ctx.p
-    names = [f"t{j + 1}" for j in range(k.part(1))] + [f"s{j + 1}" for j in range(k.part(2))]
-    # the pairs of block 1 (at c < p), and those _pair_factors keeps at c = p, the in-group ones
-    block, kept = ({f for f, _ in _pair_factors(k.parts[:2], c, p)} for c in (1, p))
-    unknown = sorted(f.variables() for f in lowered - block)
-    if unknown:
-        pair = "-".join(names[v] if v < len(names) else f"variable {v}" for v in unknown[0])
-        raise PreconditionViolation(f"the lowered pair {pair} is no pair factor of block 1")
-    cross = sorted(f.variables() for f in lowered - kept)
-    _raise_at_first(rows, _invalid(rows, p),
-                    lambda a, b, c: _check_point(k, ParamPoint(a, b, c), ctx))
+
+    # the condition that a shift takes the exponent of x (axis 0) or 1-x in
+    # group i+1, a [i = 0] or b_{i+1} plus the group's lowest shift, below 0
+    def below_zero(i, axis):
+        low = min(shift[axis] for shift in shifts[i])
+        lowest = lambda row: (row[0] * (i == 0), row[1 + i])[axis] + low
+        return lowest(rows.T) < 0, lambda *row: NegativeExponent(
+            f"row {row}: a shift takes the exponent of {('x', '1-x')[axis]} in group {i + 1} "
+            f"to {lowest(row)}")
+
+    conditions = [((rows[:, :-1] < 0).any(axis=1) | (rows[:, -1] < 1) | (rows[:, -1] > p),
+                   lambda *row: _check_point(k, row_point(row), ctx)),
+                  *(below_zero(i, axis) for i in range(k.n) for axis in (0, 1))]
+    if lowered:
+        names = [f"t{j + 1}" for j in range(k.part(1))] + [f"s{j + 1}" for j in range(k.part(2))]
+        # block 1's pairs (at c < p), and those _pair_factors keeps at c = p: the in-group ones
+        block, kept = ({f for f, _ in _pair_factors(k.parts[:2], c, p)} for c in (1, p))
+        unknown = sorted(f.variables() for f in lowered - block)
+        if unknown:
+            pair = "-".join(names[v] if v < len(names) else f"variable {v}" for v in unknown[0])
+            raise PreconditionViolation(f"the lowered pair {pair} is no pair factor of block 1")
+        cross = sorted(f.variables() for f in lowered - kept)
+        if cross:
+            pair = "-".join(names[v] for v in cross[0])
+            conditions.append((rows[:, -1] == p, lambda *row: NegativeExponent(
+                f"row {row}: the lowered cross pair {pair} takes its exponent p - c = 0 to -1")))
+    raise_first(rows, conditions)
     caps = [_group_cap(k, i, p) for i in range(1, k.n + 1)]
     values = np.zeros(len(rows), dtype=np.int64)
     if not len(rows):
         return values
-    for i, group in enumerate(shifts):
-        # the lowest exponents of x and of 1-x in group i+1, per row
-        lowest = np.column_stack([rows[:, 0] * (i == 0), rows[:, 1 + i]]) + np.min(group, axis=0)
-        if lowest.min() < 0:
-            t, axis = divmod(int(lowest.argmin()), 2)
-            raise NegativeExponent(f"row {tuple(rows[t].tolist())}: a shift takes the exponent "
-                                   f"of {('x', '1-x')[axis]} in group {i + 1} to "
-                                   f"{int(lowest[t, axis])}")
-    if cross and (rows[:, -1] == p).any():
-        (u, v), t = cross[0], int((rows[:, -1] == p).argmax())
-        raise NegativeExponent(f"row {tuple(rows[t].tolist())}: the lowered cross pair "
-                               f"{names[u]}-{names[v]} takes its exponent p - c = 0 to -1")
     _check_target_box(cycle_from_composition(k).targets(p))
     stages = max(k.n - 1, 1)  # the stages that contract a block
     keys = rows[:, [-1, *range(stages + 1)]]  # (c, a, b_1, ..., b_stages)
@@ -681,24 +689,14 @@ def point_rows(points: list[ParamPoint], n: int) -> np.ndarray:
                     dtype=np.int64).reshape(len(points), n + 2)
 
 
+def row_point(row) -> ParamPoint:
+    """The row (a, b_1, ..., b_n, c), a sequence of ints, as a point."""
+    return ParamPoint(row[0], tuple(row[1:-1]), row[-1])
+
+
 def row_points(rows: np.ndarray) -> list[ParamPoint]:
     """The rows (a, b_1, ..., b_n, c) as points."""
-    return [ParamPoint(row[0], tuple(row[1:-1]), row[-1]) for row in rows.tolist()]
-
-
-def _raise_at_first(rows: np.ndarray, flagged: np.ndarray, check) -> None:
-    """Run `check(a, b, c)`, which raises at exactly the rows `flagged`
-    marks, at the first of them; so a batch raises as that row would alone."""
-    if flagged.any():
-        a, *b, c = rows[flagged.argmax()].tolist()
-        check(a, tuple(b), c)
-        raise InvariantViolation(f"row {(a, *b, c)} is flagged but passes its check")
-
-
-def _invalid(rows: np.ndarray, p: int) -> np.ndarray:
-    """Per row, whether `ParamPoint` raises for it (a or a b below 0, or c
-    below 1), or c exceeds p."""
-    return (rows[:, :-1] < 0).any(axis=1) | (rows[:, -1] < 1) | (rows[:, -1] > p)
+    return [row_point(row) for row in rows.tolist()]
 
 
 def selberg_integrals(k: KComposition, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
@@ -784,33 +782,6 @@ def weight_summands(k1: int, k2: int, tr: AllowableTriple) -> list[WeightSummand
             for sigma in permutations(range(k1)) for tau in permutations(range(k2))]
 
 
-def _weighted_flags(rows: np.ndarray, p: int, shifts, pairs) -> np.ndarray:
-    """Per row (a, b1, b2, c) of parameter points with c <= p, whether
-    `_check_weighted_point` raises there."""
-    a, b1, b2, c = rows.T
-    lowers = [any(shift[axis] < 0 for shift in group) for group in shifts for axis in (0, 1)]
-    negative = ((a == 0) & lowers[0]) | ((b1 == 0) & lowers[1]) | ((b2 == 0) & lowers[3])
-    return negative | ((c == p) & bool(pairs))
-
-
-def _check_weighted_point(pt: ParamPoint, p: int, shifts, pairs) -> None:
-    """Raise as the identity summand at pt would, b = (b1, b2): c <= p, no
-    negative exponent (`shifts` as in `weighted_integrals`) and, at c = p,
-    no denominator pair."""
-    a, (b1, b2), c = pt.a, pt.b, pt.c
-    if c > p:
-        raise InvalidExponent(f"c={c} > p={p}")
-    if not (a and b1 and b2):  # a shift lowers an exponent by at most one
-        for name, x, b, group in zip("ts", (a, 0), (b1, b2), shifts):
-            for j, (da, db) in enumerate(group):
-                for what, e in ((f"{name}{j+1}", x + da), (f"1-{name}{j+1}", b + db)):
-                    if e < 0:
-                        raise NegativeExponent(f"{what} exponent {e} < 0")
-    if pairs and c == p:  # _pair_factors leaves out the cross factors at c = p
-        j, i = min(pairs)
-        raise NegativeExponent(f"s{j+1}-t{i+1} exponent -1 < 0")
-
-
 def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
                        ctx: FpContext) -> np.ndarray:
     """`weighted_integral` at each row (a, b1, b2, c), in order, as int64
@@ -824,8 +795,10 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
     and (0, -[j not in s_one_minus]) for an s, and the same denominator
     pairs are one lower in block 1 at every point.  Requires a, b_1, b_2 >=
     1 so no exponent goes negative.  Raises for the arguments first, then,
-    before any point is evaluated, as the first offending row would alone
-    (`_invalid` and `_weighted_flags` mark them), then as `chain_integrals`.
+    before any point is evaluated, what the first offending row raises
+    alone (`errors.raise_first`), checking in turn for no parameter point,
+    c > p, an exponent a shift takes below 0 (t_1, 1-t_1, ..., s_1, 1-s_1,
+    ...) and a denominator pair at c = p; then as `chain_integrals`.
     """
     p = ctx.p
     if k1 >= p or k2 >= p:
@@ -836,9 +809,21 @@ def weighted_integrals(k1: int, k2: int, tr: AllowableTriple, rows: np.ndarray,
               [(0, -(j not in sm.s_one_minus)) for j in range(k2)]]
     if rows.shape[1] != 4:
         raise PreconditionViolation("weighted integrals take b = (b1, b2)")
-    _raise_at_first(rows, _invalid(rows, p) | _weighted_flags(rows, p, shifts, sm.pairs),
-                    lambda a, b, c: _check_weighted_point(ParamPoint(a, b, c), p, shifts,
-                                                          sm.pairs))
+    a, b1, b2, c = rows.T
+    conditions = [((rows[:, :-1] < 0).any(axis=1) | (c < 1), lambda *row: row_point(row)),
+                  (c > p, lambda *row: InvalidExponent(f"c={row[-1]} > p={p}"))]
+    # each exponent of t_j, 1-t_j, s_j, 1-s_j a shift lowers: by one, so below 0 it is -1
+    conditions += [(base + shift < 0,
+                    lambda *_, what=what: NegativeExponent(f"{what} exponent -1 < 0"))
+                   for name, x, b, group in zip("ts", (a, 0), (b1, b2), shifts)
+                   for j, (da, db) in enumerate(group)
+                   for what, base, shift in ((f"{name}{j + 1}", x, da),
+                                             (f"1-{name}{j + 1}", b, db)) if shift]
+    if sm.pairs:  # _pair_factors leaves out the cross factors at c = p
+        j, i = min(sm.pairs)
+        conditions.append((c == p, lambda *_: NegativeExponent(
+            f"s{j + 1}-t{i + 1} exponent -1 < 0")))
+    raise_first(rows, conditions)
     # each denominator pair (s_j, t_i) lowers its cross factor by one
     lowered = frozenset(LinearForm.diff(k1 + j, i) for j, i in sm.pairs)
     if not k2:  # the one group (k1,): no s variable, so b2 is not read

@@ -13,8 +13,8 @@ from reference_formulas import beta_rhs
 from fpselberg import harness, integrals, mpoly
 from fpselberg.admissible import enumerate_admissible
 from fpselberg.errors import (AccumulatorOverflow, CapacityExceeded, InvalidExponent,
-                              InvariantViolation, NegativeExponent,
-                              NotAllowable, PreconditionViolation)
+                              InvariantViolation, NegativeExponent, NotAllowable, OutOfRange,
+                              PreconditionViolation, ZeroFactor)
 from fpselberg.gf import FpContext
 from fpselberg.harness import _CAMPAIGNS, CampaignSpec
 from fpselberg.integrals import (AllowableTriple, KComposition, ParamPoint,
@@ -1103,6 +1103,28 @@ def test_weighted_integrals_raise_as_the_first_offending_point(monkeypatch, k1, 
     assert evaluated == []
 
 
+@pytest.mark.parametrize("k1, k2, tr, bad, error, text", [
+    (3, 2, AllowableTriple(1, 1, 1), (2, 2, -1, 1), PreconditionViolation,
+     "bad parameter point (2, (2, -1), 1)"),
+    (3, 2, AllowableTriple(1, 1, 1), (2, 2, 2, 8), InvalidExponent, "c=8 > p=7"),
+    (2, 1, AllowableTriple(0, 1, 0), (0, 2, 2, 1), NegativeExponent, "t1 exponent -1 < 0"),
+    (3, 2, AllowableTriple(1, 1, 0), (1, 0, 3, 1), NegativeExponent, "1-t1 exponent -1 < 0"),
+    (3, 2, AllowableTriple(1, 1, 0), (0, 0, 3, 1), NegativeExponent, "1-t1 exponent -1 < 0"),
+    (3, 2, AllowableTriple(1, 1, 0), (0, 2, 3, 1), NegativeExponent, "t2 exponent -1 < 0"),
+    (3, 2, AllowableTriple(1, 1, 0), (1, 2, 0, 1), NegativeExponent, "1-s1 exponent -1 < 0"),
+    (3, 2, AllowableTriple(1, 1, 1), (2, 2, 2, 7), NegativeExponent, "s1-t1 exponent -1 < 0"),
+    (2, 1, AllowableTriple(0, 0, 0), (1, 2, 2, 7), NegativeExponent, "s1-t2 exponent -1 < 0"),
+], ids=["no-point", "c-above-p", "bare-t", "bare-1-t", "bare-1-t-before-bare-t", "bare-t2",
+        "bare-1-s", "pair-at-c-p", "pair-s1-t2-at-c-p"])
+def test_weighted_integrals_error_texts(k1, k2, tr, bad, error, text):
+    # the whole text of each error, at an int64 row after a good one: the
+    # first offending variable in the order t1, 1-t1, t2, ..., s1, 1-s1, ...
+    ctx = FpContext(7)
+    rows = np.array([(2, 2, 2, 1), bad], dtype=np.int64)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        integrals.weighted_integrals(k1, k2, tr, rows, ctx)
+
+
 @pytest.mark.parametrize("parts, bad", [
     # c > p; a row that is not a parameter point (a, a b or c too low)
     ((2, 1), [(1, 2, 2, 8), (-1, 2, 2, 1), (1, 2, -3, 1), (1, 2, 2, 0)]),
@@ -1166,6 +1188,46 @@ def test_the_chain_runner_rejects_a_shift_below_zero(monkeypatch, bad, shift, lo
                                   FpContext(7), [[shift, (0, 0)], [(0, 0)]],
                                   frozenset(LinearForm.diff(*pair) for pair in lowered))
     assert evaluated == []
+
+
+def test_the_chain_runner_raises_its_first_offending_rows_error(monkeypatch):
+    # a row with a shift below zero and a row that is no parameter point:
+    # in either order, the batch raises what its first row raises alone
+    negative = ((2, 0, 3, 2), NegativeExponent,
+                r"^row \(2, 0, 3, 2\): a shift takes the exponent of 1-x in group 1 to -1$")
+    no_point = ((2, 1, 3, 0), PreconditionViolation, r"^bad parameter point \(2, \(1, 3\), 0\)$")
+    evaluated = []
+    monkeypatch.setattr(integrals, "_prefix_chain", lambda *args: evaluated.append(args))
+    for first, second in ((negative, no_point), (no_point, negative)):
+        with pytest.raises(first[1], match=first[2]):
+            integrals.chain_integrals(KComposition((2, 1)),
+                                      np.array([first[0], second[0]], dtype=np.int64),
+                                      FpContext(7), [[(0, -1), (0, 0)], [(0, 0)]])
+    assert evaluated == []
+
+
+def test_raise_first_raises_the_first_rows_first_error():
+    # the first offending row decides, then the first condition it fails;
+    # a scalar check that passes a flagged row raises InvariantViolation
+    from fpselberg.errors import raise_first
+    rows = np.array([(1, 2, 3), (-1, 5, 6), (4, 0, 6)], dtype=np.int64)
+
+    def conditions(rows, order):
+        """The conditions a < 0, b = 0 and c > 5 on rows, in the order given."""
+        return [[(rows[:, 0] < 0, lambda *row: NegativeExponent(f"a of {row}")),
+                 (rows[:, 1] == 0, lambda *row: ZeroFactor(f"b of {row}")),
+                 (rows[:, 2] > 5, lambda *row: OutOfRange(row[2], "c"))][i] for i in order]
+
+    raise_first(rows, [(rows[:, 0] > 4, lambda *row: None), (False, lambda *row: None)])
+    with pytest.raises(OutOfRange, match=r"^factorial argument 6 outside \[0, p\) \(c\)$"):
+        raise_first(rows, conditions(rows, (1, 2, 0)))
+    with pytest.raises(NegativeExponent, match=r"^a of \(-1, 5, 6\)$"):
+        raise_first(rows, conditions(rows, (1, 0, 2)))
+    with pytest.raises(ZeroFactor, match=r"^b of \(4, 0, 6\)$"):
+        raise_first(rows[[0, 2, 1]], conditions(rows[[0, 2, 1]], (1, 0, 2)))
+    with pytest.raises(InvariantViolation, match=r"^row \(4, 0, 6\) is flagged but passes its "
+                                                  r"check$"):
+        raise_first(rows, [(rows[:, 1] == 0, lambda *row: row_points(np.array([row])))])
 
 
 def _plant_doubled_term(monkeypatch):

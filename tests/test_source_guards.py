@@ -247,6 +247,25 @@ def test_closed_forms_evaluate_through_the_factorial_product():
             if path == "harness.py"} == {"_relations_s1s2_keys"}
 
 
+def test_one_first_offending_row_check():
+    # a batch rejects a bad row in one way: its conditions, in the order a
+    # row is checked, go to `errors.raise_first`; a second predicate kept
+    # in step with a scalar check, or a raise block of its own, would be a
+    # second path for the same errors
+    defined = {node.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    gone = {"_invalid", "_weighted_flags", "_check_weighted_point", "_raise_at_first"}
+    assert defined & gone == set()
+    assert not _callers(gone)
+    assert _callers({"raise_first"}) == {
+        ("integrals.py", "chain_integrals"), ("integrals.py", "weighted_integrals"),
+        ("formulas.py", "_require"), ("admissible.py", "admissible_rows")}
+    assert _callers({"_require"}) == {
+        ("formulas.py", name) for name in (
+            "rhs_3_11_values", "rhs_4_111_values", "beta_values", "dyson_values",
+            "induction_values")}
+
+
 def test_package_imports_only_stdlib_and_numpy():
     # numpy is the one declared dependency; no path may quietly need another
     allowed = set(sys.stdlib_module_names) | {"numpy", "fpselberg"}
