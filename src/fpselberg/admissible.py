@@ -7,17 +7,17 @@ inequality system is one table (`_b_system`) of bounds on contiguous sums
 b_s + ... + b_r, and the conditions on a and c alone are its entries over
 the empty sum.  The domain of the I_{0,0,0} closed form (Theorem I) is a
 table of the same shape (`_i000_system`), written from the theorem's
-factorial arguments.  `is_admissible` and `is_admissible_I` report the
-entries a point violates, e.g. "ine1[s=1,r=2,upper]" or "ine14[a]".  One
-walker (`_walk`) enumerates both domains as int64 rows (a, b_1, ..., b_n, c),
-picking each b_r for all prefixes at once from the intervals the table
-leaves, so it emits the points of the domain and no others.  What it emits
-is re-checked, and a point that fails raises InvariantViolation:
-`admissible_rows` compares all rows with their tables in one vector pass,
-and `i000_closed_forms` asks `formulas.i000_rhs_values`, which builds its
-arguments apart from that table, in one batch call whether the closed form
-is defined at rows of `i000_rows`; `enumerate_admissible_I` asks it at
-every row, and the `i000` campaign at the rows it samples.
+factorial arguments.  One evaluator (`_broken`) flags the entries that
+int64 rows (a, b_1, ..., b_n, c) break: `is_admissible` and
+`is_admissible_I` report a point's, e.g. "ine1[s=1,r=2,upper]".  One walker
+(`_walk`) enumerates both domains as rows, picking each b_r for all
+prefixes at once from the intervals the table leaves; `admissible_rows`
+re-checks its rows in one vector pass, `i000_closed_forms` in one batch
+call of `formulas.i000_rhs_values`, which builds its arguments apart from
+the table, and a failure raises InvariantViolation.  `distinguished_rows`
+(one formula) and `decrement_edges` (every unit b-decrement path at once,
+one vector step at a time) have `distinguished_point` and `decrement_path`
+as their batches of one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 from . import formulas
 from .errors import InvariantViolation, NoPath, PreconditionViolation, raise_first
 from .gf import FpContext
-from .integrals import KComposition, ParamPoint, row_point, row_points
+from .integrals import KComposition, ParamPoint, point_rows, row_point, row_points
 
 
 @dataclass(frozen=True)
@@ -95,24 +95,19 @@ def _b_system(parts: tuple[int, ...], a: int, c: int,
 
 
 def _failed_ac(system) -> list[str]:
-    """The identifiers of the entries of `system` over the empty sum, the
-    conditions on a and c alone, that fail."""
+    """The names of the failing entries of `system` on a and c alone."""
     return [name for name, _, r, lo, hi in system if r == 0 and not lo <= 0 <= hi]
 
 
 def _report(system, b: tuple[int, ...]) -> AdmissibilityReport:
-    """The entries of `system` (a `_b_system` or `_i000_system` table) that
-    b violates, in table order, with one "positivity" however many trip it;
-    an entry over the empty sum is evaluated at 0."""
-    sums = (0, *accumulate(b))  # sums[r] = b_1 + ... + b_r
-    bad = tuple(dict.fromkeys(name for name, s, r, lo, hi in system
-                              if not lo <= sums[r] - sums[s - 1] <= hi))
+    """`_broken`'s flags at the row (0, *b, 0) by name, in table order, "positivity" once."""
+    flags = _broken(_table_bounds(system), np.array((0, *b, 0), dtype=np.int64))[0]
+    bad = tuple(dict.fromkeys(system[j][0] for j in np.flatnonzero(flags).tolist()))
     return AdmissibilityReport(not bad, bad)
 
 
 def is_admissible(k: KComposition, pt: ParamPoint, ctx: FpContext) -> AdmissibilityReport:
-    """Check the full inequality system, the `_b_system` table, for a
-    strictly decreasing k."""
+    """The entries of the `_b_system` table that pt violates (k strictly decreasing)."""
     _require_strict(k)
     if pt.n != k.n:
         raise PreconditionViolation(f"b has length {pt.n}, composition has n={k.n}")
@@ -147,6 +142,9 @@ def _bounds(tables: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return np.array(s[:shape[1]]), np.array(r[:shape[1]]), lo, hi
 
 
+_table_bounds = lru_cache(maxsize=1024)(lambda system: _bounds([system]))  # `_report`'s, kept
+
+
 def _spread(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every integer of every interval [low[t], high[t]], as (t, integer)
     arrays, t ascending and the integers ascending within each t."""
@@ -179,19 +177,28 @@ def _walk(system: Callable[[int, int], tuple], n: int, p: int) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _outside(parts: tuple[int, ...], p: int, rows: np.ndarray) -> np.ndarray:
-    """Per row (a, b_1, ..., b_n, c), whether it breaks an entry of its own
-    `_b_system` table; an entry over the empty sum is compared with 0."""
-    if not len(rows):
-        return np.zeros(0, dtype=bool)
+def _row_bounds(parts: tuple[int, ...], p: int, rows: np.ndarray) -> tuple:
+    """`_bounds` of the `_b_system` tables at the rows' own (a, c), lo and hi
+    one row per row; the table at (1, 1) gives an empty batch its shape."""
     a, c = rows[:, 0], rows[:, -1]
-    _, first, which = np.unique(a * (c.max() - c.min() + 1) + c,  # one integer per (a, c)
+    _, first, which = np.unique(a * (c.max(initial=0) - c.min(initial=0) + 1) + c,  # per (a, c)
                                 return_index=True, return_inverse=True)
-    s, r, lo, hi = _bounds([_b_system(parts, *ac, p) for ac in rows[first][:, [0, -1]].tolist()])
-    sums = np.zeros((len(rows), rows.shape[1] - 1), dtype=np.int64)
-    np.cumsum(rows[:, 1:-1], axis=1, out=sums[:, 1:])
-    between = sums[:, r] - sums[:, s - 1]
-    return ((between < lo[which]) | (between > hi[which])).any(axis=1)
+    pairs = rows[first][:, [0, -1]].tolist() or [(1, 1)]
+    s, r, lo, hi = _bounds([_b_system(parts, *ac, p) for ac in pairs])
+    return s, r, lo[which], hi[which]
+
+
+def _broken(bounds: tuple, rows: np.ndarray) -> np.ndarray:
+    """Per row (a, ..., c) on the last axis, whether it breaks each entry (s, r, lo, hi)."""
+    s, r, lo, hi = bounds
+    sums = rows[..., :-1].cumsum(axis=-1) - rows[..., :1]  # sums[..., j] = b_1 + ... + b_j
+    between = sums[..., r] - sums[..., s - 1]
+    return (between < lo) | (between > hi)
+
+
+def _outside(parts: tuple[int, ...], p: int, rows: np.ndarray) -> np.ndarray:
+    """Per row, whether it breaks an entry of its own `_b_system` table."""
+    return _broken(_row_bounds(parts, p, rows), rows).any(axis=1)
 
 
 def admissible_rows(k: KComposition, ctx: FpContext) -> np.ndarray:
@@ -212,55 +219,62 @@ def enumerate_admissible(k: KComposition, ctx: FpContext) -> list[ParamPoint]:
     return row_points(admissible_rows(k, ctx))
 
 
-def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> ParamPoint:
-    """(a, p-1-(a+(k_1-1)c), (k_1-k_2+1)c-1, ..., (k_{n-1}-k_n+1)c-1, c)."""
+def distinguished_rows(k: KComposition, ac: np.ndarray, ctx: FpContext) -> np.ndarray:
+    """(a, p-1-(a+(k_1-1)c), (k_1-k_2+1)c-1, ..., (k_{n-1}-k_n+1)c-1, c) per
+    row (a, c) of ac.  The first row that breaks its table raises
+    PreconditionViolation if an a/c entry fails, else InvariantViolation."""
     _require_strict(k)
-    p = ctx.p
-    failed = tuple(dict.fromkeys(_failed_ac(_b_system(k.parts, a, c, p))))
-    if failed:
-        raise PreconditionViolation(f"(a, c) = ({a}, {c}) violates {failed}")
-    b = (p - 1 - (a + (k.part(1) - 1) * c),)
-    b += tuple((k.part(i - 1) - k.part(i) + 1) * c - 1 for i in range(2, k.n + 1))
-    pt = ParamPoint(a, b, c)
-    report = is_admissible(k, pt, ctx)
-    if not report.admissible:
-        raise InvariantViolation(f"distinguished point {pt} violates {report.violated}")
-    return pt
+    (a, c), parts = np.asarray(ac, dtype=np.int64).reshape(-1, 2).T, np.array(k.parts)
+    rows = np.column_stack([a, ctx.p - 1 - a - (parts[0] - 1) * c,
+                            (parts[:-1] - parts[1:] + 1) * c[:, None] - 1, c])
+
+    def error(*row):  # is_admissible flags what `_outside` flags: one evaluator
+        a, c = row[0], row[-1]
+        if failed := tuple(dict.fromkeys(_failed_ac(_b_system(k.parts, a, c, ctx.p)))):
+            return PreconditionViolation(f"(a, c) = ({a}, {c}) violates {failed}")
+        return InvariantViolation(f"distinguished point {row_point(row)} violates "
+                                  f"{is_admissible(k, row_point(row), ctx).violated}")
+    raise_first(rows, [(_outside(k.parts, ctx.p, rows), error)])
+    return rows
 
 
-def lowered(pt: ParamPoint, idx: int) -> ParamPoint:
-    """pt with b_{idx+1} one lower."""
-    return ParamPoint(pt.a, pt.b[:idx] + (pt.b[idx] - 1,) + pt.b[idx + 1:], pt.c)
+def distinguished_point(k: KComposition, a: int, c: int, ctx: FpContext) -> ParamPoint:
+    """The point of `distinguished_rows` at (a, c)."""
+    return row_points(distinguished_rows(k, np.array([(a, c)]), ctx))[0]
+
+
+def decrement_edges(k: KComposition, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
+    """Every edge of the unit b-decrement paths from admissible rows down to
+    their distinguished points, as int64 rows (a, b_1, ..., b_n, c, index of
+    the lowered b), step by step, in row order within a step.  Each step
+    takes the admissible lower end of largest slack, ties to the smallest
+    index, checked against the row's table, read once as a and c stay put.
+    A dead end raises NoPath: the domain should be decrement-connected."""
+    target = distinguished_rows(k, rows[:, [0, -1]], ctx)
+    s, r, lo, hi = _row_bounds(k.parts, ctx.p, rows)
+    steps, edges = np.eye(k.n + 2, dtype=np.int64)[1:-1], [np.empty((0, k.n + 3), dtype=np.int64)]
+    dead = lambda text: lambda *ends: NoPath(text.format(*row_points(np.reshape(ends, (2, -1)))))
+    while len(rows):
+        live = (rows != target).any(axis=1)
+        rows, target, lo, hi = (x[live] for x in (rows, target, lo, hi))
+        slack = rows[:, 1:-1] - target[:, 1:-1]
+        fits = ~_broken((s, r, lo[:, None], hi[:, None]), rows[:, None] - steps).any(axis=2)
+        rank = np.where((slack > 0) & fits, slack * k.n - np.arange(k.n), -1)
+        raise_first(np.column_stack([rows, target]), [
+            ((slack < 0).any(axis=1), dead("{} sits below the distinguished point {}")),
+            ((rank < 0).all(axis=1), dead("no admissible unit decrement from {} toward {}"))])
+        edges.append(np.column_stack([rows, rank.argmax(axis=1)]))
+        rows = rows - steps[edges[-1][:, -1]]  # steps[i] lowers b_{i+1}
+    return np.concatenate(edges)
 
 
 def decrement_path(k: KComposition, frm: ParamPoint, ctx: FpContext) -> list[tuple[int, ParamPoint]]:
-    """Unit b-decrements from `frm` down to the distinguished point.
-
-    Each step is (index of the decremented b, resulting point); every
-    intermediate point is admissible.  Strategy: largest slack above the
-    floor first, ties to the smallest index; a dead end raises NoPath since
-    the admissible region is expected to be decrement-connected.
-    """
-    _require_strict(k)
+    """The steps (index of the lowered b, lower end) of `decrement_edges`."""
     if not is_admissible(k, frm, ctx):
         raise PreconditionViolation(f"{frm} is not admissible")
-    target = distinguished_point(k, frm.a, frm.c, ctx)
-    path: list[tuple[int, ParamPoint]] = []
-    cur = frm
-    while cur.b != target.b:
-        slacks = [(cur.b[i] - target.b[i], i) for i in range(k.n)]
-        candidates = sorted((-s, i) for s, i in slacks if s > 0)
-        if any(s < 0 for s, _ in slacks) or not candidates:
-            raise NoPath(f"{cur} sits below the distinguished point {target}")
-        for _, i in candidates:
-            nxt = lowered(cur, i)
-            if is_admissible(k, nxt, ctx):
-                path.append((i, nxt))
-                cur = nxt
-                break
-        else:
-            raise NoPath(f"no admissible unit decrement from {cur} toward {target}")
-    return path
+    edges = decrement_edges(k, point_rows([frm], k.n), ctx)
+    lows = edges[:, :-1] - np.eye(k.n + 2, dtype=np.int64)[1 + edges[:, -1]]
+    return list(zip(edges[:, -1].tolist(), row_points(lows)))
 
 
 @lru_cache(maxsize=1024)
@@ -307,25 +321,19 @@ def is_admissible_I(k1: int, k2: int, pt: ParamPoint, ctx: FpContext) -> Admissi
 def i000_rows(k1: int, k2: int, ctx: FpContext) -> np.ndarray:
     """All points in the I_{0,0,0} domain, as int64 rows (a, b1, b2, c) in
     lexicographic order, as walked; `i000_closed_forms` re-checks rows."""
-    if not k1 > k2 > 0:
-        raise PreconditionViolation(f"need k1 > k2 > 0, got ({k1}, {k2})")
-    p = ctx.p
-    return _walk(lambda a, c: _i000_system(k1, k2, a, c, p), 2, p)
+    formulas._two_groups(k1, k2, 2)
+    return _walk(lambda a, c: _i000_system(k1, k2, a, c, ctx.p), 2, ctx.p)
 
 
 def i000_closed_forms(k1: int, k2: int, rows: np.ndarray, ctx: FpContext) -> np.ndarray:
     """`formulas.i000_rhs_values` at rows of `i000_rows`, in one batch call.
-    The table and the closed form build their arguments apart, so a row
-    where the closed form is undefined is a fault of the walk and raises
-    InvariantViolation, naming the first such row and its undefined term."""
+    It builds its arguments apart from the table, so an undefined row is a
+    fault of the walk: InvariantViolation names the first and its term."""
     values, first = formulas.i000_rhs_values(k1, k2, rows, ctx)
-    undefined = np.flatnonzero(first >= 0)
-    if len(undefined):
-        t = int(undefined[0])
-        pt, = row_points(rows[t:t + 1])
-        error = formulas._failure(formulas._i000_table(k1, k2, ctx.p), rows[t], int(first[t]),
-                                  ctx.p)
-        raise InvariantViolation(f"enumerated point {pt} has no I_000 closed form: {error}")
+    raise_first(np.column_stack([np.arange(len(first)), first]), [
+        (first >= 0, lambda t, term: InvariantViolation(
+            f"enumerated point {row_point(rows[t].tolist())} has no I_000 closed form: "
+            f"{formulas._failure(formulas._i000_table(k1, k2, ctx.p), rows[t], term, ctx.p)}"))])
     return values
 
 

@@ -12,8 +12,7 @@ first undefined term (-1 where there is none), from one evaluator
 (`_evaluate`); it raises the PreconditionViolation of the first row that
 fails a precondition.  `r_value`, `rhs_3_11` and `i000_rhs` are batches of
 one, a `FormulaResult` with the OutOfRange text of the first undefined
-term, for the CLI's `eval r`, the campaign benchmark's accounting and the
-error text of `admissible.i000_closed_forms`.
+term, for the CLI's `eval r` and the campaign benchmark's accounting.
 
 Two places deliberately deviate from a printed form; see the repository
 notes for the numeric evidence:
@@ -349,7 +348,7 @@ def _ratio_table(k1: int, k2: int, idx: int, shift: int, p: int) -> _Table:
 def b_factor_values(k1: int, k2: int, idx: int, rows: np.ndarray,
                     ctx: FpContext) -> tuple[np.ndarray, np.ndarray]:
     """The contiguous-relation factor B1 (idx 0) or B2 (idx 1), idx being
-    the index of the lowered b as in `admissible.lowered`, at each row
+    the index of the lowered b as in `admissible.decrement_edges`, at each row
     (a, b1, b2, c), as `_evaluate` returns it."""
     _two_groups(k1, k2, rows.shape[1] - 2)
     return _evaluate(_ratio_table(k1, k2, idx, 0, ctx.p), rows, ctx.p)

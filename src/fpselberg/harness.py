@@ -4,32 +4,31 @@ by closed form (or recurrence factors), exact equality only.
 `_CAMPAIGNS` holds one entry per campaign: its key list (and reported
 total; `_sampled` draws a seeded sample, `_swept` rejects a sampled spec),
 a check that takes a list of keys, the composition length it needs, and the
-JSON form of a key in a failure record.  The campaigns over a domain of
-points, `main`, `thm_3_11`, `thm_4_111`, `i000`, `stokes` and the relation
-campaigns but `relations_S1S2`, take their keys as int64 rows (a, b_1, ...,
-b_n, c): `admissible_rows` and `i000_rows` return them, `stokes` takes the
-box a, b_i, c in [1, p), `_sampled` samples row indices, and the theorem
-key lists are built by interval expansion (`_thm_keys`).  Every check
-returns one `_Verdicts`: per key, the two sides as int64 residues, whether
-the key was checked (a key not checked is a skip), and its failure
-classifier.  Every closed form and recurrence factor is a residue array
-from one batch form call of `formulas` per key list (or per k, lowered b
-or composition in it).  A key where a closed form or a B factor is undefined
-is a skip (`beta` reads 0); where the key list defines a factor, an
-undefined one raises InvariantViolation (`_defined`).
-Checks take their integrals in batches: `beta` (the one group k = (1,)),
-`main`, `thm_3_11`, `thm_4_111` and `relations_S1S2` from one
-`selberg_integrals` call per key list, `dyson` from one per k; `induction`
-from two per run of one composition (the full and the truncated
-composition); `i000`, `relations_II0`, `relations_B1` and `relations_B2`
-from one `weighted_integrals` call per allowable triple;
-`relations_IS` from one of each; `stokes` from at most four calls of the
-batch runner `chain_integrals`, whose other callers are `selberg_integrals`
-and `weighted_integrals`.  `_outcome` turns a key list's verdicts into its
-count of checked keys and its failure records, in key order, with one array
-comparison.  `run_campaign` hands a check the whole key list, and only the
-jobs > 1 pool splits it, into contiguous chunks; cutting work under a memory
-cap is left to `chain_integrals`.
+JSON form of a key in a failure record.  No campaign builds a `ParamPoint`.
+The campaigns over a domain of points keep their keys as int64 rows: (a,
+b_1, ..., b_n, c) from `admissible_rows`, `i000_rows`, the `stokes` box or
+interval expansion (`_thm_keys`), sampled by row index, and for
+`relations_S1S2` the edges (a, b_1, ..., b_n, c, index of the lowered b) of
+`adm.decrement_edges`; `induction` takes the points of its (k, a, c) keys
+as rows from `adm.distinguished_rows`.
+Every check returns one `_Verdicts`: per key, the two sides as int64
+residues, whether the key was checked (a key not checked is a skip), and its
+failure classifier.  Every closed form and recurrence factor is a residue
+array from one batch form call of `formulas` per key list (or per k, lowered
+b or composition in it).  A key where a closed form or a B factor is
+undefined is a skip (`beta` reads 0); where the key list defines a factor,
+an undefined one raises InvariantViolation (`_defined`).
+Checks take their integrals in batches: `beta` (k = (1,)), `main`,
+`thm_3_11`, `thm_4_111` and `relations_S1S2` from one `selberg_integrals`
+call per key list, `dyson` from one per k, `induction` from two per run of
+one composition (full and truncated); `i000`, `relations_II0`,
+`relations_B1` and `relations_B2` from one `weighted_integrals` call per
+allowable triple, `relations_IS` from one of each; `stokes` from at most
+four `chain_integrals` calls.  `_outcome` turns a key list's verdicts into
+its count of checked keys and its failure records, in key order, with one
+array comparison.  `run_campaign` hands a check the whole key list: only
+the jobs > 1 pool splits it, and only `chain_integrals` cuts work under a
+memory cap.
 Checks look up integrals, `formulas.*` and `adm.*` by module attribute at
 call time, so code that patches those attributes sees every call.  Only
 `bench` calls `selberg_integral`, and nothing calls `weighted_integral` or
@@ -51,12 +50,12 @@ import numpy as np
 
 from . import admissible as adm
 from . import formulas, mpoly
-from .errors import CapacityExceeded, InvariantViolation
+from .errors import CapacityExceeded, InvariantViolation, raise_first
 from .gf import FpContext
 from .integrals import (AllowableTriple, KComposition, LinearForm, chain_integrals,
                         cycle_from_composition, fp_integral, master_polynomial,
-                        point_rows, row_points, selberg_integral, selberg_integrals,
-                        weighted_integral, weighted_integrals)
+                        selberg_integral, selberg_integrals, weighted_integral,
+                        weighted_integrals)
 
 _INDUCTION_COMPOSITIONS = ((2, 1), (3, 1), (3, 2), (3, 2, 1))
 
@@ -129,16 +128,14 @@ def _everywhere(lhs: np.ndarray, rhs: np.ndarray,
     return _Verdicts(lhs, rhs, np.ones(len(lhs), dtype=bool), classifiers)
 
 
-def _defined(batch: tuple[np.ndarray, np.ndarray], table, rows: np.ndarray, keys: list,
+def _defined(batch: tuple[np.ndarray, np.ndarray], table, rows: np.ndarray, key: Callable,
              p: int) -> np.ndarray:
-    """The residues of a batch form's table at the rows of keys that define
-    it: InvariantViolation names a key where it is undefined, and the term."""
+    """The batch's residues, or InvariantViolation naming its first undefined
+    row t's key, key(t), and term."""
     values, first = batch
-    undefined = np.flatnonzero(first >= 0)
-    if len(undefined):
-        t = int(undefined[0])
-        raise InvariantViolation(f"key {keys[t]} has an undefined factor: "
-                                 f"{formulas._failure(table, rows[t], int(first[t]), p)}")
+    raise_first(np.column_stack([np.arange(len(first)), first]), [(first >= 0, lambda t, j: (
+        InvariantViolation(f"key {key(t)} has an undefined factor: "
+                           f"{formulas._failure(table, rows[t], j, p)}")))])
     return values
 
 
@@ -186,7 +183,7 @@ def _dyson_check(ctx, _k, keys):
         values = selberg_integrals(KComposition((kk,)), rows, ctx)
         lhs[at] = np.where(c * kk * (kk - 1) // 2 % 2, -values % p, values)
         rhs[at] = _defined(formulas.dyson_values(kk, rows, ctx), formulas._dyson_table(kk, p),
-                           rows, [keys[t] for t in at.tolist()], p)
+                           rows, lambda t: keys[at[t]], p)
     return _everywhere(lhs, rhs, [f"mismatch at k={kk}" for kk, _ in keys])
 
 
@@ -261,16 +258,16 @@ def _relations_b(idx: int) -> "_Campaign":
 def _relations_s1s2_check(ctx, k, keys):
     """Decrement edges: S(lower end) = shift factor * S(upper end), the
     factors from one `formulas.shift_factor_values` call per lowered b,
-    which the decrement paths define.  Homogeneous in the integrals, so a
-    fault that zeroes or scales every integral passes it."""
-    highs = np.array([row for row, _ in keys], dtype=np.int64).reshape(len(keys), 4)
-    idxs = np.array([idx for _, idx in keys], dtype=np.int64)
+    which the decrement paths define, at the key rows (upper end, lowered
+    b).  Homogeneous in the integrals, so a fault that zeroes or scales
+    every integral passes it."""
+    highs, idxs = keys[:, :-1], keys[:, -1]
     factors = np.zeros(len(keys), dtype=np.int64)
     for idx in (0, 1):
         at = np.flatnonzero(idxs == idx)
         factors[at] = _defined(formulas.shift_factor_values(*k, idx, highs[at], ctx),
                                formulas._ratio_table(*k, idx, 1, ctx.p), highs[at],
-                               [keys[t] for t in at.tolist()], ctx.p)
+                               lambda t: tuple(keys[at[t]].tolist()), ctx.p)
     lows = highs - np.eye(4, dtype=np.int64)[1 + idxs]
     values = selberg_integrals(KComposition(k), np.concatenate([lows, highs]), ctx)
     return _everywhere(values[:len(keys)], factors * values[len(keys):] % ctx.p,
@@ -280,18 +277,19 @@ def _relations_s1s2_check(ctx, k, keys):
 def _induction_check(ctx, _k, keys):
     """Factored identity at the distinguished point: the n-group integral
     equals the induction factor times the (n-1)-group integral, over a run
-    of keys of one composition, each side from one `selberg_integrals` call
-    and the factors from one `formulas.induction_values` call, which the
-    point's k_n c <= k_1 c < p defines.  Homogeneous in the integrals, so a
-    fault that zeroes or scales every integral passes it."""
+    of keys of one composition (points from `adm.distinguished_rows`), each
+    side from one `selberg_integrals` call and the factors from one
+    `formulas.induction_values` call, which k_n c <= k_1 c < p defines.
+    Homogeneous in the integrals, so a fault that zeroes or scales every
+    integral passes it."""
     lhs, rhs = np.zeros((2, len(keys)), dtype=np.int64)
     for kparts, run in groupby(range(len(keys)), key=lambda t: keys[t][0]):
         comp, run = KComposition(kparts), list(run)
-        full, trunc = (point_rows([adm.distinguished_point(part, *keys[t][1:], ctx)
-                                   for t in run], part.n) for part in (comp, comp.truncated()))
+        ac = [keys[t][1:] for t in run]
+        full, trunc = (adm.distinguished_rows(part, ac, ctx) for part in (comp, comp.truncated()))
         factors = _defined(formulas.induction_values(comp, full, ctx),
                            formulas._induction_table(kparts, ctx.p), full,
-                           [keys[t] for t in run], ctx.p)
+                           lambda t: keys[run[t]], ctx.p)
         lhs[run] = selberg_integrals(comp, full, ctx)
         rhs[run] = factors * selberg_integrals(comp.truncated(), trunc, ctx) % ctx.p
     return _everywhere(lhs, rhs, [f"k={key[0]} factored identity" for key in keys])
@@ -418,15 +416,10 @@ def _thm_4_111_keys(spec, _ctx):
 
 
 def _relations_s1s2_keys(spec, ctx):
-    """The edges (upper end, index of the lowered b) of the decrement paths
-    from the sampled points down to their distinguished points."""
-    comp = KComposition(spec.k)
-    edges = set()
-    for cur in row_points(_admissible_keys(spec, ctx)[1]):
-        for idx, nxt in adm.decrement_path(comp, cur, ctx):
-            edges.add(((cur.a, *cur.b, cur.c), idx))
-            cur = nxt
-    return len(edges), sorted(edges)
+    """The distinct rows of `adm.decrement_edges` from the sampled points, sorted."""
+    edges = adm.decrement_edges(KComposition(spec.k), _admissible_keys(spec, ctx)[1], ctx)
+    edges = np.unique(edges, axis=0, return_index=True)[0]  # else numpy 2.4 imports numpy.ma
+    return len(edges), edges
 
 
 def _induction_keys(spec, _ctx):
@@ -475,7 +468,7 @@ _CAMPAIGNS = {
     "relations_B1": _relations_b(0),
     "relations_B2": _relations_b(1),
     "relations_S1S2": _Campaign(_relations_s1s2_keys, _relations_s1s2_check, 2,
-                                point=lambda key: _point(key[0])),
+                                point=lambda key: _point(key[:-1])),
     "induction": _Campaign(_induction_keys, _induction_check,
                            point=lambda key: {"a": key[1], "b": None, "c": key[2]}),
     "i000": _Campaign(_i000_keys, _i000_check, 2),

@@ -6,11 +6,11 @@ import pytest
 
 import reference_admissible
 from fpselberg import admissible, formulas
-from fpselberg.admissible import (AdmissibilityReport, decrement_path,
-                                  distinguished_point, enumerate_admissible,
-                                  enumerate_admissible_I, is_admissible,
-                                  is_admissible_I)
-from fpselberg.errors import InvariantViolation, PreconditionViolation
+from fpselberg.admissible import (AdmissibilityReport, decrement_edges, decrement_path,
+                                  distinguished_point, distinguished_rows,
+                                  enumerate_admissible, enumerate_admissible_I,
+                                  is_admissible, is_admissible_I)
+from fpselberg.errors import InvariantViolation, NoPath, PreconditionViolation
 from fpselberg.formulas import r_values
 from fpselberg.gf import FpContext
 from fpselberg.integrals import KComposition, ParamPoint, point_rows, row_points
@@ -216,9 +216,14 @@ def test_distinguished_point_values():
 
 
 def test_distinguished_point_raises_when_not_admissible(monkeypatch):
-    monkeypatch.setattr(admissible, "is_admissible",
-                        lambda k, pt, ctx: AdmissibilityReport(False, ("forced",)))
-    with pytest.raises(InvariantViolation):
+    # a table entry that the formula's point (2, (5, 5), 3) breaks: the
+    # vector re-check flags its row, and the error names what is_admissible
+    # reports for it
+    b_system = admissible._b_system
+    monkeypatch.setattr(admissible, "_b_system",
+                        lambda *args: b_system(*args) + (("forced", 1, 1, -np.inf, 4),))
+    with pytest.raises(InvariantViolation, match=re.escape(
+            "distinguished point ParamPoint(a=2, b=(5, 5), c=3) violates ('forced',)")):
         distinguished_point(KComposition((2, 1)), 2, 3, FpContext(11))
 
 
@@ -280,6 +285,50 @@ def test_decrement_path_tie_break_prefers_small_index():
     slacks = [frm.b[i] - target.b[i] for i in range(2)]
     first_idx = decrement_path(k, frm, ctx)[0][0]
     assert first_idx == max(range(2), key=lambda i: (slacks[i], -i))
+
+
+@pytest.mark.parametrize("parts, p", [((2, 1), 7), ((2, 1), 11), ((2, 1), 13), ((3, 2), 7),
+                                     ((3, 2), 11), ((3, 2), 13), ((3, 2, 1), 7)])
+def test_decrement_edges_follow_the_scalar_greedy_walk(parts, p):
+    # every admissible point's path, walked one point at a time through
+    # is_admissible alone: the vector walk over all rows gives one edge per
+    # step of every path, so their union as a set, and over one row its
+    # edges in path order
+    k, ctx = KComposition(parts), FpContext(p)
+    rows = admissible.admissible_rows(k, ctx)
+    union, steps = set(), 0
+    for t, pt in enumerate(row_points(rows)):
+        path = reference_admissible.decrement_path(k, pt, ctx)
+        uppers = [pt] + [lower for _, lower in path[:-1]]
+        expected = [[upper.a, *upper.b, upper.c, idx] for upper, (idx, _) in zip(uppers, path)]
+        assert decrement_edges(k, rows[t:t + 1], ctx).tolist() == expected, pt
+        union.update(map(tuple, expected))
+        steps += len(path)
+    edges = decrement_edges(k, rows, ctx)
+    assert edges.dtype == np.int64 and len(edges) == steps > 0
+    assert set(map(tuple, edges.tolist())) == union
+    # the distinguished rows, per (a, c) whose a/c entries hold
+    pairs = [(a, c) for a, c, _ in admissible._ac_tables(
+        lambda a, c: admissible._b_system(parts, a, c, p), p)]
+    assert distinguished_rows(k, np.array(pairs), ctx).tolist() == [
+        [a, p - 1 - (a + (parts[0] - 1) * c),
+         *((before - part + 1) * c - 1 for before, part in zip(parts, parts[1:])), c]
+        for a, c in pairs]
+
+
+@pytest.mark.parametrize("row, text", [
+    ((2, 4, 7, 3), "ParamPoint(a=2, b=(4, 7), c=3) sits below the distinguished point "
+                   "ParamPoint(a=2, b=(5, 5), c=3)"),
+    ((2, 30, 30, 3), "no admissible unit decrement from ParamPoint(a=2, b=(30, 30), c=3) "
+                     "toward ParamPoint(a=2, b=(5, 5), c=3)"),
+])
+def test_decrement_edges_name_a_dead_end(row, text):
+    # the walk takes admissible rows; a row below its distinguished point,
+    # or one with no admissible lower end, is a dead end, and NoPath names
+    # it as the scalar walk named it (the texts are the scalar walk's, with
+    # is_admissible forced true at the start)
+    with pytest.raises(NoPath, match="^" + re.escape(text) + "$"):
+        decrement_edges(KComposition((2, 1)), np.array([(2, 6, 5, 3), row]), FpContext(11))
 
 
 def test_decrement_path_rejects_inadmissible_start():

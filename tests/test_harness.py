@@ -208,36 +208,24 @@ def _objects_built(monkeypatch, spec) -> tuple[VerificationReport, Counter]:
     (CampaignSpec("relations_IS", 7, (2, 1)), CampaignSpec("relations_IS", 11, (3, 2))),
     (CampaignSpec("relations_II0", 7, (2, 1)), CampaignSpec("relations_II0", 11, (3, 2))),
     (CampaignSpec("stokes", 5, (2, 1)), CampaignSpec("stokes", 7, (2, 1))),
+    (CampaignSpec("relations_S1S2", 7, (2, 1)), CampaignSpec("relations_S1S2", 13, (3, 2))),
+    (CampaignSpec("induction", 5), CampaignSpec("induction", 13)),
 ], ids=lambda spec: f"{spec.campaign}-p{spec.p}")
 def test_row_campaigns_build_no_objects_per_key(monkeypatch, small, large):
-    # every campaign but relations_S1S2 and induction keeps its keys as
-    # int64 rows from the key list to the verdict: a passing
+    # every campaign keeps its keys as int64 rows (or, for beta, dyson and
+    # induction, tuples of ints) from the key list to the verdict: a passing
     # run builds no ParamPoint, and as many FpElements and FormulaResults
     # however many keys it checks (a ParamPoint, a FormulaResult and two
     # FpElements per key while keys were tuples: 890, 890 and 1 780 for
     # main (2,1) at p=13; 624 FpElements for beta at p=13, and 382
     # ParamPoints and 267 FpElements for relations_B1 (3,2) at p=13, while
-    # their right sides were field elements per key)
+    # their right sides were field elements per key; relations_S1S2 and
+    # induction built ParamPoints per key while they walked decrement paths
+    # and built distinguished points one at a time)
     (few, at_few), (many, at_many) = (_objects_built(monkeypatch, spec) for spec in (small, large))
     assert few.all_passed and many.all_passed and 0 < few.checked < many.checked
     assert at_few["ParamPoint"] == at_many["ParamPoint"] == 0
     assert at_few == at_many
-
-
-@pytest.mark.parametrize("small, large", [
-    (CampaignSpec("relations_S1S2", 7, (2, 1)), CampaignSpec("relations_S1S2", 13, (3, 2))),
-    (CampaignSpec("induction", 5), CampaignSpec("induction", 13)),
-], ids=lambda spec: f"{spec.campaign}-p{spec.p}")
-def test_factor_campaigns_build_no_field_element_per_key(monkeypatch, small, large):
-    # relations_S1S2 walks its keys' decrement paths, and induction builds
-    # its keys' distinguished points, as ParamPoints; their factors come
-    # from one batch call per key list, so as many FpElements and
-    # FormulaResults however many keys they check
-    (few, at_few), (many, at_many) = (_objects_built(monkeypatch, spec) for spec in (small, large))
-    assert few.all_passed and many.all_passed and 0 < few.checked < many.checked
-    assert 0 < at_few["ParamPoint"] < at_many["ParamPoint"]
-    assert (at_few["FpElement"], at_few["FormulaResult"]) == (
-        at_many["FpElement"], at_many["FormulaResult"])
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -419,7 +407,7 @@ def test_campaigns_without_k_reject_one(campaign, k):
 def test_relations_s1s2_edges_pass():
     # edges from points one b1-step and one b2-step above the distinguished point
     ctx = FpContext(11)
-    keys = [((2, 6, 5, 3), 0), ((2, 5, 6, 3), 1)]
+    keys = np.array([(2, 6, 5, 3, 0), (2, 5, 6, 3, 1)])
     assert harness._outcome("relations_S1S2", ctx, (2, 1), keys) == (2, [])
 
 
@@ -481,7 +469,7 @@ def test_induction_batches_each_run_of_one_composition():
 
 @pytest.mark.parametrize("spec, batch_form, text", [
     (CampaignSpec("relations_S1S2", 7, (2, 1)), "shift_factor_values",
-     r"key \(\(1, 3, 5, 3\), 0\) has an undefined factor: numerator b1-shift first product"
+     r"key \(1, 3, 5, 3, 0\) has an undefined factor: numerator b1-shift first product"
      r" at i=1 = 1 vanishes mod 7"),
     (CampaignSpec("induction", 7), "induction_values",
      r"key \(\(2, 1\), 1, 1\) has an undefined factor: factorial argument 1 outside "

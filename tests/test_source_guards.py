@@ -241,10 +241,10 @@ def test_closed_forms_evaluate_through_the_factorial_product():
     assert _callers({"_result"}) == {
         ("formulas.py", name) for name in ("r_value", "rhs_3_11", "i000_rhs")}
     # the checks take their sides as residue arrays from the batch forms
-    # and the integrals: no check turns its rows into points or builds a
-    # field element, and only the S1S2 key list walks points
-    assert {function for path, function in _callers({"row_points", "FpElement"})
-            if path == "harness.py"} == {"_relations_s1s2_keys"}
+    # and the integrals: no check or key list turns rows into points, or
+    # points into rows, or builds a field element
+    assert {function for path, function in _callers({"row_points", "point_rows", "FpElement"})
+            if path == "harness.py"} == set()
 
 
 def test_one_first_offending_row_check():
@@ -259,7 +259,9 @@ def test_one_first_offending_row_check():
     assert not _callers(gone)
     assert _callers({"raise_first"}) == {
         ("integrals.py", "chain_integrals"), ("integrals.py", "weighted_integrals"),
-        ("formulas.py", "_require"), ("admissible.py", "admissible_rows")}
+        ("formulas.py", "_require"), ("admissible.py", "admissible_rows"),
+        ("admissible.py", "i000_closed_forms"), ("admissible.py", "distinguished_rows"),
+        ("admissible.py", "decrement_edges"), ("harness.py", "_defined")}
     assert _callers({"_require"}) == {
         ("formulas.py", name) for name in (
             "rhs_3_11_values", "rhs_4_111_values", "beta_values", "dyson_values",
